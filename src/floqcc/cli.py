@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .bath import (
     QuadratureError,
@@ -122,22 +123,7 @@ def render_csv(points: list[PointResult], mode: str) -> str:
 
 
 def _diag_dict(p: PointResult) -> dict:
-    if p.diagnostics is None:
-        return {}
-    d = p.diagnostics
-    return {
-        "n_fock": d.n_fock,
-        "k_ext": d.k_ext,
-        "k_rho": d.k_rho,
-        "method": d.method,
-        "residual": d.residual,
-        "sigma_second": d.sigma_second,
-        "trunc_top": d.trunc_top,
-        "completeness": d.completeness,
-        "cc_flow_avg": d.cc_flow_avg,
-        "min_eigenvalue": d.min_eigenvalue,
-        "gates": d.gates,
-    }
+    return {} if p.diagnostics is None else asdict(p.diagnostics)
 
 
 def render_json(cfg: RunConfig, points: list[PointResult]) -> str:
@@ -190,16 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMAND_MODE = {
-    "steady": "steady",
-    "sweep": "sweep",
-    "phase": "phase",
-    "lasercool": "lasercool",
-    "benchmark": "benchmark",
-    "map": "map",
-}
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     path = getattr(args, "config", None)
@@ -214,7 +190,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if key in set(known_keys()) and val is not None
     }
     cfg = apply_overrides(cfg, overrides)
-    cfg = apply_overrides(cfg, {"run.mode": _COMMAND_MODE[args.command]})
+    cfg = apply_overrides(cfg, {"run.mode": args.command})
     cfg.validate()
     return cfg
 

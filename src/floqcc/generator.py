@@ -29,7 +29,7 @@ larger problems, a sparse bordered-LU solve with the trace condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -265,14 +265,6 @@ class CountingLiouvillian:
                 out += np.exp(1j * q * self.omega_L * t) * lq
         return out
 
-    def trace_defect_at(self, t: float) -> float:
-        """Norm of trace compose L(t); zero for a probability-conserving
-        generator."""
-        d = self.dim
-        tr = np.zeros(d * d)
-        tr[:: d + 1] = 1.0
-        return float(np.max(np.abs(tr @ self.matrix_at_time(t))))
-
 
 def build_liouvillian(
     h: PeriodicOperator,
@@ -351,6 +343,7 @@ class SteadyStateInfo:
     trace_defect: float
     hermiticity_defect: float
     min_eigenvalue: float
+    fallback: str | None = None  # why the requested route was left for lu
 
 
 def _block_system_dense(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
@@ -577,11 +570,13 @@ def _positivity_message(
     )
 
 
+DENSE_SIZE_LIMIT = 1200
+
+
 def steady_state(
     liouv: CountingLiouvillian,
     k_rho: int | None = None,
     method: str = "auto",
-    dense_size_limit: int = 1200,
     trace_tol: float = 1e-10,
     positivity_tol: float = 1e-8,
     residual_tol: float = 1e-8,
@@ -590,12 +585,13 @@ def steady_state(
 
     ``method`` is "svd" (dense null space, reports singular values), "lu"
     (sparse bordered direct solve), "gmres" (bordered solve, block-diagonal
-    preconditioner), or "auto": svd for small systems, otherwise gmres with
-    automatic fallback to lu when the Krylov iteration stalls (dense SVD
-    scales as the cube of (2 k_rho + 1) d^2 and is kept for diagnostics and
-    cross-validation).  In every bordered variant the trace condition
-    replaces one redundant row of the n = 0 block (the trace functional on
-    that block is an exact left null vector of the system).  The returned
+    preconditioner), or "auto": svd up to DENSE_SIZE_LIMIT unknowns,
+    otherwise lu for a single reservoir and gmres for two (dense SVD scales
+    as the cube of (2 k_rho + 1) d^2 and is kept for diagnostics and
+    cross-validation).  A failed gmres solve falls back to lu, recording why
+    in ``SteadyStateInfo.fallback``.  In every bordered variant the trace
+    condition replaces one redundant row of the n = 0 block (the trace
+    functional on that block is an exact left null vector).  The returned
     harmonics are trace-normalized and Hermitian-symmetrized
     (rho_{-n} = rho_n^dag is an exact property of the solution); positivity
     of rho(t) and the residual of the block equation are checked.
@@ -607,7 +603,10 @@ def steady_state(
     nb = 2 * k_rho + 1
     size = nb * d2
     if method == "auto":
-        method = "svd" if size <= dense_size_limit else "gmres"
+        # single-reservoir generators have very slow modes that defeat the
+        # gmres preconditioner; they go direct
+        large = "lu" if len(liouv.channels) == 1 else "gmres"
+        method = "svd" if size <= DENSE_SIZE_LIMIT else large
 
     sigma_null = sigma_second = None
     if method == "svd":
@@ -641,7 +640,12 @@ def steady_state(
         bordered.data[row0] = [1.0 + 0.0j] * d
         rhs = np.zeros(size, dtype=complex)
         rhs[row0] = 1.0
-        factor = splu(bordered.tocsc())
+        try:
+            factor = splu(bordered.tocsc())
+        except RuntimeError as exc:
+            raise DegenerateSteadyStateError(
+                f"bordered system is singular ({exc}): more than one steady state"
+            ) from exc
         vec = factor.solve(rhs)
         res = big @ vec
         res[row0] = 0.0
@@ -649,16 +653,17 @@ def steady_state(
     elif method == "gmres":
         try:
             vec, residual = _solve_bordered_gmres(liouv, k_rho)
-        except SteadyStateError:
-            return steady_state(
-                liouv,
-                k_rho=k_rho,
-                method="lu",
-                dense_size_limit=dense_size_limit,
-                trace_tol=trace_tol,
-                positivity_tol=positivity_tol,
-                residual_tol=residual_tol,
-            )
+        except SteadyStateError as exc:
+            try:
+                result, info = steady_state(
+                    liouv, k_rho=k_rho, method="lu", trace_tol=trace_tol,
+                    positivity_tol=positivity_tol, residual_tol=residual_tol,
+                )
+            except SteadyStateError as lu_exc:
+                raise SteadyStateError(
+                    f"gmres failed ({exc}); the lu fallback failed too: {lu_exc}"
+                ) from lu_exc
+            return result, replace(info, fallback=f"gmres: {exc}")
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
 

@@ -1,10 +1,12 @@
 """Experiment orchestration: single points, resonance-locked sweeps, phase
 grids, laser-cooling curves and the secular benchmark.
 
-Every point runs the bath -> model -> floquet -> generator -> thermo chain
-with adaptive Fock truncation and ladder size; sweep points are independent
-and can be dispatched to a process pool (worker count via the
-FLOQCC_WORKERS environment variable; default serial).
+Every point maps the bath, builds the model, then runs three stages under
+adaptive Fock truncation: Floquet (Sambe solve and k_ext drift gate),
+generator (coupling operators, jumps, kernels) and steady (periodic state
+and heat flows); failures are ``PointFailure``s tagged with their layer.
+Sweep points are independent and can be dispatched to a process pool
+(worker count via the FLOQCC_WORKERS environment variable; default serial).
 """
 
 from __future__ import annotations
@@ -20,19 +22,23 @@ from .config import ConfigError, RunConfig
 from .floquet import (
     DegeneracyError,
     FloquetConvergenceError,
+    FloquetSolution,
     build_quasienergy_operator,
     decompose_operator,
     solve_floquet,
 )
 from .generator import (
     BathChannel,
+    PeriodicDensityMatrix,
     SteadyStateError,
+    SteadyStateInfo,
     build_liouvillian,
     heat_current,
     periodic_average_rate,
     steady_state,
 )
 from .model import (
+    PeriodicOperator,
     SupersystemSpec,
     build_coupling_operators,
     build_supersystem_fourier,
@@ -62,6 +68,7 @@ class Diagnostics:
     k_ext: int
     k_rho: int
     method: str
+    fallback: str | None
     residual: float
     sigma_second: float | None
     trunc_top: float
@@ -96,13 +103,14 @@ def _k_ext_auto(cfg: RunConfig, omega_cc: float, n_fock: int) -> int:
     return k
 
 
-def _n_fock_estimate(cfg: RunConfig, omega_cc: float) -> int:
+def _n_fock_estimate(cfg: RunConfig, omega_cc: float, residual: Ohmic | None) -> int:
     """Thermal estimate of the ladder size whose top levels stay below the
     truncation threshold; the adaptive loop still raises it if the drive
     heats the mode beyond this."""
     from .bath import bose_occupation
 
-    beta = cfg.beta_h if cfg.mode == "lasercool" else cfg.beta_c
+    # without a cold reservoir the mode thermalizes with the hot bath
+    beta = cfg.beta_h if residual is None else cfg.beta_c
     x = beta * omega_cc
     nbar = bose_occupation(omega_cc, beta) if x < 600 else 0.0
     ratio = (nbar + 0.02) / (1.0 + nbar + 0.02)
@@ -110,13 +118,19 @@ def _n_fock_estimate(cfg: RunConfig, omega_cc: float) -> int:
     return int(np.clip(need + 2, 2, cfg.n_fock_max))
 
 
+def _peak_frequency(cfg: RunConfig) -> float:
+    """Centre of the cold bath's structured peak: the resonance lock (or an
+    unset ``omega_res``) puts it at omega0 - omegaL."""
+    if cfg.resonance_lock or cfg.omega_res <= 0:
+        return cfg.omega0 - cfg.omegaL
+    return cfg.omega_res
+
+
 def _resolve_mapping(cfg: RunConfig) -> tuple[float, float, Ohmic | None]:
     """(lambda0, omega_cc, residual bath) for the current mode."""
     if cfg.mode == "lasercool":
         return cfg.d_c, cfg.omega_res, None
-    omega_res = cfg.omega_res
-    if cfg.resonance_lock or omega_res <= 0:
-        omega_res = cfg.omega0 - cfg.omegaL
+    omega_res = _peak_frequency(cfg)
     if omega_res <= 0:
         raise PointFailure(
             "bath", f"resonance lock gives omega_res = {omega_res:.6g} <= 0"
@@ -145,101 +159,108 @@ def _build_spec(cfg: RunConfig, lambda0: float, omega_cc: float, residual, n_foc
             hot_bath=hot,
             residual_bath=residual,
             coupling_form=cfg.coupling_form,
-            require_thermal_bias=cfg.mode not in ("lasercool", "benchmark"),
         )
     except ValueError as exc:
         raise PointFailure("model", str(exc)) from exc
 
 
-def _solve_floquet_converged(cfg: RunConfig, h, k_ext: int):
-    """Floquet solution with the k_ext drift gate (quasienergies stable to
-    1e-8 omega0 under k_ext + 2) when convergence checking is enabled."""
-    try:
-        fs = solve_floquet(build_quasienergy_operator(h, cfg.omegaL, k_ext))
-    except (DegeneracyError, FloquetConvergenceError, ValueError) as exc:
-        raise PointFailure("floquet", str(exc)) from exc
-    if cfg.convergence == "off":
-        return fs, k_ext
-    for _ in range(6):
-        try:
-            fs2 = solve_floquet(build_quasienergy_operator(h, cfg.omegaL, k_ext + 2))
-        except (DegeneracyError, FloquetConvergenceError, ValueError) as exc:
-            raise PointFailure("floquet", str(exc)) from exc
-        drift = float(
-            np.max(np.abs(np.sort(fs.quasienergies) - np.sort(fs2.quasienergies)))
-        )
-        if drift < 1e-8 * cfg.omega0:
-            return fs, k_ext
-        fs, k_ext = fs2, k_ext + 2
-    raise PointFailure("floquet", f"quasienergies not converged at k_ext={k_ext}")
+@dataclass(frozen=True)
+class FloquetStage:
+    """Floquet solution of ``h``; ``refined`` is the k_ext + 2 solution the
+    drift gate compared it against (None when the gate is off)."""
+
+    h: PeriodicOperator
+    fs: FloquetSolution
+    completeness: float
+    refined: FloquetSolution | None = None
 
 
-def _steady_with_flows(cfg: RunConfig, spec: SupersystemSpec, n_fock: int, k_ext_hint: int):
-    """One full solve at fixed n_fock; returns everything downstream needs."""
-    h = build_supersystem_fourier(spec)
-    k_ext = cfg.k_ext if cfg.k_ext > 0 else max(k_ext_hint, _k_ext_auto(cfg, spec.omega_cc, n_fock))
-    fs, k_ext = _solve_floquet_converged(cfg, h, k_ext)
+def _checked_floquet(
+    h: PeriodicOperator, fs: FloquetSolution, refined: FloquetSolution | None = None
+) -> FloquetStage:
     completeness = fs.completeness_defect_t0()
     if completeness > 1e-6:
         raise PointFailure(
             "floquet", f"Floquet completeness defect {completeness:.2e} > 1e-6"
         )
-    ops = build_coupling_operators(spec)
-    n_window = cfg.n_window if cfg.n_window > 0 else None
-    channels = [
-        BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h)
-    ]
-    jumps = [
-        decompose_operator(
-            ops.s_hot, fs, n_window=n_window, amplitude_floor=cfg.amplitude_floor
+    return FloquetStage(h, fs, completeness, refined)
+
+
+def _floquet_stage(
+    cfg: RunConfig, spec: SupersystemSpec, k_ext: int, drift_gate: bool
+) -> FloquetStage:
+    """Sambe solve at ``k_ext``; with ``drift_gate``, k_ext is raised in
+    steps of 2 until the quasienergies are stable to 1e-8 omega0 under
+    k_ext + 2."""
+    h = build_supersystem_fourier(spec)
+
+    def solve(k: int) -> FloquetSolution:
+        try:
+            return solve_floquet(build_quasienergy_operator(h, cfg.omegaL, k))
+        except (DegeneracyError, FloquetConvergenceError, ValueError, np.linalg.LinAlgError) as exc:
+            raise PointFailure("floquet", str(exc)) from exc
+
+    fs = solve(k_ext)
+    if not drift_gate:
+        return _checked_floquet(h, fs)
+    for _ in range(6):
+        fs2 = solve(k_ext + 2)
+        drift = float(
+            np.max(np.abs(np.sort(fs.quasienergies) - np.sort(fs2.quasienergies)))
         )
-    ]
+        if drift < 1e-8 * cfg.omega0:
+            return _checked_floquet(h, fs, fs2)
+        fs, k_ext = fs2, k_ext + 2
+    raise PointFailure("floquet", f"quasienergies not converged at k_ext={k_ext}")
+
+
+def _generator_stage(cfg: RunConfig, spec: SupersystemSpec, floq: FloquetStage):
+    """Counting-field generator: one channel per reservoir, each with the
+    Floquet jump decomposition of its coupling operator."""
+    ops = build_coupling_operators(spec)
+    channels = [BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h)]
     if spec.residual_bath is not None:
         channels.append(
             BathChannel("cold", ops.s_cold_residual, spec.residual_bath, beta=spec.beta_c)
         )
-        jumps.append(
-            decompose_operator(
-                ops.s_cold_residual,
-                fs,
-                n_window=n_window,
-                amplitude_floor=cfg.amplitude_floor,
-            )
+    n_window = cfg.n_window if cfg.n_window > 0 else None
+    jumps = [
+        decompose_operator(
+            ch.coupling, floq.fs, n_window=n_window, amplitude_floor=cfg.amplitude_floor
         )
-    liouv = build_liouvillian(h, fs, channels, jumps)
-    method = cfg.method
-    if method == "auto" and spec.residual_bath is None:
-        # single-reservoir generators have very slow modes that defeat the
-        # gmres preconditioner; go direct
-        size = (2 * liouv.suggested_k_rho() + 1) * spec.dim**2
-        method = "svd" if size <= 1200 else "lu"
+        for ch in channels
+    ]
+    return build_liouvillian(floq.h, floq.fs, channels, jumps)
+
+
+@dataclass(frozen=True)
+class SteadyStage:
+    """Periodic steady state and the period-averaged heat flows."""
+
+    rho: PeriodicDensityMatrix
+    info: SteadyStateInfo
+    qbar_h: float
+    qbar_c: float  # nan without a cold reservoir
+
+    @property
+    def flows(self) -> np.ndarray:
+        return np.array([self.qbar_c, self.qbar_h])
+
+
+def _steady_stage(cfg: RunConfig, liouv, k_rho: int | None) -> SteadyStage:
     try:
         rho, info = steady_state(
             liouv,
-            k_rho=cfg.k_rho if cfg.k_rho > 0 else None,
-            method=method,
+            k_rho=k_rho,
+            method=cfg.method,
             trace_tol=cfg.trace_tol,
             positivity_tol=cfg.positivity_tol,
         )
-    except SteadyStateError as exc:
+    except (SteadyStateError, np.linalg.LinAlgError) as exc:
         raise PointFailure("generator", str(exc)) from exc
     qbar_h = heat_current(liouv, rho, "hot").average
-    qbar_c = (
-        heat_current(liouv, rho, "cold").average
-        if spec.residual_bath is not None
-        else math.nan
-    )
-    return {
-        "h": h,
-        "fs": fs,
-        "k_ext": k_ext,
-        "completeness": completeness,
-        "liouv": liouv,
-        "rho": rho,
-        "info": info,
-        "qbar_h": qbar_h,
-        "qbar_c": qbar_c,
-    }
+    qbar_c = heat_current(liouv, rho, "cold").average if "cold" in liouv.channels else math.nan
+    return SteadyStage(rho, info, qbar_h, qbar_c)
 
 
 def run_point(cfg: RunConfig) -> PointResult:
@@ -248,7 +269,9 @@ def run_point(cfg: RunConfig) -> PointResult:
     Fock truncation is raised (in steps of 4, up to solver.n_fock_max) until
     the top-level occupancy check passes; with solver.convergence = "full"
     the n_fock + 4, k_ext + 2 and k_rho + 2 refinements must each move the
-    period-averaged flows by less than 0.1% relative.
+    period-averaged flows by less than 0.1% relative.  k_rho + 2 re-solves
+    the base generator, k_ext + 2 rebuilds the generator from the drift
+    gate's k_ext + 2 Floquet solution, and n_fock + 4 runs every stage.
     """
     cfg.validate()
     extras = _config_extras(cfg)
@@ -261,17 +284,20 @@ def run_point(cfg: RunConfig) -> PointResult:
     except PointFailure as exc:
         return failed(math.nan, str(exc))
 
-    n_fock = max(cfg.n_fock, _n_fock_estimate(cfg, omega_cc))
-    sol = None
-    trunc_top = math.nan
+    def k_ext_for(n_fock: int) -> int:
+        return cfg.k_ext if cfg.k_ext > 0 else _k_ext_auto(cfg, omega_cc, n_fock)
+
+    k_rho = cfg.k_rho if cfg.k_rho > 0 else None
+    n_fock = max(cfg.n_fock, _n_fock_estimate(cfg, omega_cc, residual))
     try:
         while True:
             spec = _build_spec(cfg, lambda0, omega_cc, residual, n_fock)
-            sol = _steady_with_flows(cfg, spec, n_fock, k_ext_hint=0)
+            floq = _floquet_stage(cfg, spec, k_ext_for(n_fock), cfg.convergence != "off")
+            liouv = _generator_stage(cfg, spec, floq)
+            steady = _steady_stage(cfg, liouv, k_rho)
             trunc = fock_truncation_check(
-                sol["rho"].average.real, n_fock, cfg.trunc_threshold
+                steady.rho.average.real, n_fock, cfg.trunc_threshold
             )
-            trunc_top = trunc.top_population
             if trunc.passed:
                 break
             if n_fock + 4 > cfg.n_fock_max:
@@ -284,52 +310,56 @@ def run_point(cfg: RunConfig) -> PointResult:
     except PointFailure as exc:
         return failed(omega_cc, str(exc))
 
-    spec = _build_spec(cfg, lambda0, omega_cc, residual, n_fock)
-    liouv, rho, info = sol["liouv"], sol["rho"], sol["info"]
+    rho, info = steady.rho, steady.info
     occ = occupation_statistics(rho, n_fock)
     cc_flow = periodic_average_rate(liouv, rho, cc_hamiltonian(spec))
 
     gates: dict[str, float] = {}
-    converged = True
     if cfg.convergence == "full":
-        base = np.array([sol["qbar_c"], sol["qbar_h"]])
+
+        def refine_n_fock() -> SteadyStage:
+            spec_r = _build_spec(cfg, lambda0, omega_cc, residual, n_fock + 4)
+            k_ext_r = max(floq.fs.k_ext, k_ext_for(n_fock + 4))
+            floq_r = _floquet_stage(cfg, spec_r, k_ext_r, drift_gate=False)
+            return _steady_stage(cfg, _generator_stage(cfg, spec_r, floq_r), k_rho)
+
+        def refine_k_ext() -> SteadyStage:
+            floq_r = _checked_floquet(floq.h, floq.refined)
+            return _steady_stage(cfg, _generator_stage(cfg, spec, floq_r), k_rho)
+
+        base = steady.flows
         scale = max(np.max(np.abs(base[np.isfinite(base)])), 1e-300)
         refinements = {
-            "n_fock+4": replace(cfg, n_fock=n_fock + 4, convergence="off"),
-            "k_ext+2": replace(cfg, k_ext=sol["k_ext"] + 2, n_fock=n_fock, convergence="off"),
-            "k_rho+2": replace(cfg, k_rho=info.k_rho + 2, n_fock=n_fock, convergence="off"),
+            "n_fock+4": refine_n_fock,
+            "k_ext+2": refine_k_ext,
+            "k_rho+2": lambda: _steady_stage(cfg, liouv, info.k_rho + 2),
         }
-        for tag, rcfg in refinements.items():
+        for tag, refine in refinements.items():
             try:
-                spec_r = _build_spec(
-                    rcfg, lambda0, omega_cc, residual, rcfg.n_fock
-                )
-                sol_r = _steady_with_flows(rcfg, spec_r, rcfg.n_fock, k_ext_hint=sol["k_ext"])
+                ref = refine().flows
             except PointFailure as exc:
                 return failed(omega_cc, f"gate {tag}: {exc}")
-            ref = np.array([sol_r["qbar_c"], sol_r["qbar_h"]])
             diff = np.nanmax(np.abs(ref - base)) / scale
             gates[tag] = float(diff)
-            if diff > 1e-3:
-                converged = False
 
     diag = Diagnostics(
         n_fock=n_fock,
-        k_ext=sol["k_ext"],
+        k_ext=floq.fs.k_ext,
         k_rho=info.k_rho,
         method=info.method,
+        fallback=info.fallback,
         residual=info.residual,
         sigma_second=info.sigma_second,
-        trunc_top=trunc_top,
-        completeness=sol["completeness"],
+        trunc_top=trunc.top_population,
+        completeness=floq.completeness,
         cc_flow_avg=cc_flow,
         min_eigenvalue=info.min_eigenvalue,
         gates=gates,
     )
 
     try:
-        if cfg.mode == "lasercool" or residual is None:
-            qbar_h = sol["qbar_h"]
+        if residual is None:
+            qbar_h = steady.qbar_h
             report = ThermoReport(
                 qbar_c=math.nan,
                 qbar_h=qbar_h,
@@ -347,8 +377,8 @@ def run_point(cfg: RunConfig) -> PointResult:
             )
         else:
             report = build_report(
-                sol["qbar_c"],
-                sol["qbar_h"],
+                steady.qbar_c,
+                steady.qbar_h,
                 omega_cc,
                 cfg.beta_c,
                 cfg.beta_h,
@@ -359,18 +389,12 @@ def run_point(cfg: RunConfig) -> PointResult:
     except ValueError as exc:
         return failed(omega_cc, f"[thermo] {exc}", diag)
 
-    if cfg.mode == "benchmark":
+    if "qbar_h_oracle" in extras:
         qh_o = extras["qbar_h_oracle"]
         extras["rel_dev_qh"] = abs(report.qbar_h - qh_o) / max(abs(qh_o), 1e-300)
 
-    return PointResult(
-        cfg,
-        omega_cc,
-        report,
-        diag,
-        converged and (cfg.convergence != "off"),
-        extras=extras,
-    )
+    converged = cfg.convergence != "off" and not any(g > 1e-3 for g in gates.values())
+    return PointResult(cfg, omega_cc, report, diag, converged, extras=extras)
 
 
 def _config_extras(cfg: RunConfig) -> dict:
@@ -394,7 +418,7 @@ def _config_extras(cfg: RunConfig) -> dict:
                 cfg.omega0,
                 cfg.g,
                 cfg.omegaL,
-                StructuredPeak(d_c=cfg.d_c, gamma=cfg.gamma, omega_res=_bench_omega_res(cfg)),
+                StructuredPeak(d_c=cfg.d_c, gamma=cfg.gamma, omega_res=_peak_frequency(cfg)),
                 Ohmic(d_h=cfg.d_h, omega_ref=cfg.hot_reference),
                 cfg.beta_c,
                 cfg.beta_h,
@@ -405,12 +429,6 @@ def _config_extras(cfg: RunConfig) -> dict:
             qc_o = qh_o = math.nan
         return {"qbar_h_oracle": qh_o, "qbar_c_oracle": qc_o}
     return {}
-
-
-def _bench_omega_res(cfg: RunConfig) -> float:
-    if cfg.omega_res > 0 and not cfg.resonance_lock:
-        return cfg.omega_res
-    return cfg.omega0 - cfg.omegaL
 
 
 def sweep_values(start: float, stop: float, steps: int) -> np.ndarray:
@@ -441,10 +459,6 @@ class SweepResult:
         return sum(1 for p in self.points if not p.ok)
 
 
-def _run_point_worker(cfg: RunConfig) -> PointResult:
-    return run_point(cfg)
-
-
 def worker_count() -> int:
     raw = os.environ.get("FLOQCC_WORKERS", "")
     if not raw:
@@ -471,7 +485,7 @@ def _run_many(configs: list[RunConfig]) -> list[PointResult]:
     try:
         ctx = mp.get_context("spawn")
         with cf.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            results = list(pool.map(_run_point_worker, configs, chunksize=1))
+            results = list(pool.map(run_point, configs, chunksize=1))
     finally:
         for var, val in saved.items():
             if val is None:

@@ -2,8 +2,10 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from floqcc import generator, pipeline
 from floqcc.bath import Ohmic, StructuredPeak
 from floqcc.cli import main, render_csv, render_json
 from floqcc.config import (
@@ -14,6 +16,7 @@ from floqcc.config import (
     config_to_dict,
     parse_config_text,
 )
+from floqcc.generator import SteadyStateError
 from floqcc.oracles import SidebandParams, bare_qubit_secular_steady, sideband_cooling_occupation
 from floqcc.pipeline import run_point, run_sweep, sweep_values
 
@@ -199,6 +202,77 @@ class TestFailedRows:
         assert float(row["qbar_h_oracle"]) == pytest.approx(qh_o, rel=1e-12)
         assert float(row["qbar_c_oracle"]) == pytest.approx(qc_o, rel=1e-12)
         assert row["rel_dev_qh"] == "nan"
+
+
+class TestSingularGenerator:
+    """g = 0 and d_c = 0 leave the mode uncoupled and undamped, so every
+    mode population is stationary and the direct factorization is singular."""
+
+    CFG = replace(
+        RunConfig(), mode="lasercool", omegaL=0.995, g=0.0, d_c=0.0, omega_res=5e-3,
+        beta_h=1e4, beta_c=1e4, resonance_lock=False, n_fock=12, n_fock_max=12,
+        convergence="off",
+    )
+
+    def test_point_is_a_failed_row(self):
+        point = run_point(self.CFG)
+        assert not point.ok
+        assert point.error.startswith("[generator]")
+        assert "singular" in point.error
+
+    def test_sweep_reports_instead_of_crashing(self):
+        cfg = replace(
+            self.CFG, sweep_variable="delta", sweep_start=-5e-3, sweep_stop=-5e-3,
+            sweep_steps=1,
+        )
+        with pytest.raises(SteadyStateError, match="all 1 sweep points failed"):
+            run_sweep(cfg)
+
+
+class TestRefinementGates:
+    def test_gates_match_independent_solves(self, monkeypatch):
+        calls = {"solve_floquet": 0, "build_liouvillian": 0}
+        for name in calls:
+            original = getattr(pipeline, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        cfg = replace(RunConfig(), mode="steady", omegaL=0.8, n_fock=6, convergence="full")
+        point = run_point(cfg)
+        assert point.ok and point.converged
+        # base and drift gate, then only n_fock+4 solves again; k_rho+2
+        # re-solves the base generator
+        assert calls == {"solve_floquet": 3, "build_liouvillian": 3}
+
+        d = point.diagnostics
+        base = np.array([point.report.qbar_c, point.report.qbar_h])
+        refinements = {
+            "k_rho+2": dict(k_ext=d.k_ext, k_rho=d.k_rho + 2),
+            "k_ext+2": dict(k_ext=d.k_ext + 2),
+        }
+        for tag, fields in refinements.items():
+            ref = run_point(replace(cfg, convergence="off", n_fock=d.n_fock, **fields))
+            flows = np.array([ref.report.qbar_c, ref.report.qbar_h])
+            rel = np.max(np.abs(flows - base)) / np.max(np.abs(base))
+            assert d.gates[tag] == pytest.approx(rel, rel=1e-12, abs=1e-15), tag
+
+    def test_fallback_reason_reaches_json(self, monkeypatch, tmp_path):
+        def stalled(liouv, k_rho, inner=None):
+            raise SteadyStateError("stalled on purpose")
+
+        monkeypatch.setattr(generator, "_solve_bordered_gmres", stalled)
+        js = tmp_path / "out.json"
+        code = main(
+            ["steady", "--model.omegaL", "0.8", "--solver.method", "gmres",
+             "--output.json", str(js)] + FAST_POINT
+        )
+        assert code == 0
+        conv = json.loads(js.read_text())["rows"][0]["convergence"]
+        assert conv["method"] == "lu"
+        assert conv["fallback"] == "gmres: stalled on purpose"
 
 
 class TestCLI:

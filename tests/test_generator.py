@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from floqcc import generator
 from floqcc.bath import Ohmic, bose_occupation
 from floqcc.floquet import build_quasienergy_operator, decompose_operator, solve_floquet
 from floqcc.generator import (
@@ -231,6 +233,25 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError, match="intrinsic") as exc:
             steady_state(liouv, k_rho=4, method=method, positivity_tol=-2e-5)
         assert f"k_rho 4->6 leaves it at {direct[6]:.3e}" in str(exc.value)
+
+    def test_failed_fallback_names_both_causes(self, monkeypatch):
+        def stalled(liouv, k_rho, inner=None):
+            raise SteadyStateError("stalled on purpose")
+
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        spec = fig2_spec(0.75, n_fock=4)
+        _, _, liouv, rho_lu, info_lu = solve_pipeline(spec, k_ext=10, method="lu")
+        monkeypatch.setattr(generator, "_solve_bordered_gmres", stalled)
+        rho, info = steady_state(liouv, k_rho=info_lu.k_rho, method="gmres")
+        assert (info.method, info.fallback) == ("lu", "gmres: stalled on purpose")
+        np.testing.assert_array_equal(rho.average, rho_lu.average)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        with pytest.raises(SteadyStateError) as exc:
+            steady_state(liouv, method="gmres")
+        assert "stalled on purpose" in str(exc.value)
+        assert "exactly singular" in str(exc.value)
 
     def test_stroboscopic_relaxation_strong_damping(self, rng):
         # fast-relaxing variant: one-period monodromy applied 200 times from
