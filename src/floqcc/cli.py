@@ -18,6 +18,7 @@ import sys
 from dataclasses import asdict
 
 from .bath import (
+    MappingError,
     QuadratureError,
     StructuredPeak,
     map_collective_coordinate,
@@ -32,7 +33,7 @@ from .config import (
     parse_config_text,
 )
 from .generator import SteadyStateError
-from .pipeline import PointResult, SweepResult, run_phase, run_point, run_sweep
+from .pipeline import PointResult, _peak_frequency, run_phase, run_point, run_sweep
 
 CSV_COLUMNS = [
     "omegaL",
@@ -196,9 +197,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_map(cfg: RunConfig) -> int:
-    omega_res = cfg.omega_res if cfg.omega_res > 0 else cfg.omega0 - cfg.omegaL
-    j = StructuredPeak(d_c=cfg.d_c, gamma=cfg.gamma, omega_res=omega_res)
-    cc = map_collective_coordinate(j)
+    omega_res = _peak_frequency(cfg)
+    try:
+        j = StructuredPeak(d_c=cfg.d_c, gamma=cfg.gamma, omega_res=omega_res)
+        cc = map_collective_coordinate(j)
+    except (MappingError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"structured peak: d_c={j.d_c:g} gamma={j.gamma:g} omega_res={j.omega_res:g}")
     print(f"lambda0       = {cc.lambda0:.12g}")
     print(f"omega_cc      = {cc.omega_cc:.12g}")

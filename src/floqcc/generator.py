@@ -22,13 +22,16 @@ Q_nu(t) = Tr{S rho(t) G2'(t)} + Tr{G1'(t) rho(t) S}.  The principal-value
 (Lamb-shift) contribution is omitted.
 
 The periodic steady state solves the block system
-i n w rho_n = sum_k L_k rho_{n-k} by a dense SVD null-space solve or, for
-larger problems, a sparse bordered-LU solve with the trace condition.
+i n w rho_n = sum_k L_k rho_{n-k} by a dense SVD null-space solve, a dense
+LU solve of the system bordered with the trace condition, or matrix-free
+GMRES.  The dense routes share one memory guard: the block system itself
+must fit in 2.5 GB.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
@@ -347,9 +350,17 @@ class SteadyStateInfo:
 
 
 def _block_system_dense(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
+    """The harmonic block system as one dense matrix, in Fortran order so
+    LAPACK factors it in place."""
     d2 = liouv.dim**2
-    nb = 2 * k_rho + 1
-    big = np.zeros((nb * d2, nb * d2), dtype=complex)
+    size = (2 * k_rho + 1) * d2
+    dense_bytes = size * size * 16
+    if dense_bytes > 2_500_000_000:
+        raise SteadyStateError(
+            f"dense block system of size {size} would need {dense_bytes / 1e9:.1f} GB "
+            "(n_fock too large); reduce the problem size"
+        )
+    big = np.zeros((size, size), dtype=complex, order="F")
     comps = {
         q: liouv.component(q)
         for q in range(-liouv.support, liouv.support + 1)
@@ -367,28 +378,23 @@ def _block_system_dense(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
     return big
 
 
-def _block_system_sparse(liouv: CountingLiouvillian, k_rho: int):
-    from scipy import sparse
+def _bordered_factor(big: np.ndarray, k_rho: int, d: int):
+    """LU factors of the block system with the trace condition in place of
+    one redundant row of the n = 0 block (the trace functional on that block
+    is an exact left null vector).  ``big`` is overwritten."""
+    from scipy.linalg import LinAlgWarning, lu_factor
 
-    d2 = liouv.dim**2
-    comps = {}
-    for q in range(-liouv.support, liouv.support + 1):
-        lq = liouv.component(q)
-        if np.any(lq):
-            comps[q] = sparse.csr_matrix(lq)
-    nb = 2 * k_rho + 1
-    grid = [[None] * nb for _ in range(nb)]
-    eye = sparse.identity(d2, dtype=complex, format="csr")
-    for n in range(-k_rho, k_rho + 1):
-        for q, lq in comps.items():
-            m = n - q
-            if -k_rho <= m <= k_rho:
-                cur = grid[n + k_rho][m + k_rho]
-                grid[n + k_rho][m + k_rho] = lq if cur is None else cur + lq
-        diag = -1j * n * liouv.omega_L * eye
-        cur = grid[n + k_rho][n + k_rho]
-        grid[n + k_rho][n + k_rho] = diag if cur is None else cur + diag
-    return sparse.bmat(grid, format="csr")
+    row0 = k_rho * d * d
+    big[row0, :] = 0.0
+    big[row0, row0 + np.arange(d) * (d + 1)] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        try:
+            return lu_factor(big, overwrite_a=True)
+        except LinAlgWarning as exc:
+            raise DegenerateSteadyStateError(
+                f"bordered system is singular ({exc}): more than one steady state"
+            ) from exc
 
 
 def _apply_block_system(liouv: CountingLiouvillian, k_rho: int, x: np.ndarray) -> np.ndarray:
@@ -406,6 +412,13 @@ def _apply_block_system(liouv: CountingLiouvillian, k_rho: int, x: np.ndarray) -
             acc = acc + liouv.apply_component(q, mats[n - q + k_rho])
         out[(n + k_rho) * d2 : (n + k_rho + 1) * d2] = acc.T.reshape(-1)
     return out
+
+
+def _residual(liouv: CountingLiouvillian, k_rho: int, vec: np.ndarray) -> float:
+    """Relative residual of the original (singular) block system rows."""
+    res = _apply_block_system(liouv, k_rho, vec)
+    res[k_rho * liouv.dim**2] = 0.0
+    return float(np.linalg.norm(res) / np.linalg.norm(vec))
 
 
 def _solve_bordered_gmres(
@@ -484,9 +497,7 @@ def _solve_bordered_gmres(
     vec, code = gmres(
         op, rhs, x0=x0, M=pre, rtol=1e-13, atol=0.0, maxiter=1, restart=min(180, size)
     )
-    res = _apply_block_system(liouv, k_rho, vec)
-    res[row0] = 0.0  # residual of the original (singular) system rows
-    residual = float(np.linalg.norm(res) / np.linalg.norm(vec))
+    residual = _residual(liouv, k_rho, vec)
     if residual > 1e-10:
         # generators with very slow modes (e.g. an undamped mode cooled only
         # through drive sidebands) defeat the block preconditioner; escalate
@@ -584,18 +595,23 @@ def steady_state(
     """Solve the harmonic steady-state block system.
 
     ``method`` is "svd" (dense null space, reports singular values), "lu"
-    (sparse bordered direct solve), "gmres" (bordered solve, block-diagonal
+    (dense bordered LU solve), "gmres" (bordered solve, block-diagonal
     preconditioner), or "auto": svd up to DENSE_SIZE_LIMIT unknowns,
     otherwise lu for a single reservoir and gmres for two (dense SVD scales
     as the cube of (2 k_rho + 1) d^2 and is kept for diagnostics and
-    cross-validation).  A failed gmres solve falls back to lu, recording why
-    in ``SteadyStateInfo.fallback``.  In every bordered variant the trace
-    condition replaces one redundant row of the n = 0 block (the trace
-    functional on that block is an exact left null vector).  The returned
-    harmonics are trace-normalized and Hermitian-symmetrized
-    (rho_{-n} = rho_n^dag is an exact property of the solution); positivity
-    of rho(t) and the residual of the block equation are checked.
+    cross-validation).  svd and lu build the block system densely and refuse
+    it above 2.5 GB.  A failed gmres solve falls back to lu, recording why
+    in ``SteadyStateInfo.fallback``; if lu fails too, the error names both
+    causes.  In every bordered variant the trace condition replaces one
+    redundant row of the n = 0 block (the trace functional on that block is
+    an exact left null vector); an exactly singular bordered system means
+    more than one steady state.  The returned harmonics are trace-normalized
+    and Hermitian-symmetrized (rho_{-n} = rho_n^dag is an exact property of
+    the solution); positivity of rho(t) and the residual of the block
+    equation are checked.
     """
+    from scipy.linalg import lu_solve
+
     if k_rho is None:
         k_rho = liouv.suggested_k_rho()
     d = liouv.dim
@@ -624,32 +640,11 @@ def steady_state(
         vec = vh[-1].conj()
         residual = sigma_null / float(s[0])
     elif method == "lu":
-        from scipy.sparse.linalg import splu
-
-        fill_bytes = size * min(2 * liouv.support * d2, size) * 16
-        if fill_bytes > 2_500_000_000:
-            raise SteadyStateError(
-                f"direct factorization would need roughly {fill_bytes / 1e9:.0f} GB "
-                "of fill (n_fock too large); reduce the problem size"
-            )
-        big = _block_system_sparse(liouv, k_rho)
-        bordered = big.tolil(copy=True)
-        row0 = k_rho * d2
-        tr_cols = row0 + np.arange(d) * (d + 1)
-        bordered.rows[row0] = [int(c) for c in tr_cols]
-        bordered.data[row0] = [1.0 + 0.0j] * d
+        factor = _bordered_factor(_block_system_dense(liouv, k_rho), k_rho, d)
         rhs = np.zeros(size, dtype=complex)
-        rhs[row0] = 1.0
-        try:
-            factor = splu(bordered.tocsc())
-        except RuntimeError as exc:
-            raise DegenerateSteadyStateError(
-                f"bordered system is singular ({exc}): more than one steady state"
-            ) from exc
-        vec = factor.solve(rhs)
-        res = big @ vec
-        res[row0] = 0.0
-        residual = float(np.linalg.norm(res) / np.linalg.norm(vec))
+        rhs[k_rho * d2] = 1.0
+        vec = lu_solve(factor, rhs)
+        residual = _residual(liouv, k_rho, vec)
     elif method == "gmres":
         try:
             vec, residual = _solve_bordered_gmres(liouv, k_rho)
@@ -688,16 +683,10 @@ def steady_state(
         ) from None
     if min_eig < -positivity_tol:
         inner = None  # gmres: the probe preconditions block-diagonally
-        if method == "svd":
-            from scipy.linalg import lu_factor, lu_solve
-
-            row0 = k_rho * d2
-            big[row0, :] = 0.0
-            big[row0, row0 + np.arange(d) * (d + 1)] = 1.0
-            factor = lu_factor(big, overwrite_a=True)
+        if method != "gmres":
+            if method == "svd":
+                factor = _bordered_factor(big, k_rho, d)
             inner = (k_rho, lambda x: lu_solve(factor, x))
-        elif method == "lu":
-            inner = (k_rho, factor.solve)
         raise SteadyStateError(_positivity_message(liouv, k_rho, min_eig, inner))
     if residual > residual_tol:
         raise SteadyStateError(

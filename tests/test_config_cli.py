@@ -317,6 +317,28 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "lambda0" in out and "0.001" in out
 
+    def test_map_uses_the_solve_mapping(self, capsys):
+        # the resonance lock (on by default) puts the peak at omega0 - omegaL,
+        # as in every steady/sweep solve, whatever omega_res says
+        code = main(["map", "--bath.cold.omega_res", "0.25", "--model.omegaL", "0.8"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "omega_res=0.2\n" in out
+        assert "omega_cc      = 0.2\n" in out
+
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [
+            (["--model.omegaL", "1.2"], "omega_res must be finite and > 0"),
+            (["--bath.cold.gamma", "1.0", "--bath.cold.omega_res", "0.25"],
+             "analytic mapping requires"),
+        ],
+    )
+    def test_map_failure_exit_1(self, capsys, flags, cause):
+        assert main(["map"] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and cause in err
+
     def test_numerical_failure_exit_1(self):
         # resonance lock at omegaL > omega0 cannot map the cold bath
         code = main(["steady", "--model.omegaL", "1.5"] + FAST_POINT)

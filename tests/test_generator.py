@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
+import scipy.linalg
 
 from floqcc import generator
 from floqcc.bath import Ohmic, bose_occupation
@@ -238,8 +238,11 @@ class TestSteadyState:
         def stalled(liouv, k_rho, inner=None):
             raise SteadyStateError("stalled on purpose")
 
-        def singular(matrix):
-            raise RuntimeError("Factor is exactly singular")
+        real_lu_factor = scipy.linalg.lu_factor
+
+        def singular(a, overwrite_a=False):
+            # LAPACK meets an exactly zero pivot and scipy warns
+            return real_lu_factor(np.zeros_like(a), overwrite_a=True)
 
         spec = fig2_spec(0.75, n_fock=4)
         _, _, liouv, rho_lu, info_lu = solve_pipeline(spec, k_ext=10, method="lu")
@@ -247,11 +250,19 @@ class TestSteadyState:
         rho, info = steady_state(liouv, k_rho=info_lu.k_rho, method="gmres")
         assert (info.method, info.fallback) == ("lu", "gmres: stalled on purpose")
         np.testing.assert_array_equal(rho.average, rho_lu.average)
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
         with pytest.raises(SteadyStateError) as exc:
             steady_state(liouv, method="gmres")
         assert "stalled on purpose" in str(exc.value)
-        assert "exactly singular" in str(exc.value)
+        assert "bordered system is singular" in str(exc.value)
+
+    @pytest.mark.parametrize("method", ["svd", "lu"])
+    def test_dense_memory_guard(self, method):
+        # d = 4, k_rho = 400: a 12816^2 complex system needs 2.6 GB; the
+        # guard refuses it before allocating anything
+        _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=2), k_ext=6)
+        with pytest.raises(SteadyStateError, match=r"would need 2\.6 GB"):
+            steady_state(liouv, k_rho=400, method=method)
 
     def test_stroboscopic_relaxation_strong_damping(self, rng):
         # fast-relaxing variant: one-period monodromy applied 200 times from
