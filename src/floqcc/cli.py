@@ -131,9 +131,7 @@ def render_json(cfg: RunConfig, points: list[PointResult]) -> str:
     extra = EXTRA_COLUMNS.get(cfg.mode, [])
     rows = []
     for p in points:
-        row = dict(zip(CSV_COLUMNS, point_row(p, extra)))
-        for c, v in zip(extra, point_row(p, extra)[len(CSV_COLUMNS):]):
-            row[c] = v
+        row = dict(zip(CSV_COLUMNS + extra, point_row(p, extra)))
         rows.append(
             {
                 "values": row,

@@ -103,6 +103,16 @@ def _spost(x: np.ndarray) -> np.ndarray:
     return np.kron(x.T, np.eye(x.shape[0]))
 
 
+def _jump_rates(
+    channel: BathChannel, jumps: JumpDecomposition, delta_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Absorption and emission rates (J N, J (1 + N)) of every jump entry."""
+    rates = np.array(
+        [thermal_rates(channel.density, channel.beta, dl, delta_floor) for dl in jumps.delta]
+    ).reshape(-1, 2)
+    return rates[:, 0], rates[:, 1]
+
+
 def _channel_kernels(
     channel: BathChannel,
     jumps: JumpDecomposition,
@@ -116,60 +126,36 @@ def _channel_kernels(
     if len(jumps) == 0:
         return ChannelKernels(channel.coupling, {}, {}, {}, {})
     n_min, n_max = int(n_e.min()), int(n_e.max())
-    n_vals = np.arange(n_min, n_max + 1)
 
-    # per-harmonic weight matrices W[n][r, r'] for the four kernels
-    shape = (n_vals.size, d, d)
-    w1 = np.zeros(shape, dtype=complex)
-    w2 = np.zeros(shape, dtype=complex)
-    w1p = np.zeros(shape, dtype=complex)
-    w2p = np.zeros(shape, dtype=complex)
-    for e in range(len(jumps)):
-        gn, ge = thermal_rates(channel.density, channel.beta, jumps.delta[e], delta_floor)
-        amp = jumps.amplitude[e]
-        ni = int(jumps.n_idx[e]) - n_min
-        r, rp = int(jumps.r_idx[e]), int(jumps.rp_idx[e])
-        w1[ni, r, rp] += gn * amp
-        w2[ni, r, rp] += ge * amp
-        w1p[ni, r, rp] += jumps.delta[e] * gn * amp
-        w2p[ni, r, rp] += -jumps.delta[e] * ge * amp
+    # per-harmonic weight matrices W_n[r, r'] of the four kernels
+    gn, ge = _jump_rates(channel, jumps, delta_floor)
+    amp = jumps.amplitude
+    w = np.zeros((4, n_max - n_min + 1, d, d), dtype=complex)
+    entries = (n_e - n_min, jumps.r_idx, jumps.rp_idx)
+    for wa, vals in zip(w, (gn * amp, ge * amp, jumps.delta * gn * amp, -jumps.delta * ge * amp)):
+        np.add.at(wa, entries, vals)
 
-    # V_m has |u_r^(m)| as columns; kernel harmonic q collects
-    # V_{m'} W_n V_m^dag over all n + m' - m = q
-    v = np.transpose(fs.modes, (1, 2, 0))  # [m, component, r]
-    q_span = n_max + 2 * k - (n_min - 2 * k) + 1
-    q_off = -(n_min - 2 * k)
-    acc = np.zeros((4, q_span, d, d), dtype=complex)
-    block_norm = np.sqrt(np.sum(np.abs(v) ** 2, axis=(1, 2)))
-    for ni, n in enumerate(n_vals):
-        wn = (w1[ni], w2[ni], w1p[ni], w2p[ni])
-        scale = max(np.max(np.abs(w)) for w in wn)
-        if scale == 0.0:
-            continue
-        for im in range(2 * k + 1):
-            if block_norm[im] == 0.0:
-                continue
-            vmh = v[im].conj().T
-            right = [w @ vmh for w in wn]
-            for imp in range(2 * k + 1):
-                if block_norm[imp] == 0.0:
-                    continue
-                q = n + (imp - im) + q_off
-                vm = v[imp]
-                for a in range(4):
-                    acc[a, q] += vm @ right[a]
+    # kernel G(t) = V(t) W(t) V(t)^dag with V(t) = sum_m e^{i m w t} V_m the
+    # mode matrix; its harmonics q = n + m' - m span exactly nt values, so nt
+    # samples per period and one FFT give them without aliasing
+    nt = n_max - n_min + 4 * k + 1
+    tj = np.arange(nt)[:, None]
+    ladder = np.arange(-k, k + 1)
+    # v_t[j] = V(t_j)^T: rows are the modes |r(t_j)>
+    v_t = np.tensordot(np.exp(2j * np.pi * (tj * ladder % nt) / nt), fs.modes, axes=(1, 1))
+    ph_n = np.exp(2j * np.pi * (tj * np.arange(n_min, n_max + 1) % nt) / nt)
+    g = (ph_n @ w.reshape(4, -1, d * d)).reshape(4, nt, d, d)  # W(t_j), then G
+    for ga in g:
+        np.matmul(v_t.transpose(0, 2, 1) @ ga, v_t.conj(), out=ga)
+        ga[:] = np.fft.fft(ga, axis=0, norm="forward")
 
-    mats = [{}, {}, {}, {}]
-    peak = float(np.max(np.abs(acc))) if acc.size else 0.0
-    floor = prune_rel * peak
-    for qi in range(q_span):
-        block = acc[:, qi]
-        if float(np.max(np.abs(block))) <= floor:
-            continue
-        q = qi - q_off
-        for a in range(4):
-            mats[a][q] = np.ascontiguousarray(block[a])
-    return ChannelKernels(channel.coupling, mats[0], mats[1], mats[2], mats[3])
+    # prune the four kernels jointly; harmonic q sits at index q mod nt, and
+    # only the retained harmonics are kept in memory
+    block_max = np.abs(g).max(axis=(0, 2, 3))
+    floor = prune_rel * block_max.max()
+    kept = [q for q in range(n_min - 2 * k, n_max + 2 * k + 1) if block_max[q % nt] > floor]
+    mats = [dict(zip(kept, ga)) for ga in g[:, [q % nt for q in kept]]]
+    return ChannelKernels(channel.coupling, *mats)
 
 
 @dataclass
@@ -191,14 +177,6 @@ class CountingLiouvillian:
             for d in (ker.g1, ker.g2):
                 qs |= {abs(q) for q in d}
         return max(qs) if qs else 0
-
-    @cached_property
-    def prime_support(self) -> int:
-        qs = {0}
-        for ker in self.channels.values():
-            for d in (ker.g1_prime, ker.g2_prime):
-                qs |= {abs(q) for q in d}
-        return max(qs)
 
     def suggested_k_rho(self, target: float = 1e-8, cap: int = 12) -> int:
         """Harmonic count for the steady state: rho_n falls off roughly like
@@ -243,7 +221,8 @@ class CountingLiouvillian:
         return out
 
     def apply_component(self, q: int, rho: np.ndarray) -> np.ndarray:
-        """L_q acting on a density matrix, without building superoperators."""
+        """L_q acting on a density matrix, or on each matrix of a stack
+        (shape (..., d, d)), without building superoperators."""
         out = np.zeros_like(rho)
         hq = self.h_harmonics.get(q)
         if hq is not None:
@@ -399,19 +378,18 @@ def _bordered_factor(big: np.ndarray, k_rho: int, d: int):
 
 def _apply_block_system(liouv: CountingLiouvillian, k_rho: int, x: np.ndarray) -> np.ndarray:
     """Matrix-free action of the harmonic block system on a stacked vector of
-    density-matrix harmonics (column-stacked within each block)."""
+    density-matrix harmonics (column-stacked within each block), applied one
+    harmonic shift q at a time to the whole stack."""
     d = liouv.dim
-    d2 = d * d
     nb = 2 * k_rho + 1
-    mats = [x[i * d2 : (i + 1) * d2].reshape(d, d).T for i in range(nb)]
-    out = np.empty_like(x)
-    supp = liouv.support
-    for n in range(-k_rho, k_rho + 1):
-        acc = (-1j * n * liouv.omega_L) * mats[n + k_rho]
-        for q in range(max(-supp, n - k_rho), min(supp, n + k_rho) + 1):
-            acc = acc + liouv.apply_component(q, mats[n - q + k_rho])
-        out[(n + k_rho) * d2 : (n + k_rho + 1) * d2] = acc.T.reshape(-1)
-    return out
+    rho = x.reshape(nb, d, d).transpose(0, 2, 1)
+    n = np.arange(-k_rho, k_rho + 1)
+    out = (-1j * n * liouv.omega_L)[:, None, None] * rho
+    supp = min(liouv.support, 2 * k_rho)
+    for q in range(-supp, supp + 1):
+        lo, hi = max(0, q), min(nb, nb + q)
+        out[lo:hi] += liouv.apply_component(q, rho[lo - q : hi - q])
+    return out.transpose(0, 2, 1).reshape(-1)
 
 
 def _residual(liouv: CountingLiouvillian, k_rho: int, vec: np.ndarray) -> float:
@@ -765,10 +743,7 @@ def secular_rate_solution(
     rates = np.zeros((d, d))  # [r, r'] = W[r' -> r]
     per_channel = []
     for ch, jd in zip(channels, jumps):
-        gammas = np.empty(len(jd))
-        for e in range(len(jd)):
-            gn, _ = thermal_rates(ch.density, ch.beta, jd.delta[e], delta_floor)
-            gammas[e] = 2.0 * gn * float(np.abs(jd.amplitude[e]) ** 2)
+        gammas = 2.0 * _jump_rates(ch, jd, delta_floor)[0] * np.abs(jd.amplitude) ** 2
         per_channel.append(gammas)
         off = jd.r_idx != jd.rp_idx
         np.add.at(rates, (jd.r_idx[off], jd.rp_idx[off]), gammas[off])

@@ -7,7 +7,13 @@ import scipy.linalg
 
 from floqcc import generator
 from floqcc.bath import Ohmic, bose_occupation
-from floqcc.floquet import build_quasienergy_operator, decompose_operator, solve_floquet
+from floqcc.floquet import (
+    FloquetSolution,
+    JumpDecomposition,
+    build_quasienergy_operator,
+    decompose_operator,
+    solve_floquet,
+)
 from floqcc.generator import (
     BathChannel,
     DegenerateSteadyStateError,
@@ -90,6 +96,91 @@ class TestLiouvillianStructure:
         for q in range(-liouv.support, liouv.support + 1):
             via_matrix = (liouv.component(q) @ x.T.reshape(-1)).reshape(d, d).T
             np.testing.assert_allclose(liouv.apply_component(q, x), via_matrix, atol=1e-13)
+        # a stack of density matrices is acted on matrix by matrix
+        stack_rng = np.random.default_rng(7)
+        xs = stack_rng.normal(size=(3, d, d)) + 1j * stack_rng.normal(size=(3, d, d))
+        for q in range(-liouv.support, liouv.support + 1):
+            via_matrix = np.stack(
+                [(liouv.component(q) @ m.T.reshape(-1)).reshape(d, d).T for m in xs]
+            )
+            np.testing.assert_allclose(liouv.apply_component(q, xs), via_matrix, atol=1e-13)
+
+    @pytest.mark.parametrize("k_rho", [1, 2, 4])
+    def test_block_system_action_matches_dense(self, k_rho):
+        spec = fig2_spec(0.75, n_fock=3)
+        h, fs, liouv, rho, info = solve_pipeline(spec, k_ext=8)
+        size = (2 * k_rho + 1) * h.dim**2
+        x_rng = np.random.default_rng(k_rho)
+        x = x_rng.normal(size=size) + 1j * x_rng.normal(size=size)
+        dense = generator._block_system_dense(liouv, k_rho) @ x
+        applied = generator._apply_block_system(liouv, k_rho, x)
+        assert np.max(np.abs(applied - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_channel_kernels_match_direct_sum(self):
+        spec = fig2_spec(0.75, n_fock=3)
+        h = build_supersystem_fourier(spec)
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        ops = build_coupling_operators(spec)
+        for ch in (
+            BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h),
+            BathChannel("cold", ops.s_cold_residual, spec.residual_bath, beta=spec.beta_c),
+        ):
+            assert_kernels_match_direct_sum(ch, decompose_operator(ch.coupling, fs), fs)
+
+    def test_channel_kernels_exact_at_ladder_edges(self):
+        """Random modes fill every ladder block, so the extreme harmonics
+        q = n_min - 2 k_ext and n_max + 2 k_ext carry full weight and any
+        aliasing of the sampled product would show."""
+        x_rng = np.random.default_rng(11)
+        d, k, n_entries = 4, 3, 40
+        modes = x_rng.normal(size=(d, 2 * k + 1, d)) + 1j * x_rng.normal(size=(d, 2 * k + 1, d))
+        fs = FloquetSolution(np.sort(x_rng.uniform(-0.3, 0.3, d)), modes, k, 0.75)
+        n_idx = x_rng.integers(-2, 3, n_entries)
+        jd = JumpDecomposition(
+            r_idx=x_rng.integers(0, d, n_entries),
+            rp_idx=x_rng.integers(0, d, n_entries),
+            n_idx=n_idx,
+            amplitude=x_rng.normal(size=n_entries) + 1j * x_rng.normal(size=n_entries),
+            delta=x_rng.uniform(0.1, 1.0, n_entries) * np.sign(n_idx + 0.5),
+            n_window=2,
+            interior_k=k,
+        )
+        ch = BathChannel("hot", np.eye(d), Ohmic(d_h=5e-3, omega_ref=1.0), beta=2.0)
+        assert_kernels_match_direct_sum(ch, jd, fs)
+
+
+def assert_kernels_match_direct_sum(ch, jd, fs, prune_rel=3e-12):
+    """Kernel harmonics G_q = sum_{n + m' - m = q} V_m' W_n V_m^dag, summed
+    term by term, against ``_channel_kernels``: the same retained q set and
+    values within 1e-14 of the largest harmonic."""
+    kernels = generator._channel_kernels(ch, jd, fs, 1e-12, prune_rel)
+    k = fs.k_ext
+    d = fs.dim
+    ladder = np.arange(-k, k + 1)
+    v = np.transpose(fs.modes, (1, 2, 0))  # [m, component, r]
+    n_min, n_max = int(jd.n_idx.min()), int(jd.n_idx.max())
+    w = np.zeros((4, n_max - n_min + 1, d, d), dtype=complex)
+    for e in range(len(jd)):
+        gn, ge = thermal_rates(ch.density, ch.beta, jd.delta[e])
+        at = (int(jd.n_idx[e]) - n_min, int(jd.r_idx[e]), int(jd.rp_idx[e]))
+        amp = jd.amplitude[e]
+        w[(0, *at)] += gn * amp
+        w[(1, *at)] += ge * amp
+        w[(2, *at)] += jd.delta[e] * gn * amp
+        w[(3, *at)] += -jd.delta[e] * ge * amp
+    terms = np.einsum("pcr,anrs,mts->anpmct", v, w, v.conj())
+    q_lo = n_min - 2 * k
+    q_of = np.arange(n_min, n_max + 1)[:, None, None] + ladder[:, None] - ladder
+    direct = np.zeros((4, n_max - n_min + 4 * k + 1, d, d), dtype=complex)
+    for a in range(4):
+        np.add.at(direct[a], q_of - q_lo, terms[a])
+    block_max = np.abs(direct).max(axis=(0, 2, 3))
+    peak = block_max.max()
+    kept = [q_lo + i for i in np.nonzero(block_max > prune_rel * peak)[0]]
+    for a, got in enumerate((kernels.g1, kernels.g2, kernels.g1_prime, kernels.g2_prime)):
+        assert sorted(got) == kept
+        for q in kept:
+            assert np.max(np.abs(got[q] - direct[a, q - q_lo])) <= 1e-14 * peak
 
 
 class TestReconstructionOracle:
