@@ -25,8 +25,6 @@ from .floquet import (
 from .generator import (
     BathChannel,
     CountingLiouvillian,
-    HeatCurrent,
-    PeriodicDensityMatrix,
     SteadyStateError,
     build_liouvillian,
     heat_current,

@@ -33,7 +33,14 @@ from .config import (
     parse_config_text,
 )
 from .generator import SteadyStateError
-from .pipeline import PointResult, _peak_frequency, run_phase, run_point, run_sweep
+from .pipeline import (
+    EXTRA_COLUMNS,
+    PointResult,
+    _peak_frequency,
+    run_phase,
+    run_point,
+    run_sweep,
+)
 
 CSV_COLUMNS = [
     "omegaL",
@@ -55,11 +62,6 @@ CSV_COLUMNS = [
     "kappa",
     "converged",
 ]
-
-EXTRA_COLUMNS = {
-    "lasercool": ["delta", "n_analytic"],
-    "benchmark": ["qbar_h_oracle", "qbar_c_oracle", "rel_dev_qh"],
-}
 
 
 def _fmt(value) -> str:

@@ -28,13 +28,12 @@ class FloquetConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExtendedOperator:
-    """Block-Toeplitz lift sum_k F_k (x) O_k (+ optional w F_z (x) 1)."""
+    """Block-Toeplitz lift sum_k F_k (x) O_k + w F_z (x) 1."""
 
     matrix: np.ndarray = field(repr=False)
     k_ext: int
     dim_phys: int
     omega_L: float
-    includes_fz: bool
 
     @property
     def n_blocks(self) -> int:
@@ -48,13 +47,13 @@ class ExtendedOperator:
 
 
 def build_quasienergy_operator(
-    h: PeriodicOperator, omega_L: float, k_ext: int, include_fz: bool = True
+    h: PeriodicOperator, omega_L: float, k_ext: int
 ) -> ExtendedOperator:
     """Assemble the extended-space quasienergy operator.
 
-    Block (m, m') holds H_{m - m'}; with ``include_fz`` the diagonal block m
-    additionally carries m * omega_L * identity.  Requires k_ext at least as
-    large as the harmonic support of ``h``.
+    Block (m, m') holds H_{m - m'}; the diagonal block m additionally
+    carries m * omega_L * identity.  Requires k_ext at least as large as the
+    harmonic support of ``h``.
     """
     if k_ext < h.max_harmonic:
         raise ValueError(
@@ -73,13 +72,10 @@ def build_quasienergy_operator(
             i = (mrow + k_ext) * d
             j = (mcol + k_ext) * d
             big[i : i + d, j : j + d] += mat
-    if include_fz:
-        for m in range(-k_ext, k_ext + 1):
-            i = (m + k_ext) * d
-            big[i : i + d, i : i + d] += m * omega_L * np.eye(d)
-    return ExtendedOperator(
-        matrix=big, k_ext=k_ext, dim_phys=d, omega_L=omega_L, includes_fz=include_fz
-    )
+    for m in range(-k_ext, k_ext + 1):
+        i = (m + k_ext) * d
+        big[i : i + d, i : i + d] += m * omega_L * np.eye(d)
+    return ExtendedOperator(matrix=big, k_ext=k_ext, dim_phys=d, omega_L=omega_L)
 
 
 def fold_to_zone(eps: np.ndarray | float, omega_L: float) -> np.ndarray | float:
@@ -124,45 +120,35 @@ class FloquetSolution:
         return float(np.max(np.abs(flat @ flat.conj().T - np.eye(self.dim))))
 
 
-def solve_floquet(
-    q: ExtendedOperator,
-    central_window: int | None = None,
-    overlap_threshold: float = 0.5,
-    boundary_tie_tol: float = 1e-10,
-    shift_norm_tol: float = 1e-8,
-) -> FloquetSolution:
+def solve_floquet(q: ExtendedOperator) -> FloquetSolution:
     """Diagonalize the extended operator and select physical representatives.
 
     Copies of the same physical Floquet state differ by a ladder shift
     (eps + s w pairs with harmonics displaced by s blocks), so the best
     conditioned copy per family is picked greedily by descending
-    central-block weight (sum of ||u^(m)||^2 over |m| <= central_window);
-    candidates whose t = 0 physical vector overlaps an already accepted state
-    are shifted duplicates and are discarded (t = 0 vectors of distinct
-    Floquet states are orthogonal).  Each accepted copy is then folded into
-    the Brillouin zone (-w/2, w/2] with its harmonic blocks displaced
-    consistently, eps -> eps - s w together with u^(m) -> u^(m + s).
-    Eigenvalues landing within ``boundary_tie_tol * w`` of the lower zone
-    edge are snapped to the included upper edge.  A fold that would push
-    significant weight off the truncated ladder (shifted norm below
-    1 - ``shift_norm_tol``) aborts with a convergence error.
+    central-block weight (sum of ||u^(m)||^2 over |m| <= max(1, k_ext // 2));
+    candidates whose t = 0 physical vector has squared overlap above 0.5
+    with an already accepted state are shifted duplicates and are discarded
+    (t = 0 vectors of distinct Floquet states are orthogonal).  Each
+    accepted copy is then folded into the Brillouin zone (-w/2, w/2] with
+    its harmonic blocks displaced consistently, eps -> eps - s w together
+    with u^(m) -> u^(m + s).  Eigenvalues landing within 1e-10 w of the
+    lower zone edge are snapped to the included upper edge.  A fold that
+    would push significant weight off the truncated ladder (shifted norm
+    below 1 - 1e-8) aborts with a convergence error.
     """
-    if not q.includes_fz:
-        raise ValueError("quasienergy solve requires the F_z term")
     herm = float(np.max(np.abs(q.matrix - q.matrix.conj().T)))
     if herm > 1e-10:
         raise ValueError(f"extended operator is not Hermitian (defect {herm:.2e})")
     d = q.dim_phys
     k = q.k_ext
     w = q.omega_L
-    if central_window is None:
-        central_window = max(1, k // 2)
 
     evals, evecs = np.linalg.eigh(q.matrix)
     blocks = evecs.T.reshape(-1, 2 * k + 1, d)  # [state, m, component]
     weights = np.sum(np.abs(blocks) ** 2, axis=2)  # [state, m]
     ms = np.arange(-k, k + 1)
-    central = weights[:, np.abs(ms) <= central_window].sum(axis=1)
+    central = weights[:, np.abs(ms) <= max(1, k // 2)].sum(axis=1)
     t0 = blocks.sum(axis=1)  # physical vector at t = 0 (unnormalized)
 
     order = np.argsort(-central)
@@ -174,7 +160,7 @@ def solve_floquet(
         if nv < 1e-8:
             continue
         v = v / nv
-        if basis and np.max(np.abs(np.array(basis) @ v.conj())) ** 2 > overlap_threshold:
+        if basis and np.max(np.abs(np.array(basis) @ v.conj())) ** 2 > 0.5:
             continue
         chosen.append(idx)
         basis.append(v)
@@ -191,7 +177,7 @@ def solve_floquet(
     for i, idx in enumerate(chosen):
         eps_raw = evals[idx]
         eps_f = float(fold_to_zone(eps_raw, w))
-        if eps_f < -0.5 * w + boundary_tie_tol * w:
+        if eps_f < -0.5 * w + 1e-10 * w:
             eps_f += w
         s = int(round((eps_raw - eps_f) / w))
         # copy with eps - s w carries mode e^{-i s w t} |r(t)>: u^(m) <- u^(m+s)
@@ -201,7 +187,7 @@ def solve_floquet(
         dst_hi = src_hi - s
         modes_out[i, dst_lo:dst_hi] = blocks[idx, src_lo:src_hi]
         kept = float(np.sum(np.abs(modes_out[i]) ** 2))
-        if kept < 1.0 - shift_norm_tol:
+        if kept < 1.0 - 1e-8:
             raise FloquetConvergenceError(
                 f"folding a representative by {s} ladder steps keeps only "
                 f"{kept:.12f} of its weight; increase k_ext"
@@ -232,8 +218,6 @@ class JumpDecomposition:
     n_idx: np.ndarray
     amplitude: np.ndarray
     delta: np.ndarray
-    n_window: int
-    interior_k: int
 
     def __len__(self) -> int:
         return int(self.r_idx.shape[0])
@@ -244,76 +228,44 @@ def decompose_operator(
     fs: FloquetSolution,
     n_window: int | None = None,
     amplitude_floor: float = 1e-12,
-    edge_exclude: int | None = None,
 ) -> JumpDecomposition:
     """Matrix elements <<r| F_{-n} (x) S |r'>> for |n| <= n_window.
 
     The harmonic sum runs over interior ladder blocks only: the outermost
-    ``edge_exclude`` blocks (default ceil(k_ext/4)) are corrupted by ladder
-    truncation and are discarded.  Entries with |amplitude| <=
-    ``amplitude_floor`` are dropped; the floor acts symmetrically on
-    conjugate partners, preserving Hermitian pairing.
+    ceil(k_ext/4) blocks are corrupted by ladder truncation and are
+    discarded.  Entries with |amplitude| <= ``amplitude_floor`` are dropped;
+    the floor acts symmetrically on conjugate partners, preserving Hermitian
+    pairing.  Entries are ordered by (n, r, r').
     """
     d = fs.dim
     k = fs.k_ext
-    if edge_exclude is None:
-        edge_exclude = math.ceil(k / 4)
-    k_int = k - edge_exclude
-    if k_int < 0:
-        raise ValueError("edge exclusion removes every ladder block")
+    k_int = k - math.ceil(k / 4)
     if n_window is None:
         n_window = min(2 * k_int, k)
     if n_window > 2 * k_int:
         raise ValueError(f"n_window={n_window} exceeds usable range {2 * k_int}")
 
     # interior blocks, S applied once per (m) index
-    sel = slice(k - k_int, k + k_int + 1)
-    u = fs.modes[:, sel, :]  # [r, m, :]
+    u = fs.modes[:, k - k_int : k + k_int + 1, :]  # [r, m, :]
     su = np.einsum("ij,rmj->rmi", s, u)
-
-    rows: list[np.ndarray] = []
+    nm = u.shape[1]
+    amp = np.empty((2 * n_window + 1, d, d), dtype=complex)
     for n in range(-n_window, n_window + 1):
-        # amp[r, r'] = sum_m u_r^(m)* . (S u_r'^(m+n))
-        nm = u.shape[1]
+        # amp[n, r, r'] = sum_m u_r^(m)* . (S u_r'^(m+n))
         if n >= 0:
             left = u[:, : nm - n, :]
             right = su[:, n:, :]
         else:
             left = u[:, -n:, :]
             right = su[:, : nm + n, :]
-        amp = np.einsum("rmi,smi->rs", left.conj(), right)
-        rr, ss_ = np.nonzero(np.abs(amp) > amplitude_floor)
-        if rr.size:
-            rows.append(
-                np.stack(
-                    [
-                        rr.astype(float),
-                        ss_.astype(float),
-                        np.full(rr.size, float(n)),
-                        amp[rr, ss_].real,
-                        amp[rr, ss_].imag,
-                    ]
-                )
-            )
-    if rows:
-        data = np.concatenate(rows, axis=1)
-        r_idx = data[0].astype(int)
-        rp_idx = data[1].astype(int)
-        n_idx = data[2].astype(int)
-        amplitude = data[3] + 1j * data[4]
-    else:
-        r_idx = np.zeros(0, dtype=int)
-        rp_idx = np.zeros(0, dtype=int)
-        n_idx = np.zeros(0, dtype=int)
-        amplitude = np.zeros(0, dtype=complex)
+        amp[n + n_window] = np.einsum("rmi,smi->rs", left.conj(), right)
+    n_pos, r_idx, rp_idx = np.nonzero(np.abs(amp) > amplitude_floor)
+    n_idx = n_pos - n_window
     eps = fs.quasienergies
-    delta = eps[r_idx] - eps[rp_idx] + n_idx * fs.omega_L
     return JumpDecomposition(
         r_idx=r_idx,
         rp_idx=rp_idx,
         n_idx=n_idx,
-        amplitude=amplitude,
-        delta=delta,
-        n_window=n_window,
-        interior_k=k_int,
+        amplitude=amp[n_pos, r_idx, rp_idx],
+        delta=eps[r_idx] - eps[rp_idx] + n_idx * fs.omega_L,
     )

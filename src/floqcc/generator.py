@@ -18,14 +18,16 @@ frequency and a_e the entry amplitude:
 The counting-field derivative keeps only the two sandwich terms with weights
 -D on the emission sandwich (S rho G2) and +D on the absorption sandwich
 (G1 rho S), so the heat current into the supersystem from reservoir nu is
-Q_nu(t) = Tr{S rho(t) G2'(t)} + Tr{G1'(t) rho(t) S}.  The principal-value
+Q_nu(t) = Tr{S rho(t) G2'(t)} + Tr{G1'(t) rho(t) S}; ``heat_current`` returns
+its period average, the sum over harmonics q of
+Tr{S rho_{-q} G2'_q} + Tr{G1'_q rho_{-q} S}.  The principal-value
 (Lamb-shift) contribution is omitted.
 
-The periodic steady state solves the block system
-i n w rho_n = sum_k L_k rho_{n-k} by a dense SVD null-space solve, a dense
-LU solve of the system bordered with the trace condition, or matrix-free
-GMRES.  The dense routes share one memory guard: the block system itself
-must fit in 2.5 GB.
+The periodic steady state, a ``PeriodicOperator`` of harmonics rho_n,
+solves the block system i n w rho_n = sum_k L_k rho_{n-k} by a dense SVD
+null-space solve, a dense LU solve of the system bordered with the trace
+condition, or matrix-free GMRES.  The dense routes share one memory guard:
+the block system itself must fit in 2.5 GB.
 """
 
 from __future__ import annotations
@@ -51,17 +53,21 @@ class DegenerateSteadyStateError(SteadyStateError):
     """More than one periodic steady state within numerical tolerance."""
 
 
-def thermal_rates(
-    density: SpectralDensity, beta: float, delta: float, delta_floor: float = 1e-12
-) -> tuple[float, float]:
+# transition frequencies below this take the delta -> 0 limit of the rates
+DEGENERATE_DELTA = 1e-12
+# kernel harmonics below this fraction of a reservoir's largest are dropped
+KERNEL_PRUNE = 3e-12
+
+
+def thermal_rates(density: SpectralDensity, beta: float, delta: float) -> tuple[float, float]:
     """Absorption and emission rates (J N, J (1 + N)) at transition frequency
     ``delta``, using the odd-extended spectral density.
 
     Both rates are continuous through delta = 0 with common limit
-    slope(J)/beta, evaluated explicitly below ``delta_floor`` where the naive
-    expression is 0/0.
+    slope(J)/beta, evaluated explicitly below DEGENERATE_DELTA where the
+    naive expression is 0/0.
     """
-    if abs(delta) < delta_floor:
+    if abs(delta) < DEGENERATE_DELTA:
         r = density.slope_at_zero() / beta
         return r, r
     if delta > 0:
@@ -103,22 +109,16 @@ def _spost(x: np.ndarray) -> np.ndarray:
     return np.kron(x.T, np.eye(x.shape[0]))
 
 
-def _jump_rates(
-    channel: BathChannel, jumps: JumpDecomposition, delta_floor: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _jump_rates(channel: BathChannel, jumps: JumpDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Absorption and emission rates (J N, J (1 + N)) of every jump entry."""
     rates = np.array(
-        [thermal_rates(channel.density, channel.beta, dl, delta_floor) for dl in jumps.delta]
+        [thermal_rates(channel.density, channel.beta, dl) for dl in jumps.delta]
     ).reshape(-1, 2)
     return rates[:, 0], rates[:, 1]
 
 
 def _channel_kernels(
-    channel: BathChannel,
-    jumps: JumpDecomposition,
-    fs: FloquetSolution,
-    delta_floor: float,
-    prune_rel: float,
+    channel: BathChannel, jumps: JumpDecomposition, fs: FloquetSolution
 ) -> ChannelKernels:
     d = fs.dim
     k = fs.k_ext
@@ -128,7 +128,7 @@ def _channel_kernels(
     n_min, n_max = int(n_e.min()), int(n_e.max())
 
     # per-harmonic weight matrices W_n[r, r'] of the four kernels
-    gn, ge = _jump_rates(channel, jumps, delta_floor)
+    gn, ge = _jump_rates(channel, jumps)
     amp = jumps.amplitude
     w = np.zeros((4, n_max - n_min + 1, d, d), dtype=complex)
     entries = (n_e - n_min, jumps.r_idx, jumps.rp_idx)
@@ -152,7 +152,7 @@ def _channel_kernels(
     # prune the four kernels jointly; harmonic q sits at index q mod nt, and
     # only the retained harmonics are kept in memory
     block_max = np.abs(g).max(axis=(0, 2, 3))
-    floor = prune_rel * block_max.max()
+    floor = KERNEL_PRUNE * block_max.max()
     kept = [q for q in range(n_min - 2 * k, n_max + 2 * k + 1) if block_max[q % nt] > floor]
     mats = [dict(zip(kept, ga)) for ga in g[:, [q % nt for q in kept]]]
     return ChannelKernels(channel.coupling, *mats)
@@ -178,10 +178,11 @@ class CountingLiouvillian:
                 qs |= {abs(q) for q in d}
         return max(qs) if qs else 0
 
-    def suggested_k_rho(self, target: float = 1e-8, cap: int = 12) -> int:
+    def suggested_k_rho(self) -> int:
         """Harmonic count for the steady state: rho_n falls off roughly like
         (c / omega_L)^n with c the strength of the generator's oscillating
-        part, so pick the smallest n with that estimate below ``target``."""
+        part, so pick the smallest n with that estimate below 1e-8, between
+        2 and 12."""
         c = 0.0
         for q, m in self.h_harmonics.items():
             if q != 0:
@@ -195,8 +196,8 @@ class CountingLiouvillian:
         if c == 0.0:
             return 1
         ratio = min(c / self.omega_L, 0.5)
-        k = math.ceil(math.log(target) / math.log(ratio))
-        return int(np.clip(k, 2, cap))
+        k = math.ceil(math.log(1e-8) / math.log(ratio))
+        return int(np.clip(k, 2, 12))
 
     def component(self, q: int) -> np.ndarray:
         """Superoperator matrix L_q on the vectorized density space."""
@@ -253,14 +254,11 @@ def build_liouvillian(
     fs: FloquetSolution,
     channels: list[BathChannel],
     jumps: list[JumpDecomposition],
-    delta_floor: float = 1e-12,
-    prune_rel: float = 3e-12,
 ) -> CountingLiouvillian:
     """Assemble the harmonic generator components and their counting-field
     derivatives from per-reservoir Floquet jump decompositions.
 
-    ``delta_floor`` selects the degenerate-frequency rate rule; ``prune_rel``
-    drops kernel harmonics below that fraction of the largest one (the
+    Kernel harmonics below KERNEL_PRUNE of the largest one are dropped (the
     four kernels of a reservoir are pruned jointly, which preserves exact
     trace annihilation of every retained harmonic).
     """
@@ -272,46 +270,13 @@ def build_liouvillian(
     for ch, jd in zip(channels, jumps):
         if ch.name in kernels:
             raise ValueError(f"duplicate channel name {ch.name!r}")
-        kernels[ch.name] = _channel_kernels(ch, jd, fs, delta_floor, prune_rel)
+        kernels[ch.name] = _channel_kernels(ch, jd, fs)
     return CountingLiouvillian(
         h_harmonics=dict(h.harmonics),
         channels=kernels,
         omega_L=h.omega_L,
         dim=h.dim,
     )
-
-
-@dataclass(frozen=True)
-class PeriodicDensityMatrix:
-    """Harmonic components rho_n of the T-periodic steady state."""
-
-    harmonics: dict[int, np.ndarray]
-    omega_L: float
-
-    @property
-    def dim(self) -> int:
-        return self.harmonics[0].shape[0]
-
-    @property
-    def k_rho(self) -> int:
-        return max(abs(n) for n in self.harmonics)
-
-    @property
-    def average(self) -> np.ndarray:
-        """Period average of rho(t): the zero harmonic."""
-        return self.harmonics[0]
-
-    def component(self, n: int) -> np.ndarray:
-        mat = self.harmonics.get(n)
-        if mat is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return mat
-
-    def at_time(self, t: float) -> np.ndarray:
-        out = np.zeros_like(self.harmonics[0])
-        for n, mat in self.harmonics.items():
-            out += np.exp(1j * n * self.omega_L * t) * mat
-        return out
 
 
 @dataclass(frozen=True)
@@ -487,7 +452,7 @@ def _solve_bordered_gmres(
 
 def _periodic_state(
     vec: np.ndarray, k_rho: int, d: int, omega_L: float
-) -> tuple[PeriodicDensityMatrix, float, float]:
+) -> tuple[PeriodicOperator, float, float]:
     """Trace-normalized, Hermitian-symmetrized harmonics from a stacked
     solution vector, with the hermiticity and off-harmonic trace defects."""
     nb = 2 * k_rho + 1
@@ -516,10 +481,10 @@ def _periodic_state(
     pruned = {
         n: m for n, m in sym.items() if n == 0 or np.max(np.abs(m)) > 1e-16
     }
-    return PeriodicDensityMatrix(harmonics=pruned, omega_L=omega_L), herm_defect, trace_defect
+    return PeriodicOperator(harmonics=pruned, omega_L=omega_L), herm_defect, trace_defect
 
 
-def _min_eigenvalue(rho: PeriodicDensityMatrix) -> float:
+def _min_eigenvalue(rho: PeriodicOperator) -> float:
     """Smallest eigenvalue of rho(t) over six times in the period."""
     period = 2.0 * math.pi / rho.omega_L
     return min(
@@ -568,8 +533,7 @@ def steady_state(
     method: str = "auto",
     trace_tol: float = 1e-10,
     positivity_tol: float = 1e-8,
-    residual_tol: float = 1e-8,
-) -> tuple[PeriodicDensityMatrix, SteadyStateInfo]:
+) -> tuple[PeriodicOperator, SteadyStateInfo]:
     """Solve the harmonic steady-state block system.
 
     ``method`` is "svd" (dense null space, reports singular values), "lu"
@@ -586,7 +550,7 @@ def steady_state(
     more than one steady state.  The returned harmonics are trace-normalized
     and Hermitian-symmetrized (rho_{-n} = rho_n^dag is an exact property of
     the solution); positivity of rho(t) and the residual of the block
-    equation are checked.
+    equation (at most 1e-8) are checked.
     """
     from scipy.linalg import lu_solve
 
@@ -630,7 +594,7 @@ def steady_state(
             try:
                 result, info = steady_state(
                     liouv, k_rho=k_rho, method="lu", trace_tol=trace_tol,
-                    positivity_tol=positivity_tol, residual_tol=residual_tol,
+                    positivity_tol=positivity_tol,
                 )
             except SteadyStateError as lu_exc:
                 raise SteadyStateError(
@@ -666,48 +630,33 @@ def steady_state(
                 factor = _bordered_factor(big, k_rho, d)
             inner = (k_rho, lambda x: lu_solve(factor, x))
         raise SteadyStateError(_positivity_message(liouv, k_rho, min_eig, inner))
-    if residual > residual_tol:
-        raise SteadyStateError(
-            f"steady-state residual {residual:.3e} above {residual_tol:.1e}"
-        )
+    if residual > 1e-8:
+        raise SteadyStateError(f"steady-state residual {residual:.3e} above 1.0e-08")
     return result, info
 
 
-@dataclass(frozen=True)
-class HeatCurrent:
-    """Time-resolved harmonics of the heat flow from one reservoir into the
-    supersystem, and its period average (the zero harmonic)."""
-
-    harmonics: dict[int, complex]
-    average: float
-
-
-def heat_current(
-    liouv: CountingLiouvillian, rho: PeriodicDensityMatrix, name: str
-) -> HeatCurrent:
-    """Q_nu(t) = Tr{L'_nu(t) rho(t)}, positive when heat flows into the
-    supersystem."""
+def heat_current(liouv: CountingLiouvillian, rho: PeriodicOperator, name: str) -> float:
+    """Period average of Q_nu(t) = Tr{L'_nu(t) rho(t)}, positive when heat
+    flows into the supersystem: the sum over kernel harmonics q of
+    Tr{S rho_{-q} G2'_q} + Tr{G1'_q rho_{-q} S}."""
     ker = liouv.channels.get(name)
     if ker is None:
         raise KeyError(f"no reservoir named {name!r}; have {sorted(liouv.channels)}")
     s = ker.coupling
-    out: dict[int, complex] = {}
+    total = 0.0
     for q, g2p in ker.g2_prime.items():
-        for n, rn in rho.harmonics.items():
-            val = complex(np.trace(s @ rn @ g2p))
-            if val != 0.0:
-                out[q + n] = out.get(q + n, 0.0) + val
+        rn = rho.harmonics.get(-q)
+        if rn is not None:
+            total += complex(np.trace(s @ rn @ g2p))
     for q, g1p in ker.g1_prime.items():
-        for n, rn in rho.harmonics.items():
-            val = complex(np.trace(g1p @ rn @ s))
-            if val != 0.0:
-                out[q + n] = out.get(q + n, 0.0) + val
-    avg = out.get(0, 0.0)
-    return HeatCurrent(harmonics=out, average=float(avg.real))
+        rn = rho.harmonics.get(-q)
+        if rn is not None:
+            total += complex(np.trace(g1p @ rn @ s))
+    return float(total.real)
 
 
 def periodic_average_rate(
-    liouv: CountingLiouvillian, rho: PeriodicDensityMatrix, observable: np.ndarray
+    liouv: CountingLiouvillian, rho: PeriodicOperator, observable: np.ndarray
 ) -> float:
     """Period average of d<O>/dt = Tr{O L(t) rho(t)} at steady state.
 
@@ -727,7 +676,6 @@ def secular_rate_solution(
     fs: FloquetSolution,
     channels: list[BathChannel],
     jumps: list[JumpDecomposition],
-    delta_floor: float = 1e-12,
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Secular (rate-equation) steady state in the Floquet basis.
 
@@ -743,7 +691,7 @@ def secular_rate_solution(
     rates = np.zeros((d, d))  # [r, r'] = W[r' -> r]
     per_channel = []
     for ch, jd in zip(channels, jumps):
-        gammas = 2.0 * _jump_rates(ch, jd, delta_floor)[0] * np.abs(jd.amplitude) ** 2
+        gammas = 2.0 * _jump_rates(ch, jd)[0] * np.abs(jd.amplitude) ** 2
         per_channel.append(gammas)
         off = jd.r_idx != jd.rp_idx
         np.add.at(rates, (jd.r_idx[off], jd.rp_idx[off]), gammas[off])

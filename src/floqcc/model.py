@@ -49,6 +49,11 @@ class PeriodicOperator:
     def max_harmonic(self) -> int:
         return max(abs(k) for k in self.harmonics)
 
+    @property
+    def average(self) -> np.ndarray:
+        """Period average of O(t): the zero harmonic."""
+        return self.harmonics[0]
+
     def component(self, k: int) -> np.ndarray:
         mat = self.harmonics.get(k)
         if mat is None:
@@ -95,7 +100,6 @@ class SupersystemSpec:
     hot_bath: SpectralDensity
     residual_bath: SpectralDensity | None
     coupling_form: str = SINUSOIDAL_COLD
-    require_thermal_bias: bool = True
 
     def __post_init__(self) -> None:
         if self.n_fock < 2:
@@ -114,14 +118,10 @@ class SupersystemSpec:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         if self.coupling_form not in (SINUSOIDAL_COLD, STATIC_COLD):
             raise ValueError(f"unknown coupling_form {self.coupling_form!r}")
-        if (
-            self.require_thermal_bias
-            and self.residual_bath is not None
-            and not self.beta_h < self.beta_c
-        ):
+        if self.residual_bath is not None and not self.beta_h < self.beta_c:
             raise ValueError(
                 f"hot bath must be hotter (beta_h < beta_c); got beta_h={self.beta_h}, "
-                f"beta_c={self.beta_c}; pass require_thermal_bias=False to override"
+                f"beta_c={self.beta_c}"
             )
 
     @property

@@ -166,9 +166,6 @@ def bare_qubit_secular_steady(
     j_hot: SpectralDensity,
     beta_c: float,
     beta_h: float,
-    k_ext: int = 16,
-    n_window: int | None = None,
-    amplitude_floor: float = 1e-12,
 ) -> tuple[float, float, float]:
     """Period-averaged (qbar_c, qbar_h, wbar) for the driven two-level system
     directly and statically coupled to both original reservoirs, treated with
@@ -176,8 +173,8 @@ def bare_qubit_secular_steady(
 
     Both couplings are sigma_x / sqrt(2 omega0); the structured cold density
     is evaluated at the bare Floquet transition frequencies (no mode is split
-    off).  This is the benchmark the collective-coordinate pipeline is
-    compared against.
+    off), from Floquet modes on a k_ext = 16 ladder.  This is the benchmark
+    the collective-coordinate pipeline is compared against.
     """
     h = PeriodicOperator(
         harmonics={
@@ -187,10 +184,10 @@ def bare_qubit_secular_steady(
         },
         omega_L=omega_L,
     )
-    q = build_quasienergy_operator(h, omega_L, k_ext)
+    q = build_quasienergy_operator(h, omega_L, 16)
     fs = solve_floquet(q)
     s = SIGMA_X / math.sqrt(2.0 * omega0)
-    jd = decompose_operator(s, fs, n_window=n_window, amplitude_floor=amplitude_floor)
+    jd = decompose_operator(s, fs)
     channels = [
         BathChannel(name="cold", coupling=s, density=j_cold, beta=beta_c),
         BathChannel(name="hot", coupling=s, density=j_hot, beta=beta_h),

@@ -29,7 +29,6 @@ from .floquet import (
 )
 from .generator import (
     BathChannel,
-    PeriodicDensityMatrix,
     SteadyStateError,
     SteadyStateInfo,
     build_liouvillian,
@@ -237,7 +236,7 @@ def _generator_stage(cfg: RunConfig, spec: SupersystemSpec, floq: FloquetStage):
 class SteadyStage:
     """Periodic steady state and the period-averaged heat flows."""
 
-    rho: PeriodicDensityMatrix
+    rho: PeriodicOperator
     info: SteadyStateInfo
     qbar_h: float
     qbar_c: float  # nan without a cold reservoir
@@ -258,8 +257,8 @@ def _steady_stage(cfg: RunConfig, liouv, k_rho: int | None) -> SteadyStage:
         )
     except (SteadyStateError, np.linalg.LinAlgError) as exc:
         raise PointFailure("generator", str(exc)) from exc
-    qbar_h = heat_current(liouv, rho, "hot").average
-    qbar_c = heat_current(liouv, rho, "cold").average if "cold" in liouv.channels else math.nan
+    qbar_h = heat_current(liouv, rho, "hot")
+    qbar_c = heat_current(liouv, rho, "cold") if "cold" in liouv.channels else math.nan
     return SteadyStage(rho, info, qbar_h, qbar_c)
 
 
@@ -395,6 +394,14 @@ def run_point(cfg: RunConfig) -> PointResult:
 
     converged = cfg.convergence != "off" and not any(g > 1e-3 for g in gates.values())
     return PointResult(cfg, omega_cc, report, diag, converged, extras=extras)
+
+
+# each mode's extra CSV columns: the keys _config_extras gives, then the
+# ones run_point adds from the solved state
+EXTRA_COLUMNS = {
+    "lasercool": ["delta", "n_analytic"],
+    "benchmark": ["qbar_h_oracle", "qbar_c_oracle", "rel_dev_qh"],
+}
 
 
 def _config_extras(cfg: RunConfig) -> dict:

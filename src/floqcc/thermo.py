@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import PeriodicDensityMatrix
-from .model import number_operator
+from .model import PeriodicOperator, number_operator
 
 
 class RegimeError(ValueError):
@@ -161,7 +160,7 @@ class OccupationStatistics:
 
 
 def occupation_statistics(
-    rho: PeriodicDensityMatrix, n_fock: int, eps: float = 1e-30
+    rho: PeriodicOperator, n_fock: int, eps: float = 1e-30
 ) -> OccupationStatistics:
     """Period-averaged mode occupation, its variance, and the relative
     deviation from the thermal law var = n (1 + n)."""

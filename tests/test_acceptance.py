@@ -322,8 +322,8 @@ def test_criterion_5_thermodynamic_laws(fig2_sweep):
     spec0 = fig2_spec(0.75, n_fock=8, g=0.0, coupling_form="static")
     _, _, liouv0, rho0, _ = solve_pipeline(spec0, k_ext=12)
     closure = abs(
-        heat_current(liouv0, rho0, "hot").average
-        + heat_current(liouv0, rho0, "cold").average
+        heat_current(liouv0, rho0, "hot")
+        + heat_current(liouv0, rho0, "cold")
     )
 
     ok = (

@@ -106,6 +106,12 @@ class TestEmission:
             "sigma_bar,beta_cc,n_mean,n_var,regime,eta,kappa,converged"
         )
 
+    @pytest.mark.parametrize("mode", ["lasercool", "benchmark"])
+    def test_extra_columns_start_with_the_config_extras(self, mode):
+        cfg = replace(RunConfig(), mode=mode)
+        columns = [c for c in pipeline.EXTRA_COLUMNS[mode] if c != "rel_dev_qh"]
+        assert list(pipeline._config_extras(cfg)) == columns
+
     def test_empty_sweep_header_only(self):
         assert render_csv([], "sweep").strip().count("\n") == 0
 

@@ -186,6 +186,45 @@ class TestDecomposeOperator:
                 )
             assert np.max(np.abs(direct - rec)) < 1e-6
 
+    @pytest.mark.parametrize("floor", [1e-12, 1e-3])
+    def test_matches_per_harmonic_loop(self, floor):
+        """Values and entry order against a loop over n that keeps each
+        harmonic's entries above the floor in row-major (r, r') order."""
+        spec = fig2_spec(0.75, n_fock=3)
+        h = build_supersystem_fourier(spec)
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        s = build_coupling_operators(spec).s_hot
+        jd = decompose_operator(s, fs, amplitude_floor=floor)
+
+        k = fs.k_ext
+        k_int = k - math.ceil(k / 4)
+        n_window = min(2 * k_int, k)
+        u = fs.modes[:, k - k_int : k + k_int + 1, :]
+        su = np.einsum("ij,rmj->rmi", s, u)
+        nm = u.shape[1]
+        r_idx, rp_idx, n_idx, amplitude = [], [], [], []
+        for n in range(-n_window, n_window + 1):
+            left = u[:, max(0, -n) : nm - max(0, n)]
+            right = su[:, max(0, n) : nm - max(0, -n)]
+            amp = np.einsum("rmi,smi->rs", left.conj(), right)
+            r, rp = np.nonzero(np.abs(amp) > floor)
+            r_idx.extend(r)
+            rp_idx.extend(rp)
+            n_idx.extend([n] * r.size)
+            amplitude.extend(amp[r, rp])
+        r_idx, rp_idx, n_idx = np.array(r_idx), np.array(rp_idx), np.array(n_idx)
+        eps = fs.quasienergies
+        np.testing.assert_array_equal(jd.r_idx, r_idx)
+        np.testing.assert_array_equal(jd.rp_idx, rp_idx)
+        np.testing.assert_array_equal(jd.n_idx, n_idx)
+        np.testing.assert_array_equal(jd.amplitude, np.array(amplitude))
+        np.testing.assert_array_equal(
+            jd.delta, eps[r_idx] - eps[rp_idx] + n_idx * fs.omega_L
+        )
+        assert 0 < len(jd) < (2 * n_window + 1) * fs.dim**2
+        if floor > 1e-12:  # the higher floor drops entries the default keeps
+            assert len(jd) < len(decompose_operator(s, fs))
+
     def test_window_validation(self):
         spec = fig2_spec(0.75, n_fock=3)
         h = build_supersystem_fourier(spec)

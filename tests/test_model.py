@@ -122,7 +122,7 @@ class TestCouplingOperators:
         spec = SupersystemSpec(
             omega0=1.0, g=1e-4, omega_L=0.995, omega_cc=5e-3, n_fock=4, lambda0=1e-4,
             beta_h=1e4, beta_c=1e4, hot_bath=Ohmic(d_h=5e-3, omega_ref=1.0),
-            residual_bath=None, require_thermal_bias=False,
+            residual_bath=None,
         )
         assert build_coupling_operators(spec).s_cold_residual is None
 

@@ -168,5 +168,5 @@ class TestBareQubitSecularOracle:
             residual_bath=cc.residual, coupling_form="static",
         )
         h, fs, liouv, rho, info = solve_pipeline(spec, k_ext=14)
-        qh_full = heat_current(liouv, rho, "hot").average
+        qh_full = heat_current(liouv, rho, "hot")
         assert qh_full == pytest.approx(qh_oracle, rel=1e-2)

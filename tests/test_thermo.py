@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from floqcc.generator import PeriodicDensityMatrix
+from floqcc.model import PeriodicOperator
 from floqcc.thermo import (
     Regime,
     RegimeError,
@@ -123,12 +123,12 @@ class TestPerformance:
             require_performance(-1.0, -1.0, 2.0, 25.0, 2.22)
 
 
-def thermal_density(n_fock: int, n_mean: float) -> PeriodicDensityMatrix:
+def thermal_density(n_fock: int, n_mean: float) -> PeriodicOperator:
     x = n_mean / (1.0 + n_mean)
     p = (1 - x) * x ** np.arange(n_fock)
     p /= p.sum()
     rho = np.kron(np.diag([0.6, 0.4]), np.diag(p)).astype(complex)
-    return PeriodicDensityMatrix(harmonics={0: rho}, omega_L=1.0)
+    return PeriodicOperator(harmonics={0: rho}, omega_L=1.0)
 
 
 class TestOccupationStatistics:
@@ -143,7 +143,7 @@ class TestOccupationStatistics:
         one[1] = 1.0
         rho = np.kron(np.diag([1.0, 0.0]), np.diag(one)).astype(complex)
         occ = occupation_statistics(
-            PeriodicDensityMatrix(harmonics={0: rho}, omega_L=1.0), 5
+            PeriodicOperator(harmonics={0: rho}, omega_L=1.0), 5
         )
         assert occ.n_mean == pytest.approx(1.0, abs=1e-12)
         assert occ.n_var == pytest.approx(0.0, abs=1e-12)
