@@ -22,7 +22,12 @@ fields; `#` starts a comment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+
+from .floquet import AMPLITUDE_FLOOR
+from .generator import POSITIVITY_TOL, TRACE_TOL
+from .model import TRUNC_THRESHOLD
+from .thermo import REGIME_TOL, SIGMA_TOL
 
 
 class ConfigError(ValueError):
@@ -60,14 +65,14 @@ class RunConfig:
     k_ext: int = 0  # 0 = auto
     k_rho: int = 0  # 0 = auto
     n_window: int = 0  # 0 = auto
-    amplitude_floor: float = 1e-12
+    amplitude_floor: float = AMPLITUDE_FLOOR
     method: str = "auto"
     convergence: str = "fast"
-    trunc_threshold: float = 1e-6
-    positivity_tol: float = 1e-8
-    trace_tol: float = 1e-10
-    regime_tol: float = 1e-12
-    sigma_tol: float = 1e-10
+    trunc_threshold: float = TRUNC_THRESHOLD
+    positivity_tol: float = POSITIVITY_TOL
+    trace_tol: float = TRACE_TOL
+    regime_tol: float = REGIME_TOL
+    sigma_tol: float = SIGMA_TOL
 
     sweep_variable: str = "omegaL"
     sweep_start: float = 0.6
@@ -247,16 +252,6 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
 def config_to_dict(cfg: RunConfig) -> dict:
     """Dotted-key dictionary (the JSON echo of a run)."""
     return {key: getattr(cfg, fname) for key, fname in _FIELD_OF.items()}
-
-
-def config_from_dict(data: dict) -> RunConfig:
-    updates = {}
-    for key, value in data.items():
-        fname = _FIELD_OF.get(key)
-        if fname is None:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        updates[fname] = value
-    return replace(RunConfig(), **updates)
 
 
 def known_keys() -> list[str]:

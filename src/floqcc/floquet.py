@@ -35,10 +35,6 @@ class ExtendedOperator:
     dim_phys: int
     omega_L: float
 
-    @property
-    def n_blocks(self) -> int:
-        return 2 * self.k_ext + 1
-
     def block(self, m_row: int, m_col: int) -> np.ndarray:
         d = self.dim_phys
         i = (m_row + self.k_ext) * d
@@ -223,11 +219,15 @@ class JumpDecomposition:
         return int(self.r_idx.shape[0])
 
 
+# default of the solver.amplitude_floor config key
+AMPLITUDE_FLOOR = 1e-12
+
+
 def decompose_operator(
     s: np.ndarray,
     fs: FloquetSolution,
     n_window: int | None = None,
-    amplitude_floor: float = 1e-12,
+    amplitude_floor: float = AMPLITUDE_FLOOR,
 ) -> JumpDecomposition:
     """Matrix elements <<r| F_{-n} (x) S |r'>> for |n| <= n_window.
 

@@ -1,11 +1,9 @@
 """Counting-field Floquet master-equation generator, periodic steady state,
 and reservoir heat currents.
 
-The generator acts on vectorized density matrices (column stacking,
-vec(A X B) = (B^T kron A) vec(X)) and is stored by harmonic components
-L(t) = sum_q exp(i q w t) L_q.  Each reservoir contributes four dissipator
-terms built from its static coupling operator S and two rate-filtered
-periodic kernels
+The generator is stored by harmonic components L(t) = sum_q exp(i q w t) L_q.
+Each reservoir contributes four dissipator terms built from its static
+coupling operator S and two rate-filtered periodic kernels
 
     G1(t) = sum_e J(D_e) N(D_e)     a_e e^{i n_e w t} |r_e(t)><r'_e(t)| ,
     G2(t) = sum_e J(D_e) [1+N(D_e)] a_e e^{i n_e w t} |r_e(t)><r'_e(t)| ,
@@ -14,6 +12,14 @@ where e runs over the Floquet jump decomposition of S, D_e is the transition
 frequency and a_e the entry amplitude:
 
     L_diss(t) rho = - S G1(t) rho + S rho G2(t) + G1(t) rho S - rho G2(t) S .
+
+Each L_q is stored as its no-jump pair plus the reservoir sandwiches,
+
+    L_q rho = A_q rho + rho B_q + sum_nu (G1_{nu,q} rho S_nu + S_nu rho G2_{nu,q}),
+    A_q = -i H_q - sum_nu S_nu G1_{nu,q},   B_q = i H_q - sum_nu G2_{nu,q} S_nu ,
+
+and no superoperator matrix is kept; dense ones act on column-stacked
+vectors, vec(A X B) = (B^T kron A) vec(X).
 
 The counting-field derivative keeps only the two sandwich terms with weights
 -D on the emission sandwich (S rho G2) and +D on the absorption sandwich
@@ -24,18 +30,20 @@ Tr{S rho_{-q} G2'_q} + Tr{G1'_q rho_{-q} S}.  The principal-value
 (Lamb-shift) contribution is omitted.
 
 The periodic steady state, a ``PeriodicOperator`` of harmonics rho_n,
-solves the block system i n w rho_n = sum_k L_k rho_{n-k} by a dense SVD
-null-space solve, a dense LU solve of the system bordered with the trace
-condition, or matrix-free GMRES.  The dense routes share one memory guard:
-the block system itself must fit in 2.5 GB.
+solves the block system i n w rho_n = sum_k L_k rho_{n-k}: by its dense
+SVD null space, or by one bordered solve (the trace condition in place of a
+redundant row) whose preconditioner is the dense LU (``lu``, exact),
+per-harmonic block LUs under GMRES (``gmres``), or both (the positivity
+probe).
+The dense routes share one memory guard: the system must fit in 2.5 GB.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -101,14 +109,6 @@ class ChannelKernels:
     g2_prime: dict[int, np.ndarray]
 
 
-def _spre(x: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(x.shape[0]), x)
-
-
-def _spost(x: np.ndarray) -> np.ndarray:
-    return np.kron(x.T, np.eye(x.shape[0]))
-
-
 def _jump_rates(channel: BathChannel, jumps: JumpDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Absorption and emission rates (J N, J (1 + N)) of every jump entry."""
     rates = np.array(
@@ -158,25 +158,23 @@ def _channel_kernels(
     return ChannelKernels(channel.coupling, *mats)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CountingLiouvillian:
-    """Harmonic components of the generator and of its counting-field
-    derivative for each reservoir."""
+    """Harmonic components of the generator, each as its no-jump pair
+    (A_q, B_q) plus the reservoir sandwiches, and of its counting-field
+    derivative for each reservoir.  ``h_harmonics`` is kept for the k_rho
+    estimate only."""
 
     h_harmonics: dict[int, np.ndarray]
+    no_jump: dict[int, tuple[np.ndarray, np.ndarray]]
     channels: dict[str, ChannelKernels]
     omega_L: float
     dim: int
-    _component_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @cached_property
     def support(self) -> int:
         """Largest |q| with a nonzero harmonic component."""
-        qs = {abs(k) for k in self.h_harmonics}
-        for ker in self.channels.values():
-            for d in (ker.g1, ker.g2):
-                qs |= {abs(q) for q in d}
-        return max(qs) if qs else 0
+        return max((abs(q) for q in self.no_jump), default=0)
 
     def suggested_k_rho(self) -> int:
         """Harmonic count for the steady state: rho_n falls off roughly like
@@ -199,54 +197,49 @@ class CountingLiouvillian:
         k = math.ceil(math.log(1e-8) / math.log(ratio))
         return int(np.clip(k, 2, 12))
 
-    def component(self, q: int) -> np.ndarray:
-        """Superoperator matrix L_q on the vectorized density space."""
-        cached = self._component_cache.get(q)
-        if cached is not None:
-            return cached
+    def _superoperator(self, weights: dict[int, complex]) -> np.ndarray:
+        """sum_q weights[q] L_q on column-stacked vectors: kron(I, A) +
+        kron(B^T, I) + sum_nu [kron(S^T, G1) + kron(G2^T, S)], every operator
+        weighted over q alike."""
         d = self.dim
         eye = np.eye(d)
-        out = np.zeros((d * d, d * d), dtype=complex)
-        hq = self.h_harmonics.get(q)
-        if hq is not None:
-            out += -1j * (_spre(hq) - _spost(hq))
+
+        def mix(mats: dict[int, np.ndarray]) -> np.ndarray:
+            zero = np.zeros((d, d), dtype=complex)
+            return sum((w * mats[q] for q, w in weights.items() if q in mats), zero)
+
+        out = np.kron(eye, mix({q: a for q, (a, _) in self.no_jump.items()}))
+        out += np.kron(mix({q: b for q, (_, b) in self.no_jump.items()}).T, eye)
         for ker in self.channels.values():
-            s = ker.coupling
-            g1 = ker.g1.get(q)
-            g2 = ker.g2.get(q)
-            if g1 is not None:
-                out += -np.kron(eye, s @ g1) + np.kron(s.T, g1)
-            if g2 is not None:
-                out += np.kron(g2.T, s) - np.kron((g2 @ s).T, eye)
-        self._component_cache[q] = out
+            if weights.keys() & ker.g1.keys():
+                s = ker.coupling
+                out += np.kron(s.T, mix(ker.g1)) + np.kron(mix(ker.g2).T, s)
         return out
+
+    def component(self, q: int) -> np.ndarray:
+        """Superoperator matrix L_q on the vectorized density space."""
+        return self._superoperator({q: 1.0})
 
     def apply_component(self, q: int, rho: np.ndarray) -> np.ndarray:
         """L_q acting on a density matrix, or on each matrix of a stack
         (shape (..., d, d)), without building superoperators."""
-        out = np.zeros_like(rho)
-        hq = self.h_harmonics.get(q)
-        if hq is not None:
-            out += -1j * (hq @ rho - rho @ hq)
+        pair = self.no_jump.get(q)
+        if pair is None:
+            return np.zeros_like(rho)
+        a, b = pair
+        out = a @ rho + rho @ b
         for ker in self.channels.values():
-            s = ker.coupling
             g1 = ker.g1.get(q)
-            g2 = ker.g2.get(q)
             if g1 is not None:
-                out += -s @ g1 @ rho + g1 @ rho @ s
-            if g2 is not None:
-                out += s @ rho @ g2 - rho @ g2 @ s
+                s = ker.coupling
+                out += g1 @ rho @ s + s @ rho @ ker.g2[q]
         return out
 
     def matrix_at_time(self, t: float) -> np.ndarray:
         """Dense superoperator L(t) = sum_q exp(i q w t) L_q."""
-        d2 = self.dim**2
-        out = np.zeros((d2, d2), dtype=complex)
-        for q in range(-self.support, self.support + 1):
-            lq = self.component(q)
-            if np.any(lq):
-                out += np.exp(1j * q * self.omega_L * t) * lq
-        return out
+        return self._superoperator(
+            {q: np.exp(1j * q * self.omega_L * t) for q in self.no_jump}
+        )
 
 
 def build_liouvillian(
@@ -259,8 +252,9 @@ def build_liouvillian(
     derivatives from per-reservoir Floquet jump decompositions.
 
     Kernel harmonics below KERNEL_PRUNE of the largest one are dropped (the
-    four kernels of a reservoir are pruned jointly, which preserves exact
-    trace annihilation of every retained harmonic).
+    four kernels of a reservoir are pruned jointly, so they share their
+    harmonics, which preserves exact trace annihilation of every retained
+    harmonic).
     """
     if len(channels) != len(jumps):
         raise ValueError("need one jump decomposition per channel")
@@ -271,8 +265,18 @@ def build_liouvillian(
         if ch.name in kernels:
             raise ValueError(f"duplicate channel name {ch.name!r}")
         kernels[ch.name] = _channel_kernels(ch, jd, fs)
+    no_jump = {}
+    for q in sorted(set(h.harmonics).union(*(ker.g1 for ker in kernels.values()))):
+        hq = h.harmonics.get(q, np.zeros((h.dim, h.dim), dtype=complex))
+        a, b = -1j * hq, 1j * hq
+        for ker in kernels.values():
+            if q in ker.g1:
+                a -= ker.coupling @ ker.g1[q]
+                b -= ker.g2[q] @ ker.coupling
+        no_jump[q] = (a, b)
     return CountingLiouvillian(
         h_harmonics=dict(h.harmonics),
+        no_jump=no_jump,
         channels=kernels,
         omega_L=h.omega_L,
         dim=h.dim,
@@ -285,7 +289,6 @@ class SteadyStateInfo:
     k_rho: int
     size: int
     residual: float
-    sigma_null: float | None
     sigma_second: float | None
     trace_defect: float
     hermiticity_defect: float
@@ -293,11 +296,20 @@ class SteadyStateInfo:
     fallback: str | None = None  # why the requested route was left for lu
 
 
+def _trace_cols(d: int, k_rho: int) -> np.ndarray:
+    """The trace border: positions of rho_0's diagonal among the stacked
+    harmonics |n| <= k_rho.  The first is the bordered row, a redundant row
+    (the trace on the n = 0 block is an exact left null vector)."""
+    return k_rho * d * d + np.arange(d) * (d + 1)
+
+
 def _block_system_dense(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
     """The harmonic block system as one dense matrix, in Fortran order so
-    LAPACK factors it in place."""
+    LAPACK factors it in place.  Each L_q is built once, placed on its block
+    diagonal and dropped."""
     d2 = liouv.dim**2
-    size = (2 * k_rho + 1) * d2
+    nb = 2 * k_rho + 1
+    size = nb * d2
     dense_bytes = size * size * 16
     if dense_bytes > 2_500_000_000:
         raise SteadyStateError(
@@ -305,32 +317,28 @@ def _block_system_dense(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
             "(n_fock too large); reduce the problem size"
         )
     big = np.zeros((size, size), dtype=complex, order="F")
-    comps = {
-        q: liouv.component(q)
-        for q in range(-liouv.support, liouv.support + 1)
-        if np.any(liouv.component(q))
-    }
     for n in range(-k_rho, k_rho + 1):
         i = (n + k_rho) * d2
         big[i : i + d2, i : i + d2] -= 1j * n * liouv.omega_L * np.eye(d2)
-        for q, lq in comps.items():
-            m = n - q
-            if m < -k_rho or m > k_rho:
-                continue
-            j = (m + k_rho) * d2
+    for q in liouv.no_jump:
+        if abs(q) > 2 * k_rho:
+            continue
+        lq = liouv.component(q)
+        # block row n = m + q, column m
+        for m in range(max(-k_rho, -k_rho - q), min(k_rho, k_rho - q) + 1):
+            i, j = (m + q + k_rho) * d2, (m + k_rho) * d2
             big[i : i + d2, j : j + d2] += lq
     return big
 
 
 def _bordered_factor(big: np.ndarray, k_rho: int, d: int):
-    """LU factors of the block system with the trace condition in place of
-    one redundant row of the n = 0 block (the trace functional on that block
-    is an exact left null vector).  ``big`` is overwritten."""
+    """LU factors of the block system with the trace border in place of its
+    redundant row.  ``big`` is overwritten."""
     from scipy.linalg import LinAlgWarning, lu_factor
 
-    row0 = k_rho * d * d
-    big[row0, :] = 0.0
-    big[row0, row0 + np.arange(d) * (d + 1)] = 1.0
+    tr = _trace_cols(d, k_rho)
+    big[tr[0], :] = 0.0
+    big[tr[0], tr] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         try:
@@ -360,26 +368,25 @@ def _apply_block_system(liouv: CountingLiouvillian, k_rho: int, x: np.ndarray) -
 def _residual(liouv: CountingLiouvillian, k_rho: int, vec: np.ndarray) -> float:
     """Relative residual of the original (singular) block system rows."""
     res = _apply_block_system(liouv, k_rho, vec)
-    res[k_rho * liouv.dim**2] = 0.0
+    res[_trace_cols(liouv.dim, k_rho)[0]] = 0.0
     return float(np.linalg.norm(res) / np.linalg.norm(vec))
 
 
-def _solve_bordered_gmres(
-    liouv: CountingLiouvillian,
-    k_rho: int,
-    inner: tuple[int, Callable[[np.ndarray], np.ndarray]] | None = None,
-):
-    """Bordered solve by GMRES with a block-diagonal preconditioner.
+ExactSolve = tuple[int, Callable[[np.ndarray], np.ndarray]]
 
-    The system action is applied matrix-free through the channel kernels;
-    only the diagonal blocks L_0 - i n w are formed densely (for the
-    preconditioner factorization).  The harmonic off-diagonal coupling is
-    weak, so preconditioned GMRES converges in a handful of iterations.
-    ``inner = (k_in, solve)`` hands the central harmonics |n| <= k_in to
-    ``solve``, an exact solve of the bordered k_in system (a factorization
-    kept from an earlier direct solve), so a k_in solution is refined to
-    k_rho > k_in in a few iterations even where the block-diagonal
-    preconditioner alone stalls.
+
+def _solve_bordered(
+    liouv: CountingLiouvillian, k_rho: int, exact: ExactSolve | None = None
+) -> tuple[np.ndarray, float]:
+    """The bordered block system solved with a harmonic-block preconditioner.
+
+    ``exact = (k_in, solve)`` hands the central harmonics |n| <= k_in to an
+    exact solve of the bordered k_in system (a dense LU factor); every other
+    harmonic n gets the LU of its diagonal block L_0 - i n w.  With k_in =
+    k_rho the preconditioned right-hand side is the solution.  Otherwise one
+    full-memory GMRES cycle runs on the matrix-free system action: the
+    harmonic coupling is weak, and the exact centre refines a k_in solution
+    to k_rho where the block-diagonal preconditioner alone stalls.
     Returns (solution vector, relative residual of the original system).
     """
     from scipy.linalg import lu_factor, lu_solve
@@ -387,15 +394,12 @@ def _solve_bordered_gmres(
 
     d = liouv.dim
     d2 = d * d
-    nb = 2 * k_rho + 1
-    size = nb * d2
-    row0 = k_rho * d2
-    tr_cols = row0 + np.arange(d) * (d + 1)
-    k_in, inner_solve = inner if inner is not None else (-1, None)
+    size = (2 * k_rho + 1) * d2
+    k_in, central_solve = exact if exact is not None else (-1, None)
     outer = [n for n in range(-k_rho, k_rho + 1) if abs(n) > k_in]
 
-    # preconditioner factors hold one dense d^2 x d^2 block per harmonic;
-    # keep a hard memory guard so oversized problems fail cleanly instead of
+    # the factors hold one dense d^2 x d^2 block per outer harmonic; keep a
+    # hard memory guard so oversized problems fail cleanly instead of
     # thrashing
     factor_bytes = len(outer) * (d2**2) * 16
     if factor_bytes > 1_500_000_000:
@@ -403,39 +407,42 @@ def _solve_bordered_gmres(
             f"gmres preconditioner would need {factor_bytes / 1e9:.1f} GB "
             f"(n_fock too large); reduce the problem size"
         )
-    l0 = liouv.component(0)
-
-    # bordered operator: trace condition replaces one redundant row of the
-    # n = 0 block (the trace functional is an exact left null vector there)
-    def matvec(x: np.ndarray) -> np.ndarray:
-        y = _apply_block_system(liouv, k_rho, x)
-        y[row0] = x[tr_cols].sum()
-        return y
-
     factors = {}
-    for n in outer:
-        block = l0 - 1j * n * liouv.omega_L * np.eye(d2)
-        if n == 0:
-            block = block.copy()
-            block[0, :] = 0.0
-            block[0, np.arange(d) * (d + 1)] = 1.0
-        factors[n] = lu_factor(block)
+    if outer:
+        l0 = liouv.component(0)
+        tr0 = _trace_cols(d, 0)
+        for n in outer:
+            block = l0 - 1j * n * liouv.omega_L * np.eye(d2)
+            if n == 0:
+                block[tr0[0], :] = 0.0
+                block[tr0[0], tr0] = 1.0
+            factors[n] = lu_factor(block)
+        del l0, block
     central = slice((k_rho - k_in) * d2, (k_rho + k_in + 1) * d2)
 
     def precond(x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
-        if inner_solve is not None:
-            out[central] = inner_solve(x[central])
+        if central_solve is not None:
+            out[central] = central_solve(x[central])
         for n, fac in factors.items():
             seg = slice((n + k_rho) * d2, (n + k_rho + 1) * d2)
             out[seg] = lu_solve(fac, x[seg])
         return out
 
+    tr = _trace_cols(d, k_rho)
+    rhs = np.zeros(size, dtype=complex)
+    rhs[tr[0]] = 1.0
+    x0 = precond(rhs)
+    if not factors:
+        return x0, _residual(liouv, k_rho, x0)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        y = _apply_block_system(liouv, k_rho, x)
+        y[tr[0]] = x[tr].sum()
+        return y
+
     op = LinearOperator((size, size), matvec=matvec, dtype=complex)
     pre = LinearOperator((size, size), matvec=precond, dtype=complex)
-    rhs = np.zeros(size, dtype=complex)
-    rhs[row0] = 1.0
-    x0 = precond(rhs)
     # one full-memory cycle; restarting loses superlinear convergence here
     vec, code = gmres(
         op, rhs, x0=x0, M=pre, rtol=1e-13, atol=0.0, maxiter=1, restart=min(180, size)
@@ -494,21 +501,19 @@ def _min_eigenvalue(rho: PeriodicOperator) -> float:
 
 
 def _positivity_message(
-    liouv: CountingLiouvillian,
-    k_rho: int,
-    min_eig: float,
-    inner: tuple[int, Callable[[np.ndarray], np.ndarray]] | None,
+    liouv: CountingLiouvillian, k_rho: int, min_eig: float, exact: ExactSolve | None
 ) -> str:
     """Name the cause of a positivity violation with one refinement probe.
 
-    The state is re-solved with k_rho + 2.  Only when that moves the minimum
+    The state is re-solved with k_rho + 2, seeded with the base route's
+    direct factor when there is one.  Only when that moves the minimum
     eigenvalue is the violation blamed on truncation; otherwise it belongs
     to the non-secular (Redfield-type) generator itself, which does not
     guarantee a positive state.
     """
     head = f"reconstructed rho(t) has negative eigenvalue {min_eig:.3e}"
     try:
-        vec, _ = _solve_bordered_gmres(liouv, k_rho + 2, inner=inner)
+        vec, _ = _solve_bordered(liouv, k_rho + 2, exact)
         rho, _, _ = _periodic_state(vec, k_rho + 2, liouv.dim, liouv.omega_L)
     except SteadyStateError as exc:
         return f"{head}; cause unknown, the k_rho={k_rho + 2} probe failed ({exc})"
@@ -525,28 +530,30 @@ def _positivity_message(
 
 
 DENSE_SIZE_LIMIT = 1200
+# defaults of the solver.trace_tol and solver.positivity_tol config keys
+TRACE_TOL = 1e-10
+POSITIVITY_TOL = 1e-8
 
 
 def steady_state(
     liouv: CountingLiouvillian,
     k_rho: int | None = None,
     method: str = "auto",
-    trace_tol: float = 1e-10,
-    positivity_tol: float = 1e-8,
+    trace_tol: float = TRACE_TOL,
+    positivity_tol: float = POSITIVITY_TOL,
 ) -> tuple[PeriodicOperator, SteadyStateInfo]:
     """Solve the harmonic steady-state block system.
 
     ``method`` is "svd" (dense null space, reports singular values), "lu"
-    (dense bordered LU solve), "gmres" (bordered solve, block-diagonal
-    preconditioner), or "auto": svd up to DENSE_SIZE_LIMIT unknowns,
-    otherwise lu for a single reservoir and gmres for two (dense SVD scales
-    as the cube of (2 k_rho + 1) d^2 and is kept for diagnostics and
-    cross-validation).  svd and lu build the block system densely and refuse
-    it above 2.5 GB.  A failed gmres solve falls back to lu, recording why
-    in ``SteadyStateInfo.fallback``; if lu fails too, the error names both
-    causes.  In every bordered variant the trace condition replaces one
-    redundant row of the n = 0 block (the trace functional on that block is
-    an exact left null vector); an exactly singular bordered system means
+    (the bordered solve with the dense bordered LU as its preconditioner,
+    exact, so no iteration), "gmres" (the bordered solve with per-harmonic
+    block factors, iterated), or "auto": svd up to DENSE_SIZE_LIMIT
+    unknowns, otherwise lu for a single reservoir and gmres for two (dense
+    SVD scales as the cube of (2 k_rho + 1) d^2 and is kept for diagnostics
+    and cross-validation).  svd and lu build the block system densely and
+    refuse it above 2.5 GB.  A failed gmres solve falls back to lu,
+    recording why in ``SteadyStateInfo.fallback``; if lu fails too, the
+    error names both causes.  An exactly singular bordered system means
     more than one steady state.  The returned harmonics are trace-normalized
     and Hermitian-symmetrized (rho_{-n} = rho_n^dag is an exact property of
     the solution); positivity of rho(t) and the residual of the block
@@ -557,20 +564,17 @@ def steady_state(
     if k_rho is None:
         k_rho = liouv.suggested_k_rho()
     d = liouv.dim
-    d2 = d * d
-    nb = 2 * k_rho + 1
-    size = nb * d2
+    size = (2 * k_rho + 1) * d * d
     if method == "auto":
         # single-reservoir generators have very slow modes that defeat the
         # gmres preconditioner; they go direct
         large = "lu" if len(liouv.channels) == 1 else "gmres"
         method = "svd" if size <= DENSE_SIZE_LIMIT else large
 
-    sigma_null = sigma_second = None
+    exact = sigma_second = None
     if method == "svd":
         big = _block_system_dense(liouv, k_rho)
         _, s, vh = np.linalg.svd(big)
-        sigma_null = float(s[-1])
         sigma_second = float(s[-2])
         rank_tol = float(s[0]) * 1e-8
         n_null = int(np.sum(s < rank_tol))
@@ -580,16 +584,14 @@ def steady_state(
                 f"second-smallest singular value {sigma_second:.3e}"
             )
         vec = vh[-1].conj()
-        residual = sigma_null / float(s[0])
+        residual = float(s[-1]) / float(s[0])
     elif method == "lu":
         factor = _bordered_factor(_block_system_dense(liouv, k_rho), k_rho, d)
-        rhs = np.zeros(size, dtype=complex)
-        rhs[k_rho * d2] = 1.0
-        vec = lu_solve(factor, rhs)
-        residual = _residual(liouv, k_rho, vec)
+        exact = (k_rho, partial(lu_solve, factor))
+        vec, residual = _solve_bordered(liouv, k_rho, exact)
     elif method == "gmres":
         try:
-            vec, residual = _solve_bordered_gmres(liouv, k_rho)
+            vec, residual = _solve_bordered(liouv, k_rho)
         except SteadyStateError as exc:
             try:
                 result, info = steady_state(
@@ -612,7 +614,6 @@ def steady_state(
         k_rho=k_rho,
         size=size,
         residual=residual,
-        sigma_null=sigma_null,
         sigma_second=sigma_second,
         trace_defect=trace_defect,
         hermiticity_defect=herm_defect,
@@ -624,12 +625,9 @@ def steady_state(
             "raise k_rho / k_ext / n_fock"
         ) from None
     if min_eig < -positivity_tol:
-        inner = None  # gmres: the probe preconditions block-diagonally
-        if method != "gmres":
-            if method == "svd":
-                factor = _bordered_factor(big, k_rho, d)
-            inner = (k_rho, lambda x: lu_solve(factor, x))
-        raise SteadyStateError(_positivity_message(liouv, k_rho, min_eig, inner))
+        if method == "svd":
+            exact = (k_rho, partial(lu_solve, _bordered_factor(big, k_rho, d)))
+        raise SteadyStateError(_positivity_message(liouv, k_rho, min_eig, exact))
     if residual > 1e-8:
         raise SteadyStateError(f"steady-state residual {residual:.3e} above 1.0e-08")
     return result, info

@@ -10,7 +10,7 @@ O(t) = sum_k exp(i k omega_L t) O_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,13 +210,15 @@ def number_operator(n_fock: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TruncationReport:
     top_population: float
-    threshold: float
     passed: bool
-    populations: np.ndarray = field(repr=False)
+
+
+# default of the solver.trunc_threshold config key
+TRUNC_THRESHOLD = 1e-6
 
 
 def fock_truncation_check(
-    rho0: np.ndarray, n_fock: int, threshold: float = 1e-6
+    rho0: np.ndarray, n_fock: int, threshold: float = TRUNC_THRESHOLD
 ) -> TruncationReport:
     """Period-averaged population in the top two Fock levels of the mode.
 
@@ -229,6 +231,4 @@ def fock_truncation_check(
         raise ValueError(f"expected rho of shape {(dim, dim)}, got {rho0.shape}")
     pops = np.einsum("snsn->n", rho0.reshape(2, n_fock, 2, n_fock)).real
     top = float(pops[-1] + pops[-2])
-    return TruncationReport(
-        top_population=top, threshold=threshold, passed=top <= threshold, populations=pops
-    )
+    return TruncationReport(top_population=top, passed=top <= threshold)

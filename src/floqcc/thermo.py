@@ -36,8 +36,13 @@ def first_law_work(qbar_c: float, qbar_h: float) -> float:
     return -qbar_c - qbar_h
 
 
+# defaults of the solver.sigma_tol and solver.regime_tol config keys
+SIGMA_TOL = 1e-10
+REGIME_TOL = 1e-12
+
+
 def entropy_production(
-    qbar_c: float, qbar_h: float, beta_c: float, beta_h: float, tol: float = 1e-10
+    qbar_c: float, qbar_h: float, beta_c: float, beta_h: float, tol: float = SIGMA_TOL
 ) -> float:
     """sigma = -beta_h qbar_h - beta_c qbar_c; raises if negative beyond tol."""
     if not (beta_c > beta_h > 0):
@@ -61,7 +66,7 @@ def effective_cc_temperature(n_mean: float, omega_cc: float) -> float:
 
 
 def classify_regime(
-    qbar_c: float, qbar_h: float, wbar: float, tol: float = 1e-12
+    qbar_c: float, qbar_h: float, wbar: float, tol: float = REGIME_TOL
 ) -> Regime:
     """Operating regime from the signs of the period-averaged flows.
 
@@ -123,7 +128,7 @@ def performance(
     wbar: float,
     beta_c: float,
     beta_h: float,
-    tol: float = 1e-12,
+    tol: float = REGIME_TOL,
 ) -> Performance:
     """Efficiency eta = -wbar/qbar_h in regime I, coefficient of performance
     kappa = qbar_c/wbar in regime IV; None outside the respective regime."""
@@ -159,9 +164,7 @@ class OccupationStatistics:
     thermal_residual: float
 
 
-def occupation_statistics(
-    rho: PeriodicOperator, n_fock: int, eps: float = 1e-30
-) -> OccupationStatistics:
+def occupation_statistics(rho: PeriodicOperator, n_fock: int) -> OccupationStatistics:
     """Period-averaged mode occupation, its variance, and the relative
     deviation from the thermal law var = n (1 + n)."""
     num = number_operator(n_fock)
@@ -170,7 +173,7 @@ def occupation_statistics(
     n2 = float(np.trace(num @ num @ rho0).real)
     n_var = n2 - n_mean**2
     thermal_var = n_mean * (1.0 + n_mean)
-    residual = abs(n_var - thermal_var) / max(n_var, thermal_var, eps)
+    residual = abs(n_var - thermal_var) / max(n_var, thermal_var, 1e-30)
     return OccupationStatistics(n_mean=n_mean, n_var=n_var, thermal_residual=residual)
 
 
@@ -200,8 +203,8 @@ def build_report(
     beta_c: float,
     beta_h: float,
     occupation: OccupationStatistics,
-    regime_tol: float = 1e-12,
-    sigma_tol: float = 1e-10,
+    regime_tol: float = REGIME_TOL,
+    sigma_tol: float = SIGMA_TOL,
 ) -> ThermoReport:
     """Assemble the full report for a two-reservoir run."""
     wbar = first_law_work(qbar_c, qbar_h)

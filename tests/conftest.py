@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from floqcc import generator
 from floqcc.bath import Ohmic, StructuredPeak, map_collective_coordinate
 from floqcc.floquet import build_quasienergy_operator, decompose_operator, solve_floquet
-from floqcc.generator import BathChannel, build_liouvillian, steady_state
+from floqcc.generator import BathChannel, SteadyStateError, build_liouvillian, steady_state
 from floqcc.model import (
     SupersystemSpec,
     build_coupling_operators,
@@ -58,3 +59,17 @@ def solve_pipeline(spec: SupersystemSpec, k_ext: int, k_rho=None, method="auto",
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def stalled_gmres(monkeypatch):
+    """Every iterated bordered solve (no exact central solve) stalls; the
+    direct ``lu`` solve, which runs through the same function, still works."""
+    real = generator._solve_bordered
+
+    def solve(liouv, k_rho, exact=None):
+        if exact is None:
+            raise SteadyStateError("stalled on purpose")
+        return real(liouv, k_rho, exact)
+
+    monkeypatch.setattr(generator, "_solve_bordered", solve)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -5,20 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from floqcc import generator, pipeline
+from floqcc import pipeline
 from floqcc.bath import Ohmic, StructuredPeak
 from floqcc.cli import main, render_csv, render_json
 from floqcc.config import (
     ConfigError,
     RunConfig,
     apply_overrides,
-    config_from_dict,
     config_to_dict,
     parse_config_text,
 )
-from floqcc.generator import SteadyStateError
+from floqcc.floquet import decompose_operator
+from floqcc.generator import SteadyStateError, steady_state
+from floqcc.model import fock_truncation_check
 from floqcc.oracles import SidebandParams, bare_qubit_secular_steady, sideband_cooling_occupation
 from floqcc.pipeline import run_point, run_sweep, sweep_values
+from floqcc.thermo import build_report, classify_regime, entropy_production, performance
 
 FAST_POINT = [
     "--solver.n_fock", "6",
@@ -73,8 +76,25 @@ class TestConfigParsing:
 
     def test_dict_round_trip(self):
         cfg = replace(RunConfig(), mode="phase", g=0.007, sweep_steps=3)
-        again = config_from_dict(config_to_dict(cfg))
-        assert again == cfg
+        text = {key: str(value) for key, value in config_to_dict(cfg).items()}
+        assert apply_overrides(RunConfig(), text) == cfg
+
+    @pytest.mark.parametrize(
+        "key, defaults",
+        [
+            ("amplitude_floor", [(decompose_operator, "amplitude_floor")]),
+            ("positivity_tol", [(steady_state, "positivity_tol")]),
+            ("trace_tol", [(steady_state, "trace_tol")]),
+            ("regime_tol", [(classify_regime, "tol"), (performance, "tol"),
+                            (build_report, "regime_tol")]),
+            ("sigma_tol", [(entropy_production, "tol"), (build_report, "sigma_tol")]),
+            ("trunc_threshold", [(fock_truncation_check, "threshold")]),
+        ],
+    )
+    def test_library_defaults_match_config(self, key, defaults):
+        for func, name in defaults:
+            default = inspect.signature(func).parameters[name].default
+            assert default == getattr(RunConfig(), key), (func.__name__, name)
 
 
 class TestEmission:
@@ -118,7 +138,8 @@ class TestEmission:
     def test_json_round_trips_config(self):
         cfg, result = self._tiny_sweep()
         doc = json.loads(render_json(cfg, result.points))
-        assert config_from_dict(doc["config"]) == cfg
+        text = {key: str(value) for key, value in doc["config"].items()}
+        assert apply_overrides(RunConfig(), text) == cfg
         assert len(doc["rows"]) == 2
         assert doc["rows"][0]["error"] is None
 
@@ -265,11 +286,7 @@ class TestRefinementGates:
             rel = np.max(np.abs(flows - base)) / np.max(np.abs(base))
             assert d.gates[tag] == pytest.approx(rel, rel=1e-12, abs=1e-15), tag
 
-    def test_fallback_reason_reaches_json(self, monkeypatch, tmp_path):
-        def stalled(liouv, k_rho, inner=None):
-            raise SteadyStateError("stalled on purpose")
-
-        monkeypatch.setattr(generator, "_solve_bordered_gmres", stalled)
+    def test_fallback_reason_reaches_json(self, stalled_gmres, tmp_path):
         js = tmp_path / "out.json"
         code = main(
             ["steady", "--model.omegaL", "0.8", "--solver.method", "gmres",

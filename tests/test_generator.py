@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from floqcc import generator
 from floqcc.bath import Ohmic, bose_occupation
@@ -323,10 +325,7 @@ class TestSteadyState:
             steady_state(liouv, k_rho=4, method=method, positivity_tol=-2e-5)
         assert f"k_rho 4->6 leaves it at {direct[6]:.3e}" in str(exc.value)
 
-    def test_failed_fallback_names_both_causes(self, monkeypatch):
-        def stalled(liouv, k_rho, inner=None):
-            raise SteadyStateError("stalled on purpose")
-
+    def test_failed_fallback_names_both_causes(self, monkeypatch, stalled_gmres):
         real_lu_factor = scipy.linalg.lu_factor
 
         def singular(a, overwrite_a=False):
@@ -335,7 +334,6 @@ class TestSteadyState:
 
         spec = fig2_spec(0.75, n_fock=4)
         _, _, liouv, rho_lu, info_lu = solve_pipeline(spec, k_ext=10, method="lu")
-        monkeypatch.setattr(generator, "_solve_bordered_gmres", stalled)
         rho, info = steady_state(liouv, k_rho=info_lu.k_rho, method="gmres")
         assert (info.method, info.fallback) == ("lu", "gmres: stalled on purpose")
         np.testing.assert_array_equal(rho.average, rho_lu.average)
@@ -344,6 +342,46 @@ class TestSteadyState:
             steady_state(liouv, method="gmres")
         assert "stalled on purpose" in str(exc.value)
         assert "bordered system is singular" in str(exc.value)
+
+    def test_lu_solves_without_gmres(self, monkeypatch):
+        # lu is the bordered solve whose preconditioner is the dense factor
+        # itself: one lu_solve of the unit right-hand side, no iteration
+        def no_gmres(*args, **kwargs):
+            raise AssertionError("the lu route must not iterate")
+
+        _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=4), k_ext=10, k_rho=2)
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_gmres)
+        rho, info = steady_state(liouv, k_rho=2, method="lu")
+        d = liouv.dim
+        factor = generator._bordered_factor(generator._block_system_dense(liouv, 2), 2, d)
+        rhs = np.zeros(5 * d * d, dtype=complex)
+        rhs[2 * d * d] = 1.0  # the trace border, first row of the n = 0 block
+        expected, _, _ = generator._periodic_state(
+            scipy.linalg.lu_solve(factor, rhs), 2, d, liouv.omega_L
+        )
+        assert (info.method, info.fallback) == ("lu", None)
+        assert rho.harmonics.keys() == expected.harmonics.keys()
+        for n, m in expected.harmonics.items():
+            np.testing.assert_array_equal(rho.harmonics[n], m)
+
+    def test_no_superoperator_is_kept(self):
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, dict):
+                for v in obj.values():
+                    yield from arrays(v)
+            elif isinstance(obj, (list, tuple)):
+                for v in obj:
+                    yield from arrays(v)
+            elif dataclasses.is_dataclass(obj):
+                yield from arrays(vars(obj))
+
+        _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=3), k_ext=8)
+        steady_state(liouv, method="lu")
+        d2 = liouv.dim**2
+        shapes = {a.shape for a in arrays(vars(liouv))}
+        assert shapes and (d2, d2) not in shapes
 
     @pytest.mark.parametrize("method", ["svd", "lu"])
     def test_dense_memory_guard(self, method):
