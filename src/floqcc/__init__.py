@@ -57,9 +57,8 @@ from .thermo import (
     entropy_production,
     first_law_work,
     occupation_statistics,
-    performance,
 )
 from .config import ConfigError, RunConfig, apply_overrides, parse_config_text
-from .pipeline import PointResult, SweepResult, run_phase, run_point, run_sweep
+from .pipeline import PointResult, SweepResult, run_point, run_sweep
 
 __version__ = "0.1.0"

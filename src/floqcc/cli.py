@@ -37,7 +37,6 @@ from .pipeline import (
     EXTRA_COLUMNS,
     PointResult,
     _peak_frequency,
-    run_phase,
     run_point,
     run_sweep,
 )
@@ -262,10 +261,8 @@ def main(argv: list[str] | None = None) -> int:
             _print_point(point)
             emit(cfg, [point])
             return 0 if point.ok else 1
-        if args.command == "phase":
-            result = run_phase(cfg)
-        else:  # sweep, lasercool, benchmark share the 1-D driver
-            result = run_sweep(cfg)
+        # sweep, phase, lasercool and benchmark all run through run_sweep
+        result = run_sweep(cfg)
         emit(cfg, result.points)
         n = len(result.points)
         print(f"{n - result.n_failed}/{n} points completed", file=sys.stderr)

@@ -56,7 +56,6 @@ class RunConfig:
     gamma: float = 0.0004
     omega_res: float = 0.0  # 0 = derive from the resonance condition
     d_h: float = 0.005
-    hot_omega_ref: float = 0.0  # 0 = omega0
     beta_c: float = 25.0
     beta_h: float = 2.22
 
@@ -64,7 +63,6 @@ class RunConfig:
     n_fock_max: int = 32
     k_ext: int = 0  # 0 = auto
     k_rho: int = 0  # 0 = auto
-    n_window: int = 0  # 0 = auto
     amplitude_floor: float = AMPLITUDE_FLOOR
     method: str = "auto"
     convergence: str = "fast"
@@ -100,7 +98,6 @@ class RunConfig:
             "d_c",
             "gamma",
             "omega_res",
-            "hot_omega_ref",
             "amplitude_floor",
             "trunc_threshold",
             "positivity_tol",
@@ -116,7 +113,7 @@ class RunConfig:
                 raise ConfigError(f"{_KEY_OF[name]} must be >= 1")
         if self.n_fock < 2:
             raise ConfigError("solver.n_fock must be >= 2")
-        for name in ("k_ext", "k_rho", "n_window"):
+        for name in ("k_ext", "k_rho"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{_KEY_OF[name]} must be >= 0 (0 = auto)")
         if self.coupling_form not in COUPLING_FORMS:
@@ -146,10 +143,6 @@ class RunConfig:
                     "without sweep.resonance_lock, bath.cold.omega_res must be set"
                 )
 
-    @property
-    def hot_reference(self) -> float:
-        return self.hot_omega_ref if self.hot_omega_ref > 0 else self.omega0
-
 
 # dotted config key <-> dataclass field
 _FIELD_OF = {
@@ -162,14 +155,12 @@ _FIELD_OF = {
     "bath.cold.gamma": "gamma",
     "bath.cold.omega_res": "omega_res",
     "bath.hot.d_h": "d_h",
-    "bath.hot.omega_ref": "hot_omega_ref",
     "bath.beta_c": "beta_c",
     "bath.beta_h": "beta_h",
     "solver.n_fock": "n_fock",
     "solver.n_fock_max": "n_fock_max",
     "solver.k_ext": "k_ext",
     "solver.k_rho": "k_rho",
-    "solver.n_window": "n_window",
     "solver.amplitude_floor": "amplitude_floor",
     "solver.method": "method",
     "solver.convergence": "convergence",

@@ -45,12 +45,7 @@ from .model import (
     fock_truncation_check,
 )
 from .oracles import SidebandParams, bare_qubit_secular_steady, sideband_cooling_occupation
-from .thermo import (
-    ThermoReport,
-    build_report,
-    effective_cc_temperature,
-    occupation_statistics,
-)
+from .thermo import ThermoReport, build_report, occupation_statistics
 
 
 class PointFailure(RuntimeError):
@@ -74,6 +69,7 @@ class Diagnostics:
     completeness: float
     cc_flow_avg: float
     min_eigenvalue: float
+    rho_tail: list[float]  # max |rho_n| for n = 1..k_rho, 0.0 where pruned
     gates: dict[str, float] = field(default_factory=dict)
 
 
@@ -144,7 +140,7 @@ def _resolve_mapping(cfg: RunConfig) -> tuple[float, float, Ohmic | None]:
 
 
 def _build_spec(cfg: RunConfig, lambda0: float, omega_cc: float, residual, n_fock: int):
-    hot = Ohmic(d_h=cfg.d_h, omega_ref=cfg.hot_reference)
+    hot = Ohmic(d_h=cfg.d_h, omega_ref=cfg.omega0)
     try:
         return SupersystemSpec(
             omega0=cfg.omega0,
@@ -222,11 +218,8 @@ def _generator_stage(cfg: RunConfig, spec: SupersystemSpec, floq: FloquetStage):
         channels.append(
             BathChannel("cold", ops.s_cold_residual, spec.residual_bath, beta=spec.beta_c)
         )
-    n_window = cfg.n_window if cfg.n_window > 0 else None
     jumps = [
-        decompose_operator(
-            ch.coupling, floq.fs, n_window=n_window, amplitude_floor=cfg.amplitude_floor
-        )
+        decompose_operator(ch.coupling, floq.fs, amplitude_floor=cfg.amplitude_floor)
         for ch in channels
     ]
     return build_liouvillian(floq.h, floq.fs, channels, jumps)
@@ -287,13 +280,19 @@ def run_point(cfg: RunConfig) -> PointResult:
         return cfg.k_ext if cfg.k_ext > 0 else _k_ext_auto(cfg, omega_cc, n_fock)
 
     k_rho = cfg.k_rho if cfg.k_rho > 0 else None
+
+    def chain(n_fock: int, k_ext: int, drift_gate: bool):
+        spec = _build_spec(cfg, lambda0, omega_cc, residual, n_fock)
+        floq = _floquet_stage(cfg, spec, k_ext, drift_gate)
+        liouv = _generator_stage(cfg, spec, floq)
+        return spec, floq, liouv, _steady_stage(cfg, liouv, k_rho)
+
     n_fock = max(cfg.n_fock, _n_fock_estimate(cfg, omega_cc, residual))
     try:
         while True:
-            spec = _build_spec(cfg, lambda0, omega_cc, residual, n_fock)
-            floq = _floquet_stage(cfg, spec, k_ext_for(n_fock), cfg.convergence != "off")
-            liouv = _generator_stage(cfg, spec, floq)
-            steady = _steady_stage(cfg, liouv, k_rho)
+            spec, floq, liouv, steady = chain(
+                n_fock, k_ext_for(n_fock), cfg.convergence != "off"
+            )
             trunc = fock_truncation_check(
                 steady.rho.average.real, n_fock, cfg.trunc_threshold
             )
@@ -317,10 +316,8 @@ def run_point(cfg: RunConfig) -> PointResult:
     if cfg.convergence == "full":
 
         def refine_n_fock() -> SteadyStage:
-            spec_r = _build_spec(cfg, lambda0, omega_cc, residual, n_fock + 4)
             k_ext_r = max(floq.fs.k_ext, k_ext_for(n_fock + 4))
-            floq_r = _floquet_stage(cfg, spec_r, k_ext_r, drift_gate=False)
-            return _steady_stage(cfg, _generator_stage(cfg, spec_r, floq_r), k_rho)
+            return chain(n_fock + 4, k_ext_r, drift_gate=False)[-1]
 
         def refine_k_ext() -> SteadyStage:
             floq_r = _checked_floquet(floq.h, floq.refined)
@@ -353,38 +350,23 @@ def run_point(cfg: RunConfig) -> PointResult:
         completeness=floq.completeness,
         cc_flow_avg=cc_flow,
         min_eigenvalue=info.min_eigenvalue,
+        rho_tail=[
+            float(np.max(np.abs(rho.component(n)))) for n in range(1, info.k_rho + 1)
+        ],
         gates=gates,
     )
 
     try:
-        if residual is None:
-            qbar_h = steady.qbar_h
-            report = ThermoReport(
-                qbar_c=math.nan,
-                qbar_h=qbar_h,
-                wbar=-qbar_h,
-                sigma_bar=-cfg.beta_h * qbar_h,
-                beta_cc=effective_cc_temperature(occ.n_mean, omega_cc),
-                n_mean=occ.n_mean,
-                n_var=occ.n_var,
-                thermal_residual=occ.thermal_residual,
-                regime=None,
-                eta=None,
-                kappa=None,
-                eta_carnot=None,
-                kappa_carnot=None,
-            )
-        else:
-            report = build_report(
-                steady.qbar_c,
-                steady.qbar_h,
-                omega_cc,
-                cfg.beta_c,
-                cfg.beta_h,
-                occ,
-                regime_tol=cfg.regime_tol,
-                sigma_tol=cfg.sigma_tol,
-            )
+        report = build_report(
+            steady.qbar_c,
+            steady.qbar_h,
+            omega_cc,
+            cfg.beta_c,
+            cfg.beta_h,
+            occ,
+            regime_tol=cfg.regime_tol,
+            sigma_tol=cfg.sigma_tol,
+        )
     except ValueError as exc:
         return failed(omega_cc, f"[thermo] {exc}", diag)
 
@@ -426,7 +408,7 @@ def _config_extras(cfg: RunConfig) -> dict:
                 cfg.g,
                 cfg.omegaL,
                 StructuredPeak(d_c=cfg.d_c, gamma=cfg.gamma, omega_res=_peak_frequency(cfg)),
-                Ohmic(d_h=cfg.d_h, omega_ref=cfg.hot_reference),
+                Ohmic(d_h=cfg.d_h, omega_ref=cfg.omega0),
                 cfg.beta_c,
                 cfg.beta_h,
             )
@@ -445,15 +427,11 @@ def sweep_values(start: float, stop: float, steps: int) -> np.ndarray:
 
 
 def _point_config(cfg: RunConfig, variable: str, value: float) -> RunConfig:
-    if variable == "omegaL":
-        return replace(cfg, omegaL=float(value))
-    if variable == "d_c":
-        return replace(cfg, d_c=float(value))
-    if variable == "gamma":
-        return replace(cfg, gamma=float(value))
+    """``cfg`` at one sweep value; the detuning ``delta`` sets omegaL, every
+    other sweep variable names its RunConfig field."""
     if variable == "delta":
         return replace(cfg, omegaL=float(cfg.omega0 + value))
-    raise ConfigError(f"unknown sweep variable {variable!r}")
+    return replace(cfg, **{variable: float(value)})
 
 
 @dataclass(frozen=True)
@@ -503,31 +481,21 @@ def _run_many(configs: list[RunConfig]) -> list[PointResult]:
 
 
 def run_sweep(cfg: RunConfig) -> SweepResult:
-    """One row per sweep point; points are independent, partial failures are
-    flagged and the sweep continues.  Raises if every point failed."""
+    """One row per grid point: the sweep values, or for ``phase`` the
+    sweep2 (outer) x sweep (inner) grid flattened row-major.  Points are
+    independent; partial failures are flagged and the sweep continues.
+    Raises if every point failed."""
     cfg.validate()
+    outer = [cfg]
+    if cfg.mode == "phase":
+        values2 = sweep_values(cfg.sweep2_start, cfg.sweep2_stop, cfg.sweep2_steps)
+        outer = [_point_config(cfg, cfg.sweep2_variable, v) for v in values2]
     values = sweep_values(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
-    configs = [_point_config(cfg, cfg.sweep_variable, v) for v in values]
+    configs = [_point_config(base, cfg.sweep_variable, v) for base in outer for v in values]
     points = _run_many(configs)
     result = SweepResult(config=cfg, points=points)
     if result.n_failed == len(points):
         raise SteadyStateError(
             f"all {len(points)} sweep points failed; first error: {points[0].error}"
         )
-    return result
-
-
-def run_phase(cfg: RunConfig) -> SweepResult:
-    """2-D grid: sweep2 (outer) x sweep (inner), flattened row-major."""
-    cfg.validate()
-    outer = sweep_values(cfg.sweep2_start, cfg.sweep2_stop, cfg.sweep2_steps)
-    inner = sweep_values(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
-    configs = []
-    for vo in outer:
-        base = _point_config(cfg, cfg.sweep2_variable, vo)
-        configs.extend(_point_config(base, cfg.sweep_variable, vi) for vi in inner)
-    points = _run_many(configs)
-    result = SweepResult(config=cfg, points=points)
-    if result.n_failed == len(points):
-        raise SteadyStateError("all phase-grid points failed")
     return result

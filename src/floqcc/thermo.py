@@ -1,5 +1,7 @@
 """Steady-state thermodynamics: work closure, entropy production, effective
-mode temperature, operating-regime classification and performance ratios.
+mode temperature, operating-regime classification and performance ratios,
+assembled into one ``ThermoReport`` by ``build_report`` for two reservoirs
+and for the single-reservoir (laser-cooling) limit.
 
 Sign conventions: heat currents are positive into the supersystem; work is
 fixed by the first law, qbar_c + qbar_h + wbar = 0, and negative wbar means
@@ -19,8 +21,7 @@ from .model import PeriodicOperator, number_operator
 
 
 class RegimeError(ValueError):
-    """Sign pattern of the flows is thermodynamically inconsistent, or a
-    performance ratio was requested outside its regime."""
+    """Sign pattern of the flows is thermodynamically inconsistent."""
 
 
 class Regime(enum.Enum):
@@ -115,49 +116,6 @@ def carnot_cop(beta_c: float, beta_h: float) -> float:
 
 
 @dataclass(frozen=True)
-class Performance:
-    eta: float | None
-    kappa: float | None
-    eta_carnot: float
-    kappa_carnot: float
-
-
-def performance(
-    qbar_c: float,
-    qbar_h: float,
-    wbar: float,
-    beta_c: float,
-    beta_h: float,
-    tol: float = REGIME_TOL,
-) -> Performance:
-    """Efficiency eta = -wbar/qbar_h in regime I, coefficient of performance
-    kappa = qbar_c/wbar in regime IV; None outside the respective regime."""
-    if not (beta_c > beta_h > 0):
-        raise ValueError(f"need beta_c > beta_h > 0, got {beta_c}, {beta_h}")
-    regime = classify_regime(qbar_c, qbar_h, wbar, tol)
-    eta = -wbar / qbar_h if regime is Regime.I_HeatEngine else None
-    kappa = qbar_c / wbar if regime is Regime.IV_Refrigerator else None
-    return Performance(
-        eta=eta,
-        kappa=kappa,
-        eta_carnot=carnot_efficiency(beta_c, beta_h),
-        kappa_carnot=carnot_cop(beta_c, beta_h),
-    )
-
-
-def require_performance(
-    qbar_c: float, qbar_h: float, wbar: float, beta_c: float, beta_h: float
-) -> float:
-    """The defined ratio for the current regime; raises outside I and IV."""
-    perf = performance(qbar_c, qbar_h, wbar, beta_c, beta_h)
-    if perf.eta is not None:
-        return perf.eta
-    if perf.kappa is not None:
-        return perf.kappa
-    raise RegimeError("performance ratio undefined outside regimes I and IV")
-
-
-@dataclass(frozen=True)
 class OccupationStatistics:
     n_mean: float
     n_var: float
@@ -179,7 +137,8 @@ def occupation_statistics(rho: PeriodicOperator, n_fock: int) -> OccupationStati
 
 @dataclass(frozen=True)
 class ThermoReport:
-    """Period-averaged thermodynamic observables of one steady state."""
+    """Period-averaged thermodynamic observables of one steady state; the
+    last five fields are None without a cold reservoir."""
 
     qbar_c: float
     qbar_h: float
@@ -189,11 +148,11 @@ class ThermoReport:
     n_mean: float
     n_var: float
     thermal_residual: float
-    regime: Regime | None
-    eta: float | None
-    kappa: float | None
-    eta_carnot: float | None
-    kappa_carnot: float | None
+    regime: Regime | None = None
+    eta: float | None = None
+    kappa: float | None = None
+    eta_carnot: float | None = None
+    kappa_carnot: float | None = None
 
 
 def build_report(
@@ -206,11 +165,40 @@ def build_report(
     regime_tol: float = REGIME_TOL,
     sigma_tol: float = SIGMA_TOL,
 ) -> ThermoReport:
-    """Assemble the full report for a two-reservoir run."""
-    wbar = first_law_work(qbar_c, qbar_h)
-    sigma = entropy_production(qbar_c, qbar_h, beta_c, beta_h, tol=sigma_tol)
-    regime = classify_regime(qbar_c, qbar_h, wbar, tol=regime_tol)
-    perf = performance(qbar_c, qbar_h, wbar, beta_c, beta_h, tol=regime_tol)
+    """Assemble the report of one steady state.
+
+    Two reservoirs: work from the first law, entropy production (raises on
+    a second-law violation), the regime, and the efficiency
+    eta = -wbar/qbar_h in regime I or the coefficient of performance
+    kappa = qbar_c/wbar in regime IV (None in every other regime), with
+    their Carnot bounds.
+
+    A nan ``qbar_c`` means no cold reservoir (laser cooling): the drive's
+    work leaves through the hot bath, wbar = -qbar_h and
+    sigma = -beta_h qbar_h, which must not be negative beyond ``sigma_tol``
+    (a driven system can only dump heat into a single bath); ``beta_c`` is
+    not read.
+    """
+    if math.isnan(qbar_c):
+        wbar = -qbar_h
+        sigma = -beta_h * qbar_h
+        if sigma < -sigma_tol:
+            raise RegimeError(
+                f"entropy production rate {sigma:.3e} < -{sigma_tol:.1e}: heat "
+                f"qbar_h={qbar_h:.3e} drawn from the only reservoir"
+            )
+        ratios = {}
+    else:
+        wbar = first_law_work(qbar_c, qbar_h)
+        sigma = entropy_production(qbar_c, qbar_h, beta_c, beta_h, tol=sigma_tol)
+        regime = classify_regime(qbar_c, qbar_h, wbar, tol=regime_tol)
+        ratios = {
+            "regime": regime,
+            "eta": -wbar / qbar_h if regime is Regime.I_HeatEngine else None,
+            "kappa": qbar_c / wbar if regime is Regime.IV_Refrigerator else None,
+            "eta_carnot": carnot_efficiency(beta_c, beta_h),
+            "kappa_carnot": carnot_cop(beta_c, beta_h),
+        }
     return ThermoReport(
         qbar_c=qbar_c,
         qbar_h=qbar_h,
@@ -220,9 +208,5 @@ def build_report(
         n_mean=occupation.n_mean,
         n_var=occupation.n_var,
         thermal_residual=occupation.thermal_residual,
-        regime=regime,
-        eta=perf.eta,
-        kappa=perf.kappa,
-        eta_carnot=perf.eta_carnot,
-        kappa_carnot=perf.kappa_carnot,
+        **ratios,
     )

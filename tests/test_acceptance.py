@@ -31,7 +31,7 @@ from floqcc.model import (
     number_operator,
 )
 from floqcc.oracles import SidebandParams, propagate, sideband_cooling_occupation
-from floqcc.pipeline import run_phase, run_point, run_sweep, sweep_values
+from floqcc.pipeline import run_point, run_sweep, sweep_values
 from floqcc.thermo import Regime
 
 from conftest import FIG2, fig2_spec, solve_pipeline
@@ -83,7 +83,7 @@ def fig4_grid():
         convergence="off",
     )
     t0 = time.time()
-    result = run_phase(cfg)
+    result = run_sweep(cfg)
     print(f"[fig4 grid: {len(result.points)} points in {time.time() - t0:.0f}s, "
           f"{result.n_failed} failed]")
     return result

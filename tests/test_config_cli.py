@@ -1,7 +1,9 @@
 import inspect
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from floqcc.config import (
     RunConfig,
     apply_overrides,
     config_to_dict,
+    known_keys,
     parse_config_text,
 )
 from floqcc.floquet import decompose_operator
@@ -21,7 +24,7 @@ from floqcc.generator import SteadyStateError, steady_state
 from floqcc.model import fock_truncation_check
 from floqcc.oracles import SidebandParams, bare_qubit_secular_steady, sideband_cooling_occupation
 from floqcc.pipeline import run_point, run_sweep, sweep_values
-from floqcc.thermo import build_report, classify_regime, entropy_production, performance
+from floqcc.thermo import build_report, classify_regime, entropy_production
 
 FAST_POINT = [
     "--solver.n_fock", "6",
@@ -79,14 +82,18 @@ class TestConfigParsing:
         text = {key: str(value) for key, value in config_to_dict(cfg).items()}
         assert apply_overrides(RunConfig(), text) == cfg
 
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config keys", 1)[1].split("```")[1]
+        assert set(re.findall(r"\b[a-z0-9]+(?:\.[A-Za-z0-9_]+)+", block)) == set(known_keys())
+
     @pytest.mark.parametrize(
         "key, defaults",
         [
             ("amplitude_floor", [(decompose_operator, "amplitude_floor")]),
             ("positivity_tol", [(steady_state, "positivity_tol")]),
             ("trace_tol", [(steady_state, "trace_tol")]),
-            ("regime_tol", [(classify_regime, "tol"), (performance, "tol"),
-                            (build_report, "regime_tol")]),
+            ("regime_tol", [(classify_regime, "tol"), (build_report, "regime_tol")]),
             ("sigma_tol", [(entropy_production, "tol"), (build_report, "sigma_tol")]),
             ("trunc_threshold", [(fock_truncation_check, "threshold")]),
         ],
@@ -154,6 +161,40 @@ class TestEmission:
         row_full = render_csv([full.points[1]], "sweep")
         row_single = render_csv([single], "sweep")
         assert row_full == row_single
+
+
+class TestSweepGrid:
+    @pytest.mark.parametrize(
+        "variable, value, field, expected",
+        [
+            ("omegaL", 0.8, "omegaL", 0.8),
+            ("d_c", 0.003, "d_c", 0.003),
+            ("gamma", 2e-4, "gamma", 2e-4),
+            ("delta", -0.25, "omegaL", 0.75),
+        ],
+    )
+    def test_point_config(self, variable, value, field, expected):
+        cfg = replace(RunConfig(), omega0=1.0, omegaL=0.6)
+        point_cfg = pipeline._point_config(cfg, variable, np.float64(value))
+        assert getattr(point_cfg, field) == expected
+        assert type(getattr(point_cfg, field)) is float
+        assert point_cfg == replace(cfg, **{field: expected})
+
+    def test_phase_grid_is_row_major(self):
+        # a coarse Fock truncation: the test checks the grid order, not the physics
+        cfg = replace(
+            RunConfig(), mode="phase", sweep_variable="omegaL", sweep_start=0.75,
+            sweep_stop=0.8, sweep_steps=3, sweep2_variable="d_c", sweep2_start=1e-3,
+            sweep2_stop=2e-3, sweep2_steps=2, n_fock=2, n_fock_max=3,
+            trunc_threshold=0.1, convergence="off",
+        )
+        result = run_sweep(cfg)
+        outer = sweep_values(cfg.sweep2_start, cfg.sweep2_stop, cfg.sweep2_steps)
+        inner = sweep_values(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
+        assert [(p.config.d_c, p.config.omegaL) for p in result.points] == [
+            (float(d_c), float(omega_l)) for d_c in outer for omega_l in inner
+        ]
+        assert result.n_failed == 0
 
 
 class TestResonanceLock:
@@ -285,6 +326,15 @@ class TestRefinementGates:
             flows = np.array([ref.report.qbar_c, ref.report.qbar_h])
             rel = np.max(np.abs(flows - base)) / np.max(np.abs(base))
             assert d.gates[tag] == pytest.approx(rel, rel=1e-12, abs=1e-15), tag
+
+    def test_rho_tail_reaches_json(self, tmp_path):
+        js = tmp_path / "out.json"
+        assert main(["steady", "--model.omegaL", "0.85", "--output.json", str(js)]) == 0
+        conv = json.loads(js.read_text())["rows"][0]["convergence"]
+        tail = conv["rho_tail"]
+        assert len(tail) == conv["k_rho"] >= 2
+        assert tail[0] > 0
+        assert all(b < 1e-2 * a for a, b in zip(tail, tail[1:]))
 
     def test_fallback_reason_reaches_json(self, stalled_gmres, tmp_path):
         js = tmp_path / "out.json"

@@ -17,7 +17,6 @@ from floqcc.thermo import (
     entropy_production,
     first_law_work,
     occupation_statistics,
-    performance,
 )
 
 
@@ -106,21 +105,36 @@ class TestPerformance:
         assert carnot_efficiency(25.0, 2.22) == pytest.approx(0.9112, abs=1e-10)
         assert carnot_cop(25.0, 2.22) == pytest.approx(0.09745390693590869, rel=1e-12)
 
+    @staticmethod
+    def _report(qbar_c, qbar_h):
+        occ = occupation_statistics(thermal_density(40, 0.1), 40)
+        return build_report(qbar_c, qbar_h, 0.25, 25.0, 2.22, occ)
+
     def test_engine_efficiency(self):
-        p = performance(-1.0, 3.0, -2.0, 25.0, 2.22)
-        assert p.eta == pytest.approx(2.0 / 3.0)
-        assert p.kappa is None
+        rep = self._report(-1.0, 3.0)
+        assert rep.regime is Regime.I_HeatEngine
+        assert rep.eta == pytest.approx(2.0 / 3.0)
+        assert rep.kappa is None
 
     def test_refrigerator_cop(self):
-        p = performance(1.0, -3.0, 2.0, 25.0, 2.22)
-        assert p.kappa == pytest.approx(0.5)
-        assert p.eta is None
+        # sigma = 2.22 * 3 - 25 * 0.1 > 0
+        rep = self._report(0.1, -3.0)
+        assert rep.regime is Regime.IV_Refrigerator
+        assert rep.kappa == pytest.approx(0.1 / 2.9)
+        assert rep.eta is None
 
     def test_undefined_outside_regimes(self):
-        from floqcc.thermo import require_performance
-
-        with pytest.raises(RegimeError):
-            require_performance(-1.0, -1.0, 2.0, 25.0, 2.22)
+        cases = [
+            (-1.0, -1.0, Regime.III_Dissipator),
+            (-3.0, 1.0, Regime.II_WorkAssistedPump),
+            (0.0, 0.0, Regime.Boundary),
+        ]
+        for qbar_c, qbar_h, regime in cases:
+            rep = self._report(qbar_c, qbar_h)
+            assert rep.regime is regime
+            assert rep.eta is None and rep.kappa is None
+            assert rep.eta_carnot == carnot_efficiency(25.0, 2.22)
+            assert rep.kappa_carnot == carnot_cop(25.0, 2.22)
 
 
 def thermal_density(n_fock: int, n_mean: float) -> PeriodicOperator:
@@ -160,3 +174,23 @@ class TestBuildReport:
         assert rep.eta == pytest.approx(2.0 / 3.0)
         assert rep.eta_carnot == pytest.approx(0.9112)
         assert rep.beta_cc == pytest.approx(math.log1p(1 / 0.1) / 0.25, rel=1e-9)
+
+    def test_single_reservoir_report(self):
+        occ = occupation_statistics(thermal_density(40, 0.1), 40)
+        # beta_c is not read without a cold reservoir
+        rep = build_report(math.nan, -2e-6, 0.005, 1.0, 1e4, occ)
+        assert math.isnan(rep.qbar_c)
+        assert rep.wbar == 2e-6
+        assert rep.sigma_bar == -1e4 * -2e-6
+        assert rep.beta_cc == effective_cc_temperature(occ.n_mean, 0.005)
+        assert (rep.regime, rep.eta, rep.kappa, rep.eta_carnot, rep.kappa_carnot) == (
+            None, None, None, None, None,
+        )
+
+    def test_single_reservoir_second_law(self):
+        occ = occupation_statistics(thermal_density(40, 0.1), 40)
+        with pytest.raises(RegimeError, match="only reservoir"):
+            build_report(math.nan, 1e-6, 0.005, 1.0, 1e4, occ)
+        # within sigma_tol of zero the point is still reported
+        rep = build_report(math.nan, 1e-15, 0.005, 1.0, 1e4, occ)
+        assert rep.sigma_bar == pytest.approx(-1e-11)
