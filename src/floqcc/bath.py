@@ -14,8 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import IntegrationWarning, quad
-
 
 class MappingError(ValueError):
     """Raised when the analytic collective-coordinate mapping is invalid."""
@@ -142,6 +140,10 @@ def map_collective_coordinate(j: StructuredPeak) -> CCMapping:
 
 
 def _quad_segments(f, segments, quad_limit: int):
+    # imported here: no solve needs quadrature, and scipy.integrate is most of
+    # the package's import time
+    from scipy.integrate import IntegrationWarning, quad
+
     total = 0.0
     err = 0.0
     with warnings.catch_warnings():

@@ -34,8 +34,10 @@ solves the block system i n w rho_n = sum_k L_k rho_{n-k}: by its dense
 SVD null space, or by one bordered solve (the trace condition in place of a
 redundant row) whose preconditioner is the dense LU (``lu``, exact),
 per-harmonic block LUs under GMRES (``gmres``), or both (the positivity
-probe).
-The dense routes share one memory guard: the system must fit in 2.5 GB.
+probe).  The block LUs are taken for n >= 0 only: the generator keeps rho
+Hermitian, so rho -> rho^dag maps the block of harmonic -n onto that of n.
+The dense routes share one memory guard: the system must fit in 2.5 GB;
+the block LUs have their own, 1.5 GB.
 """
 
 from __future__ import annotations
@@ -317,9 +319,7 @@ def _block_system_dense(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
             "(n_fock too large); reduce the problem size"
         )
     big = np.zeros((size, size), dtype=complex, order="F")
-    for n in range(-k_rho, k_rho + 1):
-        i = (n + k_rho) * d2
-        big[i : i + d2, i : i + d2] -= 1j * n * liouv.omega_L * np.eye(d2)
+    big.flat[:: size + 1] = -1j * liouv.omega_L * np.repeat(np.arange(-k_rho, k_rho + 1), d2)
     for q in liouv.no_jump:
         if abs(q) > 2 * k_rho:
             continue
@@ -372,6 +372,12 @@ def _residual(liouv: CountingLiouvillian, k_rho: int, vec: np.ndarray) -> float:
     return float(np.linalg.norm(res) / np.linalg.norm(vec))
 
 
+def _dagger(x: np.ndarray) -> np.ndarray:
+    """rho -> rho^dag on a column-stacked d x d matrix."""
+    d = math.isqrt(x.size)
+    return x.reshape(d, d).T.conj().reshape(-1)
+
+
 ExactSolve = tuple[int, Callable[[np.ndarray], np.ndarray]]
 
 
@@ -382,11 +388,14 @@ def _solve_bordered(
 
     ``exact = (k_in, solve)`` hands the central harmonics |n| <= k_in to an
     exact solve of the bordered k_in system (a dense LU factor); every other
-    harmonic n gets the LU of its diagonal block L_0 - i n w.  With k_in =
-    k_rho the preconditioned right-hand side is the solution.  Otherwise one
-    full-memory GMRES cycle runs on the matrix-free system action: the
-    harmonic coupling is weak, and the exact centre refines a k_in solution
-    to k_rho where the block-diagonal preconditioner alone stalls.
+    harmonic n gets the LU of its diagonal block L_0 - i n w.  The generator
+    keeps rho Hermitian, so J: rho -> rho^dag turns L_0 - i n w into
+    L_0 + i n w: only n >= 0 is factored, and block -n is solved as
+    J lu_solve(factor_n, J x).  With k_in = k_rho the preconditioned
+    right-hand side is the solution.  Otherwise one full-memory GMRES cycle
+    runs on the matrix-free system action: the harmonic coupling is weak,
+    and the exact centre refines a k_in solution to k_rho where the
+    block-diagonal preconditioner alone stalls.
     Returns (solution vector, relative residual of the original system).
     """
     from scipy.linalg import lu_factor, lu_solve
@@ -398,10 +407,11 @@ def _solve_bordered(
     k_in, central_solve = exact if exact is not None else (-1, None)
     outer = [n for n in range(-k_rho, k_rho + 1) if abs(n) > k_in]
 
-    # the factors hold one dense d^2 x d^2 block per outer harmonic; keep a
-    # hard memory guard so oversized problems fail cleanly instead of
-    # thrashing
-    factor_bytes = len(outer) * (d2**2) * 16
+    # the factors hold one dense d^2 x d^2 block per factored harmonic (the
+    # outer harmonics come in pairs +-n); keep a hard memory guard so
+    # oversized problems fail cleanly instead of thrashing
+    factored = [n for n in outer if n >= 0]
+    factor_bytes = len(factored) * (d2**2) * 16
     if factor_bytes > 1_500_000_000:
         raise SteadyStateError(
             f"gmres preconditioner would need {factor_bytes / 1e9:.1f} GB "
@@ -411,12 +421,13 @@ def _solve_bordered(
     if outer:
         l0 = liouv.component(0)
         tr0 = _trace_cols(d, 0)
-        for n in outer:
-            block = l0 - 1j * n * liouv.omega_L * np.eye(d2)
+        for n in factored:
+            block = l0.copy(order="F")
+            block.flat[:: d2 + 1] -= 1j * n * liouv.omega_L
             if n == 0:
                 block[tr0[0], :] = 0.0
                 block[tr0[0], tr0] = 1.0
-            factors[n] = lu_factor(block)
+            factors[n] = lu_factor(block, overwrite_a=True)
         del l0, block
     central = slice((k_rho - k_in) * d2, (k_rho + k_in + 1) * d2)
 
@@ -424,9 +435,12 @@ def _solve_bordered(
         out = np.empty_like(x)
         if central_solve is not None:
             out[central] = central_solve(x[central])
-        for n, fac in factors.items():
+        for n in outer:
             seg = slice((n + k_rho) * d2, (n + k_rho + 1) * d2)
-            out[seg] = lu_solve(fac, x[seg])
+            if n >= 0:
+                out[seg] = lu_solve(factors[n], x[seg])
+            else:
+                out[seg] = _dagger(lu_solve(factors[-n], _dagger(x[seg])))
         return out
 
     tr = _trace_cols(d, k_rho)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .bath import SpectralDensity
 from .floquet import build_quasienergy_operator, decompose_operator, solve_floquet
@@ -86,6 +85,8 @@ def propagate(
     checked when ``conservation_tol`` is set (norm for pure states, trace for
     vectorized density matrices).
     """
+    from scipy.integrate import solve_ivp
+
     if isinstance(rhs_matrix, PeriodicOperator):
         op = rhs_matrix
         matrix_of_t = op.at_time

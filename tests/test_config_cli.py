@@ -1,13 +1,17 @@
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import floqcc
 from floqcc import pipeline
 from floqcc.bath import Ohmic, StructuredPeak
 from floqcc.cli import main, render_csv, render_json
@@ -411,6 +415,17 @@ class TestCLI:
         assert main(["map"] + flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and cause in err
+
+    def test_import_skips_quadrature(self):
+        # no solve uses scipy.integrate, which would dominate the import time;
+        # only the quadrature check of `map` and the time-domain oracles load it
+        src = str(Path(floqcc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, floqcc, floqcc.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_numerical_failure_exit_1(self):
         # resonance lock at omegaL > omega0 cannot map the cold bath

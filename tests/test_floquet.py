@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from floqcc import floquet
 from floqcc.bath import Ohmic
 from floqcc.floquet import (
     DegeneracyError,
@@ -134,6 +136,85 @@ class TestSolveFloquet:
         h = build_supersystem_fourier(spec)
         with pytest.raises((DegeneracyError, Exception)):
             solve_floquet(build_quasienergy_operator(h, spec.omega_L, 1))
+
+
+def flux_loop_hamiltonian(omega_L=0.7):
+    """d = 3 ring whose hoppings t, t, i t enclose a flux: no diagonal phase
+    change makes H_0, or its Sambe lift, real."""
+    h0 = np.diag([0.0, 0.35, 0.8]).astype(complex)
+    for i, j, t in ((0, 1, 0.1), (1, 2, 0.1), (2, 0, 0.1j)):
+        h0[i, j] = t
+        h0[j, i] = np.conj(t)
+    drive = 0.05 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+    return PeriodicOperator(harmonics={0: h0, 1: drive, -1: drive}, omega_L=omega_L)
+
+
+class TestRealGauge:
+    @pytest.fixture
+    def eigh_dtypes(self, monkeypatch):
+        """dtypes of every matrix np.linalg.eigh receives."""
+        seen = []
+        real_eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        return seen
+
+    SPECS = {
+        "sinusoidal": lambda: fig2_spec(0.75, n_fock=4),
+        "static": lambda: fig2_spec(0.75, n_fock=4, coupling_form="static"),
+        "no residual bath": lambda: replace(fig2_spec(0.75, n_fock=4), residual_bath=None),
+    }
+
+    @pytest.mark.parametrize("case", SPECS)
+    def test_model_is_diagonalized_real(self, case, eigh_dtypes):
+        spec = self.SPECS[case]()
+        h = build_supersystem_fourier(spec)
+        solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        assert eigh_dtypes == [np.dtype(np.float64)]
+
+    # t = 0 projector agreement; the static case's Sambe spectrum has a 9e-7
+    # gap, across which a 1e-16 relative perturbation of Q already moves the
+    # complex solver's projectors by 2e-9
+    PROJECTOR_TOL = {"sinusoidal": 1e-10, "static": 1e-8, "no residual bath": 1e-10}
+
+    @pytest.mark.parametrize("case", SPECS)
+    def test_matches_complex_eigh(self, case, monkeypatch):
+        spec = self.SPECS[case]()
+        h = build_supersystem_fourier(spec)
+        q = build_quasienergy_operator(h, spec.omega_L, 8)
+        real, phase = floquet._real_form(q.matrix)
+        w = spec.omega_L
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(real), np.linalg.eigvalsh(q.matrix), rtol=0, atol=1e-12 * w
+        )
+        np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0, atol=1e-15)
+        fs = solve_floquet(q)
+        monkeypatch.setattr(floquet, "_real_form", lambda a: (a, None))
+        ref = solve_floquet(q)
+        np.testing.assert_allclose(fs.quasienergies, ref.quasienergies, rtol=0, atol=1e-12 * w)
+        v, v_ref = fs.state_matrix_at_time(0.0), ref.state_matrix_at_time(0.0)
+        for r in range(fs.dim):
+            np.testing.assert_allclose(
+                np.outer(v[:, r], v[:, r].conj()),
+                np.outer(v_ref[:, r], v_ref[:, r].conj()),
+                rtol=0, atol=self.PROJECTOR_TOL[case],
+            )
+
+    def test_flux_loop_stays_complex(self, eigh_dtypes):
+        h = flux_loop_hamiltonian()
+        q = build_quasienergy_operator(h, h.omega_L, 10)
+        matrix, phase = floquet._real_form(q.matrix)
+        assert phase is None and matrix is q.matrix
+        fs = solve_floquet(q)
+        assert eigh_dtypes == [np.dtype(np.complex128)]
+        period = 2.0 * math.pi / h.omega_L
+        u = one_period_propagator(h)
+        eps_u = np.sort(fold_to_zone(-np.angle(np.linalg.eigvals(u)) / period, h.omega_L))
+        assert np.max(np.abs(eps_u - np.sort(fs.quasienergies))) / h.omega_L < 1e-6
 
 
 class TestDecomposeOperator:

@@ -107,6 +107,20 @@ class TestLiouvillianStructure:
             )
             np.testing.assert_allclose(liouv.apply_component(q, xs), via_matrix, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_dagger_pairs_outer_blocks(self, n):
+        # rho -> rho^dag maps L_0 - i n w onto L_0 + i n w, which lets the
+        # gmres preconditioner factor the n >= 0 blocks only
+        _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=3), k_ext=8)
+        d2 = liouv.dim**2
+        l0 = liouv.component(0)
+        shift = 1j * n * liouv.omega_L * np.eye(d2)
+        x_rng = np.random.default_rng(n)
+        x = x_rng.normal(size=d2) + 1j * x_rng.normal(size=d2)
+        paired = generator._dagger((l0 - shift) @ generator._dagger(x))
+        direct = (l0 + shift) @ x
+        assert np.max(np.abs(paired - direct)) <= 1e-13 * np.max(np.abs(direct))
+
     @pytest.mark.parametrize("k_rho", [1, 2, 4])
     def test_block_system_action_matches_dense(self, k_rho):
         spec = fig2_spec(0.75, n_fock=3)
@@ -363,6 +377,21 @@ class TestSteadyState:
         assert rho.harmonics.keys() == expected.harmonics.keys()
         for n, m in expected.harmonics.items():
             np.testing.assert_array_equal(rho.harmonics[n], m)
+
+    def test_gmres_factors_nonnegative_harmonics_only(self, monkeypatch):
+        real_lu_factor = scipy.linalg.lu_factor
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real_lu_factor(a, *args, **kwargs)
+
+        _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=3), k_ext=8)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        k_rho = 4
+        _, info = steady_state(liouv, k_rho=k_rho, method="gmres")
+        assert (info.method, info.fallback) == ("gmres", None)
+        assert calls == [(liouv.dim**2, liouv.dim**2)] * (k_rho + 1)
 
     def test_no_superoperator_is_kept(self):
         def arrays(obj):
