@@ -32,12 +32,17 @@ Tr{S rho_{-q} G2'_q} + Tr{G1'_q rho_{-q} S}.  The principal-value
 The periodic steady state, a ``PeriodicOperator`` of harmonics rho_n,
 solves the block system i n w rho_n = sum_k L_k rho_{n-k}: by its dense
 SVD null space, or by one bordered solve (the trace condition in place of a
-redundant row) whose preconditioner is the dense LU (``lu``, exact),
+redundant row) whose preconditioner is an exact dense solve (``lu``),
 per-harmonic block LUs under GMRES (``gmres``), or both (the positivity
-probe).  The block LUs are taken for n >= 0 only: the generator keeps rho
-Hermitian, so rho -> rho^dag maps the block of harmonic -n onto that of n.
-The dense routes share one memory guard: the system must fit in 2.5 GB;
-the block LUs have their own, 1.5 GB.
+probe).  Both use that the generator keeps rho Hermitian, rho_{-n} =
+rho_n^dag.  The exact solve is one real LU of the system written in the
+real Hermitian basis (rho_0 by its d^2 Hermitian coordinates, Re and Im of
+rho_n for n >= 1), applied to any complex vector through its split into
+two parts invariant under rho_n -> rho_{-n}^dag.  The block LUs are taken
+for n >= 0 only, since rho -> rho^dag maps the block of harmonic -n onto
+that of n.  The dense systems share one memory guard, 2.5 GB (16 B per
+entry for the complex ``svd`` one, 8 B for the real one); the block LUs
+have their own, 1.5 GB.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -293,7 +298,6 @@ class SteadyStateInfo:
     residual: float
     sigma_second: float | None
     trace_defect: float
-    hermiticity_defect: float
     min_eigenvalue: float
     fallback: str | None = None  # why the requested route was left for lu
 
@@ -305,20 +309,24 @@ def _trace_cols(d: int, k_rho: int) -> np.ndarray:
     return k_rho * d * d + np.arange(d) * (d + 1)
 
 
-def _block_system_dense(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
-    """The harmonic block system as one dense matrix, in Fortran order so
-    LAPACK factors it in place.  Each L_q is built once, placed on its block
-    diagonal and dropped."""
-    d2 = liouv.dim**2
-    nb = 2 * k_rho + 1
-    size = nb * d2
-    dense_bytes = size * size * 16
+def _dense_zeros(size: int, dtype: type) -> np.ndarray:
+    """A zero dense block system in Fortran order, so LAPACK factors it in
+    place; refused above 2.5 GB before anything is allocated."""
+    dense_bytes = size * size * np.dtype(dtype).itemsize
     if dense_bytes > 2_500_000_000:
         raise SteadyStateError(
             f"dense block system of size {size} would need {dense_bytes / 1e9:.1f} GB "
             "(n_fock too large); reduce the problem size"
         )
-    big = np.zeros((size, size), dtype=complex, order="F")
+    return np.zeros((size, size), dtype=dtype, order="F")
+
+
+def _block_system_dense(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
+    """The harmonic block system as one dense complex matrix.  Each L_q is
+    built once, placed on its block diagonal and dropped."""
+    d2 = liouv.dim**2
+    size = (2 * k_rho + 1) * d2
+    big = _dense_zeros(size, complex)
     big.flat[:: size + 1] = -1j * liouv.omega_L * np.repeat(np.arange(-k_rho, k_rho + 1), d2)
     for q in liouv.no_jump:
         if abs(q) > 2 * k_rho:
@@ -331,22 +339,134 @@ def _block_system_dense(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
     return big
 
 
-def _bordered_factor(big: np.ndarray, k_rho: int, d: int):
-    """LU factors of the block system with the trace border in place of its
-    redundant row.  ``big`` is overwritten."""
-    from scipy.linalg import LinAlgWarning, lu_factor
+# The real Hermitian basis.  A stacked vector is J-invariant, J: rho_n ->
+# rho_{-n}^dag, exactly when it holds the harmonics of a Hermitian rho(t).
+# Its real coordinates are rho_0 by its d^2 Hermitian coordinates (at vec
+# position (i, j): Re rho_0[i, j] for i <= j, Im rho_0[i, j] for i > j),
+# then Re rho_n and Im rho_n for n = 1..k_rho: (2 k_rho + 1) d^2 reals.
+# The block system commutes with J, so on J-invariant vectors it is one real
+# system, whose rows are the same coordinates of the harmonics n >= 0.
 
-    tr = _trace_cols(d, k_rho)
-    big[tr[0], :] = 0.0
-    big[tr[0], tr] = 1.0
+
+def _transpose_perm(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """vec(X) -> vec(X^T) as an index map, and the vec positions (i, j) with
+    i > j, on column-stacked d x d matrices."""
+    idx = np.arange(d * d)
+    return idx.reshape(d, d).T.reshape(-1), idx % d > idx // d
+
+
+def _hermitian_coords(x: np.ndarray, k_rho: int) -> np.ndarray:
+    """Real coordinates of a J-invariant stacked vector."""
+    nb = 2 * k_rho + 1
+    blocks = x.reshape(nb, -1)
+    _, lower = _transpose_perm(math.isqrt(blocks.shape[1]))
+    out = np.empty((nb, blocks.shape[1]))
+    out[0] = np.where(lower, blocks[k_rho].imag, blocks[k_rho].real)
+    out[1::2] = blocks[k_rho + 1 :].real
+    out[2::2] = blocks[k_rho + 1 :].imag
+    return out.reshape(-1)
+
+
+def _from_hermitian_coords(r: np.ndarray, k_rho: int) -> np.ndarray:
+    """The J-invariant stacked vector with real coordinates ``r``."""
+    nb = 2 * k_rho + 1
+    coords = r.reshape(nb, -1)
+    perm, lower = _transpose_perm(math.isqrt(coords.shape[1]))
+    h = coords[0]
+    h_lower = np.where(lower, h, 0.0)
+    blocks = np.empty(coords.shape, dtype=complex)
+    blocks[k_rho] = np.where(lower, h[perm], h) + 1j * (h_lower - h_lower[perm])
+    blocks[k_rho + 1 :] = coords[1::2] + 1j * coords[2::2]
+    blocks[:k_rho] = blocks[: k_rho : -1, perm].conj()
+    return blocks.reshape(-1)
+
+
+def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
+    """The bordered block system in the real Hermitian basis, with the trace
+    border in place of the real (0, 0) row, built from each L_q once.
+
+    Block L_q maps input harmonic m to output harmonic n = m + q, and only
+    n >= 0 is kept.  Row coordinate Re y or Im y takes Re(w L_q) with w = 1
+    or -i.  Coordinate Re rho_m enters harmonic m with factor 1 and Im rho_m
+    with i; harmonic -m holds rho_m^dag, so it reads the transpose with
+    factors 1 and -i."""
+    d = liouv.dim
+    d2 = d * d
+    big = _dense_zeros((2 * k_rho + 1) * d2, float)
+    perm, lower = _transpose_perm(d)
+    # rho_0's diagonal leads the real basis, so its trace border is k_rho = 0's
+    diag = _trace_cols(d, 0)
+
+    def add(rows: slice, m: int, w: np.ndarray) -> None:
+        # w: the real rows' factors times L_q, on the complex columns of m
+        if m == 0:
+            # coordinate (i, j) of rho_0 enters at (i, j) and (j, i): with
+            # factors 1 and 1 above the diagonal, i and -i below it
+            wp = w[:, perm]
+            wp[:, diag] = 0.0
+            big[rows, :d2] += np.where(lower, (wp - w).imag, (w + wp).real)
+            return
+        c = (2 * abs(m) - 1) * d2
+        if m > 0:
+            big[rows, c : c + d2] += w.real
+            big[rows, c + d2 : c + 2 * d2] -= w.imag
+        else:
+            wp = w[:, perm]
+            big[rows, c : c + d2] += wp.real
+            big[rows, c + d2 : c + 2 * d2] += wp.imag
+
+    for q in liouv.no_jump:
+        if abs(q) > 2 * k_rho:
+            continue
+        # in the same (Fortran) order as big, so each block adds in cache order
+        lq = np.asfortranarray(liouv.component(q))
+        for n in range(max(0, q - k_rho), min(k_rho, k_rho + q) + 1):
+            if n == 0:
+                add(slice(0, d2), -q, np.where(lower[:, None], -1j * lq, lq))
+            else:
+                r = (2 * n - 1) * d2
+                add(slice(r, r + d2), n - q, lq)
+                add(slice(r + d2, r + 2 * d2), n - q, -1j * lq)
+    # -i n w rho_n: Re y_n gains n w Im rho_n, Im y_n loses n w Re rho_n
+    for n in range(1, k_rho + 1):
+        re = (2 * n - 1) * d2 + np.arange(d2)
+        big[re, re + d2] += n * liouv.omega_L
+        big[re + d2, re] -= n * liouv.omega_L
+    big[diag[0], :] = 0.0
+    big[diag[0], diag] = 1.0
+    return big
+
+
+def _hermitian_solve(liouv: CountingLiouvillian, k_rho: int) -> ExactSolve:
+    """An exact solve of the complex bordered k_rho system from one real LU
+    of ``_real_block_system``.  Any stacked x splits as u + i v into the
+    J-invariant u = (x + Jx)/2 and v = (x - Jx)/(2i); the system commutes
+    with J, so both are solved in the real basis by one two-column
+    ``lu_solve``."""
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+    big = _real_block_system(liouv, k_rho)
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         try:
-            return lu_factor(big, overwrite_a=True)
+            factor = lu_factor(big, overwrite_a=True)
         except LinAlgWarning as exc:
             raise DegenerateSteadyStateError(
                 f"bordered system is singular ({exc}): more than one steady state"
             ) from exc
+    perm, _ = _transpose_perm(liouv.dim)
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        blocks = x.reshape(2 * k_rho + 1, -1)
+        jx = blocks[::-1, perm].conj().reshape(-1)
+        parts = np.stack(
+            [_hermitian_coords((x + jx) / 2, k_rho), _hermitian_coords((x - jx) / 2j, k_rho)],
+            axis=1,
+        )
+        u, v = lu_solve(factor, parts).T
+        return _from_hermitian_coords(u, k_rho) + 1j * _from_hermitian_coords(v, k_rho)
+
+    return k_rho, solve
 
 
 def _apply_block_system(liouv: CountingLiouvillian, k_rho: int, x: np.ndarray) -> np.ndarray:
@@ -387,10 +507,10 @@ def _solve_bordered(
     """The bordered block system solved with a harmonic-block preconditioner.
 
     ``exact = (k_in, solve)`` hands the central harmonics |n| <= k_in to an
-    exact solve of the bordered k_in system (a dense LU factor); every other
-    harmonic n gets the LU of its diagonal block L_0 - i n w.  The generator
-    keeps rho Hermitian, so J: rho -> rho^dag turns L_0 - i n w into
-    L_0 + i n w: only n >= 0 is factored, and block -n is solved as
+    exact solve of the bordered k_in system (``_hermitian_solve``); every
+    other harmonic n gets the LU of its diagonal block L_0 - i n w.  The
+    generator keeps rho Hermitian, so J: rho -> rho^dag turns L_0 - i n w
+    into L_0 + i n w: only n >= 0 is factored, and block -n is solved as
     J lu_solve(factor_n, J x).  With k_in = k_rho the preconditioned
     right-hand side is the solution.  Otherwise one full-memory GMRES cycle
     runs on the matrix-free system action: the harmonic coupling is weak,
@@ -473,9 +593,9 @@ def _solve_bordered(
 
 def _periodic_state(
     vec: np.ndarray, k_rho: int, d: int, omega_L: float
-) -> tuple[PeriodicOperator, float, float]:
+) -> tuple[PeriodicOperator, float]:
     """Trace-normalized, Hermitian-symmetrized harmonics from a stacked
-    solution vector, with the hermiticity and off-harmonic trace defects."""
+    solution vector, with the off-harmonic trace defect."""
     nb = 2 * k_rho + 1
     blocks = vec.reshape(nb, d * d)
     # column-stacking: vec index j*d + i holds element (i, j)
@@ -486,13 +606,9 @@ def _periodic_state(
     for n in rho:
         rho[n] = rho[n] / tr0
 
-    herm_defect = 0.0
     sym = {}
     for n in range(0, k_rho + 1):
-        a = rho[n]
-        b = rho[-n].conj().T
-        herm_defect = max(herm_defect, float(np.max(np.abs(a - b))))
-        avg = 0.5 * (a + b)
+        avg = 0.5 * (rho[n] + rho[-n].conj().T)
         sym[n] = avg
         sym[-n] = avg.conj().T
     trace_defect = max(
@@ -502,7 +618,7 @@ def _periodic_state(
     pruned = {
         n: m for n, m in sym.items() if n == 0 or np.max(np.abs(m)) > 1e-16
     }
-    return PeriodicOperator(harmonics=pruned, omega_L=omega_L), herm_defect, trace_defect
+    return PeriodicOperator(harmonics=pruned, omega_L=omega_L), trace_defect
 
 
 def _min_eigenvalue(rho: PeriodicOperator) -> float:
@@ -528,7 +644,7 @@ def _positivity_message(
     head = f"reconstructed rho(t) has negative eigenvalue {min_eig:.3e}"
     try:
         vec, _ = _solve_bordered(liouv, k_rho + 2, exact)
-        rho, _, _ = _periodic_state(vec, k_rho + 2, liouv.dim, liouv.omega_L)
+        rho, _ = _periodic_state(vec, k_rho + 2, liouv.dim, liouv.omega_L)
     except SteadyStateError as exc:
         return f"{head}; cause unknown, the k_rho={k_rho + 2} probe failed ({exc})"
     moved = _min_eigenvalue(rho)
@@ -559,22 +675,21 @@ def steady_state(
     """Solve the harmonic steady-state block system.
 
     ``method`` is "svd" (dense null space, reports singular values), "lu"
-    (the bordered solve with the dense bordered LU as its preconditioner,
-    exact, so no iteration), "gmres" (the bordered solve with per-harmonic
-    block factors, iterated), or "auto": svd up to DENSE_SIZE_LIMIT
-    unknowns, otherwise lu for a single reservoir and gmres for two (dense
-    SVD scales as the cube of (2 k_rho + 1) d^2 and is kept for diagnostics
-    and cross-validation).  svd and lu build the block system densely and
-    refuse it above 2.5 GB.  A failed gmres solve falls back to lu,
-    recording why in ``SteadyStateInfo.fallback``; if lu fails too, the
-    error names both causes.  An exactly singular bordered system means
+    (the bordered solve with the real LU of the bordered system in the
+    Hermitian basis as its preconditioner, exact, so no iteration), "gmres"
+    (the bordered solve with per-harmonic block factors, iterated), or
+    "auto": svd up to DENSE_SIZE_LIMIT unknowns, otherwise lu for a single
+    reservoir and gmres for two (dense SVD scales as the cube of
+    (2 k_rho + 1) d^2 and is kept for diagnostics and cross-validation).
+    svd and lu build the block system densely (complex and real,
+    respectively) and refuse it above 2.5 GB.  A failed gmres solve falls
+    back to lu, recording why in ``SteadyStateInfo.fallback``; if lu fails
+    too, the error names both causes.  An exactly singular bordered system means
     more than one steady state.  The returned harmonics are trace-normalized
     and Hermitian-symmetrized (rho_{-n} = rho_n^dag is an exact property of
     the solution); positivity of rho(t) and the residual of the block
     equation (at most 1e-8) are checked.
     """
-    from scipy.linalg import lu_solve
-
     if k_rho is None:
         k_rho = liouv.suggested_k_rho()
     d = liouv.dim
@@ -587,8 +702,7 @@ def steady_state(
 
     exact = sigma_second = None
     if method == "svd":
-        big = _block_system_dense(liouv, k_rho)
-        _, s, vh = np.linalg.svd(big)
+        _, s, vh = np.linalg.svd(_block_system_dense(liouv, k_rho))
         sigma_second = float(s[-2])
         rank_tol = float(s[0]) * 1e-8
         n_null = int(np.sum(s < rank_tol))
@@ -600,8 +714,7 @@ def steady_state(
         vec = vh[-1].conj()
         residual = float(s[-1]) / float(s[0])
     elif method == "lu":
-        factor = _bordered_factor(_block_system_dense(liouv, k_rho), k_rho, d)
-        exact = (k_rho, partial(lu_solve, factor))
+        exact = _hermitian_solve(liouv, k_rho)
         vec, residual = _solve_bordered(liouv, k_rho, exact)
     elif method == "gmres":
         try:
@@ -620,7 +733,7 @@ def steady_state(
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
 
-    result, herm_defect, trace_defect = _periodic_state(vec, k_rho, d, liouv.omega_L)
+    result, trace_defect = _periodic_state(vec, k_rho, d, liouv.omega_L)
     min_eig = _min_eigenvalue(result)
 
     info = SteadyStateInfo(
@@ -630,7 +743,6 @@ def steady_state(
         residual=residual,
         sigma_second=sigma_second,
         trace_defect=trace_defect,
-        hermiticity_defect=herm_defect,
         min_eigenvalue=min_eig,
     )
     if trace_defect > trace_tol:
@@ -640,7 +752,7 @@ def steady_state(
         ) from None
     if min_eig < -positivity_tol:
         if method == "svd":
-            exact = (k_rho, partial(lu_solve, _bordered_factor(big, k_rho, d)))
+            exact = _hermitian_solve(liouv, k_rho)
         raise SteadyStateError(_positivity_message(liouv, k_rho, min_eig, exact))
     if residual > 1e-8:
         raise SteadyStateError(f"steady-state residual {residual:.3e} above 1.0e-08")

@@ -359,7 +359,7 @@ class TestSteadyState:
 
     def test_lu_solves_without_gmres(self, monkeypatch):
         # lu is the bordered solve whose preconditioner is the dense factor
-        # itself: one lu_solve of the unit right-hand side, no iteration
+        # itself: one solve of the unit right-hand side, no iteration
         def no_gmres(*args, **kwargs):
             raise AssertionError("the lu route must not iterate")
 
@@ -367,12 +367,10 @@ class TestSteadyState:
         monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_gmres)
         rho, info = steady_state(liouv, k_rho=2, method="lu")
         d = liouv.dim
-        factor = generator._bordered_factor(generator._block_system_dense(liouv, 2), 2, d)
+        _, solve = generator._hermitian_solve(liouv, 2)
         rhs = np.zeros(5 * d * d, dtype=complex)
         rhs[2 * d * d] = 1.0  # the trace border, first row of the n = 0 block
-        expected, _, _ = generator._periodic_state(
-            scipy.linalg.lu_solve(factor, rhs), 2, d, liouv.omega_L
-        )
+        expected, _ = generator._periodic_state(solve(rhs), 2, d, liouv.omega_L)
         assert (info.method, info.fallback) == ("lu", None)
         assert rho.harmonics.keys() == expected.harmonics.keys()
         for n, m in expected.harmonics.items():
@@ -392,6 +390,40 @@ class TestSteadyState:
         _, info = steady_state(liouv, k_rho=k_rho, method="gmres")
         assert (info.method, info.fallback) == ("gmres", None)
         assert calls == [(liouv.dim**2, liouv.dim**2)] * (k_rho + 1)
+
+    def test_lu_factors_one_real_system(self, monkeypatch):
+        real_lu_factor = scipy.linalg.lu_factor
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append((a.shape, a.dtype))
+            return real_lu_factor(a, *args, **kwargs)
+
+        _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=3), k_ext=8)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+        k_rho = 3
+        _, info = steady_state(liouv, k_rho=k_rho, method="lu")
+        size = (2 * k_rho + 1) * liouv.dim**2
+        assert (info.method, info.size) == ("lu", size)
+        assert calls == [((size, size), np.dtype(np.float64))]
+
+    @pytest.mark.parametrize("k_rho", [1, 3])
+    def test_real_solve_inverts_bordered_system(self, k_rho):
+        # the real Hermitian-basis solve of any complex vector (not only a
+        # J-invariant one, as GMRES hands it Krylov vectors) against the
+        # complex bordered system
+        _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=3), k_ext=8)
+        d = liouv.dim
+        big = generator._block_system_dense(liouv, k_rho)
+        tr = generator._trace_cols(d, k_rho)
+        big[tr[0], :] = 0.0
+        big[tr[0], tr] = 1.0
+        k_in, solve = generator._hermitian_solve(liouv, k_rho)
+        y_rng = np.random.default_rng(k_rho)
+        y = y_rng.normal(size=big.shape[0]) + 1j * y_rng.normal(size=big.shape[0])
+        x = solve(y)
+        assert k_in == k_rho
+        assert np.linalg.norm(big @ x - y) <= 1e-12 * np.linalg.norm(y)
 
     def test_no_superoperator_is_kept(self):
         def arrays(obj):
@@ -414,11 +446,13 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("method", ["svd", "lu"])
     def test_dense_memory_guard(self, method):
-        # d = 4, k_rho = 400: a 12816^2 complex system needs 2.6 GB; the
-        # guard refuses it before allocating anything
+        # d = 4: svd's complex 12816^2 system at k_rho = 400 and lu's real
+        # 17936^2 one at k_rho = 560 each need 2.6 GB; the guard refuses them
+        # before allocating anything
+        k_rho = {"svd": 400, "lu": 560}[method]
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=2), k_ext=6)
         with pytest.raises(SteadyStateError, match=r"would need 2\.6 GB"):
-            steady_state(liouv, k_rho=400, method=method)
+            steady_state(liouv, k_rho=k_rho, method=method)
 
     def test_stroboscopic_relaxation_strong_damping(self, rng):
         # fast-relaxing variant: one-period monodromy applied 200 times from
