@@ -108,11 +108,14 @@ class RunConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{_KEY_OF[name]} must be finite and >= 0, got {v}")
-        for name in ("n_fock", "n_fock_max", "sweep_steps", "sweep2_steps"):
+        for name in ("sweep_steps", "sweep2_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{_KEY_OF[name]} must be >= 1")
-        if self.n_fock < 2:
-            raise ConfigError("solver.n_fock must be >= 2")
+        if not 2 <= self.n_fock <= self.n_fock_max:
+            raise ConfigError(
+                f"solver.n_fock must be >= 2 and <= solver.n_fock_max "
+                f"({self.n_fock_max}), got {self.n_fock}"
+            )
         for name in ("k_ext", "k_rho"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{_KEY_OF[name]} must be >= 0 (0 = auto)")
@@ -126,6 +129,18 @@ class RunConfig:
             raise ConfigError(f"sweep.variable must be one of {SWEEP_VARIABLES}")
         if self.sweep2_variable not in SWEEP_VARIABLES:
             raise ConfigError(f"sweep2.variable must be one of {SWEEP_VARIABLES}")
+        if self.mode == "phase":
+            # the detuning delta = omegaL - omega0 sets omegaL
+            swept = {
+                "omegaL" if v == "delta" else v
+                for v in (self.sweep_variable, self.sweep2_variable)
+            }
+            if len(swept) == 1:
+                raise ConfigError(
+                    f"phase grid: sweep.variable={self.sweep_variable} and "
+                    f"sweep2.variable={self.sweep2_variable} both set {swept.pop()}, "
+                    "so the inner axis would overwrite the outer one"
+                )
         if self.mode == "lasercool":
             if self.omega_res <= 0:
                 raise ConfigError(

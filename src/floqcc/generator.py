@@ -34,15 +34,13 @@ solves the block system i n w rho_n = sum_k L_k rho_{n-k}: by its dense
 SVD null space, or by one bordered solve (the trace condition in place of a
 redundant row) whose preconditioner is an exact dense solve (``lu``),
 per-harmonic block LUs under GMRES (``gmres``), or both (the positivity
-probe).  Both use that the generator keeps rho Hermitian, rho_{-n} =
-rho_n^dag.  The exact solve is one real LU of the system written in the
-real Hermitian basis (rho_0 by its d^2 Hermitian coordinates, Re and Im of
-rho_n for n >= 1), applied to any complex vector through its split into
-two parts invariant under rho_n -> rho_{-n}^dag.  The block LUs are taken
-for n >= 0 only, since rho -> rho^dag maps the block of harmonic -n onto
-that of n.  The dense systems share one memory guard, 2.5 GB (16 B per
-entry for the complex ``svd`` one, 8 B for the real one); the block LUs
-have their own, 1.5 GB.
+probe).  The generator keeps rho Hermitian, rho_{-n} = rho_n^dag, so the
+bordered solve runs in the real Hermitian basis: its unknowns are rho_0 by
+its d^2 Hermitian coordinates and Re and Im of rho_n for n >= 1.  The
+exact solve is one real LU of the system in that basis; the block LUs are
+complex, one per harmonic n >= 0.  The dense systems share one memory
+guard, 2.5 GB (16 B per entry for the complex ``svd`` one, 8 B for the
+real one); the block LUs have their own, 1.5 GB.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -296,6 +293,7 @@ class SteadyStateInfo:
     k_rho: int
     size: int
     residual: float
+    iterations: int  # GMRES iterations; 0 on the direct routes
     sigma_second: float | None
     trace_defect: float
     min_eigenvalue: float
@@ -437,36 +435,23 @@ def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
     return big
 
 
-def _hermitian_solve(liouv: CountingLiouvillian, k_rho: int) -> ExactSolve:
-    """An exact solve of the complex bordered k_rho system from one real LU
-    of ``_real_block_system``.  Any stacked x splits as u + i v into the
-    J-invariant u = (x + Jx)/2 and v = (x - Jx)/(2i); the system commutes
-    with J, so both are solved in the real basis by one two-column
-    ``lu_solve``."""
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+ExactFactor = tuple[int, tuple[np.ndarray, np.ndarray]]
+
+
+def _real_factor(liouv: CountingLiouvillian, k_rho: int) -> ExactFactor:
+    """(k_rho, the LU of ``_real_block_system``): an exact solve of the
+    bordered k_rho system in the real Hermitian basis."""
+    from scipy.linalg import LinAlgWarning, lu_factor
 
     big = _real_block_system(liouv, k_rho)
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         try:
-            factor = lu_factor(big, overwrite_a=True)
+            return k_rho, lu_factor(big, overwrite_a=True)
         except LinAlgWarning as exc:
             raise DegenerateSteadyStateError(
                 f"bordered system is singular ({exc}): more than one steady state"
             ) from exc
-    perm, _ = _transpose_perm(liouv.dim)
-
-    def solve(x: np.ndarray) -> np.ndarray:
-        blocks = x.reshape(2 * k_rho + 1, -1)
-        jx = blocks[::-1, perm].conj().reshape(-1)
-        parts = np.stack(
-            [_hermitian_coords((x + jx) / 2, k_rho), _hermitian_coords((x - jx) / 2j, k_rho)],
-            axis=1,
-        )
-        u, v = lu_solve(factor, parts).T
-        return _from_hermitian_coords(u, k_rho) + 1j * _from_hermitian_coords(v, k_rho)
-
-    return k_rho, solve
 
 
 def _apply_block_system(liouv: CountingLiouvillian, k_rho: int, x: np.ndarray) -> np.ndarray:
@@ -492,31 +477,26 @@ def _residual(liouv: CountingLiouvillian, k_rho: int, vec: np.ndarray) -> float:
     return float(np.linalg.norm(res) / np.linalg.norm(vec))
 
 
-def _dagger(x: np.ndarray) -> np.ndarray:
-    """rho -> rho^dag on a column-stacked d x d matrix."""
-    d = math.isqrt(x.size)
-    return x.reshape(d, d).T.conj().reshape(-1)
-
-
-ExactSolve = tuple[int, Callable[[np.ndarray], np.ndarray]]
-
-
 def _solve_bordered(
-    liouv: CountingLiouvillian, k_rho: int, exact: ExactSolve | None = None
-) -> tuple[np.ndarray, float]:
-    """The bordered block system solved with a harmonic-block preconditioner.
+    liouv: CountingLiouvillian, k_rho: int, exact: ExactFactor | None = None
+) -> tuple[np.ndarray, float, int]:
+    """The bordered block system in the real Hermitian basis, solved with a
+    harmonic-block preconditioner.
 
-    ``exact = (k_in, solve)`` hands the central harmonics |n| <= k_in to an
-    exact solve of the bordered k_in system (``_hermitian_solve``); every
-    other harmonic n gets the LU of its diagonal block L_0 - i n w.  The
-    generator keeps rho Hermitian, so J: rho -> rho^dag turns L_0 - i n w
-    into L_0 + i n w: only n >= 0 is factored, and block -n is solved as
-    J lu_solve(factor_n, J x).  With k_in = k_rho the preconditioned
-    right-hand side is the solution.  Otherwise one full-memory GMRES cycle
-    runs on the matrix-free system action: the harmonic coupling is weak,
-    and the exact centre refines a k_in solution to k_rho where the
-    block-diagonal preconditioner alone stalls.
-    Returns (solution vector, relative residual of the original system).
+    The unknowns are the real coordinates of the harmonics n >= 0
+    (``_hermitian_coords``), with the trace border on coordinate 0.
+    ``exact = (k_in, factor)`` hands the central harmonics |n| <= k_in, a
+    prefix of the coordinates, to the LU of the bordered k_in system
+    (``_real_factor``).  Every other harmonic n >= 1 gets the complex LU of
+    its diagonal block L_0 - i n w, applied to Re + i Im of its two
+    coordinate blocks; without an exact centre, rho_0 gets the complex LU of
+    the bordered L_0, applied to the Hermitian rho_0.  With k_in = k_rho the
+    preconditioned right-hand side is the solution.  Otherwise one
+    full-memory GMRES cycle runs on the matrix-free system action: the
+    harmonic coupling is weak, and the exact centre refines a k_in solution
+    to k_rho where the block-diagonal preconditioner alone stalls.
+    Returns (real coordinates, relative residual of the original system,
+    GMRES iterations).
     """
     from scipy.linalg import lu_factor, lu_solve
     from scipy.sparse.linalg import LinearOperator, gmres
@@ -524,14 +504,13 @@ def _solve_bordered(
     d = liouv.dim
     d2 = d * d
     size = (2 * k_rho + 1) * d2
-    k_in, central_solve = exact if exact is not None else (-1, None)
-    outer = [n for n in range(-k_rho, k_rho + 1) if abs(n) > k_in]
+    k_in, central = exact if exact is not None else (-1, None)
+    outer = range(k_in + 1, k_rho + 1)
 
-    # the factors hold one dense d^2 x d^2 block per factored harmonic (the
-    # outer harmonics come in pairs +-n); keep a hard memory guard so
-    # oversized problems fail cleanly instead of thrashing
-    factored = [n for n in outer if n >= 0]
-    factor_bytes = len(factored) * (d2**2) * 16
+    # the factors hold one dense d^2 x d^2 block per outer harmonic n >= 0;
+    # keep a hard memory guard so oversized problems fail cleanly instead of
+    # thrashing
+    factor_bytes = len(outer) * (d2**2) * 16
     if factor_bytes > 1_500_000_000:
         raise SteadyStateError(
             f"gmres preconditioner would need {factor_bytes / 1e9:.1f} GB "
@@ -541,7 +520,7 @@ def _solve_bordered(
     if outer:
         l0 = liouv.component(0)
         tr0 = _trace_cols(d, 0)
-        for n in factored:
+        for n in outer:
             block = l0.copy(order="F")
             block.flat[:: d2 + 1] -= 1j * n * liouv.omega_L
             if n == 0:
@@ -549,75 +528,70 @@ def _solve_bordered(
                 block[tr0[0], tr0] = 1.0
             factors[n] = lu_factor(block, overwrite_a=True)
         del l0, block
-    central = slice((k_rho - k_in) * d2, (k_rho + k_in + 1) * d2)
 
-    def precond(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        if central_solve is not None:
-            out[central] = central_solve(x[central])
-        for n in outer:
-            seg = slice((n + k_rho) * d2, (n + k_rho + 1) * d2)
-            if n >= 0:
-                out[seg] = lu_solve(factors[n], x[seg])
+    def precond(r: np.ndarray) -> np.ndarray:
+        out = np.empty_like(r)
+        if central is not None:
+            c = (2 * k_in + 1) * d2
+            out[:c] = lu_solve(central, r[:c])
+        blocks, out_blocks = r.reshape(-1, d2), out.reshape(-1, d2)
+        for n, factor in factors.items():
+            if n == 0:
+                rho0 = lu_solve(factor, _from_hermitian_coords(blocks[0], 0))
+                out_blocks[0] = _hermitian_coords(rho0, 0)
             else:
-                out[seg] = _dagger(lu_solve(factors[-n], _dagger(x[seg])))
+                rho_n = lu_solve(factor, blocks[2 * n - 1] + 1j * blocks[2 * n])
+                out_blocks[2 * n - 1], out_blocks[2 * n] = rho_n.real, rho_n.imag
         return out
 
-    tr = _trace_cols(d, k_rho)
-    rhs = np.zeros(size, dtype=complex)
-    rhs[tr[0]] = 1.0
+    rhs = np.zeros(size)
+    rhs[0] = 1.0
     x0 = precond(rhs)
     if not factors:
-        return x0, _residual(liouv, k_rho, x0)
+        return x0, _residual(liouv, k_rho, _from_hermitian_coords(x0, k_rho)), 0
+
+    diag = _trace_cols(d, 0)
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        y = _apply_block_system(liouv, k_rho, x)
-        y[tr[0]] = x[tr].sum()
-        return y
+        y = _apply_block_system(liouv, k_rho, _from_hermitian_coords(x, k_rho))
+        out = _hermitian_coords(y, k_rho)
+        out[0] = x[diag].sum()
+        return out
 
-    op = LinearOperator((size, size), matvec=matvec, dtype=complex)
-    pre = LinearOperator((size, size), matvec=precond, dtype=complex)
+    iterations = 0
+
+    def count(_: float) -> None:
+        nonlocal iterations
+        iterations += 1
+
+    op = LinearOperator((size, size), matvec=matvec, dtype=float)
+    pre = LinearOperator((size, size), matvec=precond, dtype=float)
     # one full-memory cycle; restarting loses superlinear convergence here
     vec, code = gmres(
-        op, rhs, x0=x0, M=pre, rtol=1e-13, atol=0.0, maxiter=1, restart=min(180, size)
+        op, rhs, x0=x0, M=pre, rtol=1e-13, atol=0.0, maxiter=1, restart=min(180, size),
+        callback=count, callback_type="pr_norm",
     )
-    residual = _residual(liouv, k_rho, vec)
+    residual = _residual(liouv, k_rho, _from_hermitian_coords(vec, k_rho))
     if residual > 1e-10:
         # generators with very slow modes (e.g. an undamped mode cooled only
         # through drive sidebands) defeat the block preconditioner; escalate
         raise SteadyStateError(
             f"preconditioned GMRES stalled (code {code}, residual {residual:.2e})"
         )
-    return vec, residual
+    return vec, residual, iterations
 
 
 def _periodic_state(
-    vec: np.ndarray, k_rho: int, d: int, omega_L: float
+    coords: np.ndarray, k_rho: int, d: int, omega_L: float
 ) -> tuple[PeriodicOperator, float]:
-    """Trace-normalized, Hermitian-symmetrized harmonics from a stacked
-    solution vector, with the off-harmonic trace defect."""
-    nb = 2 * k_rho + 1
-    blocks = vec.reshape(nb, d * d)
+    """Trace-normalized harmonics from the real coordinates of a solution,
+    with the off-harmonic trace defect."""
+    coords = coords / coords[_trace_cols(d, 0)].sum()
+    blocks = _from_hermitian_coords(coords, k_rho).reshape(2 * k_rho + 1, d, d)
     # column-stacking: vec index j*d + i holds element (i, j)
-    rho = {n - k_rho: blocks[n].reshape(d, d).T.copy() for n in range(nb)}
-    tr0 = np.trace(rho[0])
-    if abs(tr0) < 1e-14:
-        raise SteadyStateError("null vector has (numerically) traceless rho_0")
-    for n in rho:
-        rho[n] = rho[n] / tr0
-
-    sym = {}
-    for n in range(0, k_rho + 1):
-        avg = 0.5 * (rho[n] + rho[-n].conj().T)
-        sym[n] = avg
-        sym[-n] = avg.conj().T
-    trace_defect = max(
-        float(abs(np.trace(sym[n]))) for n in sym if n != 0
-    ) if k_rho > 0 else 0.0
-
-    pruned = {
-        n: m for n, m in sym.items() if n == 0 or np.max(np.abs(m)) > 1e-16
-    }
+    rho = {n - k_rho: m.T.copy() for n, m in enumerate(blocks)}
+    trace_defect = max((float(abs(np.trace(rho[n]))) for n in range(1, k_rho + 1)), default=0.0)
+    pruned = {n: m for n, m in rho.items() if n == 0 or np.max(np.abs(m)) > 1e-16}
     return PeriodicOperator(harmonics=pruned, omega_L=omega_L), trace_defect
 
 
@@ -631,7 +605,7 @@ def _min_eigenvalue(rho: PeriodicOperator) -> float:
 
 
 def _positivity_message(
-    liouv: CountingLiouvillian, k_rho: int, min_eig: float, exact: ExactSolve | None
+    liouv: CountingLiouvillian, k_rho: int, min_eig: float, exact: ExactFactor | None
 ) -> str:
     """Name the cause of a positivity violation with one refinement probe.
 
@@ -643,8 +617,8 @@ def _positivity_message(
     """
     head = f"reconstructed rho(t) has negative eigenvalue {min_eig:.3e}"
     try:
-        vec, _ = _solve_bordered(liouv, k_rho + 2, exact)
-        rho, _ = _periodic_state(vec, k_rho + 2, liouv.dim, liouv.omega_L)
+        coords, _, _ = _solve_bordered(liouv, k_rho + 2, exact)
+        rho, _ = _periodic_state(coords, k_rho + 2, liouv.dim, liouv.omega_L)
     except SteadyStateError as exc:
         return f"{head}; cause unknown, the k_rho={k_rho + 2} probe failed ({exc})"
     moved = _min_eigenvalue(rho)
@@ -675,9 +649,10 @@ def steady_state(
     """Solve the harmonic steady-state block system.
 
     ``method`` is "svd" (dense null space, reports singular values), "lu"
-    (the bordered solve with the real LU of the bordered system in the
-    Hermitian basis as its preconditioner, exact, so no iteration), "gmres"
-    (the bordered solve with per-harmonic block factors, iterated), or
+    (the bordered solve in the real Hermitian basis with the real LU of the
+    whole system as its preconditioner, exact, so no iteration), "gmres"
+    (the same solve with per-harmonic block factors, iterated, the count in
+    ``SteadyStateInfo.iterations``), or
     "auto": svd up to DENSE_SIZE_LIMIT unknowns, otherwise lu for a single
     reservoir and gmres for two (dense SVD scales as the cube of
     (2 k_rho + 1) d^2 and is kept for diagnostics and cross-validation).
@@ -685,9 +660,10 @@ def steady_state(
     respectively) and refuse it above 2.5 GB.  A failed gmres solve falls
     back to lu, recording why in ``SteadyStateInfo.fallback``; if lu fails
     too, the error names both causes.  An exactly singular bordered system means
-    more than one steady state.  The returned harmonics are trace-normalized
-    and Hermitian-symmetrized (rho_{-n} = rho_n^dag is an exact property of
-    the solution); positivity of rho(t) and the residual of the block
+    more than one steady state.  Every route yields the real Hermitian
+    coordinates of the state (for svd, of the null vector of trace 1), so
+    rho_{-n} = rho_n^dag holds exactly; the returned harmonics are
+    trace-normalized, and positivity of rho(t) and the residual of the block
     equation (at most 1e-8) are checked.
     """
     if k_rho is None:
@@ -701,6 +677,7 @@ def steady_state(
         method = "svd" if size <= DENSE_SIZE_LIMIT else large
 
     exact = sigma_second = None
+    iterations = 0
     if method == "svd":
         _, s, vh = np.linalg.svd(_block_system_dense(liouv, k_rho))
         sigma_second = float(s[-2])
@@ -712,13 +689,18 @@ def steady_state(
                 f"second-smallest singular value {sigma_second:.3e}"
             )
         vec = vh[-1].conj()
+        tr0 = vec[_trace_cols(d, k_rho)].sum()
+        if abs(tr0) < 1e-14:
+            raise SteadyStateError("null vector has (numerically) traceless rho_0")
+        # the null vector of trace 1 is the one invariant under rho -> rho^dag
+        coords = _hermitian_coords(vec / tr0, k_rho)
         residual = float(s[-1]) / float(s[0])
     elif method == "lu":
-        exact = _hermitian_solve(liouv, k_rho)
-        vec, residual = _solve_bordered(liouv, k_rho, exact)
+        exact = _real_factor(liouv, k_rho)
+        coords, residual, _ = _solve_bordered(liouv, k_rho, exact)
     elif method == "gmres":
         try:
-            vec, residual = _solve_bordered(liouv, k_rho)
+            coords, residual, iterations = _solve_bordered(liouv, k_rho)
         except SteadyStateError as exc:
             try:
                 result, info = steady_state(
@@ -733,7 +715,7 @@ def steady_state(
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
 
-    result, trace_defect = _periodic_state(vec, k_rho, d, liouv.omega_L)
+    result, trace_defect = _periodic_state(coords, k_rho, d, liouv.omega_L)
     min_eig = _min_eigenvalue(result)
 
     info = SteadyStateInfo(
@@ -741,6 +723,7 @@ def steady_state(
         k_rho=k_rho,
         size=size,
         residual=residual,
+        iterations=iterations,
         sigma_second=sigma_second,
         trace_defect=trace_defect,
         min_eigenvalue=min_eig,
@@ -752,7 +735,7 @@ def steady_state(
         ) from None
     if min_eig < -positivity_tol:
         if method == "svd":
-            exact = _hermitian_solve(liouv, k_rho)
+            exact = _real_factor(liouv, k_rho)
         raise SteadyStateError(_positivity_message(liouv, k_rho, min_eig, exact))
     if residual > 1e-8:
         raise SteadyStateError(f"steady-state residual {residual:.3e} above 1.0e-08")

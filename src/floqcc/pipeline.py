@@ -64,6 +64,7 @@ class Diagnostics:
     method: str
     fallback: str | None
     residual: float
+    iterations: int  # GMRES iterations of the steady solve, 0 on lu and svd
     sigma_second: float | None
     trunc_top: float
     completeness: float
@@ -345,6 +346,7 @@ def run_point(cfg: RunConfig) -> PointResult:
         method=info.method,
         fallback=info.fallback,
         residual=info.residual,
+        iterations=info.iterations,
         sigma_second=info.sigma_second,
         trunc_top=trunc.top_population,
         completeness=floq.completeness,

@@ -74,6 +74,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="omega_res"):
             replace(RunConfig(), mode="lasercool").validate()
 
+    def test_n_fock_within_ceiling(self):
+        RunConfig(n_fock=32, n_fock_max=32).validate()
+        with pytest.raises(ConfigError, match=r"<= solver.n_fock_max \(32\), got 40"):
+            RunConfig(n_fock=40).validate()
+        with pytest.raises(ConfigError, match=r"solver.n_fock must be >= 2"):
+            RunConfig(n_fock=1).validate()
+        with pytest.raises(ConfigError, match=r"<= solver.n_fock_max \(1\), got 2"):
+            RunConfig(n_fock=2, n_fock_max=1).validate()
+
+    @pytest.mark.parametrize(
+        "inner, outer", [("delta", "omegaL"), ("omegaL", "delta"), ("d_c", "d_c")]
+    )
+    def test_phase_axes_set_different_fields(self, inner, outer):
+        cfg = replace(RunConfig(), mode="phase", sweep_variable=inner, sweep2_variable=outer)
+        with pytest.raises(ConfigError, match="phase grid"):
+            cfg.validate()
+        # only the phase grid has an outer axis
+        replace(cfg, mode="sweep").validate()
+
     def test_overrides(self):
         cfg = apply_overrides(RunConfig(), {"model.g": "0.25", "solver.method": "lu"})
         assert cfg.g == 0.25
@@ -339,6 +358,21 @@ class TestRefinementGates:
         assert len(tail) == conv["k_rho"] >= 2
         assert tail[0] > 0
         assert all(b < 1e-2 * a for a, b in zip(tail, tail[1:]))
+
+    def test_iterations_reach_json(self, tmp_path):
+        iterations = {}
+        for method in ("lu", "gmres"):
+            js = tmp_path / f"{method}.json"
+            code = main(
+                ["steady", "--model.omegaL", "0.8", "--solver.method", method,
+                 "--output.json", str(js)] + FAST_POINT
+            )
+            assert code == 0
+            conv = json.loads(js.read_text())["rows"][0]["convergence"]
+            assert (conv["method"], conv["fallback"]) == (method, None)
+            iterations[method] = conv["iterations"]
+        assert iterations["lu"] == 0
+        assert iterations["gmres"] > 0
 
     def test_fallback_reason_reaches_json(self, stalled_gmres, tmp_path):
         js = tmp_path / "out.json"

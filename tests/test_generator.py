@@ -107,20 +107,6 @@ class TestLiouvillianStructure:
             )
             np.testing.assert_allclose(liouv.apply_component(q, xs), via_matrix, atol=1e-13)
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_dagger_pairs_outer_blocks(self, n):
-        # rho -> rho^dag maps L_0 - i n w onto L_0 + i n w, which lets the
-        # gmres preconditioner factor the n >= 0 blocks only
-        _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=3), k_ext=8)
-        d2 = liouv.dim**2
-        l0 = liouv.component(0)
-        shift = 1j * n * liouv.omega_L * np.eye(d2)
-        x_rng = np.random.default_rng(n)
-        x = x_rng.normal(size=d2) + 1j * x_rng.normal(size=d2)
-        paired = generator._dagger((l0 - shift) @ generator._dagger(x))
-        direct = (l0 + shift) @ x
-        assert np.max(np.abs(paired - direct)) <= 1e-13 * np.max(np.abs(direct))
-
     @pytest.mark.parametrize("k_rho", [1, 2, 4])
     def test_block_system_action_matches_dense(self, k_rho):
         spec = fig2_spec(0.75, n_fock=3)
@@ -367,10 +353,12 @@ class TestSteadyState:
         monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_gmres)
         rho, info = steady_state(liouv, k_rho=2, method="lu")
         d = liouv.dim
-        _, solve = generator._hermitian_solve(liouv, 2)
-        rhs = np.zeros(5 * d * d, dtype=complex)
-        rhs[2 * d * d] = 1.0  # the trace border, first row of the n = 0 block
-        expected, _ = generator._periodic_state(solve(rhs), 2, d, liouv.omega_L)
+        _, factor = generator._real_factor(liouv, 2)
+        rhs = np.zeros(5 * d * d)
+        rhs[0] = 1.0  # the trace border, on the real coordinate 0
+        expected, _ = generator._periodic_state(
+            scipy.linalg.lu_solve(factor, rhs), 2, d, liouv.omega_L
+        )
         assert (info.method, info.fallback) == ("lu", None)
         assert rho.harmonics.keys() == expected.harmonics.keys()
         for n, m in expected.harmonics.items():
@@ -409,21 +397,37 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("k_rho", [1, 3])
     def test_real_solve_inverts_bordered_system(self, k_rho):
-        # the real Hermitian-basis solve of any complex vector (not only a
-        # J-invariant one, as GMRES hands it Krylov vectors) against the
-        # complex bordered system
+        # the real Hermitian-basis solve of random real coordinates, checked
+        # in the complex stacked form against the complex bordered system
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=3), k_ext=8)
         d = liouv.dim
         big = generator._block_system_dense(liouv, k_rho)
         tr = generator._trace_cols(d, k_rho)
         big[tr[0], :] = 0.0
         big[tr[0], tr] = 1.0
-        k_in, solve = generator._hermitian_solve(liouv, k_rho)
-        y_rng = np.random.default_rng(k_rho)
-        y = y_rng.normal(size=big.shape[0]) + 1j * y_rng.normal(size=big.shape[0])
-        x = solve(y)
+        k_in, factor = generator._real_factor(liouv, k_rho)
+        r = np.random.default_rng(k_rho).normal(size=big.shape[0])
+        x = generator._from_hermitian_coords(scipy.linalg.lu_solve(factor, r), k_rho)
+        y = generator._from_hermitian_coords(r, k_rho)
         assert k_in == k_rho
         assert np.linalg.norm(big @ x - y) <= 1e-12 * np.linalg.norm(y)
+
+    def test_gmres_runs_in_real_basis(self, monkeypatch):
+        # GMRES iterates on the real Hermitian coordinates of the harmonics
+        real_gmres = scipy.sparse.linalg.gmres
+        calls = []
+
+        def spy(a, b, *args, **kwargs):
+            calls.append((b.dtype, b.shape))
+            return real_gmres(a, b, *args, **kwargs)
+
+        _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=3), k_ext=8)
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", spy)
+        k_rho = 3
+        _, info = steady_state(liouv, k_rho=k_rho, method="gmres")
+        assert (info.method, info.fallback) == ("gmres", None)
+        assert info.iterations > 0
+        assert calls == [(np.dtype(np.float64), ((2 * k_rho + 1) * liouv.dim**2,))]
 
     def test_no_superoperator_is_kept(self):
         def arrays(obj):
