@@ -19,7 +19,8 @@ Each L_q is stored as its no-jump pair plus the reservoir sandwiches,
     A_q = -i H_q - sum_nu S_nu G1_{nu,q},   B_q = i H_q - sum_nu G2_{nu,q} S_nu ,
 
 and no superoperator matrix is kept; dense ones act on column-stacked
-vectors, vec(A X B) = (B^T kron A) vec(X).
+vectors, vec(A X B) = (B^T kron A) vec(X), and each is built as one stacked
+matrix product, in Fortran order.
 
 The counting-field derivative keeps only the two sandwich terms with weights
 -D on the emission sandwich (S rho G2) and +D on the absorption sandwich
@@ -34,11 +35,14 @@ solves the block system i n w rho_n = sum_k L_k rho_{n-k}: by its dense
 SVD null space, or by one bordered solve (the trace condition in place of a
 redundant row) whose preconditioner is an exact dense solve (``lu``),
 per-harmonic block LUs under GMRES (``gmres``), or both (the positivity
-probe).  The generator keeps rho Hermitian, rho_{-n} = rho_n^dag, so the
-bordered solve runs in the real Hermitian basis: its unknowns are rho_0 by
-its d^2 Hermitian coordinates and Re and Im of rho_n for n >= 1.  The
-exact solve is one real LU of the system in that basis; the block LUs are
-complex, one per harmonic n >= 0.  The dense systems share one memory
+probe).  GMRES applies the block system matrix-free and in time: the
+periodic operators of L are sampled once per solve, and each action is an
+FFT pair around stacked d x d products.  The generator keeps rho
+Hermitian, rho_{-n} = rho_n^dag, so the bordered solve runs in the real
+Hermitian basis: its unknowns are rho_0 by its d^2 Hermitian coordinates
+and Re and Im of rho_n for n >= 1.  The exact solve is one real LU of the
+system in that basis; the block LUs are complex, one per harmonic n >= 0,
+the last one in L_0's own buffer.  The dense systems share one memory
 guard, 2.5 GB (16 B per entry for the complex ``svd`` one, 8 B for the
 real one); the block LUs have their own, 1.5 GB.
 """
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -184,7 +189,7 @@ class CountingLiouvillian:
         """Harmonic count for the steady state: rho_n falls off roughly like
         (c / omega_L)^n with c the strength of the generator's oscillating
         part, so pick the smallest n with that estimate below 1e-8, between
-        2 and 12."""
+        2 and 12; 1 when the generator has no oscillating part."""
         c = 0.0
         for q, m in self.h_harmonics.items():
             if q != 0:
@@ -202,9 +207,14 @@ class CountingLiouvillian:
         return int(np.clip(k, 2, 12))
 
     def _superoperator(self, weights: dict[int, complex]) -> np.ndarray:
-        """sum_q weights[q] L_q on column-stacked vectors: kron(I, A) +
-        kron(B^T, I) + sum_nu [kron(S^T, G1) + kron(G2^T, S)], every operator
-        weighted over q alike."""
+        """sum_q weights[q] L_q on column-stacked vectors, in Fortran order:
+        kron(I, A) + kron(B^T, I) + sum_nu [kron(S^T, G1) + kron(G2^T, S)],
+        every operator weighted over q alike.
+
+        sum_r kron(X_r, Y_r) holds X_r[a, c] Y_r[b, e] at row a d + b and
+        column c d + e, which in Fortran order is the C-ordered array
+        [c, e, a, b]: one stacked product of the X_r^T and Y_r^T, written
+        straight into the result."""
         d = self.dim
         eye = np.eye(d)
 
@@ -212,16 +222,24 @@ class CountingLiouvillian:
             zero = np.zeros((d, d), dtype=complex)
             return sum((w * mats[q] for q, w in weights.items() if q in mats), zero)
 
-        out = np.kron(eye, mix({q: a for q, (a, _) in self.no_jump.items()}))
-        out += np.kron(mix({q: b for q, (_, b) in self.no_jump.items()}).T, eye)
+        # X_r^T and Y_r^T of the four kinds of term
+        xt = [eye, mix({q: b for q, (_, b) in self.no_jump.items()})]
+        yt = [mix({q: a for q, (a, _) in self.no_jump.items()}).T, eye]
         for ker in self.channels.values():
             if weights.keys() & ker.g1.keys():
                 s = ker.coupling
-                out += np.kron(s.T, mix(ker.g1)) + np.kron(mix(ker.g2).T, s)
+                xt += [s, mix(ker.g2)]
+                yt += [mix(ker.g1).T, s.T]
+        out = np.empty((d * d, d * d), dtype=complex, order="F")
+        np.matmul(
+            np.stack(xt, axis=-1)[:, None], np.stack(yt, axis=1)[None],
+            out=out.T.reshape(d, d, d, d),
+        )
         return out
 
     def component(self, q: int) -> np.ndarray:
-        """Superoperator matrix L_q on the vectorized density space."""
+        """Superoperator matrix L_q on the vectorized density space, in
+        Fortran order."""
         return self._superoperator({q: 1.0})
 
     def apply_component(self, q: int, rho: np.ndarray) -> np.ndarray:
@@ -240,7 +258,8 @@ class CountingLiouvillian:
         return out
 
     def matrix_at_time(self, t: float) -> np.ndarray:
-        """Dense superoperator L(t) = sum_q exp(i q w t) L_q."""
+        """Dense superoperator L(t) = sum_q exp(i q w t) L_q, in Fortran
+        order."""
         return self._superoperator(
             {q: np.exp(1j * q * self.omega_L * t) for q in self.no_jump}
         )
@@ -417,7 +436,7 @@ def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
         if abs(q) > 2 * k_rho:
             continue
         # in the same (Fortran) order as big, so each block adds in cache order
-        lq = np.asfortranarray(liouv.component(q))
+        lq = liouv.component(q)
         for n in range(max(0, q - k_rho), min(k_rho, k_rho + q) + 1):
             if n == 0:
                 add(slice(0, d2), -q, np.where(lower[:, None], -1j * lq, lq))
@@ -454,26 +473,65 @@ def _real_factor(liouv: CountingLiouvillian, k_rho: int) -> ExactFactor:
             ) from exc
 
 
-def _apply_block_system(liouv: CountingLiouvillian, k_rho: int, x: np.ndarray) -> np.ndarray:
-    """Matrix-free action of the harmonic block system on a stacked vector of
-    density-matrix harmonics (column-stacked within each block), applied one
-    harmonic shift q at a time to the whole stack."""
+def _block_action(liouv: CountingLiouvillian, k_rho: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-free action of the harmonic block system on stacked vectors of
+    density-matrix harmonics |n| <= k_rho (column-stacked within each
+    block), applied in time.
+
+    A(t), B(t) and each reservoir's G1(t) and G2(t), from their harmonics
+    |q| <= Q = min(support, 2 k_rho) (no other L_q couples two kept
+    harmonics), are sampled once, at nt = 2 k_rho + Q + 1 points per
+    period.  The product L(t) rho(t) then holds harmonics |n| <= k_rho + Q,
+    so none aliases onto a kept one.  Each action is an inverse FFT to
+    rho(t_j), the stacked products, a forward FFT back to harmonics
+    |n| <= k_rho, and the diagonal -i n w rho_n."""
     d = liouv.dim
-    nb = 2 * k_rho + 1
-    rho = x.reshape(nb, d, d).transpose(0, 2, 1)
+    reach = min(liouv.support, 2 * k_rho)
+    nt = 2 * k_rho + reach + 1
+
+    def samples(mats: dict[int, np.ndarray]) -> np.ndarray:
+        # M(t_j) = sum_q e^{2 pi i q j / nt} M_q; harmonic q sits at q mod nt
+        out = np.zeros((nt, d, d), dtype=complex)
+        for q, m in mats.items():
+            if abs(q) <= reach:
+                out[q % nt] = m
+        return np.fft.ifft(out, axis=0, norm="forward")
+
+    a_t = samples({q: a for q, (a, _) in liouv.no_jump.items()})
+    b_t = samples({q: b for q, (_, b) in liouv.no_jump.items()})
+    sandwiches = [
+        (ker.coupling, samples(ker.g1), samples(ker.g2)) for ker in liouv.channels.values()
+    ]
     n = np.arange(-k_rho, k_rho + 1)
-    out = (-1j * n * liouv.omega_L)[:, None, None] * rho
-    supp = min(liouv.support, 2 * k_rho)
-    for q in range(-supp, supp + 1):
-        lo, hi = max(0, q), min(nb, nb + q)
-        out[lo:hi] += liouv.apply_component(q, rho[lo - q : hi - q])
-    return out.transpose(0, 2, 1).reshape(-1)
+    slots = n % nt
+    shift = (-1j * n * liouv.omega_L)[:, None, None]
+
+    def act(x: np.ndarray) -> np.ndarray:
+        rho_n = x.reshape(2 * k_rho + 1, d, d).transpose(0, 2, 1)
+        padded = np.zeros((nt, d, d), dtype=complex)
+        padded[slots] = rho_n
+        rho = np.fft.ifft(padded, axis=0, norm="forward")
+        y = a_t @ rho + rho @ b_t
+        for s, g1, g2 in sandwiches:
+            y += g1 @ (rho @ s) + (s @ rho) @ g2
+        out = np.fft.fft(y, axis=0, norm="forward")[slots] + shift * rho_n
+        return out.transpose(0, 2, 1).reshape(-1)
+
+    return act
 
 
-def _residual(liouv: CountingLiouvillian, k_rho: int, vec: np.ndarray) -> float:
-    """Relative residual of the original (singular) block system rows."""
-    res = _apply_block_system(liouv, k_rho, vec)
-    res[_trace_cols(liouv.dim, k_rho)[0]] = 0.0
+def _apply_block_system(liouv: CountingLiouvillian, k_rho: int, x: np.ndarray) -> np.ndarray:
+    """One action of the harmonic block system (``_block_action``)."""
+    return _block_action(liouv, k_rho)(x)
+
+
+def _residual(
+    act: Callable[[np.ndarray], np.ndarray], d: int, k_rho: int, vec: np.ndarray
+) -> float:
+    """Relative residual of the original (singular) block system rows, with
+    ``act`` the system's action."""
+    res = act(vec)
+    res[_trace_cols(d, k_rho)[0]] = 0.0
     return float(np.linalg.norm(res) / np.linalg.norm(vec))
 
 
@@ -490,9 +548,12 @@ def _solve_bordered(
     (``_real_factor``).  Every other harmonic n >= 1 gets the complex LU of
     its diagonal block L_0 - i n w, applied to Re + i Im of its two
     coordinate blocks; without an exact centre, rho_0 gets the complex LU of
-    the bordered L_0, applied to the Hermitian rho_0.  With k_in = k_rho the
+    the bordered L_0, applied to the Hermitian rho_0.  The last of these
+    block LUs is taken in L_0's own buffer, so the k_rho - k_in blocks that
+    the 1.5 GB guard counts are all that is held.  With k_in = k_rho the
     preconditioned right-hand side is the solution.  Otherwise one
-    full-memory GMRES cycle runs on the matrix-free system action: the
+    full-memory GMRES cycle runs on the matrix-free system action
+    (``_block_action``, sampled in time before the factors are taken): the
     harmonic coupling is weak, and the exact centre refines a k_in solution
     to k_rho where the block-diagonal preconditioner alone stalls.
     Returns (real coordinates, relative residual of the original system,
@@ -516,18 +577,21 @@ def _solve_bordered(
             f"gmres preconditioner would need {factor_bytes / 1e9:.1f} GB "
             f"(n_fock too large); reduce the problem size"
         )
+    # the small time samples go before the large factors: made after them,
+    # they raised the peak RSS by heap placement
+    act = _block_action(liouv, k_rho)
     factors = {}
+    tr0 = _trace_cols(d, 0)
     if outer:
         l0 = liouv.component(0)
-        tr0 = _trace_cols(d, 0)
         for n in outer:
-            block = l0.copy(order="F")
+            # the last one is factored in L_0's own buffer
+            block = l0 if n == outer[-1] else l0.copy(order="F")
             block.flat[:: d2 + 1] -= 1j * n * liouv.omega_L
             if n == 0:
                 block[tr0[0], :] = 0.0
                 block[tr0[0], tr0] = 1.0
             factors[n] = lu_factor(block, overwrite_a=True)
-        del l0, block
 
     def precond(r: np.ndarray) -> np.ndarray:
         out = np.empty_like(r)
@@ -548,14 +612,11 @@ def _solve_bordered(
     rhs[0] = 1.0
     x0 = precond(rhs)
     if not factors:
-        return x0, _residual(liouv, k_rho, _from_hermitian_coords(x0, k_rho)), 0
-
-    diag = _trace_cols(d, 0)
+        return x0, _residual(act, d, k_rho, _from_hermitian_coords(x0, k_rho)), 0
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        y = _apply_block_system(liouv, k_rho, _from_hermitian_coords(x, k_rho))
-        out = _hermitian_coords(y, k_rho)
-        out[0] = x[diag].sum()
+        out = _hermitian_coords(act(_from_hermitian_coords(x, k_rho)), k_rho)
+        out[0] = x[tr0].sum()
         return out
 
     iterations = 0
@@ -571,7 +632,7 @@ def _solve_bordered(
         op, rhs, x0=x0, M=pre, rtol=1e-13, atol=0.0, maxiter=1, restart=min(180, size),
         callback=count, callback_type="pr_norm",
     )
-    residual = _residual(liouv, k_rho, _from_hermitian_coords(vec, k_rho))
+    residual = _residual(act, d, k_rho, _from_hermitian_coords(vec, k_rho))
     if residual > 1e-10:
         # generators with very slow modes (e.g. an undamped mode cooled only
         # through drive sidebands) defeat the block preconditioner; escalate
@@ -651,8 +712,9 @@ def steady_state(
     ``method`` is "svd" (dense null space, reports singular values), "lu"
     (the bordered solve in the real Hermitian basis with the real LU of the
     whole system as its preconditioner, exact, so no iteration), "gmres"
-    (the same solve with per-harmonic block factors, iterated, the count in
-    ``SteadyStateInfo.iterations``), or
+    (the same solve with per-harmonic block factors, iterated on the
+    system's action in time, the count in ``SteadyStateInfo.iterations``),
+    or
     "auto": svd up to DENSE_SIZE_LIMIT unknowns, otherwise lu for a single
     reservoir and gmres for two (dense SVD scales as the cube of
     (2 k_rho + 1) d^2 and is kept for diagnostics and cross-validation).

@@ -486,7 +486,8 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     """One row per grid point: the sweep values, or for ``phase`` the
     sweep2 (outer) x sweep (inner) grid flattened row-major.  Points are
     independent; partial failures are flagged and the sweep continues.
-    Raises if every point failed."""
+    Every point's config is validated before any is solved.  Raises if
+    every point failed."""
     cfg.validate()
     outer = [cfg]
     if cfg.mode == "phase":
@@ -494,6 +495,8 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
         outer = [_point_config(cfg, cfg.sweep2_variable, v) for v in values2]
     values = sweep_values(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
     configs = [_point_config(base, cfg.sweep_variable, v) for base in outer for v in values]
+    for point_cfg in configs:
+        point_cfg.validate()
     points = _run_many(configs)
     result = SweepResult(config=cfg, points=points)
     if result.n_failed == len(points):

@@ -38,8 +38,7 @@ def fig2_spec(omega_L: float, n_fock: int = 8, g: float | None = None,
     )
 
 
-def solve_pipeline(spec: SupersystemSpec, k_ext: int, k_rho=None, method="auto",
-                   n_window=None):
+def build_pipeline_liouvillian(spec: SupersystemSpec, k_ext: int, n_window=None):
     """bath -> model -> floquet -> generator chain for tests."""
     h = build_supersystem_fourier(spec)
     fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, k_ext))
@@ -51,7 +50,13 @@ def solve_pipeline(spec: SupersystemSpec, k_ext: int, k_rho=None, method="auto",
             BathChannel("cold", ops.s_cold_residual, spec.residual_bath, beta=spec.beta_c)
         )
         jumps.append(decompose_operator(ops.s_cold_residual, fs, n_window=n_window))
-    liouv = build_liouvillian(h, fs, channels, jumps)
+    return h, fs, build_liouvillian(h, fs, channels, jumps)
+
+
+def solve_pipeline(spec: SupersystemSpec, k_ext: int, k_rho=None, method="auto",
+                   n_window=None):
+    """The chain of ``build_pipeline_liouvillian`` and its steady state."""
+    h, fs, liouv = build_pipeline_liouvillian(spec, k_ext, n_window)
     rho, info = steady_state(liouv, k_rho=k_rho, method=method)
     return h, fs, liouv, rho, info
 

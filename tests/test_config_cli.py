@@ -203,6 +203,20 @@ class TestSweepGrid:
         assert type(getattr(point_cfg, field)) is float
         assert point_cfg == replace(cfg, **{field: expected})
 
+    def test_every_point_is_validated_before_solving(self, monkeypatch):
+        # the last point's gamma leaves the valid domain; nothing may be
+        # solved before the sweep is refused
+        def spy(cfg):
+            raise AssertionError("run_point called before the grid was validated")
+
+        monkeypatch.setattr(pipeline, "run_point", spy)
+        cfg = replace(
+            RunConfig(), mode="sweep", sweep_variable="gamma", sweep_start=4e-4,
+            sweep_stop=-4e-4, sweep_steps=3,
+        )
+        with pytest.raises(ConfigError, match="gamma must be finite and >= 0, got -0.0004"):
+            run_sweep(cfg)
+
     def test_phase_grid_is_row_major(self):
         # a coarse Fock truncation: the test checks the grid order, not the physics
         cfg = replace(

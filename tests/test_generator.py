@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from floqcc.model import (
 )
 from floqcc.oracles import propagate
 
-from conftest import fig2_spec, solve_pipeline
+from conftest import build_pipeline_liouvillian, fig2_spec, solve_pipeline
 
 
 def spre(x):
@@ -107,10 +108,27 @@ class TestLiouvillianStructure:
             )
             np.testing.assert_allclose(liouv.apply_component(q, xs), via_matrix, atol=1e-13)
 
-    @pytest.mark.parametrize("k_rho", [1, 2, 4])
+    def test_component_is_fortran_kronecker_sum(self):
+        _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=3), k_ext=8)
+        d = liouv.dim
+        eye = np.eye(d)
+        for q in range(-liouv.support, liouv.support + 1):
+            a, b = liouv.no_jump[q]
+            expected = np.kron(eye, a) + np.kron(b.T, eye)
+            for ker in liouv.channels.values():
+                s = ker.coupling
+                expected += np.kron(s.T, ker.g1[q]) + np.kron(ker.g2[q].T, s)
+            lq = liouv.component(q)
+            assert lq.flags.f_contiguous
+            assert np.max(np.abs(lq - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("k_rho", [0, 1, 2, 4])
     def test_block_system_action_matches_dense(self, k_rho):
         spec = fig2_spec(0.75, n_fock=3)
         h, fs, liouv, rho, info = solve_pipeline(spec, k_ext=8)
+        # support 3: at k_rho = 0 and 1 the action drops harmonics L_q with
+        # |q| > 2 k_rho, at 2 and 4 it keeps every one
+        assert liouv.support == 3
         size = (2 * k_rho + 1) * h.dim**2
         x_rng = np.random.default_rng(k_rho)
         x = x_rng.normal(size=size) + 1j * x_rng.normal(size=size)
@@ -428,6 +446,25 @@ class TestSteadyState:
         assert (info.method, info.fallback) == ("gmres", None)
         assert info.iterations > 0
         assert calls == [(np.dtype(np.float64), ((2 * k_rho + 1) * liouv.dim**2,))]
+
+    def test_block_factors_hold_no_extra_block(self):
+        # d = 36, k_rho = 2: one d^4 block (27 MB) outweighs GMRES's Krylov
+        # basis (9.4 MB), so a copy of L_0 kept beside the k_rho + 1 factors
+        # would show in the peak
+        _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=18), k_ext=8)
+        k_rho = 2
+        d2 = liouv.dim**2
+        size = (2 * k_rho + 1) * d2
+        block = d2 * d2 * 16
+        basis = (min(180, size) + 1) * size * 8  # gmres's (restart + 1) vectors
+        tracemalloc.start()
+        try:
+            _, _, iterations = generator._solve_bordered(liouv, k_rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iterations > 0
+        assert peak <= (k_rho + 1) * block + basis + block // 2
 
     def test_no_superoperator_is_kept(self):
         def arrays(obj):
