@@ -24,10 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .floquet import AMPLITUDE_FLOOR
-from .generator import POSITIVITY_TOL, TRACE_TOL
 from .model import TRUNC_THRESHOLD
-from .thermo import REGIME_TOL, SIGMA_TOL
 
 
 class ConfigError(ValueError):
@@ -63,14 +60,9 @@ class RunConfig:
     n_fock_max: int = 32
     k_ext: int = 0  # 0 = auto
     k_rho: int = 0  # 0 = auto
-    amplitude_floor: float = AMPLITUDE_FLOOR
     method: str = "auto"
     convergence: str = "fast"
     trunc_threshold: float = TRUNC_THRESHOLD
-    positivity_tol: float = POSITIVITY_TOL
-    trace_tol: float = TRACE_TOL
-    regime_tol: float = REGIME_TOL
-    sigma_tol: float = SIGMA_TOL
 
     sweep_variable: str = "omegaL"
     sweep_start: float = 0.6
@@ -93,18 +85,7 @@ class RunConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"{_KEY_OF[name]} must be finite and > 0, got {v}")
-        for name in (
-            "g",
-            "d_c",
-            "gamma",
-            "omega_res",
-            "amplitude_floor",
-            "trunc_threshold",
-            "positivity_tol",
-            "trace_tol",
-            "regime_tol",
-            "sigma_tol",
-        ):
+        for name in ("g", "d_c", "gamma", "omega_res", "trunc_threshold"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{_KEY_OF[name]} must be finite and >= 0, got {v}")
@@ -176,14 +157,9 @@ _FIELD_OF = {
     "solver.n_fock_max": "n_fock_max",
     "solver.k_ext": "k_ext",
     "solver.k_rho": "k_rho",
-    "solver.amplitude_floor": "amplitude_floor",
     "solver.method": "method",
     "solver.convergence": "convergence",
     "solver.trunc_threshold": "trunc_threshold",
-    "solver.positivity_tol": "positivity_tol",
-    "solver.trace_tol": "trace_tol",
-    "solver.regime_tol": "regime_tol",
-    "solver.sigma_tol": "sigma_tol",
     "sweep.variable": "sweep_variable",
     "sweep.start": "sweep_start",
     "sweep.stop": "sweep_stop",

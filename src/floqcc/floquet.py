@@ -266,7 +266,7 @@ class JumpDecomposition:
         return int(self.r_idx.shape[0])
 
 
-# default of the solver.amplitude_floor config key
+# jump entries at or below this amplitude are dropped
 AMPLITUDE_FLOOR = 1e-12
 
 

@@ -35,7 +35,8 @@ solves the block system i n w rho_n = sum_k L_k rho_{n-k}: by its dense
 SVD null space, or by one bordered solve (the trace condition in place of a
 redundant row) whose preconditioner is an exact dense solve (``lu``),
 per-harmonic block LUs under GMRES (``gmres``), or both (the positivity
-probe).  GMRES applies the block system matrix-free and in time: the
+probe).  Each ``steady_state`` call runs one route, and a route that fails
+fails the call.  GMRES applies the block system matrix-free and in time: the
 periodic operators of L are sampled once per solve, and each action is an
 FFT pair around stacked d x d products.  The generator keeps rho
 Hermitian, rho_{-n} = rho_n^dag, so the bordered solve runs in the real
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -316,7 +317,6 @@ class SteadyStateInfo:
     sigma_second: float | None
     trace_defect: float
     min_eigenvalue: float
-    fallback: str | None = None  # why the requested route was left for lu
 
 
 def _trace_cols(d: int, k_rho: int) -> np.ndarray:
@@ -520,11 +520,6 @@ def _block_action(liouv: CountingLiouvillian, k_rho: int) -> Callable[[np.ndarra
     return act
 
 
-def _apply_block_system(liouv: CountingLiouvillian, k_rho: int, x: np.ndarray) -> np.ndarray:
-    """One action of the harmonic block system (``_block_action``)."""
-    return _block_action(liouv, k_rho)(x)
-
-
 def _residual(
     act: Callable[[np.ndarray], np.ndarray], d: int, k_rho: int, vec: np.ndarray
 ) -> float:
@@ -635,9 +630,10 @@ def _solve_bordered(
     residual = _residual(act, d, k_rho, _from_hermitian_coords(vec, k_rho))
     if residual > 1e-10:
         # generators with very slow modes (e.g. an undamped mode cooled only
-        # through drive sidebands) defeat the block preconditioner; escalate
+        # through drive sidebands) defeat the block preconditioner
         raise SteadyStateError(
-            f"preconditioned GMRES stalled (code {code}, residual {residual:.2e})"
+            f"preconditioned GMRES stalled (code {code}, residual {residual:.2e}); "
+            "solver.method=lu is the direct route"
         )
     return vec, residual, iterations
 
@@ -695,8 +691,9 @@ def _positivity_message(
 
 
 DENSE_SIZE_LIMIT = 1200
-# defaults of the solver.trace_tol and solver.positivity_tol config keys
+# largest off-harmonic trace |Tr rho_n|, n >= 1, of an accepted state
 TRACE_TOL = 1e-10
+# default bound on -min eig rho(t) of an accepted state
 POSITIVITY_TOL = 1e-8
 
 
@@ -704,7 +701,6 @@ def steady_state(
     liouv: CountingLiouvillian,
     k_rho: int | None = None,
     method: str = "auto",
-    trace_tol: float = TRACE_TOL,
     positivity_tol: float = POSITIVITY_TOL,
 ) -> tuple[PeriodicOperator, SteadyStateInfo]:
     """Solve the harmonic steady-state block system.
@@ -714,19 +710,19 @@ def steady_state(
     whole system as its preconditioner, exact, so no iteration), "gmres"
     (the same solve with per-harmonic block factors, iterated on the
     system's action in time, the count in ``SteadyStateInfo.iterations``),
-    or
-    "auto": svd up to DENSE_SIZE_LIMIT unknowns, otherwise lu for a single
-    reservoir and gmres for two (dense SVD scales as the cube of
+    or "auto": svd up to DENSE_SIZE_LIMIT unknowns, otherwise lu for a
+    single reservoir and gmres for two (dense SVD scales as the cube of
     (2 k_rho + 1) d^2 and is kept for diagnostics and cross-validation).
     svd and lu build the block system densely (complex and real,
-    respectively) and refuse it above 2.5 GB.  A failed gmres solve falls
-    back to lu, recording why in ``SteadyStateInfo.fallback``; if lu fails
-    too, the error names both causes.  An exactly singular bordered system means
-    more than one steady state.  Every route yields the real Hermitian
-    coordinates of the state (for svd, of the null vector of trace 1), so
-    rho_{-n} = rho_n^dag holds exactly; the returned harmonics are
-    trace-normalized, and positivity of rho(t) and the residual of the block
-    equation (at most 1e-8) are checked.
+    respectively) and refuse it above 2.5 GB.  Each call runs only the
+    route picked: a gmres solve that stalls or meets its preconditioner
+    memory guard fails with that one cause.  An exactly singular bordered
+    system means more than one steady state.  Every route yields the real
+    Hermitian coordinates of the state (for svd, of the null vector of
+    trace 1), so rho_{-n} = rho_n^dag holds exactly; the returned harmonics
+    are trace-normalized, and the off-harmonic trace (at most TRACE_TOL),
+    positivity of rho(t) and the residual of the block equation (at most
+    1e-8) are checked.
     """
     if k_rho is None:
         k_rho = liouv.suggested_k_rho()
@@ -761,19 +757,7 @@ def steady_state(
         exact = _real_factor(liouv, k_rho)
         coords, residual, _ = _solve_bordered(liouv, k_rho, exact)
     elif method == "gmres":
-        try:
-            coords, residual, iterations = _solve_bordered(liouv, k_rho)
-        except SteadyStateError as exc:
-            try:
-                result, info = steady_state(
-                    liouv, k_rho=k_rho, method="lu", trace_tol=trace_tol,
-                    positivity_tol=positivity_tol,
-                )
-            except SteadyStateError as lu_exc:
-                raise SteadyStateError(
-                    f"gmres failed ({exc}); the lu fallback failed too: {lu_exc}"
-                ) from lu_exc
-            return result, replace(info, fallback=f"gmres: {exc}")
+        coords, residual, iterations = _solve_bordered(liouv, k_rho)
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
 
@@ -790,9 +774,9 @@ def steady_state(
         trace_defect=trace_defect,
         min_eigenvalue=min_eig,
     )
-    if trace_defect > trace_tol:
+    if trace_defect > TRACE_TOL:
         raise SteadyStateError(
-            f"off-harmonic trace {trace_defect:.3e} above {trace_tol:.1e}; "
+            f"off-harmonic trace {trace_defect:.3e} above {TRACE_TOL:.1e}; "
             "raise k_rho / k_ext / n_fock"
         ) from None
     if min_eig < -positivity_tol:

@@ -62,7 +62,6 @@ class Diagnostics:
     k_ext: int
     k_rho: int
     method: str
-    fallback: str | None
     residual: float
     iterations: int  # GMRES iterations of the steady solve, 0 on lu and svd
     sigma_second: float | None
@@ -219,10 +218,7 @@ def _generator_stage(cfg: RunConfig, spec: SupersystemSpec, floq: FloquetStage):
         channels.append(
             BathChannel("cold", ops.s_cold_residual, spec.residual_bath, beta=spec.beta_c)
         )
-    jumps = [
-        decompose_operator(ch.coupling, floq.fs, amplitude_floor=cfg.amplitude_floor)
-        for ch in channels
-    ]
+    jumps = [decompose_operator(ch.coupling, floq.fs) for ch in channels]
     return build_liouvillian(floq.h, floq.fs, channels, jumps)
 
 
@@ -242,13 +238,7 @@ class SteadyStage:
 
 def _steady_stage(cfg: RunConfig, liouv, k_rho: int | None) -> SteadyStage:
     try:
-        rho, info = steady_state(
-            liouv,
-            k_rho=k_rho,
-            method=cfg.method,
-            trace_tol=cfg.trace_tol,
-            positivity_tol=cfg.positivity_tol,
-        )
+        rho, info = steady_state(liouv, k_rho=k_rho, method=cfg.method)
     except (SteadyStateError, np.linalg.LinAlgError) as exc:
         raise PointFailure("generator", str(exc)) from exc
     qbar_h = heat_current(liouv, rho, "hot")
@@ -344,7 +334,6 @@ def run_point(cfg: RunConfig) -> PointResult:
         k_ext=floq.fs.k_ext,
         k_rho=info.k_rho,
         method=info.method,
-        fallback=info.fallback,
         residual=info.residual,
         iterations=info.iterations,
         sigma_second=info.sigma_second,
@@ -360,14 +349,7 @@ def run_point(cfg: RunConfig) -> PointResult:
 
     try:
         report = build_report(
-            steady.qbar_c,
-            steady.qbar_h,
-            omega_cc,
-            cfg.beta_c,
-            cfg.beta_h,
-            occ,
-            regime_tol=cfg.regime_tol,
-            sigma_tol=cfg.sigma_tol,
+            steady.qbar_c, steady.qbar_h, omega_cc, cfg.beta_c, cfg.beta_h, occ
         )
     except ValueError as exc:
         return failed(omega_cc, f"[thermo] {exc}", diag)

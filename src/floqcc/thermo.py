@@ -37,7 +37,8 @@ def first_law_work(qbar_c: float, qbar_h: float) -> float:
     return -qbar_c - qbar_h
 
 
-# defaults of the solver.sigma_tol and solver.regime_tol config keys
+# how far sigma may fall below zero, and how near zero a flow or the work
+# may lie before it counts as a regime boundary
 SIGMA_TOL = 1e-10
 REGIME_TOL = 1e-12
 
@@ -162,8 +163,6 @@ def build_report(
     beta_c: float,
     beta_h: float,
     occupation: OccupationStatistics,
-    regime_tol: float = REGIME_TOL,
-    sigma_tol: float = SIGMA_TOL,
 ) -> ThermoReport:
     """Assemble the report of one steady state.
 
@@ -175,23 +174,23 @@ def build_report(
 
     A nan ``qbar_c`` means no cold reservoir (laser cooling): the drive's
     work leaves through the hot bath, wbar = -qbar_h and
-    sigma = -beta_h qbar_h, which must not be negative beyond ``sigma_tol``
+    sigma = -beta_h qbar_h, which must not be negative beyond SIGMA_TOL
     (a driven system can only dump heat into a single bath); ``beta_c`` is
     not read.
     """
     if math.isnan(qbar_c):
         wbar = -qbar_h
         sigma = -beta_h * qbar_h
-        if sigma < -sigma_tol:
+        if sigma < -SIGMA_TOL:
             raise RegimeError(
-                f"entropy production rate {sigma:.3e} < -{sigma_tol:.1e}: heat "
+                f"entropy production rate {sigma:.3e} < -{SIGMA_TOL:.1e}: heat "
                 f"qbar_h={qbar_h:.3e} drawn from the only reservoir"
             )
         ratios = {}
     else:
         wbar = first_law_work(qbar_c, qbar_h)
-        sigma = entropy_production(qbar_c, qbar_h, beta_c, beta_h, tol=sigma_tol)
-        regime = classify_regime(qbar_c, qbar_h, wbar, tol=regime_tol)
+        sigma = entropy_production(qbar_c, qbar_h, beta_c, beta_h)
+        regime = classify_regime(qbar_c, qbar_h, wbar)
         ratios = {
             "regime": regime,
             "eta": -wbar / qbar_h if regime is Regime.I_HeatEngine else None,

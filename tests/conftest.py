@@ -68,7 +68,8 @@ def rng():
 
 @pytest.fixture
 def stalled_gmres(monkeypatch):
-    """Every iterated bordered solve (no exact central solve) stalls; the
+    """Every iterated bordered solve (no exact central solve) stalls with
+    "stalled on purpose", so a ``gmres`` call fails with that cause; the
     direct ``lu`` solve, which runs through the same function, still works."""
     real = generator._solve_bordered
 

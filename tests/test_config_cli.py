@@ -23,12 +23,10 @@ from floqcc.config import (
     known_keys,
     parse_config_text,
 )
-from floqcc.floquet import decompose_operator
-from floqcc.generator import SteadyStateError, steady_state
+from floqcc.generator import SteadyStateError
 from floqcc.model import fock_truncation_check
 from floqcc.oracles import SidebandParams, bare_qubit_secular_steady, sideband_cooling_occupation
 from floqcc.pipeline import run_point, run_sweep, sweep_values
-from floqcc.thermo import build_report, classify_regime, entropy_production
 
 FAST_POINT = [
     "--solver.n_fock", "6",
@@ -110,14 +108,15 @@ class TestConfigParsing:
         block = readme.split("### Config keys", 1)[1].split("```")[1]
         assert set(re.findall(r"\b[a-z0-9]+(?:\.[A-Za-z0-9_]+)+", block)) == set(known_keys())
 
+    def test_retired_threshold_keys_rejected(self):
+        # thresholds that are module constants, not settings
+        for name in ("amplitude_floor", "positivity_tol", "trace_tol", "regime_tol", "sigma_tol"):
+            with pytest.raises(ConfigError, match=f"unknown configuration key 'solver.{name}'"):
+                apply_overrides(RunConfig(), {f"solver.{name}": "1e-10"})
+
     @pytest.mark.parametrize(
         "key, defaults",
         [
-            ("amplitude_floor", [(decompose_operator, "amplitude_floor")]),
-            ("positivity_tol", [(steady_state, "positivity_tol")]),
-            ("trace_tol", [(steady_state, "trace_tol")]),
-            ("regime_tol", [(classify_regime, "tol"), (build_report, "regime_tol")]),
-            ("sigma_tol", [(entropy_production, "tol"), (build_report, "sigma_tol")]),
             ("trunc_threshold", [(fock_truncation_check, "threshold")]),
         ],
     )
@@ -184,6 +183,35 @@ class TestEmission:
         row_full = render_csv([full.points[1]], "sweep")
         row_single = render_csv([single], "sweep")
         assert row_full == row_single
+
+
+class TestProcessPool:
+    CFG = replace(
+        RunConfig(), mode="sweep", sweep_start=0.75, sweep_stop=0.85, sweep_steps=3,
+        n_fock=2, convergence="off",
+    )
+
+    def test_pooled_sweep_matches_serial(self, monkeypatch):
+        serial = run_sweep(self.CFG).points
+        monkeypatch.setenv("FLOQCC_WORKERS", "2")
+        first, second = (run_sweep(self.CFG).points for _ in range(2))
+        assert render_csv(first, "sweep") == render_csv(second, "sweep")
+        assert render_json(self.CFG, first) == render_json(self.CFG, second)
+        # the children run with one BLAS thread, so the last digits may differ
+        assert [p.config for p in first] == [p.config for p in serial]
+        assert all(p.ok for p in serial + first)
+        lines = [render_csv(points, "sweep").splitlines() for points in (serial, first)]
+        for row_serial, row_pooled in zip(*lines):
+            for a, b in zip(row_serial.split(","), row_pooled.split(",")):
+                try:
+                    assert float(b) == pytest.approx(float(a), rel=1e-10, nan_ok=True)
+                except ValueError:
+                    assert a == b
+
+    def test_bad_worker_count_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("FLOQCC_WORKERS", "x")
+        assert main(["sweep", "--sweep.steps", "3"] + FAST_POINT) == 2
+        assert "FLOQCC_WORKERS must be an integer, got 'x'" in capsys.readouterr().err
 
 
 class TestSweepGrid:
@@ -383,21 +411,22 @@ class TestRefinementGates:
             )
             assert code == 0
             conv = json.loads(js.read_text())["rows"][0]["convergence"]
-            assert (conv["method"], conv["fallback"]) == (method, None)
+            assert conv["method"] == method
             iterations[method] = conv["iterations"]
         assert iterations["lu"] == 0
         assert iterations["gmres"] > 0
 
-    def test_fallback_reason_reaches_json(self, stalled_gmres, tmp_path):
+    def test_gmres_stall_is_a_failed_row(self, stalled_gmres, tmp_path):
         js = tmp_path / "out.json"
         code = main(
             ["steady", "--model.omegaL", "0.8", "--solver.method", "gmres",
              "--output.json", str(js)] + FAST_POINT
         )
-        assert code == 0
-        conv = json.loads(js.read_text())["rows"][0]["convergence"]
-        assert conv["method"] == "lu"
-        assert conv["fallback"] == "gmres: stalled on purpose"
+        assert code == 1
+        row = json.loads(js.read_text())["rows"][0]
+        assert row["error"] == "[generator] stalled on purpose"
+        assert row["values"]["converged"] == "false"
+        assert row["convergence"] == {}
 
 
 class TestCLI:

@@ -133,7 +133,7 @@ class TestLiouvillianStructure:
         x_rng = np.random.default_rng(k_rho)
         x = x_rng.normal(size=size) + 1j * x_rng.normal(size=size)
         dense = generator._block_system_dense(liouv, k_rho) @ x
-        applied = generator._apply_block_system(liouv, k_rho, x)
+        applied = generator._block_action(liouv, k_rho)(x)
         assert np.max(np.abs(applied - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_channel_kernels_match_direct_sum(self):
@@ -343,23 +343,25 @@ class TestSteadyState:
             steady_state(liouv, k_rho=4, method=method, positivity_tol=-2e-5)
         assert f"k_rho 4->6 leaves it at {direct[6]:.3e}" in str(exc.value)
 
-    def test_failed_fallback_names_both_causes(self, monkeypatch, stalled_gmres):
-        real_lu_factor = scipy.linalg.lu_factor
+    def test_stalled_gmres_fails_with_its_own_cause(self, monkeypatch):
+        # a GMRES that takes no step stops at the block-preconditioned guess,
+        # whose residual is far above 1e-10; the call fails with that one
+        # cause, and no direct factor is taken after it
+        def no_step(op, b, x0, **kwargs):
+            return x0, 1
 
-        def singular(a, overwrite_a=False):
-            # LAPACK meets an exactly zero pivot and scipy warns
-            return real_lu_factor(np.zeros_like(a), overwrite_a=True)
+        def no_direct(*args, **kwargs):
+            raise AssertionError("a failed gmres solve must not be re-solved by lu")
 
-        spec = fig2_spec(0.75, n_fock=4)
-        _, _, liouv, rho_lu, info_lu = solve_pipeline(spec, k_ext=10, method="lu")
-        rho, info = steady_state(liouv, k_rho=info_lu.k_rho, method="gmres")
-        assert (info.method, info.fallback) == ("lu", "gmres: stalled on purpose")
-        np.testing.assert_array_equal(rho.average, rho_lu.average)
-        monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
-        with pytest.raises(SteadyStateError) as exc:
+        _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=4), k_ext=10)
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_step)
+        monkeypatch.setattr(generator, "_real_factor", no_direct)
+        with pytest.raises(
+            SteadyStateError,
+            match=r"^preconditioned GMRES stalled \(code 1, residual \S+\); "
+            r"solver\.method=lu is the direct route$",
+        ):
             steady_state(liouv, method="gmres")
-        assert "stalled on purpose" in str(exc.value)
-        assert "bordered system is singular" in str(exc.value)
 
     def test_lu_solves_without_gmres(self, monkeypatch):
         # lu is the bordered solve whose preconditioner is the dense factor
@@ -377,7 +379,7 @@ class TestSteadyState:
         expected, _ = generator._periodic_state(
             scipy.linalg.lu_solve(factor, rhs), 2, d, liouv.omega_L
         )
-        assert (info.method, info.fallback) == ("lu", None)
+        assert info.method == "lu"
         assert rho.harmonics.keys() == expected.harmonics.keys()
         for n, m in expected.harmonics.items():
             np.testing.assert_array_equal(rho.harmonics[n], m)
@@ -394,7 +396,7 @@ class TestSteadyState:
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
         k_rho = 4
         _, info = steady_state(liouv, k_rho=k_rho, method="gmres")
-        assert (info.method, info.fallback) == ("gmres", None)
+        assert info.method == "gmres"
         assert calls == [(liouv.dim**2, liouv.dim**2)] * (k_rho + 1)
 
     def test_lu_factors_one_real_system(self, monkeypatch):
@@ -443,7 +445,7 @@ class TestSteadyState:
         monkeypatch.setattr(scipy.sparse.linalg, "gmres", spy)
         k_rho = 3
         _, info = steady_state(liouv, k_rho=k_rho, method="gmres")
-        assert (info.method, info.fallback) == ("gmres", None)
+        assert info.method == "gmres"
         assert info.iterations > 0
         assert calls == [(np.dtype(np.float64), ((2 * k_rho + 1) * liouv.dim**2,))]
 
@@ -494,6 +496,21 @@ class TestSteadyState:
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=2), k_ext=6)
         with pytest.raises(SteadyStateError, match=r"would need 2\.6 GB"):
             steady_state(liouv, k_rho=k_rho, method=method)
+
+    def test_gmres_memory_guard(self):
+        # d = 4: k_rho + 1 = 366212 block factors of 4096 B need 1.5 GB; the
+        # guard refuses them before allocating anything, and nothing else runs
+        _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=2), k_ext=6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SteadyStateError) as exc:
+                steady_state(liouv, k_rho=366211, method="gmres")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value).startswith("gmres preconditioner would need 1.5 GB")
+        assert "lu" not in str(exc.value)
+        assert peak < 1_000_000
 
     def test_stroboscopic_relaxation_strong_damping(self, rng):
         # fast-relaxing variant: one-period monodromy applied 200 times from
