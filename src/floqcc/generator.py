@@ -35,17 +35,19 @@ solves the block system i n w rho_n = sum_k L_k rho_{n-k}: by its dense
 SVD null space, or by one bordered solve (the trace condition in place of a
 redundant row) whose preconditioner is an exact dense solve (``lu``),
 per-harmonic block LUs under GMRES (``gmres``), or both (the positivity
-probe).  Each ``steady_state`` call runs one route, and a route that fails
-fails the call.  GMRES applies the block system matrix-free and in time: the
-periodic operators of L are sampled once per solve, and each action is an
-FFT pair around stacked d x d products.  The generator keeps rho
+probe, and ``gmres`` on a single-reservoir generator, whose harmonics
+|n| <= 1 get the exact solve).  Each ``steady_state`` call runs one route,
+and a route that fails fails the call.  GMRES applies the block system
+matrix-free and in time: the periodic operators of L are sampled once per
+solve, and each action is an FFT pair around stacked d x d products.  The generator keeps rho
 Hermitian, rho_{-n} = rho_n^dag, so the bordered solve runs in the real
 Hermitian basis: its unknowns are rho_0 by its d^2 Hermitian coordinates
 and Re and Im of rho_n for n >= 1.  The exact solve is one real LU of the
-system in that basis; the block LUs are complex, one per harmonic n >= 0,
-the last one in L_0's own buffer.  The dense systems share one memory
-guard, 2.5 GB (16 B per entry for the complex ``svd`` one, 8 B for the
-real one); the block LUs have their own, 1.5 GB.
+system in that basis; the block LUs are complex, one per harmonic n >= 0
+outside the exact centre, the last one in L_0's own buffer.  The dense
+systems share one memory guard, 2.5 GB (16 B per entry for the complex
+``svd`` one, 8 B for the real one); the ``gmres`` preconditioner has its
+own, 1.5 GB, which counts its block LUs and its exact centre.
 """
 
 from __future__ import annotations
@@ -404,9 +406,11 @@ def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
 
     Block L_q maps input harmonic m to output harmonic n = m + q, and only
     n >= 0 is kept.  Row coordinate Re y or Im y takes Re(w L_q) with w = 1
-    or -i.  Coordinate Re rho_m enters harmonic m with factor 1 and Im rho_m
-    with i; harmonic -m holds rho_m^dag, so it reads the transpose with
-    factors 1 and -i."""
+    or -i, so (Re, Im)(w L_q) is (Re L_q, Im L_q) or (Im L_q, -Re L_q).
+    Coordinate Re rho_m enters harmonic m with factor 1 and Im rho_m with i;
+    harmonic -m holds rho_m^dag, so it reads the transpose (L_q with
+    permuted columns, taken once per q) with factors 1 and -i.  Every part
+    is added into the system in place, through views of Re and Im L_q."""
     d = liouv.dim
     d2 = d * d
     big = _dense_zeros((2 * k_rho + 1) * d2, float)
@@ -414,36 +418,47 @@ def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
     # rho_0's diagonal leads the real basis, so its trace border is k_rho = 0's
     diag = _trace_cols(d, 0)
 
-    def add(rows: slice, m: int, w: np.ndarray) -> None:
-        # w: the real rows' factors times L_q, on the complex columns of m
+    def add(rows: slice, where: bool | np.ndarray, minus_i: bool, m: int) -> None:
+        # the rows ``where`` selects take Re(w L_q), w = -i if minus_i else 1,
+        # on the real columns of harmonic m, from the loop's lq and lp
+        def parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # (Re(w mat), +-Im(w mat)), the sign - for w = -i
+            return (mat.imag, mat.real) if minus_i else (mat.real, mat.imag)
+
+        x, y = parts(lq if m >= 0 else lp)
         if m == 0:
             # coordinate (i, j) of rho_0 enters at (i, j) and (j, i): with
             # factors 1 and 1 above the diagonal, i and -i below it
-            wp = w[:, perm]
-            wp[:, diag] = 0.0
-            big[rows, :d2] += np.where(lower, (wp - w).imag, (w + wp).real)
+            xp, yp = parts(lp)
+            t = x + xp
+            t[:, diag] = x[:, diag]
+            np.subtract(*((y, yp) if minus_i else (yp, y)), out=t, where=lower)
+            view = big[rows, :d2]
+            np.add(view, t, out=view, where=where)
             return
         c = (2 * abs(m) - 1) * d2
-        if m > 0:
-            big[rows, c : c + d2] += w.real
-            big[rows, c + d2 : c + 2 * d2] -= w.imag
-        else:
-            wp = w[:, perm]
-            big[rows, c : c + d2] += wp.real
-            big[rows, c + d2 : c + 2 * d2] += wp.imag
+        head, tail = big[rows, c : c + d2], big[rows, c + d2 : c + 2 * d2]
+        np.add(head, x, out=head, where=where)
+        # Im rho_m enters with i, so tail takes -Im(w L_q); Im rho_{-m} with -i
+        (np.subtract if (m > 0) != minus_i else np.add)(tail, y, out=tail, where=where)
 
     for q in liouv.no_jump:
-        if abs(q) > 2 * k_rho:
+        rows = range(max(0, q - k_rho), min(k_rho, k_rho + q) + 1)
+        if not rows:
             continue
         # in the same (Fortran) order as big, so each block adds in cache order
         lq = liouv.component(q)
-        for n in range(max(0, q - k_rho), min(k_rho, k_rho + q) + 1):
+        # input harmonics m = n - q <= 0 read the transpose
+        lp = lq[:, perm] if rows[0] <= q else None
+        for n in rows:
             if n == 0:
-                add(slice(0, d2), -q, np.where(lower[:, None], -1j * lq, lq))
+                # rho_0's Hermitian coordinates: Re above the diagonal, Im below
+                add(slice(0, d2), ~lower[:, None], False, -q)
+                add(slice(0, d2), lower[:, None], True, -q)
             else:
                 r = (2 * n - 1) * d2
-                add(slice(r, r + d2), n - q, lq)
-                add(slice(r + d2, r + 2 * d2), n - q, -1j * lq)
+                add(slice(r, r + d2), True, False, n - q)
+                add(slice(r + d2, r + 2 * d2), True, True, n - q)
     # -i n w rho_n: Re y_n gains n w Im rho_n, Im y_n loses n w Re rho_n
     for n in range(1, k_rho + 1):
         re = (2 * n - 1) * d2 + np.arange(d2)
@@ -530,6 +545,16 @@ def _residual(
     return float(np.linalg.norm(res) / np.linalg.norm(vec))
 
 
+def _preconditioner_guard(factor_bytes: int) -> None:
+    """Refuse preconditioner factors above 1.5 GB before any is taken, so
+    oversized problems fail cleanly instead of thrashing."""
+    if factor_bytes > 1_500_000_000:
+        raise SteadyStateError(
+            f"gmres preconditioner would need {factor_bytes / 1e9:.1f} GB "
+            "(n_fock too large); reduce the problem size"
+        )
+
+
 def _solve_bordered(
     liouv: CountingLiouvillian, k_rho: int, exact: ExactFactor | None = None
 ) -> tuple[np.ndarray, float, int]:
@@ -540,7 +565,9 @@ def _solve_bordered(
     (``_hermitian_coords``), with the trace border on coordinate 0.
     ``exact = (k_in, factor)`` hands the central harmonics |n| <= k_in, a
     prefix of the coordinates, to the LU of the bordered k_in system
-    (``_real_factor``).  Every other harmonic n >= 1 gets the complex LU of
+    (``_real_factor``): all of them on the ``lu`` route, |n| <= 1 on
+    ``gmres`` for a single reservoir, the base route's centre in the
+    positivity probe.  Every other harmonic n >= 1 gets the complex LU of
     its diagonal block L_0 - i n w, applied to Re + i Im of its two
     coordinate blocks; without an exact centre, rho_0 gets the complex LU of
     the bordered L_0, applied to the Hermitian rho_0.  The last of these
@@ -548,9 +575,14 @@ def _solve_bordered(
     the 1.5 GB guard counts are all that is held.  With k_in = k_rho the
     preconditioned right-hand side is the solution.  Otherwise one
     full-memory GMRES cycle runs on the matrix-free system action
-    (``_block_action``, sampled in time before the factors are taken): the
-    harmonic coupling is weak, and the exact centre refines a k_in solution
-    to k_rho where the block-diagonal preconditioner alone stalls.
+    (``_block_action``, sampled in time before the block factors are
+    taken): the harmonic coupling is weak, and the exact centre refines a
+    k_in solution to k_rho where the block-diagonal preconditioner alone
+    stalls.  A single-reservoir generator needs the centre |n| <= 1: its
+    undamped mode is cooled only by drive sidebands, which couple rho_0
+    through rho_{+-1} alone, so with rho_0 alone exact GMRES stalls near
+    residual 3e-3 (or the centre is singular), and with |n| <= 1 it
+    converges in a few iterations.
     Returns (real coordinates, relative residual of the original system,
     GMRES iterations).
     """
@@ -563,15 +595,8 @@ def _solve_bordered(
     k_in, central = exact if exact is not None else (-1, None)
     outer = range(k_in + 1, k_rho + 1)
 
-    # the factors hold one dense d^2 x d^2 block per outer harmonic n >= 0;
-    # keep a hard memory guard so oversized problems fail cleanly instead of
-    # thrashing
-    factor_bytes = len(outer) * (d2**2) * 16
-    if factor_bytes > 1_500_000_000:
-        raise SteadyStateError(
-            f"gmres preconditioner would need {factor_bytes / 1e9:.1f} GB "
-            f"(n_fock too large); reduce the problem size"
-        )
+    # the factors hold one dense d^2 x d^2 block per outer harmonic n >= 0
+    _preconditioner_guard(len(outer) * d2**2 * 16)
     # the small time samples go before the large factors: made after them,
     # they raised the peak RSS by heap placement
     act = _block_action(liouv, k_rho)
@@ -630,7 +655,8 @@ def _solve_bordered(
     residual = _residual(act, d, k_rho, _from_hermitian_coords(vec, k_rho))
     if residual > 1e-10:
         # generators with very slow modes (e.g. an undamped mode cooled only
-        # through drive sidebands) defeat the block preconditioner
+        # through drive sidebands) defeat the block preconditioner unless
+        # the harmonics that couple them are exact
         raise SteadyStateError(
             f"preconditioned GMRES stalled (code {code}, residual {residual:.2e}); "
             "solver.method=lu is the direct route"
@@ -710,29 +736,28 @@ def steady_state(
     whole system as its preconditioner, exact, so no iteration), "gmres"
     (the same solve with per-harmonic block factors, iterated on the
     system's action in time, the count in ``SteadyStateInfo.iterations``),
-    or "auto": svd up to DENSE_SIZE_LIMIT unknowns, otherwise lu for a
-    single reservoir and gmres for two (dense SVD scales as the cube of
-    (2 k_rho + 1) d^2 and is kept for diagnostics and cross-validation).
-    svd and lu build the block system densely (complex and real,
-    respectively) and refuse it above 2.5 GB.  Each call runs only the
-    route picked: a gmres solve that stalls or meets its preconditioner
-    memory guard fails with that one cause.  An exactly singular bordered
-    system means more than one steady state.  Every route yields the real
-    Hermitian coordinates of the state (for svd, of the null vector of
-    trace 1), so rho_{-n} = rho_n^dag holds exactly; the returned harmonics
-    are trace-normalized, and the off-harmonic trace (at most TRACE_TOL),
-    positivity of rho(t) and the residual of the block equation (at most
-    1e-8) are checked.
+    or "auto": svd up to DENSE_SIZE_LIMIT unknowns, gmres above (dense SVD
+    scales as the cube of (2 k_rho + 1) d^2 and is kept for diagnostics and
+    cross-validation).  On a single-reservoir generator gmres solves the
+    harmonics |n| <= 1 exactly, by the real LU lu would take at k_rho = 1,
+    and takes block factors for n >= 2 only; its 1.5 GB guard counts that
+    centre, 72 d^4 B, before it is built.  svd and lu build the block
+    system densely (complex and real, respectively) and refuse it above
+    2.5 GB.  Each call runs only the route picked: a gmres solve that
+    stalls or meets its preconditioner memory guard fails with that one
+    cause.  An exactly singular bordered system means more than one steady
+    state.  Every route yields the real Hermitian coordinates of the state
+    (for svd, of the null vector of trace 1), so rho_{-n} = rho_n^dag holds
+    exactly; the returned harmonics are trace-normalized, and the
+    off-harmonic trace (at most TRACE_TOL), positivity of rho(t) and the
+    residual of the block equation (at most 1e-8) are checked.
     """
     if k_rho is None:
         k_rho = liouv.suggested_k_rho()
     d = liouv.dim
     size = (2 * k_rho + 1) * d * d
     if method == "auto":
-        # single-reservoir generators have very slow modes that defeat the
-        # gmres preconditioner; they go direct
-        large = "lu" if len(liouv.channels) == 1 else "gmres"
-        method = "svd" if size <= DENSE_SIZE_LIMIT else large
+        method = "svd" if size <= DENSE_SIZE_LIMIT else "gmres"
 
     exact = sigma_second = None
     iterations = 0
@@ -757,7 +782,15 @@ def steady_state(
         exact = _real_factor(liouv, k_rho)
         coords, residual, _ = _solve_bordered(liouv, k_rho, exact)
     elif method == "gmres":
-        coords, residual, iterations = _solve_bordered(liouv, k_rho)
+        if len(liouv.channels) == 1:
+            # one reservoir: its slow modes couple rho_0 only through
+            # rho_{+-1}, so the harmonics |n| <= 1 get an exact centre
+            k_in = min(1, k_rho)
+            _preconditioner_guard(
+                ((2 * k_in + 1) * d * d) ** 2 * 8 + (k_rho - k_in) * d**4 * 16
+            )
+            exact = _real_factor(liouv, k_in)
+        coords, residual, iterations = _solve_bordered(liouv, k_rho, exact)
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
 

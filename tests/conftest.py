@@ -38,6 +38,28 @@ def fig2_spec(omega_L: float, n_fock: int = 8, g: float | None = None,
     )
 
 
+# criterion-8 laser-cooling parameters (units of omega0): one reservoir, the
+# mode coupled to the qubit with lambda0 and to nothing else
+LASERCOOL = dict(g=2e-4, lambda0=1.13e-4, d_h=5e-3, omega_cc=5e-3, beta=1e4)
+
+
+def lasercool_spec(delta: float, n_fock: int = 6) -> SupersystemSpec:
+    """Single-reservoir supersystem at drive detuning ``delta`` = omega_L -
+    omega0, at the laser-cooling parameter set."""
+    return SupersystemSpec(
+        omega0=1.0,
+        g=LASERCOOL["g"],
+        omega_L=1.0 + delta,
+        omega_cc=LASERCOOL["omega_cc"],
+        n_fock=n_fock,
+        lambda0=LASERCOOL["lambda0"],
+        beta_h=LASERCOOL["beta"],
+        beta_c=LASERCOOL["beta"],
+        hot_bath=Ohmic(d_h=LASERCOOL["d_h"], omega_ref=1.0),
+        residual_bath=None,
+    )
+
+
 def build_pipeline_liouvillian(spec: SupersystemSpec, k_ext: int, n_window=None):
     """bath -> model -> floquet -> generator chain for tests."""
     h = build_supersystem_fourier(spec)
@@ -68,9 +90,10 @@ def rng():
 
 @pytest.fixture
 def stalled_gmres(monkeypatch):
-    """Every iterated bordered solve (no exact central solve) stalls with
-    "stalled on purpose", so a ``gmres`` call fails with that cause; the
-    direct ``lu`` solve, which runs through the same function, still works."""
+    """Every iterated bordered solve without an exact central solve stalls
+    with "stalled on purpose", so a two-reservoir ``gmres`` call fails with
+    that cause; the direct ``lu`` solve, which runs through the same
+    function, still works."""
     real = generator._solve_bordered
 
     def solve(liouv, k_rho, exact=None):

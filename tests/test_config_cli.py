@@ -416,6 +416,22 @@ class TestRefinementGates:
         assert iterations["lu"] == 0
         assert iterations["gmres"] > 0
 
+    def test_lasercool_gmres_matches_lu(self):
+        # solver.method=gmres on a single reservoir iterates around its exact
+        # |n| <= 1 centre and lands on the direct solve
+        cfg = replace(
+            RunConfig(), mode="lasercool", omegaL=0.995, g=2e-4, d_c=1.13e-4,
+            omega_res=5e-3, beta_h=1e4, beta_c=1e4, resonance_lock=False,
+            n_fock=12, convergence="off",
+        )
+        gm = run_point(replace(cfg, method="gmres"))
+        lu = run_point(replace(cfg, method="lu"))
+        assert gm.ok, gm.error
+        assert (gm.diagnostics.method, lu.diagnostics.method) == ("gmres", "lu")
+        assert gm.diagnostics.iterations > 0
+        assert gm.report.n_mean == pytest.approx(lu.report.n_mean, rel=1e-10)
+        assert gm.report.qbar_h == pytest.approx(lu.report.qbar_h, rel=1e-10)
+
     def test_gmres_stall_is_a_failed_row(self, stalled_gmres, tmp_path):
         js = tmp_path / "out.json"
         code = main(

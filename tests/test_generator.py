@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -37,7 +38,13 @@ from floqcc.model import (
 )
 from floqcc.oracles import propagate
 
-from conftest import build_pipeline_liouvillian, fig2_spec, solve_pipeline
+from conftest import (
+    LASERCOOL,
+    build_pipeline_liouvillian,
+    fig2_spec,
+    lasercool_spec,
+    solve_pipeline,
+)
 
 
 def spre(x):
@@ -510,6 +517,90 @@ class TestSteadyState:
             tracemalloc.stop()
         assert str(exc.value).startswith("gmres preconditioner would need 1.5 GB")
         assert "lu" not in str(exc.value)
+        assert peak < 1_000_000
+
+    @pytest.fixture(scope="class")
+    def lasercool(self):
+        """Single-reservoir generator on the cooling sideband, d = 12."""
+        spec = lasercool_spec(-LASERCOOL["omega_cc"], n_fock=6)
+        return build_pipeline_liouvillian(spec, k_ext=8)[2]
+
+    def test_single_reservoir_auto_takes_gmres(self, lasercool):
+        # k_rho = 4: 1296 unknowns, above DENSE_SIZE_LIMIT
+        rho, info = steady_state(lasercool, k_rho=4)
+        assert info.size > generator.DENSE_SIZE_LIMIT
+        assert info.method == "gmres"
+        assert info.iterations > 0
+        for method in ("lu", "svd"):
+            other, _ = steady_state(lasercool, k_rho=4, method=method)
+            for n in other.harmonics:
+                np.testing.assert_allclose(
+                    rho.component(n), other.component(n), atol=1e-10
+                )
+
+    def test_single_reservoir_gmres_has_exact_centre(self, lasercool, monkeypatch):
+        # the harmonics |n| <= 1 by one real LU of side 3 d^2, then one
+        # complex block LU for each n = 2..k_rho
+        real_lu_factor = scipy.linalg.lu_factor
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append((a.shape, a.dtype))
+            return real_lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+        k_rho = 4
+        d2 = lasercool.dim**2
+        _, info = steady_state(lasercool, k_rho=k_rho, method="gmres")
+        assert info.method == "gmres"
+        assert calls == [((3 * d2, 3 * d2), np.dtype(np.float64))] + [
+            ((d2, d2), np.dtype(np.complex128))
+        ] * (k_rho - 1)
+
+    def test_single_reservoir_probe_reuses_centre(self, lasercool, monkeypatch):
+        # a negative tolerance forces the failure branch; the k_rho + 2 probe
+        # runs gmres around the base route's |n| <= 1 centre, factoring only
+        # its own outer blocks, and must report the eigenvalue of a direct
+        # solve at k_rho + 2
+        real_lu_factor = scipy.linalg.lu_factor
+        dtypes = []
+
+        def spy(a, *args, **kwargs):
+            dtypes.append(a.dtype)
+            return real_lu_factor(a, *args, **kwargs)
+
+        k_rho = 2
+        with monkeypatch.context() as m:
+            m.setattr(scipy.linalg, "lu_factor", spy)
+            with pytest.raises(SteadyStateError) as exc:
+                steady_state(lasercool, k_rho=k_rho, method="gmres", positivity_tol=-1.0)
+        assert dtypes == [np.dtype(np.float64)] + [np.dtype(np.complex128)] * (2 * k_rho)
+        _, direct = steady_state(
+            lasercool, k_rho=k_rho + 2, method="lu", positivity_tol=math.inf
+        )
+        assert re.search(
+            rf"k_rho {k_rho}->{k_rho + 2} (moves it to|leaves it at) "
+            rf"{direct.min_eigenvalue:.3e}",
+            str(exc.value),
+        )
+
+    def test_single_reservoir_gmres_memory_guard(self, monkeypatch):
+        # d = 4: the |n| <= 1 centre (72 d^4 = 18432 B) and 366210 block
+        # factors of 4096 B need 1.5 GB; the guard refuses them before the
+        # centre is built, and nothing else runs
+        def no_centre(*args, **kwargs):
+            raise AssertionError("the guard must run before the centre is built")
+
+        _, _, liouv = build_pipeline_liouvillian(lasercool_spec(-5e-3, n_fock=2), k_ext=6)
+        monkeypatch.setattr(generator, "_real_factor", no_centre)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SteadyStateError) as exc:
+                steady_state(liouv, k_rho=366211, method="gmres")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value).startswith("gmres preconditioner would need 1.5 GB")
         assert peak < 1_000_000
 
     def test_stroboscopic_relaxation_strong_damping(self, rng):
