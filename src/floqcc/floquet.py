@@ -2,10 +2,14 @@
 
 A T-periodic Hamiltonian H(t) = sum_k exp(i k w t) H_k is lifted to the
 time-independent block matrix Q = sum_k F_k (x) H_k + w F_z (x) 1, where the
-harmonic ladder is truncated to m in [-K, K].  Eigenvalues folded into one
-Brillouin zone (-w/2, w/2] give the quasienergies; the eigenvector blocks are
-the harmonic components u_r^(m) of the Floquet modes
-|r(t)> = sum_m exp(i m w t) u_r^(m).
+harmonic ladder is truncated to m in [-K, K].  Each physical Floquet state
+appears on the ladder as a family of copies, eps + s w with its harmonic
+blocks displaced by s; one copy per family, the one centred on the ladder,
+is kept unfolded, its eigenvalue and its blocks u_r^(m) of
+|r(t)> = sum_m exp(i m w t) u_r^(m) together.  Folding the eigenvalues
+into one Brillouin zone (-w/2, w/2] gives the quasienergies.  The kept
+copies certify the ladder: their weight in the edge blocks and their
+residual just outside the ladder bound what the truncation leaves out.
 
 Q is diagonalized in a real gauge when it has one: a diagonal phase change
 D^dag Q D read off Q's own nonzero pattern makes every Q this model builds
@@ -27,8 +31,25 @@ class DegeneracyError(RuntimeError):
     """Representative selection failed to identify d distinct Floquet states."""
 
 
+# ladder certificate of the kept representatives: largest weight in the two
+# edge blocks, and largest residual just outside the ladder (times omega_L)
+EDGE_WEIGHT_BOUND = 1e-10
+EDGE_RESIDUAL_BOUND = 1e-8
+
+
 class FloquetConvergenceError(RuntimeError):
-    """Truncated harmonic ladder too small for a converged Floquet solution."""
+    """Truncated harmonic ladder too small for a converged Floquet solution:
+    the kept representatives fail the ladder certificate."""
+
+    def __init__(self, k_ext: int, edge_weight: float, edge_residual: float):
+        super().__init__(
+            f"ladder k_ext={k_ext} not certified: edge weight {edge_weight:.2e} "
+            f"(bound {EDGE_WEIGHT_BOUND:.0e}), edge residual {edge_residual:.2e} "
+            f"(bound {EDGE_RESIDUAL_BOUND:.0e} omega_L); increase k_ext"
+        )
+        self.k_ext = k_ext
+        self.edge_weight = edge_weight
+        self.edge_residual = edge_residual
 
 
 @dataclass(frozen=True)
@@ -84,33 +105,54 @@ def fold_to_zone(eps: np.ndarray | float, omega_L: float) -> np.ndarray | float:
     return eps - omega_L * np.ceil(eps / omega_L - 0.5)
 
 
+def _zone(energies: np.ndarray, omega_L: float) -> np.ndarray:
+    """``fold_to_zone``, with values within 1e-10 omega_L of the lower zone
+    edge snapped to the included upper edge."""
+    eps = fold_to_zone(energies, omega_L)
+    return np.where(eps < -0.5 * omega_L + 1e-10 * omega_L, eps + omega_L, eps)
+
+
 @dataclass(frozen=True)
 class FloquetSolution:
-    """Quasienergies in one Brillouin zone plus Floquet-mode harmonics.
+    """Unfolded Floquet representatives: eigenvalues of Q and their harmonics.
 
-    ``modes[r, m + k_ext, :]`` is the harmonic component u_r^(m); each mode is
-    normalized in the extended inner product, sum_m ||u^(m)||^2 = 1.
+    ``modes[r, m + k_ext, :]`` is the harmonic component u_r^(m) of the copy
+    with eigenvalue ``energies[r]``; each mode is normalized in the extended
+    inner product, sum_m ||u^(m)||^2 = 1.  ``quasienergies`` are the
+    energies folded into (-w/2, w/2] (``solve_floquet`` orders the modes by
+    them), and the zone modes e^{-i s_r w t} |r(t)> that go with them are
+    what ``mode_at_time`` and ``state_matrix_at_time`` return.
+    ``edge_weight`` and ``edge_residual`` are the ladder certificate (nan
+    when not computed).
     """
 
-    quasienergies: np.ndarray
+    energies: np.ndarray
     modes: np.ndarray = field(repr=False)
     k_ext: int
     omega_L: float
+    edge_weight: float = math.nan
+    edge_residual: float = math.nan
 
     @property
     def dim(self) -> int:
-        return int(self.quasienergies.shape[0])
+        return int(self.energies.shape[0])
+
+    @property
+    def quasienergies(self) -> np.ndarray:
+        return _zone(self.energies, self.omega_L)
 
     def mode_at_time(self, r: int, t: float) -> np.ndarray:
-        ms = np.arange(-self.k_ext, self.k_ext + 1)
-        phases = np.exp(1j * ms * self.omega_L * t)
-        return np.tensordot(phases, self.modes[r], axes=(0, 0))
+        return self.state_matrix_at_time(t)[:, r]
 
     def state_matrix_at_time(self, t: float) -> np.ndarray:
-        """Columns are |r(t)> for r = 0..d-1."""
+        """Columns are the zone modes |r(t)> for r = 0..d-1: each copy's
+        mode times e^{-i s_r w t}, s_r the ladder steps its energy is
+        folded by."""
+        w = self.omega_L
         ms = np.arange(-self.k_ext, self.k_ext + 1)
-        phases = np.exp(1j * ms * self.omega_L * t)
-        return np.tensordot(phases, self.modes, axes=(0, 1)).T
+        shifts = np.rint((self.energies - self.quasienergies) / w)
+        modes = np.tensordot(np.exp(1j * ms * w * t), self.modes, axes=(0, 1)).T
+        return modes * np.exp(-1j * shifts * w * t)
 
     def completeness_defect_t0(self) -> float:
         v = self.state_matrix_at_time(0.0)
@@ -159,23 +201,46 @@ def _real_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return real, phase
 
 
+def _edge_residual(q: ExtendedOperator, modes: np.ndarray) -> np.ndarray:
+    """Norm of each mode's residual in the blocks just outside the ladder.
+
+    A copy (eps, u) of the truncated Q, extended by zero blocks, satisfies
+    the untruncated eigenproblem except in the K blocks beyond each edge (K
+    the harmonic support), where it leaves sum_j H_j u^(m - j).  Q is block
+    Toeplitz, so the blocks that map the K edge blocks there also sit in Q,
+    K blocks further in.
+    """
+    d, n = q.dim_phys, q.matrix.shape[0]
+    # H_1, H_2, ... fill the first block column below the diagonal
+    rows = np.flatnonzero(np.any(q.matrix[d:, :d], axis=1))
+    s = (rows[-1] // d + 1) * d if rows.size else 0
+    u = modes.reshape(modes.shape[0], n)
+    up = u[:, n - s :] @ q.matrix[n - s :, n - 2 * s : n - s].T
+    down = u[:, :s] @ q.matrix[:s, s : 2 * s].T
+    return np.sqrt(np.sum(np.abs(up) ** 2, axis=1) + np.sum(np.abs(down) ** 2, axis=1))
+
+
 def solve_floquet(q: ExtendedOperator) -> FloquetSolution:
-    """Diagonalize the extended operator and select physical representatives.
+    """Diagonalize the extended operator, keep one representative per
+    Floquet family and certify the ladder.
 
     Copies of the same physical Floquet state differ by a ladder shift
-    (eps + s w pairs with harmonics displaced by s blocks), so the best
-    conditioned copy per family is picked greedily by descending
-    central-block weight (sum of ||u^(m)||^2 over |m| <= max(1, k_ext // 2));
-    candidates whose t = 0 physical vector has squared overlap above 0.5
-    with an already accepted state are shifted duplicates and are discarded
-    (t = 0 vectors of distinct Floquet states are orthogonal).  Each
-    accepted copy is then folded into the Brillouin zone (-w/2, w/2] with
-    its harmonic blocks displaced consistently, eps -> eps - s w together
-    with u^(m) -> u^(m + s).  Eigenvalues landing within 1e-10 w of the
-    lower zone edge are snapped to the included upper edge.  A fold that
-    would push significant weight off the truncated ladder (shifted norm
-    below 1 - 1e-8) aborts with a convergence error.  The ``eigh`` runs on
-    the real gauge of Q when there is one (``_real_form``).
+    (eps + s w pairs with harmonics displaced by s blocks).  Candidates are
+    taken in order of their weight centre sum_m m ||u^(m)||^2, nearest 0
+    first; one whose t = 0 physical vector has squared overlap above 0.5
+    with an already accepted state is a shifted duplicate and is discarded
+    (t = 0 vectors of distinct Floquet states are orthogonal).  The kept
+    copies are neither folded nor shifted: each keeps its eigenvalue and its
+    blocks, and they are ordered by their folded quasienergy.
+
+    The ladder is certified from this one solution.  Every kept copy must
+    carry at most ``EDGE_WEIGHT_BOUND`` of its weight in the two edge blocks
+    m = +-k_ext, and its residual just outside the ladder
+    (``_edge_residual``) must be at most ``EDGE_RESIDUAL_BOUND`` omega_L;
+    a Hermitian eigenvalue lies within that residual of the untruncated
+    spectrum.  Otherwise ``FloquetConvergenceError`` names both numbers.
+    The ``eigh`` runs on the real gauge of Q when there is one
+    (``_real_form``).
     """
     herm = float(np.max(np.abs(q.matrix - q.matrix.conj().T)))
     if herm > 1e-10:
@@ -190,23 +255,21 @@ def solve_floquet(q: ExtendedOperator) -> FloquetSolution:
         evecs = phase[:, None] * evecs
     blocks = evecs.T.reshape(-1, 2 * k + 1, d)  # [state, m, component]
     weights = np.sum(np.abs(blocks) ** 2, axis=2)  # [state, m]
-    ms = np.arange(-k, k + 1)
-    central = weights[:, np.abs(ms) <= max(1, k // 2)].sum(axis=1)
+    centre = weights @ np.arange(-k, k + 1)
     t0 = blocks.sum(axis=1)  # physical vector at t = 0 (unnormalized)
 
-    order = np.argsort(-central)
     chosen: list[int] = []
-    basis: list[np.ndarray] = []
-    for idx in order:
+    basis = np.empty((d, d), dtype=t0.dtype)
+    for idx in np.argsort(np.abs(centre), kind="stable"):
         v = t0[idx]
         nv = np.linalg.norm(v)
         if nv < 1e-8:
             continue
         v = v / nv
-        if basis and np.max(np.abs(np.array(basis) @ v.conj())) ** 2 > 0.5:
+        if chosen and np.max(np.abs(basis[: len(chosen)] @ v.conj())) ** 2 > 0.5:
             continue
+        basis[len(chosen)] = v
         chosen.append(idx)
-        basis.append(v)
         if len(chosen) == d:
             break
     if len(chosen) != d:
@@ -215,35 +278,13 @@ def solve_floquet(q: ExtendedOperator) -> FloquetSolution:
             "increase k_ext or inspect near-degenerate clusters"
         )
 
-    eps_out = np.empty(d)
-    modes_out = np.zeros((d, 2 * k + 1, d), dtype=complex)
-    for i, idx in enumerate(chosen):
-        eps_raw = evals[idx]
-        eps_f = float(fold_to_zone(eps_raw, w))
-        if eps_f < -0.5 * w + 1e-10 * w:
-            eps_f += w
-        s = int(round((eps_raw - eps_f) / w))
-        # copy with eps - s w carries mode e^{-i s w t} |r(t)>: u^(m) <- u^(m+s)
-        src_lo = max(0, s)
-        src_hi = min(2 * k + 1, 2 * k + 1 + s)
-        dst_lo = src_lo - s
-        dst_hi = src_hi - s
-        modes_out[i, dst_lo:dst_hi] = blocks[idx, src_lo:src_hi]
-        kept = float(np.sum(np.abs(modes_out[i]) ** 2))
-        if kept < 1.0 - 1e-8:
-            raise FloquetConvergenceError(
-                f"folding a representative by {s} ladder steps keeps only "
-                f"{kept:.12f} of its weight; increase k_ext"
-            )
-        eps_out[i] = eps_f
-
-    sort = np.argsort(eps_out)
-    return FloquetSolution(
-        quasienergies=eps_out[sort],
-        modes=modes_out[sort],
-        k_ext=k,
-        omega_L=w,
-    )
+    chosen = np.array(chosen)[np.argsort(_zone(evals[chosen], w))]
+    modes = blocks[chosen]
+    edge_weight = float(np.max(np.sum(np.abs(modes[:, [0, -1]]) ** 2, axis=(1, 2))))
+    edge_residual = float(np.max(_edge_residual(q, modes)))
+    if edge_weight > EDGE_WEIGHT_BOUND or edge_residual > EDGE_RESIDUAL_BOUND * w:
+        raise FloquetConvergenceError(k, edge_weight, edge_residual)
+    return FloquetSolution(evals[chosen], modes, k, w, edge_weight, edge_residual)
 
 
 @dataclass(frozen=True)
@@ -252,8 +293,11 @@ class JumpDecomposition:
 
     Entry i couples |r'(t)> to |r(t)| with harmonic index n, scalar amplitude
     <<r| F_{-n} (x) S |r'>> and transition frequency
-    delta = eps_r - eps_r' + n omega_L.  For Hermitian S the entries close
-    under (r, r', n) -> (r', r, -n) with conjugated amplitude.
+    delta = eps_r - eps_r' + n omega_L, all taken on the unfolded
+    representatives (``FloquetSolution.energies`` and ``modes``); the
+    transition frequencies do not depend on which copies those are.  For
+    Hermitian S the entries close under (r, r', n) -> (r', r, -n) with
+    conjugated amplitude.
     """
 
     r_idx: np.ndarray
@@ -276,24 +320,24 @@ def decompose_operator(
     n_window: int | None = None,
     amplitude_floor: float = AMPLITUDE_FLOOR,
 ) -> JumpDecomposition:
-    """Matrix elements <<r| F_{-n} (x) S |r'>> for |n| <= n_window.
+    """Matrix elements <<r| F_{-n} (x) S |r'>> for |n| <= n_window, by
+    default every harmonic the ladder holds (n_window = 2 k_ext).
 
-    The harmonic sum runs over interior ladder blocks only: the outermost
-    ceil(k_ext/4) blocks are corrupted by ladder truncation and are
-    discarded.  Entries with |amplitude| <= ``amplitude_floor`` are dropped;
-    the floor acts symmetrically on conjugate partners, preserving Hermitian
-    pairing.  Entries are ordered by (n, r, r').
+    The harmonic sum runs over the whole ladder: the certificate of
+    ``solve_floquet`` bounds what the kept representatives leave in and
+    beyond its edge blocks.  Entries with |amplitude| <= ``amplitude_floor``
+    are dropped; the floor acts symmetrically on conjugate partners,
+    preserving Hermitian pairing.  Entries are ordered by (n, r, r').
     """
     d = fs.dim
     k = fs.k_ext
-    k_int = k - math.ceil(k / 4)
     if n_window is None:
-        n_window = min(2 * k_int, k)
-    if n_window > 2 * k_int:
-        raise ValueError(f"n_window={n_window} exceeds usable range {2 * k_int}")
+        n_window = 2 * k
+    if n_window > 2 * k:
+        raise ValueError(f"n_window={n_window} exceeds the ladder's range {2 * k}")
 
-    # interior blocks, S applied once per (m) index
-    u = fs.modes[:, k - k_int : k + k_int + 1, :]  # [r, m, :]
+    # S applied once per (m) index
+    u = fs.modes  # [r, m, :]
     su = np.einsum("ij,rmj->rmi", s, u)
     nm = u.shape[1]
     amp = np.empty((2 * n_window + 1, d, d), dtype=complex)
@@ -308,7 +352,7 @@ def decompose_operator(
         amp[n + n_window] = np.einsum("rmi,smi->rs", left.conj(), right)
     n_pos, r_idx, rp_idx = np.nonzero(np.abs(amp) > amplitude_floor)
     n_idx = n_pos - n_window
-    eps = fs.quasienergies
+    eps = fs.energies
     return JumpDecomposition(
         r_idx=r_idx,
         rp_idx=rp_idx,

@@ -2,9 +2,10 @@
 grids, laser-cooling curves and the secular benchmark.
 
 Every point maps the bath, builds the model, then runs three stages under
-adaptive Fock truncation: Floquet (Sambe solve and k_ext drift gate),
-generator (coupling operators, jumps, kernels) and steady (periodic state
-and heat flows); failures are ``PointFailure``s tagged with their layer.
+adaptive Fock truncation: Floquet (one Sambe solve per ladder, the ladder
+raised until its certificate passes), generator (coupling operators, jumps,
+kernels) and steady (periodic state and heat flows); failures are
+``PointFailure``s tagged with their layer.
 Sweep points are independent and can be dispatched to a process pool
 (worker count via the FLOQCC_WORKERS environment variable; default serial).
 """
@@ -70,6 +71,10 @@ class Diagnostics:
     cc_flow_avg: float
     min_eigenvalue: float
     rho_tail: list[float]  # max |rho_n| for n = 1..k_rho, 0.0 where pruned
+    edge_weight: float  # ladder certificate of the accepted k_ext
+    edge_residual: float
+    # each smaller ladder tried first: k_ext, edge_weight, edge_residual
+    k_ext_trail: list[dict]
     gates: dict[str, float] = field(default_factory=dict)
 
 
@@ -86,16 +91,6 @@ class PointResult:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-def _k_ext_auto(cfg: RunConfig, omega_cc: float, n_fock: int) -> int:
-    """Ladder size hosting every in-zone representative away from the
-    excluded edge blocks."""
-    e_max = 0.5 * cfg.omega0 + (n_fock - 1) * omega_cc + 0.5 * cfg.omegaL
-    max_shift = math.ceil(e_max / cfg.omegaL)
-    need = max_shift + 2
-    k = max(8, math.ceil(4.0 * need / 3.0) + 1)
-    return k
 
 
 def _n_fock_estimate(cfg: RunConfig, omega_cc: float, residual: Ohmic | None) -> int:
@@ -159,54 +154,47 @@ def _build_spec(cfg: RunConfig, lambda0: float, omega_cc: float, residual, n_foc
         raise PointFailure("model", str(exc)) from exc
 
 
+# ladder steps of 2 the Floquet stage takes before it fails the point
+K_EXT_STEPS = 6
+
+
 @dataclass(frozen=True)
 class FloquetStage:
-    """Floquet solution of ``h``; ``refined`` is the k_ext + 2 solution the
-    drift gate compared it against (None when the gate is off)."""
+    """Floquet solution of ``h`` on the first certified ladder; ``trail``
+    holds the certificate of every smaller ladder tried before it."""
 
     h: PeriodicOperator
     fs: FloquetSolution
     completeness: float
-    refined: FloquetSolution | None = None
+    trail: list[dict]
 
 
-def _checked_floquet(
-    h: PeriodicOperator, fs: FloquetSolution, refined: FloquetSolution | None = None
-) -> FloquetStage:
+def _floquet_stage(cfg: RunConfig, spec: SupersystemSpec, k_ext: int = 0) -> FloquetStage:
+    """One Sambe solve per ladder: from ``k_ext`` (by default
+    ``solver.k_ext``, or the drive's harmonic support + 3 when that is
+    unset), k_ext is raised in steps of 2 while ``solve_floquet`` refuses
+    the ladder's certificate, at most ``K_EXT_STEPS`` times."""
+    h = build_supersystem_fourier(spec)
+    k_ext = k_ext or cfg.k_ext or h.max_harmonic + 3
+    trail: list[dict] = []
+    for _ in range(K_EXT_STEPS + 1):
+        try:
+            fs = solve_floquet(build_quasienergy_operator(h, cfg.omegaL, k_ext))
+            break
+        except FloquetConvergenceError as exc:
+            refused = exc
+            trail.append(
+                {"k_ext": k_ext, "edge_weight": exc.edge_weight, "edge_residual": exc.edge_residual}
+            )
+            k_ext += 2
+        except (DegeneracyError, ValueError, np.linalg.LinAlgError) as exc:
+            raise PointFailure("floquet", str(exc)) from exc
+    else:
+        raise PointFailure("floquet", str(refused))
     completeness = fs.completeness_defect_t0()
     if completeness > 1e-6:
-        raise PointFailure(
-            "floquet", f"Floquet completeness defect {completeness:.2e} > 1e-6"
-        )
-    return FloquetStage(h, fs, completeness, refined)
-
-
-def _floquet_stage(
-    cfg: RunConfig, spec: SupersystemSpec, k_ext: int, drift_gate: bool
-) -> FloquetStage:
-    """Sambe solve at ``k_ext``; with ``drift_gate``, k_ext is raised in
-    steps of 2 until the quasienergies are stable to 1e-8 omega0 under
-    k_ext + 2."""
-    h = build_supersystem_fourier(spec)
-
-    def solve(k: int) -> FloquetSolution:
-        try:
-            return solve_floquet(build_quasienergy_operator(h, cfg.omegaL, k))
-        except (DegeneracyError, FloquetConvergenceError, ValueError, np.linalg.LinAlgError) as exc:
-            raise PointFailure("floquet", str(exc)) from exc
-
-    fs = solve(k_ext)
-    if not drift_gate:
-        return _checked_floquet(h, fs)
-    for _ in range(6):
-        fs2 = solve(k_ext + 2)
-        drift = float(
-            np.max(np.abs(np.sort(fs.quasienergies) - np.sort(fs2.quasienergies)))
-        )
-        if drift < 1e-8 * cfg.omega0:
-            return _checked_floquet(h, fs, fs2)
-        fs, k_ext = fs2, k_ext + 2
-    raise PointFailure("floquet", f"quasienergies not converged at k_ext={k_ext}")
+        raise PointFailure("floquet", f"Floquet completeness defect {completeness:.2e} > 1e-6")
+    return FloquetStage(h, fs, completeness, trail)
 
 
 def _generator_stage(cfg: RunConfig, spec: SupersystemSpec, floq: FloquetStage):
@@ -250,11 +238,13 @@ def run_point(cfg: RunConfig) -> PointResult:
     """Execute the full pipeline at one parameter point.
 
     Fock truncation is raised (in steps of 4, up to solver.n_fock_max) until
-    the top-level occupancy check passes; with solver.convergence = "full"
-    the n_fock + 4, k_ext + 2 and k_rho + 2 refinements must each move the
+    the top-level occupancy check passes; every Floquet stage certifies its
+    own ladder (``_floquet_stage``).  With solver.convergence = "full" the
+    n_fock + 4, k_ext + 2 and k_rho + 2 refinements must each move the
     period-averaged flows by less than 0.1% relative.  k_rho + 2 re-solves
-    the base generator, k_ext + 2 rebuilds the generator from the drift
-    gate's k_ext + 2 Floquet solution, and n_fock + 4 runs every stage.
+    the base generator, k_ext + 2 makes its own Floquet solve at the
+    certified k_ext + 2 and rebuilds the generator from it, and n_fock + 4
+    runs every stage from the certified k_ext.
     """
     cfg.validate()
     extras = _config_extras(cfg)
@@ -267,23 +257,18 @@ def run_point(cfg: RunConfig) -> PointResult:
     except PointFailure as exc:
         return failed(math.nan, str(exc))
 
-    def k_ext_for(n_fock: int) -> int:
-        return cfg.k_ext if cfg.k_ext > 0 else _k_ext_auto(cfg, omega_cc, n_fock)
-
     k_rho = cfg.k_rho if cfg.k_rho > 0 else None
 
-    def chain(n_fock: int, k_ext: int, drift_gate: bool):
+    def chain(n_fock: int, k_ext: int = 0):
         spec = _build_spec(cfg, lambda0, omega_cc, residual, n_fock)
-        floq = _floquet_stage(cfg, spec, k_ext, drift_gate)
+        floq = _floquet_stage(cfg, spec, k_ext)
         liouv = _generator_stage(cfg, spec, floq)
         return spec, floq, liouv, _steady_stage(cfg, liouv, k_rho)
 
     n_fock = max(cfg.n_fock, _n_fock_estimate(cfg, omega_cc, residual))
     try:
         while True:
-            spec, floq, liouv, steady = chain(
-                n_fock, k_ext_for(n_fock), cfg.convergence != "off"
-            )
+            spec, floq, liouv, steady = chain(n_fock)
             trunc = fock_truncation_check(
                 steady.rho.average.real, n_fock, cfg.trunc_threshold
             )
@@ -307,11 +292,10 @@ def run_point(cfg: RunConfig) -> PointResult:
     if cfg.convergence == "full":
 
         def refine_n_fock() -> SteadyStage:
-            k_ext_r = max(floq.fs.k_ext, k_ext_for(n_fock + 4))
-            return chain(n_fock + 4, k_ext_r, drift_gate=False)[-1]
+            return chain(n_fock + 4, floq.fs.k_ext)[-1]
 
         def refine_k_ext() -> SteadyStage:
-            floq_r = _checked_floquet(floq.h, floq.refined)
+            floq_r = _floquet_stage(cfg, spec, floq.fs.k_ext + 2)
             return _steady_stage(cfg, _generator_stage(cfg, spec, floq_r), k_rho)
 
         base = steady.flows
@@ -344,6 +328,9 @@ def run_point(cfg: RunConfig) -> PointResult:
         rho_tail=[
             float(np.max(np.abs(rho.component(n)))) for n in range(1, info.k_rho + 1)
         ],
+        edge_weight=floq.fs.edge_weight,
+        edge_residual=floq.fs.edge_residual,
+        k_ext_trail=floq.trail,
         gates=gates,
     )
 

@@ -189,7 +189,7 @@ def test_criterion_3_generator_reconstruction():
         h, np.eye(d, dtype=complex), (0.0, period), kind="schrodinger",
         rtol=1e-12, atol=1e-14, t_eval=tgrid, conservation_tol=None,
     )
-    eps = fs.quasienergies
+    eps = fs.energies
     rt = [us[j] @ v0 * np.exp(1j * eps * tgrid[j])[None, :] for j in range(ngrid + 1)]
     sb = {
         ch.name: np.array([rt[j].conj().T @ ch.coupling @ rt[j] for j in range(ngrid)])

@@ -376,8 +376,8 @@ class TestRefinementGates:
         cfg = replace(RunConfig(), mode="steady", omegaL=0.8, n_fock=6, convergence="full")
         point = run_point(cfg)
         assert point.ok and point.converged
-        # base and drift gate, then only n_fock+4 solves again; k_rho+2
-        # re-solves the base generator
+        # base, n_fock+4 and the k_ext+2 gate's own solve; k_rho+2 re-solves
+        # the base generator
         assert calls == {"solve_floquet": 3, "build_liouvillian": 3}
 
         d = point.diagnostics
@@ -443,6 +443,52 @@ class TestRefinementGates:
         assert row["error"] == "[generator] stalled on purpose"
         assert row["values"]["converged"] == "false"
         assert row["convergence"] == {}
+
+
+class TestLadderCertificate:
+    def test_certificate_reaches_json(self, tmp_path):
+        js = tmp_path / "out.json"
+        code = main(
+            ["steady", "--model.omegaL", "0.85", "--solver.k_ext", "2",
+             "--output.json", str(js)] + FAST_POINT
+        )
+        assert code == 0
+        conv = json.loads(js.read_text())["rows"][0]["convergence"]
+        assert conv["k_ext"] == 4
+        assert 0 <= conv["edge_weight"] <= 1e-10
+        assert 0 <= conv["edge_residual"] <= 1e-8 * 0.85
+        [refused] = conv["k_ext_trail"]
+        assert refused["k_ext"] == 2
+        assert refused["edge_weight"] > 1e-10
+
+    def test_certificate_climbs_on_the_static_coupling(self):
+        # criterion 9's static coupling needs k_ext 8; the certified ladder
+        # gives the q_h of a fixed k_ext = 16 one
+        cfg = replace(
+            RunConfig(), mode="benchmark", omegaL=0.75, g=0.2, d_c=0.05, gamma=1e-3,
+            omega_res=0.2, beta_c=25.0, beta_h=2.2, resonance_lock=False,
+            coupling_form="static", n_fock=8, convergence="off",
+        )
+        point = run_point(cfg)
+        fixed = run_point(replace(cfg, k_ext=16))
+        assert point.ok and fixed.ok
+        assert point.diagnostics.k_ext >= 8
+        assert [t["k_ext"] for t in point.diagnostics.k_ext_trail] == [4, 6]
+        assert fixed.diagnostics.k_ext == 16 and fixed.diagnostics.k_ext_trail == []
+        assert point.report.qbar_h == pytest.approx(fixed.report.qbar_h, rel=1e-10)
+
+    def test_one_eigh_per_fast_point(self, monkeypatch):
+        shapes = []
+        real_eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        point = run_point(replace(RunConfig(), omegaL=0.85))
+        assert point.ok and point.diagnostics.k_ext_trail == []
+        assert len(shapes) == 1
 
 
 class TestCLI:

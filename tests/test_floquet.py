@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from floqcc import floquet
-from floqcc.bath import Ohmic
+from floqcc import floquet, generator
+from floqcc.bath import Ohmic, StructuredPeak, map_collective_coordinate
 from floqcc.floquet import (
-    DegeneracyError,
+    FloquetConvergenceError,
     build_quasienergy_operator,
     decompose_operator,
     fold_to_zone,
@@ -21,6 +21,7 @@ from floqcc.model import (
     build_coupling_operators,
     build_supersystem_fourier,
 )
+from floqcc.generator import BathChannel
 from floqcc.oracles import one_period_propagator, propagate
 
 from conftest import fig2_spec
@@ -32,6 +33,18 @@ def undriven_spec(n_fock=4, omega_L=0.7, omega_cc=0.3):
         lambda0=0.0, beta_h=2.0, beta_c=20.0,
         hot_bath=Ohmic(d_h=1e-3, omega_ref=1.0),
         residual_bath=Ohmic.from_slope(1e-4),
+    )
+
+
+def static_spec(gamma=5e-4, n_fock=8):
+    """Criterion 9's static coupling: a strong drive, g = 0.2, and a cold
+    peak of d_c = 0.05 at omega_res = 0.2."""
+    cc = map_collective_coordinate(StructuredPeak(d_c=0.05, gamma=gamma, omega_res=0.2))
+    return SupersystemSpec(
+        omega0=1.0, g=0.2, omega_L=0.75, omega_cc=cc.omega_cc, n_fock=n_fock,
+        lambda0=cc.lambda0, beta_h=2.2, beta_c=25.0,
+        hot_bath=Ohmic(d_h=5e-3, omega_ref=1.0), residual_bath=cc.residual,
+        coupling_form="static",
     )
 
 
@@ -130,12 +143,124 @@ class TestSolveFloquet:
             lhs = h.at_time(t) @ psi - 1j * dpsi
             np.testing.assert_allclose(lhs, fs.quasienergies[r] * psi, atol=1e-7)
 
-    def test_degeneracy_error_when_ladder_too_small(self):
-        # omega_cc ladder reaches far beyond a 1-block window
+    def test_convergence_error_when_ladder_too_small(self):
+        # the drive's harmonics reach past a 2-block ladder
+        spec = fig2_spec(0.75, n_fock=4)
+        h = build_supersystem_fourier(spec)
+        with pytest.raises(FloquetConvergenceError, match="edge weight") as err:
+            solve_floquet(build_quasienergy_operator(h, spec.omega_L, 2))
+        assert err.value.k_ext == 2
+        assert err.value.edge_weight > floquet.EDGE_WEIGHT_BOUND
+
+    def test_undriven_ladder_of_one_block_is_exact(self):
+        # no drive: every copy sits on one block, however far the omega_cc
+        # ladder reaches beyond the zone, so one block each side certifies
         spec = undriven_spec(n_fock=8, omega_L=0.3, omega_cc=0.45)
         h = build_supersystem_fourier(spec)
-        with pytest.raises((DegeneracyError, Exception)):
-            solve_floquet(build_quasienergy_operator(h, spec.omega_L, 1))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 1))
+        assert fs.edge_weight == 0.0 and fs.edge_residual == 0.0
+        bare = [s * 0.5 + p * 0.45 for s in (1, -1) for p in range(8)]
+        np.testing.assert_allclose(np.sort(fs.energies), np.sort(bare), atol=1e-12)
+
+    def test_certificate_refuses_the_static_ladder_of_four(self):
+        # criterion 9's strong static coupling reaches past a ladder of 4
+        h = build_supersystem_fourier(static_spec())
+        with pytest.raises(FloquetConvergenceError, match="edge weight"):
+            solve_floquet(build_quasienergy_operator(h, 0.75, 4))
+        fs = solve_floquet(build_quasienergy_operator(h, 0.75, 8))
+        assert fs.edge_weight <= floquet.EDGE_WEIGHT_BOUND
+        assert fs.edge_residual <= floquet.EDGE_RESIDUAL_BOUND * 0.75
+
+    def test_edge_residual_matches_a_wider_ladder(self):
+        # the residual the certificate reads off Q's own blocks is what a
+        # ladder K blocks wider gives, beyond the truncated one, for the
+        # zero-padded modes (here K = 2 and complex harmonics)
+        x_rng = np.random.default_rng(5)
+        h1, h2 = (x_rng.normal(size=(3, 3)) + 1j * x_rng.normal(size=(3, 3)) for _ in range(2))
+        h = PeriodicOperator(
+            harmonics={0: np.diag([0.0, 0.35, 0.8]).astype(complex), 1: h1,
+                       -1: h1.conj().T, 2: h2, -2: h2.conj().T},
+            omega_L=0.7,
+        )
+        k = 3
+        modes = x_rng.normal(size=(4, 2 * k + 1, 3)) + 1j * x_rng.normal(size=(4, 2 * k + 1, 3))
+        wide = build_quasienergy_operator(h, 0.7, k + 2).matrix
+        padded = np.zeros((4, 2 * k + 5, 3), dtype=complex)
+        padded[:, 2:-2] = modes
+        beyond = (padded.reshape(4, -1) @ wide.T).reshape(4, 2 * k + 5, 3)[:, [0, 1, -2, -1]]
+        np.testing.assert_allclose(
+            floquet._edge_residual(build_quasienergy_operator(h, 0.7, k), modes),
+            np.sqrt(np.sum(np.abs(beyond) ** 2, axis=(1, 2))),
+            rtol=1e-13,
+        )
+
+    def test_zone_modes_follow_the_folded_quasienergies(self):
+        # the representatives keep their raw eigenvalues; folding shifts the
+        # zone modes by e^{-i s w t}, and the t = 0 state matrix not at all
+        spec = fig2_spec(0.615, n_fock=6)
+        h = build_supersystem_fourier(spec)
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 4))
+        shifts = np.rint((fs.energies - fs.quasienergies) / spec.omega_L)
+        assert np.any(shifts != 0)
+        assert np.all(np.diff(fs.quasienergies) >= 0)
+        t = 0.37
+        raw = np.tensordot(np.exp(1j * np.arange(-4, 5) * spec.omega_L * t), fs.modes, axes=(0, 1)).T
+        np.testing.assert_allclose(
+            fs.state_matrix_at_time(t), raw * np.exp(-1j * shifts * spec.omega_L * t), atol=1e-15
+        )
+        np.testing.assert_allclose(fs.mode_at_time(2, t), fs.state_matrix_at_time(t)[:, 2], atol=1e-15)
+
+
+class TestRelabellingInvariance:
+    """The certified k_ext = 4 solution of a Fig. 2 point against a k_ext =
+    16 one: the kept copies differ only by where they sit on the ladder, so
+    the physics they give agrees within what the certificate allows."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        spec = fig2_spec(0.615, n_fock=12)
+        h = build_supersystem_fourier(spec)
+        small = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 4))
+        large = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 16))
+        return spec, small, large
+
+    def test_zone_quasienergies(self, pair):
+        spec, small, large = pair
+        np.testing.assert_allclose(
+            small.quasienergies, large.quasienergies, rtol=0, atol=1e-12 * spec.omega_L
+        )
+
+    def channels(self, spec):
+        ops = build_coupling_operators(spec)
+        return [
+            BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h),
+            BathChannel("cold", ops.s_cold_residual, spec.residual_bath, beta=spec.beta_c),
+        ]
+
+    def test_jump_frequencies(self, pair):
+        spec, small, large = pair
+        for ch in self.channels(spec):
+            found = []
+            for fs in (small, large):
+                jd = decompose_operator(ch.coupling, fs)
+                found.append(np.sort(jd.delta[np.abs(jd.amplitude) > 1e-8]))
+            assert found[0].shape == found[1].shape, ch.name
+            np.testing.assert_allclose(found[0], found[1], rtol=0, atol=1e-12 * spec.omega_L)
+
+    def test_kernel_harmonics(self, pair):
+        # the k_ext = 4 certificate's residual, 5e-12, bounds the agreement:
+        # measured 1e-11 of the largest harmonic, and a cold harmonic of
+        # 6e-12 kept on one side only, just above the 3e-12 prune floor
+        spec, small, large = pair
+        zero = np.zeros((small.dim, small.dim))
+        for ch in self.channels(spec):
+            got = generator._channel_kernels(ch, decompose_operator(ch.coupling, small), small)
+            ref = generator._channel_kernels(ch, decompose_operator(ch.coupling, large), large)
+            for a, b in ((got.g1, ref.g1), (got.g2, ref.g2)):
+                peak = max(np.max(np.abs(m)) for m in b.values())
+                for q in set(a) | set(b):
+                    diff = np.max(np.abs(a.get(q, zero) - b.get(q, zero)))
+                    assert diff <= 1e-10 * peak, (ch.name, q)
 
 
 def flux_loop_hamiltonian(omega_L=0.7):
@@ -277,10 +402,8 @@ class TestDecomposeOperator:
         s = build_coupling_operators(spec).s_hot
         jd = decompose_operator(s, fs, amplitude_floor=floor)
 
-        k = fs.k_ext
-        k_int = k - math.ceil(k / 4)
-        n_window = min(2 * k_int, k)
-        u = fs.modes[:, k - k_int : k + k_int + 1, :]
+        n_window = 2 * fs.k_ext
+        u = fs.modes
         su = np.einsum("ij,rmj->rmi", s, u)
         nm = u.shape[1]
         r_idx, rp_idx, n_idx, amplitude = [], [], [], []
@@ -294,7 +417,7 @@ class TestDecomposeOperator:
             n_idx.extend([n] * r.size)
             amplitude.extend(amp[r, rp])
         r_idx, rp_idx, n_idx = np.array(r_idx), np.array(rp_idx), np.array(n_idx)
-        eps = fs.quasienergies
+        eps = fs.energies
         np.testing.assert_array_equal(jd.r_idx, r_idx)
         np.testing.assert_array_equal(jd.rp_idx, rp_idx)
         np.testing.assert_array_equal(jd.n_idx, n_idx)

@@ -237,7 +237,7 @@ class TestReconstructionOracle:
             h, np.eye(d, dtype=complex), (0.0, period), kind="schrodinger",
             rtol=1e-12, atol=1e-14, t_eval=tgrid, conservation_tol=None,
         )
-        eps = fs.quasienergies
+        eps = fs.energies
         # |r(t_j)> columns via the propagated modes
         rt = [us[j] @ v0 * np.exp(1j * eps * tgrid[j])[None, :] for j in range(ngrid + 1)]
         sb = {
