@@ -1,11 +1,12 @@
 """Command-line interface and machine-readable result emission.
 
-Subcommands: ``map`` (collective-coordinate mapping report), ``steady``
-(single point), ``sweep``, ``phase`` (2-D grid), ``lasercool`` (single
-reservoir + analytic overlay), ``benchmark`` (secular bare-qubit
-comparison).  Flags mirror config keys (``--bath.beta_c 25``) and override
-file values.  Exit codes: 0 success, 1 numerical/convergence failure,
-2 configuration error.
+One subcommand per ``run.mode``, with its help text, extra CSV columns and
+dispatch read from the mode's record in ``floqcc.modes``: a mode that
+solves nothing (``map``) prints the collective-coordinate mapping report,
+one without grid axes solves a single point and the rest run a sweep.
+Flags mirror config keys (``--bath.beta_c 25``) and override file values.
+Exit codes: 0 success, 1 numerical/convergence failure, 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -33,13 +34,8 @@ from .config import (
     parse_config_text,
 )
 from .generator import SteadyStateError
-from .pipeline import (
-    EXTRA_COLUMNS,
-    PointResult,
-    _peak_frequency,
-    run_point,
-    run_sweep,
-)
+from .modes import MODES
+from .pipeline import PointResult, run_point, run_sweep
 
 CSV_COLUMNS = [
     "omegaL",
@@ -82,20 +78,19 @@ def _fmt(value) -> str:
 def point_row(p: PointResult, extra_cols: list[str]) -> list[str]:
     cfg = p.config
     r = p.report
+    cold = MODES[cfg.mode].maps_cold_bath
     base = {
         "omegaL": cfg.omegaL,
         "omega_cc": p.omega_cc,
         "d_c": cfg.d_c,
-        "gamma": 0.0 if cfg.mode == "lasercool" else cfg.gamma,
+        "gamma": cfg.gamma if cold else 0.0,
         "g": cfg.g,
-        "beta_c": math.nan if cfg.mode == "lasercool" else cfg.beta_c,
+        "beta_c": cfg.beta_c if cold else math.nan,
         "beta_h": cfg.beta_h,
     }
     if r is None:
-        body = {c: math.nan for c in CSV_COLUMNS[7:14]}
+        body = {c: math.nan for c in CSV_COLUMNS[7:17]}
         body["regime"] = "error"
-        body["eta"] = math.nan
-        body["kappa"] = math.nan
     else:
         body = {
             "qbar_c": r.qbar_c,
@@ -117,29 +112,23 @@ def point_row(p: PointResult, extra_cols: list[str]) -> list[str]:
 
 
 def render_csv(points: list[PointResult], mode: str) -> str:
-    extra = EXTRA_COLUMNS.get(mode, [])
+    extra = list(MODES[mode].extra_columns)
     lines = [",".join(CSV_COLUMNS + extra)]
     for p in points:
         lines.append(",".join(point_row(p, extra)))
     return "\n".join(lines) + "\n"
 
 
-def _diag_dict(p: PointResult) -> dict:
-    return {} if p.diagnostics is None else asdict(p.diagnostics)
-
-
 def render_json(cfg: RunConfig, points: list[PointResult]) -> str:
-    extra = EXTRA_COLUMNS.get(cfg.mode, [])
-    rows = []
-    for p in points:
-        row = dict(zip(CSV_COLUMNS + extra, point_row(p, extra)))
-        rows.append(
-            {
-                "values": row,
-                "error": p.error,
-                "convergence": _diag_dict(p),
-            }
-        )
+    extra = list(MODES[cfg.mode].extra_columns)
+    rows = [
+        {
+            "values": dict(zip(CSV_COLUMNS + extra, point_row(p, extra))),
+            "error": p.error,
+            "convergence": {} if p.diagnostics is None else asdict(p.diagnostics),
+        }
+        for p in points
+    ]
     doc = {"config": config_to_dict(cfg), "rows": rows}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -161,15 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "(collective coordinate + Floquet + counting fields)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("map", "report the collective-coordinate mapping of the cold bath"),
-        ("steady", "solve a single parameter point"),
-        ("sweep", "1-D parameter sweep"),
-        ("phase", "2-D (sweep2 x sweep) grid"),
-        ("lasercool", "single-reservoir detuning sweep with analytic overlay"),
-        ("benchmark", "compare against the secular bare-qubit treatment"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
+    for name, record in MODES.items():
+        p = sub.add_parser(name, help=record.help)
         p.add_argument("config", nargs="?", help="key=value config file")
         for key in known_keys():
             p.add_argument(f"--{key}", dest=key, metavar="V")
@@ -189,14 +171,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         for key, val in vars(args).items()
         if key in set(known_keys()) and val is not None
     }
-    cfg = apply_overrides(cfg, overrides)
-    cfg = apply_overrides(cfg, {"run.mode": args.command})
+    cfg = apply_overrides(cfg, {**overrides, "run.mode": args.command})
     cfg.validate()
     return cfg
 
 
 def _cmd_map(cfg: RunConfig) -> int:
-    omega_res = _peak_frequency(cfg)
+    omega_res = cfg.peak_frequency
     try:
         j = StructuredPeak(d_c=cfg.d_c, gamma=cfg.gamma, omega_res=omega_res)
         cc = map_collective_coordinate(j)
@@ -249,19 +230,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "map":
+        mode = MODES[cfg.mode]
+        if not mode.solves:
             return _cmd_map(cfg)
-        if args.command == "steady":
+        if mode.axes == 0:
             point = run_point(cfg)
             _print_point(point)
             emit(cfg, [point])
             return 0 if point.ok else 1
-        # sweep, phase, lasercool and benchmark all run through run_sweep
         result = run_sweep(cfg)
         emit(cfg, result.points)
         n = len(result.points)

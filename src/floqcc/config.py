@@ -25,13 +25,13 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .model import TRUNC_THRESHOLD
+from .modes import MODES
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-MODES = ("steady", "sweep", "phase", "lasercool", "benchmark", "map")
 SWEEP_VARIABLES = ("omegaL", "d_c", "gamma", "delta")
 COUPLING_FORMS = ("sinusoidal", "static")
 SOLVER_METHODS = ("auto", "svd", "lu", "gmres")
@@ -51,7 +51,7 @@ class RunConfig:
 
     d_c: float = 0.001
     gamma: float = 0.0004
-    omega_res: float = 0.0  # 0 = derive from the resonance condition
+    omega_res: float = 0.0  # peak centre when unlocked; lasercool: the mode frequency
     d_h: float = 0.005
     beta_c: float = 25.0
     beta_h: float = 2.22
@@ -79,8 +79,9 @@ class RunConfig:
     json_path: str = ""
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"run.mode must be one of {MODES}, got {self.mode!r}")
+        mode = MODES.get(self.mode)
+        if mode is None:
+            raise ConfigError(f"run.mode must be one of {tuple(MODES)}, got {self.mode!r}")
         for name in ("omega0", "omegaL", "d_h", "beta_c", "beta_h"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
@@ -110,7 +111,7 @@ class RunConfig:
             raise ConfigError(f"sweep.variable must be one of {SWEEP_VARIABLES}")
         if self.sweep2_variable not in SWEEP_VARIABLES:
             raise ConfigError(f"sweep2.variable must be one of {SWEEP_VARIABLES}")
-        if self.mode == "phase":
+        if mode.axes == 2:
             # the detuning delta = omegaL - omega0 sets omegaL
             swept = {
                 "omegaL" if v == "delta" else v
@@ -122,22 +123,24 @@ class RunConfig:
                     f"sweep2.variable={self.sweep2_variable} both set {swept.pop()}, "
                     "so the inner axis would overwrite the outer one"
                 )
-        if self.mode == "lasercool":
+        if not mode.maps_cold_bath:
             if self.omega_res <= 0:
                 raise ConfigError(
-                    "lasercool mode needs bath.cold.omega_res (the mode frequency)"
+                    f"{self.mode} mode needs bath.cold.omega_res (the mode frequency)"
                 )
-        elif self.mode != "map":
-            if not self.beta_h < self.beta_c:
-                raise ConfigError(
-                    f"hot bath must be hotter: beta_h={self.beta_h} < beta_c="
-                    f"{self.beta_c} required"
-                )
-        if not self.resonance_lock and self.mode in ("sweep", "phase", "steady"):
-            if self.omega_res <= 0:
-                raise ConfigError(
-                    "without sweep.resonance_lock, bath.cold.omega_res must be set"
-                )
+        elif mode.solves and not self.beta_h < self.beta_c:
+            raise ConfigError(
+                f"hot bath must be hotter: beta_h={self.beta_h} < beta_c="
+                f"{self.beta_c} required"
+            )
+        elif not self.resonance_lock and self.omega_res <= 0:
+            raise ConfigError("without sweep.resonance_lock, bath.cold.omega_res must be set")
+
+    @property
+    def peak_frequency(self) -> float:
+        """Centre of the cold bath's structured peak: omega0 - omegaL under
+        the resonance lock, else ``omega_res``."""
+        return self.omega0 - self.omegaL if self.resonance_lock else self.omega_res
 
 
 # dotted config key <-> dataclass field

@@ -314,27 +314,18 @@ class JumpDecomposition:
 AMPLITUDE_FLOOR = 1e-12
 
 
-def decompose_operator(
-    s: np.ndarray,
-    fs: FloquetSolution,
-    n_window: int | None = None,
-    amplitude_floor: float = AMPLITUDE_FLOOR,
-) -> JumpDecomposition:
-    """Matrix elements <<r| F_{-n} (x) S |r'>> for |n| <= n_window, by
-    default every harmonic the ladder holds (n_window = 2 k_ext).
+def decompose_operator(s: np.ndarray, fs: FloquetSolution) -> JumpDecomposition:
+    """Matrix elements <<r| F_{-n} (x) S |r'>> for every harmonic the ladder
+    holds, |n| <= 2 k_ext.
 
     The harmonic sum runs over the whole ladder: the certificate of
     ``solve_floquet`` bounds what the kept representatives leave in and
-    beyond its edge blocks.  Entries with |amplitude| <= ``amplitude_floor``
+    beyond its edge blocks.  Entries with |amplitude| <= ``AMPLITUDE_FLOOR``
     are dropped; the floor acts symmetrically on conjugate partners,
     preserving Hermitian pairing.  Entries are ordered by (n, r, r').
     """
     d = fs.dim
-    k = fs.k_ext
-    if n_window is None:
-        n_window = 2 * k
-    if n_window > 2 * k:
-        raise ValueError(f"n_window={n_window} exceeds the ladder's range {2 * k}")
+    n_window = 2 * fs.k_ext
 
     # S applied once per (m) index
     u = fs.modes  # [r, m, :]
@@ -350,7 +341,7 @@ def decompose_operator(
             left = u[:, -n:, :]
             right = su[:, : nm + n, :]
         amp[n + n_window] = np.einsum("rmi,smi->rs", left.conj(), right)
-    n_pos, r_idx, rp_idx = np.nonzero(np.abs(amp) > amplitude_floor)
+    n_pos, r_idx, rp_idx = np.nonzero(np.abs(amp) > AMPLITUDE_FLOOR)
     n_idx = n_pos - n_window
     eps = fs.energies
     return JumpDecomposition(

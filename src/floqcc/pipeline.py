@@ -1,5 +1,7 @@
 """Experiment orchestration: single points, resonance-locked sweeps, phase
-grids, laser-cooling curves and the secular benchmark.
+grids, laser-cooling curves and the secular benchmark.  Whether a mode maps
+a cold bath, its config-derived extras and its grid axes are read from its
+record in ``floqcc.modes``.
 
 Every point maps the bath, builds the model, then runs three stages under
 adaptive Fock truncation: Floquet (one Sambe solve per ladder, the ladder
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bath import MappingError, Ohmic, StructuredPeak, map_collective_coordinate
+from .bath import MappingError, Ohmic, StructuredPeak, bose_occupation, map_collective_coordinate
 from .config import ConfigError, RunConfig
 from .floquet import (
     DegeneracyError,
@@ -45,7 +47,7 @@ from .model import (
     cc_hamiltonian,
     fock_truncation_check,
 )
-from .oracles import SidebandParams, bare_qubit_secular_steady, sideband_cooling_occupation
+from .modes import MODES
 from .thermo import ThermoReport, build_report, occupation_statistics
 
 
@@ -97,8 +99,6 @@ def _n_fock_estimate(cfg: RunConfig, omega_cc: float, residual: Ohmic | None) ->
     """Thermal estimate of the ladder size whose top levels stay below the
     truncation threshold; the adaptive loop still raises it if the drive
     heats the mode beyond this."""
-    from .bath import bose_occupation
-
     # without a cold reservoir the mode thermalizes with the hot bath
     beta = cfg.beta_h if residual is None else cfg.beta_c
     x = beta * omega_cc
@@ -108,19 +108,11 @@ def _n_fock_estimate(cfg: RunConfig, omega_cc: float, residual: Ohmic | None) ->
     return int(np.clip(need + 2, 2, cfg.n_fock_max))
 
 
-def _peak_frequency(cfg: RunConfig) -> float:
-    """Centre of the cold bath's structured peak: the resonance lock (or an
-    unset ``omega_res``) puts it at omega0 - omegaL."""
-    if cfg.resonance_lock or cfg.omega_res <= 0:
-        return cfg.omega0 - cfg.omegaL
-    return cfg.omega_res
-
-
 def _resolve_mapping(cfg: RunConfig) -> tuple[float, float, Ohmic | None]:
     """(lambda0, omega_cc, residual bath) for the current mode."""
-    if cfg.mode == "lasercool":
+    if not MODES[cfg.mode].maps_cold_bath:
         return cfg.d_c, cfg.omega_res, None
-    omega_res = _peak_frequency(cfg)
+    omega_res = cfg.peak_frequency
     if omega_res <= 0:
         raise PointFailure(
             "bath", f"resonance lock gives omega_res = {omega_res:.6g} <= 0"
@@ -247,7 +239,7 @@ def run_point(cfg: RunConfig) -> PointResult:
     runs every stage from the certified k_ext.
     """
     cfg.validate()
-    extras = _config_extras(cfg)
+    extras = MODES[cfg.mode].config_extras(cfg)
 
     def failed(omega_cc: float, error: str, diag: Diagnostics | None = None) -> PointResult:
         return PointResult(cfg, omega_cc, None, diag, False, error=error, extras=extras)
@@ -349,51 +341,7 @@ def run_point(cfg: RunConfig) -> PointResult:
     return PointResult(cfg, omega_cc, report, diag, converged, extras=extras)
 
 
-# each mode's extra CSV columns: the keys _config_extras gives, then the
-# ones run_point adds from the solved state
-EXTRA_COLUMNS = {
-    "lasercool": ["delta", "n_analytic"],
-    "benchmark": ["qbar_h_oracle", "qbar_c_oracle", "rel_dev_qh"],
-}
-
-
-def _config_extras(cfg: RunConfig) -> dict:
-    """The mode's extra columns that follow from the configuration alone.
-
-    Every row carries them, failed rows included; values that need the
-    solved state (``rel_dev_qh``) are added on success only.
-    """
-    if cfg.mode == "lasercool":
-        delta = cfg.omegaL - cfg.omega0
-        try:
-            n_analytic = sideband_cooling_occupation(
-                SidebandParams(delta=delta, gamma_decay=cfg.d_h, nu=cfg.omega_res)
-            )
-        except ValueError:
-            n_analytic = math.nan
-        return {"delta": delta, "n_analytic": n_analytic}
-    if cfg.mode == "benchmark":
-        try:
-            qc_o, qh_o, _ = bare_qubit_secular_steady(
-                cfg.omega0,
-                cfg.g,
-                cfg.omegaL,
-                StructuredPeak(d_c=cfg.d_c, gamma=cfg.gamma, omega_res=_peak_frequency(cfg)),
-                Ohmic(d_h=cfg.d_h, omega_ref=cfg.omega0),
-                cfg.beta_c,
-                cfg.beta_h,
-            )
-        except (ValueError, RuntimeError):
-            # no secular reference at this point (e.g. a locked peak at
-            # omegaL >= omega0); the row still gets written, with nan oracles
-            qc_o = qh_o = math.nan
-        return {"qbar_h_oracle": qh_o, "qbar_c_oracle": qc_o}
-    return {}
-
-
 def sweep_values(start: float, stop: float, steps: int) -> np.ndarray:
-    if steps == 1:
-        return np.array([start])
     return np.linspace(start, stop, steps)
 
 
@@ -452,14 +400,14 @@ def _run_many(configs: list[RunConfig]) -> list[PointResult]:
 
 
 def run_sweep(cfg: RunConfig) -> SweepResult:
-    """One row per grid point: the sweep values, or for ``phase`` the
-    sweep2 (outer) x sweep (inner) grid flattened row-major.  Points are
-    independent; partial failures are flagged and the sweep continues.
-    Every point's config is validated before any is solved.  Raises if
-    every point failed."""
+    """One row per grid point: the sweep values, or for a mode with two
+    grid axes (``phase``) the sweep2 (outer) x sweep (inner) grid flattened
+    row-major.  Points are independent; partial failures are flagged and
+    the sweep continues.  Every point's config is validated before any is
+    solved.  Raises if every point failed."""
     cfg.validate()
     outer = [cfg]
-    if cfg.mode == "phase":
+    if MODES[cfg.mode].axes == 2:
         values2 = sweep_values(cfg.sweep2_start, cfg.sweep2_stop, cfg.sweep2_steps)
         outer = [_point_config(cfg, cfg.sweep2_variable, v) for v in values2]
     values = sweep_values(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)

@@ -60,25 +60,24 @@ def lasercool_spec(delta: float, n_fock: int = 6) -> SupersystemSpec:
     )
 
 
-def build_pipeline_liouvillian(spec: SupersystemSpec, k_ext: int, n_window=None):
+def build_pipeline_liouvillian(spec: SupersystemSpec, k_ext: int):
     """bath -> model -> floquet -> generator chain for tests."""
     h = build_supersystem_fourier(spec)
     fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, k_ext))
     ops = build_coupling_operators(spec)
     channels = [BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h)]
-    jumps = [decompose_operator(ops.s_hot, fs, n_window=n_window)]
+    jumps = [decompose_operator(ops.s_hot, fs)]
     if spec.residual_bath is not None:
         channels.append(
             BathChannel("cold", ops.s_cold_residual, spec.residual_bath, beta=spec.beta_c)
         )
-        jumps.append(decompose_operator(ops.s_cold_residual, fs, n_window=n_window))
+        jumps.append(decompose_operator(ops.s_cold_residual, fs))
     return h, fs, build_liouvillian(h, fs, channels, jumps)
 
 
-def solve_pipeline(spec: SupersystemSpec, k_ext: int, k_rho=None, method="auto",
-                   n_window=None):
+def solve_pipeline(spec: SupersystemSpec, k_ext: int, k_rho=None, method="auto"):
     """The chain of ``build_pipeline_liouvillian`` and its steady state."""
-    h, fs, liouv = build_pipeline_liouvillian(spec, k_ext, n_window)
+    h, fs, liouv = build_pipeline_liouvillian(spec, k_ext)
     rho, info = steady_state(liouv, k_rho=k_rho, method=method)
     return h, fs, liouv, rho, info
 

@@ -14,7 +14,7 @@ import pytest
 import floqcc
 from floqcc import pipeline
 from floqcc.bath import Ohmic, StructuredPeak
-from floqcc.cli import main, render_csv, render_json
+from floqcc.cli import CSV_COLUMNS, _build_parser, main, render_csv, render_json
 from floqcc.config import (
     ConfigError,
     RunConfig,
@@ -25,6 +25,7 @@ from floqcc.config import (
 )
 from floqcc.generator import SteadyStateError
 from floqcc.model import fock_truncation_check
+from floqcc.modes import MODES
 from floqcc.oracles import SidebandParams, bare_qubit_secular_steady, sideband_cooling_occupation
 from floqcc.pipeline import run_point, run_sweep, sweep_values
 
@@ -71,6 +72,26 @@ class TestConfigParsing:
             replace(RunConfig(), beta_h=30.0).validate()
         with pytest.raises(ConfigError, match="omega_res"):
             replace(RunConfig(), mode="lasercool").validate()
+
+    @pytest.mark.parametrize("mode", ["steady", "sweep", "phase", "benchmark", "map"])
+    def test_unlocked_peak_needs_omega_res(self, mode):
+        # every mode that maps a structured cold bath needs its centre once
+        # the resonance lock is off, instead of locking it silently
+        cfg = replace(RunConfig(), mode=mode, resonance_lock=False)
+        with pytest.raises(ConfigError, match="without sweep.resonance_lock"):
+            cfg.validate()
+        replace(cfg, omega_res=0.25).validate()
+
+    def test_unlocked_map_without_omega_res_exit_2(self, capsys):
+        assert main(["map", "--sweep.resonance_lock", "false"]) == 2
+        assert "without sweep.resonance_lock" in capsys.readouterr().err
+
+    def test_modes_are_one_set(self):
+        # the subcommands, the README's run.mode line and the mode table
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        line = re.search(r"^run\.mode\s+(.*)$", readme, re.M).group(1)
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        assert set(sub.choices) == {m.strip() for m in line.split("|")} == set(MODES)
 
     def test_n_fock_within_ceiling(self):
         RunConfig(n_fock=32, n_fock_max=32).validate()
@@ -158,8 +179,21 @@ class TestEmission:
     @pytest.mark.parametrize("mode", ["lasercool", "benchmark"])
     def test_extra_columns_start_with_the_config_extras(self, mode):
         cfg = replace(RunConfig(), mode=mode)
-        columns = [c for c in pipeline.EXTRA_COLUMNS[mode] if c != "rel_dev_qh"]
-        assert list(pipeline._config_extras(cfg)) == columns
+        columns = [c for c in MODES[mode].extra_columns if c != "rel_dev_qh"]
+        assert list(MODES[mode].config_extras(cfg)) == columns
+
+    @pytest.mark.parametrize(
+        "mode, extra",
+        [
+            ("steady", []),
+            ("sweep", []),
+            ("phase", []),
+            ("lasercool", ["delta", "n_analytic"]),
+            ("benchmark", ["qbar_h_oracle", "qbar_c_oracle", "rel_dev_qh"]),
+        ],
+    )
+    def test_header_is_fixed_columns_plus_mode_extras(self, mode, extra):
+        assert render_csv([], mode) == ",".join(CSV_COLUMNS + extra) + "\n"
 
     def test_empty_sweep_header_only(self):
         assert render_csv([], "sweep").strip().count("\n") == 0
@@ -313,6 +347,21 @@ class TestFailedRows:
             ),
             rel=1e-12,
         )
+
+    @pytest.mark.parametrize("n_fock", [2, 12])
+    def test_lasercool_row_has_no_cold_bath(self, n_fock):
+        # the cold reservoir is the undamped mode: no peak width, no temperature
+        cfg = replace(
+            RunConfig(), mode="lasercool", omegaL=0.995, g=2e-4, d_c=1.13e-4,
+            omega_res=5e-3, beta_h=1e4, beta_c=1e4, resonance_lock=False,
+            n_fock=n_fock, n_fock_max=n_fock, convergence="off",
+        )
+        point = run_point(cfg)
+        assert point.ok == (n_fock == 12), point.error
+        row = self._row(point, "lasercool")
+        assert row["gamma"] == "0.000000000000e+00"
+        assert row["beta_c"] == "nan"
+        assert float(row["d_c"]) == cfg.d_c
 
     def test_benchmark_failed_row_keeps_oracle(self):
         cfg = replace(

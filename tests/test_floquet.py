@@ -343,11 +343,12 @@ class TestRealGauge:
 
 
 class TestDecomposeOperator:
-    def test_identity_decomposition(self):
+    def test_identity_decomposition(self, monkeypatch):
         spec = fig2_spec(0.75, n_fock=4)
         h = build_supersystem_fourier(spec)
         fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
-        jd = decompose_operator(np.eye(h.dim, dtype=complex), fs, amplitude_floor=1e-9)
+        monkeypatch.setattr(floquet, "AMPLITUDE_FLOOR", 1e-9)
+        jd = decompose_operator(np.eye(h.dim, dtype=complex), fs)
         assert np.all(jd.r_idx == jd.rp_idx)
         assert np.all(jd.n_idx == 0)
         np.testing.assert_allclose(jd.amplitude, 1.0, atol=1e-8)
@@ -393,14 +394,16 @@ class TestDecomposeOperator:
             assert np.max(np.abs(direct - rec)) < 1e-6
 
     @pytest.mark.parametrize("floor", [1e-12, 1e-3])
-    def test_matches_per_harmonic_loop(self, floor):
+    def test_matches_per_harmonic_loop(self, floor, monkeypatch):
         """Values and entry order against a loop over n that keeps each
         harmonic's entries above the floor in row-major (r, r') order."""
         spec = fig2_spec(0.75, n_fock=3)
         h = build_supersystem_fourier(spec)
         fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
         s = build_coupling_operators(spec).s_hot
-        jd = decompose_operator(s, fs, amplitude_floor=floor)
+        n_default = len(decompose_operator(s, fs))
+        monkeypatch.setattr(floquet, "AMPLITUDE_FLOOR", floor)
+        jd = decompose_operator(s, fs)
 
         n_window = 2 * fs.k_ext
         u = fs.modes
@@ -427,11 +430,4 @@ class TestDecomposeOperator:
         )
         assert 0 < len(jd) < (2 * n_window + 1) * fs.dim**2
         if floor > 1e-12:  # the higher floor drops entries the default keeps
-            assert len(jd) < len(decompose_operator(s, fs))
-
-    def test_window_validation(self):
-        spec = fig2_spec(0.75, n_fock=3)
-        h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
-        with pytest.raises(ValueError):
-            decompose_operator(np.eye(h.dim), fs, n_window=40)
+            assert len(jd) < n_default
