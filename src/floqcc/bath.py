@@ -14,6 +14,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class MappingError(ValueError):
     """Raised when the analytic collective-coordinate mapping is invalid."""
@@ -43,9 +45,9 @@ class StructuredPeak:
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"StructuredPeak.{name} must be finite and > 0, got {v}")
 
-    def evaluate(self, omega: float) -> float:
-        """J(omega) for omega >= 0."""
-        if omega < 0:
+    def evaluate(self, omega):
+        """J(omega) for omega >= 0, a float or an array of them."""
+        if np.any(np.less(omega, 0)):
             raise ValueError(f"spectral density defined for omega >= 0, got {omega}")
         num = self.d_c**2 * self.gamma * omega
         den = (omega**2 - self.omega_res**2) ** 2 + (self.gamma * omega) ** 2
@@ -83,8 +85,8 @@ class Ohmic:
         """Ohmic density with J(w) = slope * w (reference frequency 1)."""
         return cls(d_h=slope, omega_ref=1.0)
 
-    def evaluate(self, omega: float) -> float:
-        if omega < 0:
+    def evaluate(self, omega):
+        if np.any(np.less(omega, 0)):
             raise ValueError(f"spectral density defined for omega >= 0, got {omega}")
         return self.d_h * omega / self.omega_ref
 
@@ -213,19 +215,18 @@ def mapping_integrals_numeric(
     return lambda0, delta_omega0, lambda0 / delta_omega0
 
 
-def bose_occupation(omega: float, beta: float) -> float:
-    """Bose-Einstein occupation N(w) = 1/(e^{beta w} - 1).
+def bose_occupation(omega, beta: float):
+    """Bose-Einstein occupation N(w) = 1/(e^{beta w} - 1), of a float or
+    elementwise of an array.
 
     For w < 0 returns the analytic continuation N(-w) = -(1 + N(w)), which
     together with the odd-extended spectral density gives detailed balance.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if omega == 0:
+    x = beta * np.asarray(omega, dtype=float)
+    if np.any(x == 0):
         raise ValueError("occupation diverges at omega = 0; use the limiting rate")
-    x = beta * omega
-    if x > 700.0:
-        return 0.0
-    if x < -700.0:
-        return -1.0
-    return 1.0 / math.expm1(x)
+    n = 1.0 / np.expm1(np.clip(x, -700.0, 700.0))
+    n = np.where(x > 700.0, 0.0, np.where(x < -700.0, -1.0, n))
+    return float(n) if n.ndim == 0 else n

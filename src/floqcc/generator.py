@@ -33,21 +33,27 @@ Tr{S rho_{-q} G2'_q} + Tr{G1'_q rho_{-q} S}.  The principal-value
 The periodic steady state, a ``PeriodicOperator`` of harmonics rho_n,
 solves the block system i n w rho_n = sum_k L_k rho_{n-k}: by its dense
 SVD null space, or by one bordered solve (the trace condition in place of a
-redundant row) whose preconditioner is an exact dense solve (``lu``),
-per-harmonic block LUs under GMRES (``gmres``), or both (the positivity
-probe, and ``gmres`` on a single-reservoir generator, whose harmonics
-|n| <= 1 get the exact solve).  Each ``steady_state`` call runs one route,
-and a route that fails fails the call.  GMRES applies the block system
-matrix-free and in time: the periodic operators of L are sampled once per
-solve, and each action is an FFT pair around stacked d x d products.  The generator keeps rho
-Hermitian, rho_{-n} = rho_n^dag, so the bordered solve runs in the real
-Hermitian basis: its unknowns are rho_0 by its d^2 Hermitian coordinates
-and Re and Im of rho_n for n >= 1.  The exact solve is one real LU of the
-system in that basis; the block LUs are complex, one per harmonic n >= 0
-outside the exact centre, the last one in L_0's own buffer.  The dense
-systems share one memory guard, 2.5 GB (16 B per entry for the complex
-``svd`` one, 8 B for the real one); the ``gmres`` preconditioner has its
-own, 1.5 GB, which counts its block LUs and its exact centre.
+redundant row) under a block lower-triangular preconditioner, one forward
+sweep over |n|.  The sweep solves an exact centre first (the bordered
+rho_0, or the harmonics |n| <= k_in by a dense factor), then each outer
+harmonic n by the LU of L_0 - i n w, after subtracting the couplings
+L_{n-m} rho_m from the harmonics |m| < n already solved.  ``lu`` makes the
+centre the whole system, so the sweep is the solve; ``gmres`` iterates
+under it, with the centre |n| <= 1 on a single-reservoir generator; the
+positivity probe reuses the base route's centre.  Each ``steady_state``
+call runs one route, and a route that fails fails the call.  GMRES applies
+the block system matrix-free and in time: the periodic operators of L are
+sampled once per solve, and each action is an FFT pair around stacked
+d x d products.  The generator keeps rho Hermitian, rho_{-n} = rho_n^dag,
+so the bordered solve runs in the real Hermitian basis: its unknowns are
+rho_0 by its d^2 Hermitian coordinates and Re and Im of rho_n for n >= 1.
+The exact centre is one real LU of the system in that basis; the block
+LUs are complex, one per harmonic n >= 0 outside it, the last one in L_0's
+own buffer.  The dense systems share one memory guard, 2.5 GB (16 B per
+entry for the complex ``svd`` one, 8 B for the real one); the ``gmres``
+preconditioner has its own, 1.5 GB, which counts its block LUs and its
+exact centre.  A generator with nan or inf entries fails every route up
+front, with the parts that hold them named.
 """
 
 from __future__ import annotations
@@ -79,24 +85,30 @@ DEGENERATE_DELTA = 1e-12
 KERNEL_PRUNE = 3e-12
 
 
-def thermal_rates(density: SpectralDensity, beta: float, delta: float) -> tuple[float, float]:
+def thermal_rates(density: SpectralDensity, beta: float, delta):
     """Absorption and emission rates (J N, J (1 + N)) at transition frequency
-    ``delta``, using the odd-extended spectral density.
+    ``delta``, using the odd-extended spectral density: floats for a float
+    ``delta``, arrays of its shape for an array.
 
     Both rates are continuous through delta = 0 with common limit
     slope(J)/beta, evaluated explicitly below DEGENERATE_DELTA where the
     naive expression is 0/0.
     """
-    if abs(delta) < DEGENERATE_DELTA:
-        r = density.slope_at_zero() / beta
-        return r, r
-    if delta > 0:
-        j = density.evaluate(delta)
-        n = bose_occupation(delta, beta)
-        return j * n, j * (1.0 + n)
-    j = density.evaluate(-delta)
-    n = bose_occupation(-delta, beta)
-    return j * (1.0 + n), j * n
+    delta = np.asarray(delta, dtype=float)
+    w = np.abs(delta)
+    degenerate = w < DEGENERATE_DELTA
+    # J and N at |delta|, away from the 0/0 of the degenerate entries
+    w = np.where(degenerate, 1.0, w)
+    j = density.evaluate(w)
+    n = bose_occupation(w, beta)
+    lower, upper = j * n, j * (1.0 + n)
+    limit = density.slope_at_zero() / beta
+    rising = delta > 0
+    absorption = np.where(degenerate, limit, np.where(rising, lower, upper))
+    emission = np.where(degenerate, limit, np.where(rising, upper, lower))
+    if delta.ndim == 0:
+        return float(absorption), float(emission)
+    return absorption, emission
 
 
 @dataclass(frozen=True)
@@ -123,10 +135,7 @@ class ChannelKernels:
 
 def _jump_rates(channel: BathChannel, jumps: JumpDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Absorption and emission rates (J N, J (1 + N)) of every jump entry."""
-    rates = np.array(
-        [thermal_rates(channel.density, channel.beta, dl) for dl in jumps.delta]
-    ).reshape(-1, 2)
-    return rates[:, 0], rates[:, 1]
+    return thermal_rates(channel.density, channel.beta, jumps.delta)
 
 
 def _channel_kernels(
@@ -555,55 +564,66 @@ def _preconditioner_guard(factor_bytes: int) -> None:
         )
 
 
-def _solve_bordered(
+def _forward_sweep(
     liouv: CountingLiouvillian, k_rho: int, exact: ExactFactor | None = None
-) -> tuple[np.ndarray, float, int]:
-    """The bordered block system in the real Hermitian basis, solved with a
-    harmonic-block preconditioner.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Block lower-triangular preconditioner of the bordered system in the
+    real Hermitian basis: one forward Gauss-Seidel sweep over |n|.
 
-    The unknowns are the real coordinates of the harmonics n >= 0
-    (``_hermitian_coords``), with the trace border on coordinate 0.
-    ``exact = (k_in, factor)`` hands the central harmonics |n| <= k_in, a
-    prefix of the coordinates, to the LU of the bordered k_in system
-    (``_real_factor``): all of them on the ``lu`` route, |n| <= 1 on
-    ``gmres`` for a single reservoir, the base route's centre in the
-    positivity probe.  Every other harmonic n >= 1 gets the complex LU of
-    its diagonal block L_0 - i n w, applied to Re + i Im of its two
-    coordinate blocks; without an exact centre, rho_0 gets the complex LU of
-    the bordered L_0, applied to the Hermitian rho_0.  The last of these
-    block LUs is taken in L_0's own buffer, so the k_rho - k_in blocks that
-    the 1.5 GB guard counts are all that is held.  With k_in = k_rho the
-    preconditioned right-hand side is the solution.  Otherwise one
-    full-memory GMRES cycle runs on the matrix-free system action
-    (``_block_action``, sampled in time before the block factors are
-    taken): the harmonic coupling is weak, and the exact centre refines a
-    k_in solution to k_rho where the block-diagonal preconditioner alone
-    stalls.  A single-reservoir generator needs the centre |n| <= 1: its
-    undamped mode is cooled only by drive sidebands, which couple rho_0
-    through rho_{+-1} alone, so with rho_0 alone exact GMRES stalls near
-    residual 3e-3 (or the centre is singular), and with |n| <= 1 it
-    converges in a few iterations.
-    Returns (real coordinates, relative residual of the original system,
-    GMRES iterations).
-    """
+    The centre goes first: ``exact = (k_in, factor)`` solves the harmonics
+    |n| <= k_in, a prefix of the coordinates, by the LU of the bordered k_in
+    system (``_real_factor``); without it, rho_0 gets the complex LU of the
+    bordered L_0, applied to the Hermitian rho_0.  Each outer harmonic
+    n = k_in + 1..k_rho then solves the complex LU of its diagonal block
+    L_0 - i n w on Re + i Im of its two coordinate blocks minus
+    sum_{|m| < n} L_{n-m} rho_m, from the harmonics already solved, with
+    rho_{-m} = rho_m^dag.  Only L_q with q = 1..2 n - 1 enter.  Their A_q
+    over the G1_q and their B_q beside the G2_q are stacked over q once,
+    before the factors, so each coupling is two stacked d x d products
+    summed over q, then one product with S per reservoir and side.  The
+    last block LU is taken in L_0's own buffer, so the k_rho - k_in factors
+    are all that is held."""
     from scipy.linalg import lu_factor, lu_solve
-    from scipy.sparse.linalg import LinearOperator, gmres
 
     d = liouv.dim
     d2 = d * d
-    size = (2 * k_rho + 1) * d2
     k_in, central = exact if exact is not None else (-1, None)
     outer = range(k_in + 1, k_rho + 1)
 
-    # the factors hold one dense d^2 x d^2 block per outer harmonic n >= 0
-    _preconditioner_guard(len(outer) * d2**2 * 16)
-    # the small time samples go before the large factors: made after them,
-    # they raised the peak RSS by heap placement
-    act = _block_action(liouv, k_rho)
+    # stacks over q = reach..1, descending, so row n meets its rho_m, m
+    # ascending, in one slice: the last min(reach, 2 n - 1)
+    reach = max(0, min(liouv.support, 2 * k_rho - 1))
+    zero = np.zeros((d, d), dtype=complex)
+    kernels = list(liouv.channels.values())
+
+    def stack(mats: list[dict[int, np.ndarray]], axis: int) -> np.ndarray:
+        # empty when nothing oscillates (reach 0): no row has a coupling
+        return np.array(
+            [np.concatenate([m.get(q, zero) for m in mats], axis=axis) for q in range(reach, 0, -1)]
+        )
+
+    # [A_q; G1_q per reservoir] and [B_q, G2_q per reservoir], one product
+    # per q: each stays below OpenBLAS's threading size, while one product
+    # over all q would wake numpy's thread pool against scipy's
+    left = stack([{q: a for q, (a, _) in liouv.no_jump.items()}] + [k.g1 for k in kernels], 0)
+    right = stack([{q: b for q, (_, b) in liouv.no_jump.items()}] + [k.g2 for k in kernels], 1)
+
+    def coupling(rho: np.ndarray, n: int) -> np.ndarray:
+        # sum_{|m| < n} L_{n-m} rho_m, with rho[m + k_rho] = rho_m
+        width = min(reach, 2 * n - 1)
+        solved = rho[k_rho + n - width : k_rho + n]
+        lt = (left[reach - width :] @ solved).sum(axis=0)
+        rt = (solved @ right[reach - width :]).sum(axis=0)
+        out = lt[:d] + rt[:, :d]
+        for i, ker in enumerate(kernels, 1):
+            s = ker.coupling
+            out += lt[i * d : (i + 1) * d] @ s + s @ rt[:, i * d : (i + 1) * d]
+        return out
+
     factors = {}
-    tr0 = _trace_cols(d, 0)
     if outer:
         l0 = liouv.component(0)
+        tr0 = _trace_cols(d, 0)
         for n in outer:
             # the last one is factored in L_0's own buffer
             block = l0 if n == outer[-1] else l0.copy(order="F")
@@ -615,24 +635,78 @@ def _solve_bordered(
 
     def precond(r: np.ndarray) -> np.ndarray:
         out = np.empty_like(r)
+        blocks, out_blocks = r.reshape(-1, d2), out.reshape(-1, d2)
+        # rho[m + k_rho] = rho_m as a matrix, filled as the sweep goes
+        rho = np.empty((2 * k_rho + 1, d, d), dtype=complex)
         if central is not None:
             c = (2 * k_in + 1) * d2
             out[:c] = lu_solve(central, r[:c])
-        blocks, out_blocks = r.reshape(-1, d2), out.reshape(-1, d2)
+            centre = _from_hermitian_coords(out[:c], k_in).reshape(-1, d, d)
+            rho[k_rho - k_in : k_rho + k_in + 1] = centre.transpose(0, 2, 1)
         for n, factor in factors.items():
             if n == 0:
                 rho0 = lu_solve(factor, _from_hermitian_coords(blocks[0], 0))
                 out_blocks[0] = _hermitian_coords(rho0, 0)
-            else:
-                rho_n = lu_solve(factor, blocks[2 * n - 1] + 1j * blocks[2 * n])
-                out_blocks[2 * n - 1], out_blocks[2 * n] = rho_n.real, rho_n.imag
+                rho[k_rho] = _from_hermitian_coords(out_blocks[0], 0).reshape(d, d).T
+                continue
+            rhs = blocks[2 * n - 1] + 1j * blocks[2 * n]
+            if reach:
+                # column-stacked: vec index j d + i holds element (i, j)
+                rhs -= coupling(rho, n).T.reshape(-1)
+            rho_n = lu_solve(factor, rhs)
+            out_blocks[2 * n - 1], out_blocks[2 * n] = rho_n.real, rho_n.imag
+            rho[k_rho + n] = rho_n.reshape(d, d).T
+            rho[k_rho - n] = rho_n.reshape(d, d).conj()
         return out
+
+    return precond
+
+
+def _solve_bordered(
+    liouv: CountingLiouvillian, k_rho: int, exact: ExactFactor | None = None
+) -> tuple[np.ndarray, float, int]:
+    """The bordered block system in the real Hermitian basis, solved under
+    the forward-sweep preconditioner (``_forward_sweep``).
+
+    The unknowns are the real coordinates of the harmonics n >= 0
+    (``_hermitian_coords``), with the trace border on coordinate 0.
+    ``exact = (k_in, factor)`` is the exact centre |n| <= k_in: all of the
+    harmonics on the ``lu`` route, |n| <= 1 on ``gmres`` for a single
+    reservoir, the base route's centre in the positivity probe.  With
+    k_in = k_rho the preconditioned right-hand side is the solution.
+    Otherwise one full-memory GMRES cycle runs on the matrix-free system
+    action (``_block_action``, sampled in time before the block factors are
+    taken), from the preconditioned right-hand side: the sweep leaves out
+    only the couplings from harmonics |m| >= n into harmonic n, which are
+    weak.  A single-reservoir generator needs the centre |n| <= 1: its
+    undamped mode is cooled only by drive sidebands, which couple rho_0
+    through rho_{+-1} alone, so with rho_0 alone exact GMRES stalls near
+    residual 3e-3 (or the centre is singular), and with |n| <= 1 it
+    converges in a few iterations.
+    Returns (real coordinates, relative residual of the original system,
+    GMRES iterations).
+    """
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    d = liouv.dim
+    d2 = d * d
+    size = (2 * k_rho + 1) * d2
+    k_in = exact[0] if exact is not None else -1
+
+    # the factors hold one dense d^2 x d^2 block per outer harmonic n >= 0
+    _preconditioner_guard((k_rho - k_in) * d2**2 * 16)
+    # the small time samples and couplings go before the large factors: made
+    # after them, they raised the peak RSS by heap placement
+    act = _block_action(liouv, k_rho)
+    precond = _forward_sweep(liouv, k_rho, exact)
 
     rhs = np.zeros(size)
     rhs[0] = 1.0
     x0 = precond(rhs)
-    if not factors:
+    if k_in == k_rho:
         return x0, _residual(act, d, k_rho, _from_hermitian_coords(x0, k_rho)), 0
+
+    tr0 = _trace_cols(d, 0)
 
     def matvec(x: np.ndarray) -> np.ndarray:
         out = _hermitian_coords(act(_from_hermitian_coords(x, k_rho)), k_rho)
@@ -653,10 +727,10 @@ def _solve_bordered(
         callback=count, callback_type="pr_norm",
     )
     residual = _residual(act, d, k_rho, _from_hermitian_coords(vec, k_rho))
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         # generators with very slow modes (e.g. an undamped mode cooled only
-        # through drive sidebands) defeat the block preconditioner unless
-        # the harmonics that couple them are exact
+        # through drive sidebands) defeat the sweep unless the harmonics that
+        # couple them are exact; a non-finite residual fails here too
         raise SteadyStateError(
             f"preconditioned GMRES stalled (code {code}, residual {residual:.2e}); "
             "solver.method=lu is the direct route"
@@ -716,6 +790,19 @@ def _positivity_message(
     )
 
 
+def _nonfinite_parts(liouv: CountingLiouvillian) -> list[str]:
+    """The generator parts that hold nan or inf: no-jump pairs (A_q, B_q)
+    and reservoir kernels (G1_q, G2_q), by harmonic q."""
+
+    def finite(*mats: np.ndarray) -> bool:
+        return all(np.isfinite(m).all() for m in mats)
+
+    bad = [f"no-jump L_{q}" for q, pair in liouv.no_jump.items() if not finite(*pair)]
+    for name, ker in liouv.channels.items():
+        bad += [f"{name} kernel q={q}" for q in ker.g1 if not finite(ker.g1[q], ker.g2[q])]
+    return bad
+
+
 DENSE_SIZE_LIMIT = 1200
 # largest off-harmonic trace |Tr rho_n|, n >= 1, of an accepted state
 TRACE_TOL = 1e-10
@@ -734,8 +821,9 @@ def steady_state(
     ``method`` is "svd" (dense null space, reports singular values), "lu"
     (the bordered solve in the real Hermitian basis with the real LU of the
     whole system as its preconditioner, exact, so no iteration), "gmres"
-    (the same solve with per-harmonic block factors, iterated on the
-    system's action in time, the count in ``SteadyStateInfo.iterations``),
+    (the same solve under a forward sweep over |n| with one block factor
+    per harmonic, ``_forward_sweep``, iterated on the system's action in
+    time, the count in ``SteadyStateInfo.iterations``),
     or "auto": svd up to DENSE_SIZE_LIMIT unknowns, gmres above (dense SVD
     scales as the cube of (2 k_rho + 1) d^2 and is kept for diagnostics and
     cross-validation).  On a single-reservoir generator gmres solves the
@@ -750,8 +838,13 @@ def steady_state(
     (for svd, of the null vector of trace 1), so rho_{-n} = rho_n^dag holds
     exactly; the returned harmonics are trace-normalized, and the
     off-harmonic trace (at most TRACE_TOL), positivity of rho(t) and the
-    residual of the block equation (at most 1e-8) are checked.
+    residual of the block equation (at most 1e-8) are checked, a nan
+    failing each.  A generator with nan or inf entries fails before any
+    route runs, with the parts that hold them named.
     """
+    bad = _nonfinite_parts(liouv)
+    if bad:
+        raise SteadyStateError(f"non-finite generator: nan or inf in {', '.join(bad)}")
     if k_rho is None:
         k_rho = liouv.suggested_k_rho()
     d = liouv.dim
@@ -807,16 +900,17 @@ def steady_state(
         trace_defect=trace_defect,
         min_eigenvalue=min_eig,
     )
-    if trace_defect > TRACE_TOL:
+    # written so that nan fails each test
+    if not trace_defect <= TRACE_TOL:
         raise SteadyStateError(
             f"off-harmonic trace {trace_defect:.3e} above {TRACE_TOL:.1e}; "
             "raise k_rho / k_ext / n_fock"
         ) from None
-    if min_eig < -positivity_tol:
+    if not min_eig >= -positivity_tol:
         if method == "svd":
             exact = _real_factor(liouv, k_rho)
         raise SteadyStateError(_positivity_message(liouv, k_rho, min_eig, exact))
-    if residual > 1e-8:
+    if not residual <= 1e-8:
         raise SteadyStateError(f"steady-state residual {residual:.3e} above 1.0e-08")
     return result, info
 

@@ -15,14 +15,15 @@ from .oracles import SidebandParams, bare_qubit_secular_steady, sideband_cooling
 
 if TYPE_CHECKING:
     from .config import RunConfig
+    from .thermo import ThermoReport
 
 
 @dataclass(frozen=True)
 class Mode:
     """One ``run.mode``.  ``extra_columns`` follow the fixed CSV columns:
     the keys ``config_extras`` gives from the configuration alone (on every
-    row, failed rows included), then those ``run_point`` adds from the
-    solved state."""
+    row, failed rows included), then those ``state_extras`` gives from the
+    config extras and the solved point's report (solved rows only)."""
 
     help: str  # the subcommand's help text
     # False: the cold reservoir is the undamped mode itself, of frequency
@@ -32,6 +33,7 @@ class Mode:
     axes: int = 1  # grid axes: 0 one point, 1 the sweep, 2 sweep2 x sweep
     extra_columns: tuple[str, ...] = ()
     config_extras: Callable[[RunConfig], dict] = lambda cfg: {}
+    state_extras: Callable[[dict, ThermoReport], dict] = lambda extras, report: {}
 
 
 def _sideband_overlay(cfg: RunConfig) -> dict:
@@ -59,6 +61,11 @@ def _secular_oracle(cfg: RunConfig) -> dict:
     return {"qbar_h_oracle": qh_o, "qbar_c_oracle": qc_o}
 
 
+def _oracle_deviation(extras: dict, report: ThermoReport) -> dict:
+    qh_o = extras["qbar_h_oracle"]
+    return {"rel_dev_qh": abs(report.qbar_h - qh_o) / max(abs(qh_o), 1e-300)}
+
+
 MODES = {
     "steady": Mode("solve a single parameter point", axes=0),
     "sweep": Mode("1-D parameter sweep"),
@@ -73,6 +80,7 @@ MODES = {
         "compare against the secular bare-qubit treatment",
         extra_columns=("qbar_h_oracle", "qbar_c_oracle", "rel_dev_qh"),
         config_extras=_secular_oracle,
+        state_extras=_oracle_deviation,
     ),
     "map": Mode(
         "report the collective-coordinate mapping of the cold bath", solves=False, axes=0

@@ -1,7 +1,7 @@
 """Experiment orchestration: single points, resonance-locked sweeps, phase
 grids, laser-cooling curves and the secular benchmark.  Whether a mode maps
-a cold bath, its config-derived extras and its grid axes are read from its
-record in ``floqcc.modes``.
+a cold bath, its config-derived and state-derived extras and its grid axes
+are read from its record in ``floqcc.modes``.
 
 Every point maps the bath, builds the model, then runs three stages under
 adaptive Fock truncation: Floquet (one Sambe solve per ladder, the ladder
@@ -333,9 +333,7 @@ def run_point(cfg: RunConfig) -> PointResult:
     except ValueError as exc:
         return failed(omega_cc, f"[thermo] {exc}", diag)
 
-    if "qbar_h_oracle" in extras:
-        qh_o = extras["qbar_h_oracle"]
-        extras["rel_dev_qh"] = abs(report.qbar_h - qh_o) / max(abs(qh_o), 1e-300)
+    extras.update(MODES[cfg.mode].state_extras(extras, report))
 
     converged = cfg.convergence != "off" and not any(g > 1e-3 for g in gates.values())
     return PointResult(cfg, omega_cc, report, diag, converged, extras=extras)

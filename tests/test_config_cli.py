@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,9 +179,11 @@ class TestEmission:
 
     @pytest.mark.parametrize("mode", ["lasercool", "benchmark"])
     def test_extra_columns_start_with_the_config_extras(self, mode):
-        cfg = replace(RunConfig(), mode=mode)
-        columns = [c for c in MODES[mode].extra_columns if c != "rel_dev_qh"]
-        assert list(MODES[mode].config_extras(cfg)) == columns
+        # then come the state extras: a solved row's extras are the mode
+        # record's alone; the report stand-in has the one field they read
+        extras = MODES[mode].config_extras(replace(RunConfig(), mode=mode))
+        state = MODES[mode].state_extras(extras, SimpleNamespace(qbar_h=2.0))
+        assert [*extras, *state] == list(MODES[mode].extra_columns)
 
     @pytest.mark.parametrize(
         "mode, extra",
@@ -324,6 +327,29 @@ class TestFailedRows:
     def _row(point, mode):
         header, row = render_csv([point], mode).splitlines()
         return dict(zip(header.split(","), row.split(",")))
+
+    @pytest.mark.parametrize("method", ["svd", "lu", "gmres"])
+    def test_nonfinite_generator_is_a_failed_row(self, monkeypatch, method):
+        # a nan in one kernel harmonic fails that point with a named cause on
+        # every route, and the sweep goes on to the next point
+        real = pipeline._generator_stage
+
+        def poisoned(cfg, spec, floq):
+            liouv = real(cfg, spec, floq)
+            if cfg.omegaL == 0.75:
+                next(iter(liouv.channels["hot"].g1.values()))[0, 0] = math.nan
+            return liouv
+
+        monkeypatch.setattr(pipeline, "_generator_stage", poisoned)
+        cfg = replace(
+            RunConfig(), mode="sweep", sweep_start=0.75, sweep_stop=0.8, sweep_steps=2,
+            n_fock=6, k_rho=2, convergence="off", method=method,
+        )
+        first, second = run_sweep(cfg).points
+        assert first.error.startswith("[generator] non-finite generator: nan or inf in hot kernel q=")
+        assert second.ok, second.error
+        row = self._row(first, "sweep")
+        assert row["converged"] == "false"
 
     def test_lasercool_failed_row_keeps_delta(self):
         # a cooled mode cannot be held in two Fock levels: cheap, certain failure

@@ -10,7 +10,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from floqcc import generator
-from floqcc.bath import Ohmic, bose_occupation
+from floqcc.bath import Ohmic, StructuredPeak, bose_occupation
 from floqcc.floquet import (
     FloquetSolution,
     JumpDecomposition,
@@ -75,6 +75,28 @@ class TestThermalRates:
         gn_eps, ge_eps = thermal_rates(j, beta, 1e-9)
         assert gn_eps == pytest.approx(gn0, rel=1e-6)
         assert ge_eps == pytest.approx(ge0, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "density",
+        [Ohmic(d_h=5e-3, omega_ref=1.0), StructuredPeak(d_c=1e-3, gamma=4e-4, omega_res=0.2)],
+    )
+    def test_array_pass_matches_the_closed_form(self, density):
+        # one array call gives every entry the closed-form rates, through the
+        # degenerate limit and the beta |delta| > 700 cutoff of N
+        beta = 25.0
+        deltas = np.array([-40.0, -0.4, -1e-13, 0.0, 5e-13, 1e-9, 0.4, 40.0])
+        gn, ge = thermal_rates(density, beta, deltas)
+        assert gn.shape == ge.shape == deltas.shape
+        for dl, a, e in zip(deltas, gn, ge):
+            w = abs(dl)
+            if w < generator.DEGENERATE_DELTA:
+                ref = (density.slope_at_zero() / beta,) * 2
+            else:
+                jw = density.evaluate(w)
+                nw = 1.0 / math.expm1(beta * w) if beta * w <= 700.0 else 0.0
+                ref = (jw * nw, jw * (1.0 + nw)) if dl > 0 else (jw * (1.0 + nw), jw * nw)
+            assert a == pytest.approx(ref[0], rel=1e-15, abs=0.0)
+            assert e == pytest.approx(ref[1], rel=1e-15, abs=0.0)
 
 
 class TestLiouvillianStructure:
@@ -438,6 +460,46 @@ class TestSteadyState:
         y = generator._from_hermitian_coords(r, k_rho)
         assert k_in == k_rho
         assert np.linalg.norm(big @ x - y) <= 1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("reservoirs", [2, 1])
+    def test_forward_sweep_inverts_the_lower_block_triangle(self, reservoirs):
+        # the preconditioner is the exact inverse of the bordered system's
+        # block lower triangle in |n|: the exact centre |n|, |m| <= k_in whole,
+        # then each row n's diagonal L_0 - i n w and its columns |m| < |n|,
+        # built here from the L_q blocks and checked in the complex stacked form
+        if reservoirs == 2:
+            _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=3), k_ext=8)
+            exact = None
+        else:
+            _, _, liouv = build_pipeline_liouvillian(lasercool_spec(-0.005, n_fock=4), k_ext=8)
+            exact = generator._real_factor(liouv, 1)
+        assert len(liouv.channels) == reservoirs
+        k_rho, k_in = 3, exact[0] if exact else -1
+        d2 = liouv.dim**2
+        lower = np.zeros(((2 * k_rho + 1) * d2,) * 2, dtype=complex)
+        for n in range(-k_rho, k_rho + 1):
+            for m in range(-k_rho, k_rho + 1):
+                centre = max(abs(n), abs(m)) <= k_in
+                if not (centre or abs(m) < abs(n) or m == n) or n - m not in liouv.no_jump:
+                    continue
+                i, j = (n + k_rho) * d2, (m + k_rho) * d2
+                lower[i : i + d2, j : j + d2] = liouv.component(n - m)
+        lower.flat[:: lower.shape[0] + 1] -= 1j * liouv.omega_L * np.repeat(
+            np.arange(-k_rho, k_rho + 1), d2
+        )
+        tr = generator._trace_cols(liouv.dim, k_rho)
+        lower[tr[0], :] = 0.0
+        lower[tr[0], tr] = 1.0
+        precond = generator._forward_sweep(liouv, k_rho, exact)
+        r = np.random.default_rng(reservoirs).normal(size=lower.shape[0])
+        x = generator._from_hermitian_coords(precond(r), k_rho)
+        y = generator._from_hermitian_coords(r, k_rho)
+        assert np.linalg.norm(lower @ x - y) <= 1e-10 * np.linalg.norm(y)
+        # and it is not the whole system, whose other blocks GMRES supplies
+        full = generator._block_system_dense(liouv, k_rho)
+        full[tr[0], :] = 0.0
+        full[tr[0], tr] = 1.0
+        assert np.linalg.norm(full @ x - y) > 1e-6 * np.linalg.norm(y)
 
     def test_gmres_runs_in_real_basis(self, monkeypatch):
         # GMRES iterates on the real Hermitian coordinates of the harmonics
