@@ -490,7 +490,7 @@ def _real_factor(liouv: CountingLiouvillian, k_rho: int) -> ExactFactor:
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         try:
-            return k_rho, lu_factor(big, overwrite_a=True)
+            return k_rho, lu_factor(big, overwrite_a=True, check_finite=False)
         except LinAlgWarning as exc:
             raise DegenerateSteadyStateError(
                 f"bordered system is singular ({exc}): more than one steady state"
@@ -631,7 +631,7 @@ def _forward_sweep(
             if n == 0:
                 block[tr0[0], :] = 0.0
                 block[tr0[0], tr0] = 1.0
-            factors[n] = lu_factor(block, overwrite_a=True)
+            factors[n] = lu_factor(block, overwrite_a=True, check_finite=False)
 
     def precond(r: np.ndarray) -> np.ndarray:
         out = np.empty_like(r)
@@ -640,12 +640,12 @@ def _forward_sweep(
         rho = np.empty((2 * k_rho + 1, d, d), dtype=complex)
         if central is not None:
             c = (2 * k_in + 1) * d2
-            out[:c] = lu_solve(central, r[:c])
+            out[:c] = lu_solve(central, r[:c], check_finite=False)
             centre = _from_hermitian_coords(out[:c], k_in).reshape(-1, d, d)
             rho[k_rho - k_in : k_rho + k_in + 1] = centre.transpose(0, 2, 1)
         for n, factor in factors.items():
             if n == 0:
-                rho0 = lu_solve(factor, _from_hermitian_coords(blocks[0], 0))
+                rho0 = lu_solve(factor, _from_hermitian_coords(blocks[0], 0), check_finite=False)
                 out_blocks[0] = _hermitian_coords(rho0, 0)
                 rho[k_rho] = _from_hermitian_coords(out_blocks[0], 0).reshape(d, d).T
                 continue
@@ -653,7 +653,7 @@ def _forward_sweep(
             if reach:
                 # column-stacked: vec index j d + i holds element (i, j)
                 rhs -= coupling(rho, n).T.reshape(-1)
-            rho_n = lu_solve(factor, rhs)
+            rho_n = lu_solve(factor, rhs, check_finite=False)
             out_blocks[2 * n - 1], out_blocks[2 * n] = rho_n.real, rho_n.imag
             rho[k_rho + n] = rho_n.reshape(d, d).T
             rho[k_rho - n] = rho_n.reshape(d, d).conj()
@@ -840,7 +840,9 @@ def steady_state(
     off-harmonic trace (at most TRACE_TOL), positivity of rho(t) and the
     residual of the block equation (at most 1e-8) are checked, a nan
     failing each.  A generator with nan or inf entries fails before any
-    route runs, with the parts that hold them named.
+    route runs, with the parts that hold them named; that one check is why
+    the LUs of ``_real_factor`` and ``_forward_sweep`` skip scipy's
+    finiteness scan of their inputs.
     """
     bad = _nonfinite_parts(liouv)
     if bad:

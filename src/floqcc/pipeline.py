@@ -10,13 +10,20 @@ kernels) and steady (periodic state and heat flows); failures are
 ``PointFailure``s tagged with their layer.
 Sweep points are independent and can be dispatched to a process pool
 (worker count via the FLOQCC_WORKERS environment variable; default serial).
+While a point runs, numpy's own OpenBLAS, where it is not scipy's, is held
+at one thread (``_one_numpy_blas_thread``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -237,7 +244,17 @@ def run_point(cfg: RunConfig) -> PointResult:
     the base generator, k_ext + 2 makes its own Floquet solve at the
     certified k_ext + 2 and rebuilds the generator from it, and n_fock + 4
     runs every stage from the certified k_ext.
+
+    While it runs, numpy's own OpenBLAS is held at one thread when it is a
+    library apart from scipy's, and the caller's thread count is restored
+    afterwards, however the point ends (``_one_numpy_blas_thread``);
+    concurrent and nested calls restore it once, when the last one ends.
     """
+    with _one_numpy_blas_thread():
+        return _run_point(cfg)
+
+
+def _run_point(cfg: RunConfig) -> PointResult:
     cfg.validate()
     extras = MODES[cfg.mode].config_extras(cfg)
 
@@ -370,6 +387,78 @@ def worker_count() -> int:
     except ValueError as exc:
         raise ConfigError(f"FLOQCC_WORKERS must be an integer, got {raw!r}") from exc
     return max(1, n)
+
+
+@cache
+def _numpy_openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of numpy's own OpenBLAS, found among
+    the libraries mapped into this process (``/proc/self/maps``) under
+    numpy's and scipy's install directories; None when numpy is not on an
+    OpenBLAS of its own apart from scipy's, or nothing can be found.
+    Imports ``scipy.linalg``, which every steady solve loads anyway, so that
+    scipy's library is mapped."""
+    import scipy.linalg
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln}
+    except OSError:
+        return None
+
+    def owned(package) -> list[str]:
+        # wheels keep it in <package>/.libs or a sibling <package>.libs
+        root = os.path.dirname(package.__file__)
+        return [lib for lib in libs if lib.startswith(root)]
+
+    ours, theirs = owned(np), owned(scipy)
+    if len(ours) != 1 or not theirs:
+        return None
+    lib = ctypes.CDLL(ours[0])
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+# the thread count is one per process, so the points in progress share one
+# count and one saved value, guarded by one lock
+_pin_lock = threading.Lock()
+_pin = {"active": 0, "saved": 0}
+
+
+@contextmanager
+def _one_numpy_blas_thread() -> Iterator[None]:
+    """Hold numpy's own OpenBLAS at one thread while the block runs, then
+    restore the count the first of the overlapping blocks found.
+
+    numpy and scipy wheels each bring an OpenBLAS with its own thread pool.
+    A pool's workers spin for about 0.1 s after each threaded call, so a
+    point that alternates numpy products and ``eigh`` with scipy's LUs runs
+    each library beside the other's spinning threads.  numpy's calls here
+    are small and gain little from threads; scipy's dense LUs keep theirs.
+    Does nothing when ``_numpy_openblas`` finds no separate library."""
+    blas = _numpy_openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _pin_lock:
+        if _pin["active"] == 0:
+            _pin["saved"] = get()
+            put(1)
+        _pin["active"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin["active"] -= 1
+            if _pin["active"] == 0:
+                put(_pin["saved"])
 
 
 def _run_many(configs: list[RunConfig]) -> list[PointResult]:

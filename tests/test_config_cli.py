@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -564,6 +565,94 @@ class TestLadderCertificate:
         point = run_point(replace(RunConfig(), omegaL=0.85))
         assert point.ok and point.diagnostics.k_ext_trail == []
         assert len(shapes) == 1
+
+
+@pytest.fixture
+def numpy_blas():
+    """Thread count of numpy's own OpenBLAS, set to 2 for the test (a
+    caller's count the pin must restore) and put back afterwards."""
+    blas = pipeline._numpy_openblas()
+    if blas is None:
+        pytest.skip("numpy has no OpenBLAS of its own apart from scipy's: run_point pins nothing")
+    get, put = blas
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+class TestNumpyBlasPin:
+    CFG = replace(RunConfig(), mode="sweep", omegaL=0.715)
+
+    @pytest.mark.parametrize("outcome", ["solved", "failed row", "raised"])
+    def test_one_thread_while_a_point_runs(self, numpy_blas, monkeypatch, outcome):
+        seen = []
+        real_stage = pipeline._steady_stage
+
+        def stage(*args):
+            seen.append(numpy_blas())
+            if outcome == "failed row":
+                raise pipeline.PointFailure("generator", "forced failure")
+            if outcome == "raised":
+                raise RuntimeError("forced exception")
+            return real_stage(*args)
+
+        monkeypatch.setattr(pipeline, "_steady_stage", stage)
+        if outcome == "raised":
+            with pytest.raises(RuntimeError, match="forced exception"):
+                run_point(self.CFG)
+        else:
+            assert run_point(self.CFG).ok == (outcome == "solved")
+        assert seen and set(seen) == {1}
+        assert numpy_blas() == 2
+
+    def test_nested_holds_restore_once(self, numpy_blas):
+        with pipeline._one_numpy_blas_thread():
+            with pipeline._one_numpy_blas_thread():
+                assert numpy_blas() == 1
+            assert numpy_blas() == 1
+        assert numpy_blas() == 2
+
+    def test_concurrent_points_restore_the_callers_count(self, numpy_blas, monkeypatch):
+        # more threads than cores, all inside run_point at once
+        n_threads = 4
+        inside = threading.Barrier(n_threads, timeout=60)
+        seen, results = [], []
+        real_stage = pipeline._steady_stage
+
+        def stage(*args):
+            seen.append(numpy_blas())
+            inside.wait()
+            return real_stage(*args)
+
+        monkeypatch.setattr(pipeline, "_steady_stage", stage)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=lambda: results.append(run_point(self.CFG)))
+                for _ in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == n_threads and all(p.ok for p in results)
+        assert len(seen) >= n_threads and set(seen) == {1}
+        assert numpy_blas() == 2
+
+    def test_pin_changes_no_result(self, monkeypatch):
+        pinned = run_point(self.CFG)
+        monkeypatch.setattr(pipeline, "_numpy_openblas", lambda: None)
+        unpinned = run_point(self.CFG)
+        assert pinned.ok and unpinned.ok
+        assert pinned.report.regime == unpinned.report.regime
+        for name in ("qbar_h", "qbar_c", "wbar"):
+            a, b = getattr(pinned.report, name), getattr(unpinned.report, name)
+            assert a == pytest.approx(b, rel=1e-10), name
 
 
 class TestCLI:
