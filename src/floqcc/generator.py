@@ -31,29 +31,30 @@ Tr{S rho_{-q} G2'_q} + Tr{G1'_q rho_{-q} S}.  The principal-value
 (Lamb-shift) contribution is omitted.
 
 The periodic steady state, a ``PeriodicOperator`` of harmonics rho_n,
-solves the block system i n w rho_n = sum_k L_k rho_{n-k}: by its dense
-SVD null space, or by one bordered solve (the trace condition in place of a
-redundant row) under a block lower-triangular preconditioner, one forward
-sweep over |n|.  The sweep solves an exact centre first (the bordered
-rho_0, or the harmonics |n| <= k_in by a dense factor), then each outer
-harmonic n by the LU of L_0 - i n w, after subtracting the couplings
-L_{n-m} rho_m from the harmonics |m| < n already solved.  ``lu`` makes the
-centre the whole system, so the sweep is the solve; ``gmres`` iterates
-under it, with the centre |n| <= 1 on a single-reservoir generator; the
-positivity probe reuses the base route's centre.  Each ``steady_state``
-call runs one route, and a route that fails fails the call.  GMRES applies
-the block system matrix-free and in time: the periodic operators of L are
+solves the block system i n w rho_n = sum_k L_k rho_{n-k} by one bordered
+solve (the trace condition in place of a redundant row) under a block
+lower-triangular preconditioner, one forward sweep over |n|.  The sweep
+solves an exact centre first (the bordered rho_0, or the harmonics
+|n| <= k_in by a dense factor), then each outer harmonic n by the LU of
+L_0 - i n w, after subtracting the couplings L_{n-m} rho_m from the
+harmonics |m| < n already solved.  ``lu`` makes the centre the whole
+system, so the sweep is the solve; ``gmres`` iterates under it, with the
+centre |n| <= 1 on a single-reservoir generator; the positivity probe
+reuses the base route's centre.  The ``svd`` diagnostic takes the dense
+null space of the unbordered system instead.  Each ``steady_state`` call
+runs one route, and a route that fails fails the call.  GMRES applies the
+block system matrix-free and in time: the periodic operators of L are
 sampled once per solve, and each action is an FFT pair around stacked
 d x d products.  The generator keeps rho Hermitian, rho_{-n} = rho_n^dag,
-so the bordered solve runs in the real Hermitian basis: its unknowns are
-rho_0 by its d^2 Hermitian coordinates and Re and Im of rho_n for n >= 1.
-The exact centre is one real LU of the system in that basis; the block
-LUs are complex, one per harmonic n >= 0 outside it, the last one in L_0's
-own buffer.  The dense systems share one memory guard, 2.5 GB (16 B per
-entry for the complex ``svd`` one, 8 B for the real one); the ``gmres``
-preconditioner has its own, 1.5 GB, which counts its block LUs and its
-exact centre.  A generator with nan or inf entries fails every route up
-front, with the parts that hold them named.
+so every route runs in the real Hermitian basis: its unknowns are rho_0 by
+its d^2 Hermitian coordinates and Re and Im of rho_n for n >= 1.  The
+exact centre is one real LU of the system in that basis; the block LUs
+are complex, one per harmonic n >= 0 outside it, the last one in L_0's own
+buffer.  The one dense system, the real one that ``lu`` factors and
+``svd`` decomposes, is refused above 2.5 GB at 8 B per entry; the
+``gmres`` preconditioner has its own guard, 1.5 GB, which counts its
+block LUs and its exact centre.  A generator with nan or inf entries
+fails every route up front, with the parts that hold them named.
 """
 
 from __future__ import annotations
@@ -337,34 +338,16 @@ def _trace_cols(d: int, k_rho: int) -> np.ndarray:
     return k_rho * d * d + np.arange(d) * (d + 1)
 
 
-def _dense_zeros(size: int, dtype: type) -> np.ndarray:
-    """A zero dense block system in Fortran order, so LAPACK factors it in
-    place; refused above 2.5 GB before anything is allocated."""
-    dense_bytes = size * size * np.dtype(dtype).itemsize
+def _dense_zeros(size: int) -> np.ndarray:
+    """A zero real dense block system in Fortran order, so LAPACK factors it
+    in place; refused above 2.5 GB before anything is allocated."""
+    dense_bytes = size * size * 8
     if dense_bytes > 2_500_000_000:
         raise SteadyStateError(
             f"dense block system of size {size} would need {dense_bytes / 1e9:.1f} GB "
             "(n_fock too large); reduce the problem size"
         )
-    return np.zeros((size, size), dtype=dtype, order="F")
-
-
-def _block_system_dense(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
-    """The harmonic block system as one dense complex matrix.  Each L_q is
-    built once, placed on its block diagonal and dropped."""
-    d2 = liouv.dim**2
-    size = (2 * k_rho + 1) * d2
-    big = _dense_zeros(size, complex)
-    big.flat[:: size + 1] = -1j * liouv.omega_L * np.repeat(np.arange(-k_rho, k_rho + 1), d2)
-    for q in liouv.no_jump:
-        if abs(q) > 2 * k_rho:
-            continue
-        lq = liouv.component(q)
-        # block row n = m + q, column m
-        for m in range(max(-k_rho, -k_rho - q), min(k_rho, k_rho - q) + 1):
-            i, j = (m + q + k_rho) * d2, (m + k_rho) * d2
-            big[i : i + d2, j : j + d2] += lq
-    return big
+    return np.zeros((size, size), order="F")
 
 
 # The real Hermitian basis.  A stacked vector is J-invariant, J: rho_n ->
@@ -410,8 +393,8 @@ def _from_hermitian_coords(r: np.ndarray, k_rho: int) -> np.ndarray:
 
 
 def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
-    """The bordered block system in the real Hermitian basis, with the trace
-    border in place of the real (0, 0) row, built from each L_q once.
+    """The block system in the real Hermitian basis, built from each L_q
+    once.
 
     Block L_q maps input harmonic m to output harmonic n = m + q, and only
     n >= 0 is kept.  Row coordinate Re y or Im y takes Re(w L_q) with w = 1
@@ -422,9 +405,8 @@ def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
     is added into the system in place, through views of Re and Im L_q."""
     d = liouv.dim
     d2 = d * d
-    big = _dense_zeros((2 * k_rho + 1) * d2, float)
+    big = _dense_zeros((2 * k_rho + 1) * d2)
     perm, lower = _transpose_perm(d)
-    # rho_0's diagonal leads the real basis, so its trace border is k_rho = 0's
     diag = _trace_cols(d, 0)
 
     def add(rows: slice, where: bool | np.ndarray, minus_i: bool, m: int) -> None:
@@ -473,8 +455,6 @@ def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
         re = (2 * n - 1) * d2 + np.arange(d2)
         big[re, re + d2] += n * liouv.omega_L
         big[re + d2, re] -= n * liouv.omega_L
-    big[diag[0], :] = 0.0
-    big[diag[0], diag] = 1.0
     return big
 
 
@@ -482,11 +462,16 @@ ExactFactor = tuple[int, tuple[np.ndarray, np.ndarray]]
 
 
 def _real_factor(liouv: CountingLiouvillian, k_rho: int) -> ExactFactor:
-    """(k_rho, the LU of ``_real_block_system``): an exact solve of the
-    bordered k_rho system in the real Hermitian basis."""
+    """(k_rho, the LU of ``_real_block_system`` with the trace border in
+    place of the real (0, 0) row): an exact solve of the bordered k_rho
+    system in the real Hermitian basis."""
     from scipy.linalg import LinAlgWarning, lu_factor
 
     big = _real_block_system(liouv, k_rho)
+    # rho_0's diagonal leads the real basis, so its trace border is k_rho = 0's
+    diag = _trace_cols(liouv.dim, 0)
+    big[diag[0], :] = 0.0
+    big[diag[0], diag] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         try:
@@ -818,31 +803,31 @@ def steady_state(
 ) -> tuple[PeriodicOperator, SteadyStateInfo]:
     """Solve the harmonic steady-state block system.
 
-    ``method`` is "svd" (dense null space, reports singular values), "lu"
-    (the bordered solve in the real Hermitian basis with the real LU of the
-    whole system as its preconditioner, exact, so no iteration), "gmres"
-    (the same solve under a forward sweep over |n| with one block factor
-    per harmonic, ``_forward_sweep``, iterated on the system's action in
-    time, the count in ``SteadyStateInfo.iterations``),
-    or "auto": svd up to DENSE_SIZE_LIMIT unknowns, gmres above (dense SVD
-    scales as the cube of (2 k_rho + 1) d^2 and is kept for diagnostics and
-    cross-validation).  On a single-reservoir generator gmres solves the
-    harmonics |n| <= 1 exactly, by the real LU lu would take at k_rho = 1,
-    and takes block factors for n >= 2 only; its 1.5 GB guard counts that
-    centre, 72 d^4 B, before it is built.  svd and lu build the block
-    system densely (complex and real, respectively) and refuse it above
-    2.5 GB.  Each call runs only the route picked: a gmres solve that
-    stalls or meets its preconditioner memory guard fails with that one
-    cause.  An exactly singular bordered system means more than one steady
-    state.  Every route yields the real Hermitian coordinates of the state
-    (for svd, of the null vector of trace 1), so rho_{-n} = rho_n^dag holds
-    exactly; the returned harmonics are trace-normalized, and the
-    off-harmonic trace (at most TRACE_TOL), positivity of rho(t) and the
-    residual of the block equation (at most 1e-8) are checked, a nan
-    failing each.  A generator with nan or inf entries fails before any
-    route runs, with the parts that hold them named; that one check is why
-    the LUs of ``_real_factor`` and ``_forward_sweep`` skip scipy's
-    finiteness scan of their inputs.
+    ``method`` is "lu" (the bordered solve in the real Hermitian basis with
+    the real LU of the whole system as its preconditioner, exact, so no
+    iteration), "gmres" (the same solve under a forward sweep over |n| with
+    one block factor per harmonic, ``_forward_sweep``, iterated on the
+    system's action in time, the count in ``SteadyStateInfo.iterations``),
+    "auto" (lu up to DENSE_SIZE_LIMIT unknowns, gmres above), or "svd", a
+    diagnostic that ``auto`` never picks: the null space of the same real
+    system, unbordered, with its singular values reported.  Its rank rule
+    is relative, singular values below 1e-8 of the largest, so it calls a
+    unique but slow state degenerate.  On a single-reservoir generator
+    gmres solves the harmonics |n| <= 1 exactly, by the real LU lu would
+    take at k_rho = 1, and takes block factors for n >= 2 only; its 1.5 GB
+    guard counts that centre, 72 d^4 B, before it is built.  svd and lu
+    build the real block system densely and refuse it above 2.5 GB.  Each
+    call runs only the route picked: a gmres solve that stalls or meets its
+    preconditioner memory guard fails with that one cause.  An exactly
+    singular bordered system means more than one steady state.  Every route
+    yields the real Hermitian coordinates of the state, so
+    rho_{-n} = rho_n^dag holds exactly; the returned harmonics are
+    trace-normalized, and the off-harmonic trace (at most TRACE_TOL),
+    positivity of rho(t) and the residual of the block equation (at most
+    1e-8) are checked, a nan failing each.  A generator with nan or inf
+    entries fails before any route runs, with the parts that hold them
+    named; that one check is why the LUs of ``_real_factor`` and
+    ``_forward_sweep`` skip scipy's finiteness scan of their inputs.
     """
     bad = _nonfinite_parts(liouv)
     if bad:
@@ -852,12 +837,12 @@ def steady_state(
     d = liouv.dim
     size = (2 * k_rho + 1) * d * d
     if method == "auto":
-        method = "svd" if size <= DENSE_SIZE_LIMIT else "gmres"
+        method = "lu" if size <= DENSE_SIZE_LIMIT else "gmres"
 
     exact = sigma_second = None
     iterations = 0
     if method == "svd":
-        _, s, vh = np.linalg.svd(_block_system_dense(liouv, k_rho))
+        _, s, vh = np.linalg.svd(_real_block_system(liouv, k_rho))
         sigma_second = float(s[-2])
         rank_tol = float(s[0]) * 1e-8
         n_null = int(np.sum(s < rank_tol))
@@ -866,12 +851,9 @@ def steady_state(
                 f"null space dimension {n_null} (expected 1); "
                 f"second-smallest singular value {sigma_second:.3e}"
             )
-        vec = vh[-1].conj()
-        tr0 = vec[_trace_cols(d, k_rho)].sum()
-        if abs(tr0) < 1e-14:
+        coords = vh[-1]
+        if abs(coords[_trace_cols(d, 0)].sum()) < 1e-14:
             raise SteadyStateError("null vector has (numerically) traceless rho_0")
-        # the null vector of trace 1 is the one invariant under rho -> rho^dag
-        coords = _hermitian_coords(vec / tr0, k_rho)
         residual = float(s[-1]) / float(s[0])
     elif method == "lu":
         exact = _real_factor(liouv, k_rho)

@@ -75,6 +75,25 @@ def build_pipeline_liouvillian(spec: SupersystemSpec, k_ext: int):
     return h, fs, build_liouvillian(h, fs, channels, jumps)
 
 
+def block_system_dense(liouv, k_rho: int) -> np.ndarray:
+    """The harmonic block system i n w rho_n = sum_k L_k rho_{n-k} as one
+    dense complex matrix on the stacked harmonics |n| <= k_rho: the
+    independent oracle of the real Hermitian system the solver builds."""
+    d2 = liouv.dim**2
+    size = (2 * k_rho + 1) * d2
+    big = np.zeros((size, size), dtype=complex)
+    big.flat[:: size + 1] = -1j * liouv.omega_L * np.repeat(np.arange(-k_rho, k_rho + 1), d2)
+    for q in liouv.no_jump:
+        if abs(q) > 2 * k_rho:
+            continue
+        lq = liouv.component(q)
+        # block row n = m + q, column m
+        for m in range(max(-k_rho, -k_rho - q), min(k_rho, k_rho - q) + 1):
+            i, j = (m + q + k_rho) * d2, (m + k_rho) * d2
+            big[i : i + d2, j : j + d2] += lq
+    return big
+
+
 def solve_pipeline(spec: SupersystemSpec, k_ext: int, k_rho=None, method="auto"):
     """The chain of ``build_pipeline_liouvillian`` and its steady state."""
     h, fs, liouv = build_pipeline_liouvillian(spec, k_ext)

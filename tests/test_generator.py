@@ -40,6 +40,7 @@ from floqcc.oracles import propagate
 
 from conftest import (
     LASERCOOL,
+    block_system_dense,
     build_pipeline_liouvillian,
     fig2_spec,
     lasercool_spec,
@@ -161,7 +162,7 @@ class TestLiouvillianStructure:
         size = (2 * k_rho + 1) * h.dim**2
         x_rng = np.random.default_rng(k_rho)
         x = x_rng.normal(size=size) + 1j * x_rng.normal(size=size)
-        dense = generator._block_system_dense(liouv, k_rho) @ x
+        dense = block_system_dense(liouv, k_rho) @ x
         applied = generator._block_action(liouv, k_rho)(x)
         assert np.max(np.abs(applied - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -444,13 +445,50 @@ class TestSteadyState:
         assert (info.method, info.size) == ("lu", size)
         assert calls == [((size, size), np.dtype(np.float64))]
 
+    @pytest.mark.parametrize("case", ["undamped", "fig2"])
+    def test_real_null_space_matches_complex_oracle(self, case, monkeypatch):
+        # J commutes with the block system, so its real Hermitian form has a
+        # null space of the complex one's dimension: 3 for the undamped mode
+        # of test_single_undamped_mode_is_degenerate, 1 for a Fig-2 point;
+        # the svd diagnostic decomposes that real system
+        if case == "undamped":
+            spec = SupersystemSpec(
+                omega0=1.0, g=0.0, omega_L=0.7, omega_cc=0.3, n_fock=3, lambda0=0.0,
+                beta_h=2.22, beta_c=5.0, hot_bath=Ohmic(d_h=5e-3, omega_ref=1.0),
+                residual_bath=None,
+            )
+        else:
+            spec = fig2_spec(0.75, n_fock=3)
+        _, _, liouv = build_pipeline_liouvillian(spec, k_ext=8)
+        k_rho = liouv.suggested_k_rho()
+        real = generator._real_block_system(liouv, k_rho)
+        oracle = block_system_dense(liouv, k_rho)
+        assert real.dtype == np.float64 and real.shape == oracle.shape
+        null = [a.shape[0] - np.linalg.matrix_rank(a) for a in (real, oracle)]
+        assert null == [{"undamped": 3, "fig2": 1}[case]] * 2
+
+        real_svd = np.linalg.svd
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append((a.shape, a.dtype))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        if case == "undamped":
+            with pytest.raises(DegenerateSteadyStateError, match="null space dimension 3"):
+                steady_state(liouv, k_rho=k_rho, method="svd")
+        else:
+            assert steady_state(liouv, k_rho=k_rho, method="svd")[1].method == "svd"
+        assert calls == [(real.shape, np.dtype(np.float64))]
+
     @pytest.mark.parametrize("k_rho", [1, 3])
     def test_real_solve_inverts_bordered_system(self, k_rho):
         # the real Hermitian-basis solve of random real coordinates, checked
         # in the complex stacked form against the complex bordered system
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=3), k_ext=8)
         d = liouv.dim
-        big = generator._block_system_dense(liouv, k_rho)
+        big = block_system_dense(liouv, k_rho)
         tr = generator._trace_cols(d, k_rho)
         big[tr[0], :] = 0.0
         big[tr[0], tr] = 1.0
@@ -496,7 +534,7 @@ class TestSteadyState:
         y = generator._from_hermitian_coords(r, k_rho)
         assert np.linalg.norm(lower @ x - y) <= 1e-10 * np.linalg.norm(y)
         # and it is not the whole system, whose other blocks GMRES supplies
-        full = generator._block_system_dense(liouv, k_rho)
+        full = block_system_dense(liouv, k_rho)
         full[tr[0], :] = 0.0
         full[tr[0], tr] = 1.0
         assert np.linalg.norm(full @ x - y) > 1e-6 * np.linalg.norm(y)
@@ -558,13 +596,12 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("method", ["svd", "lu"])
     def test_dense_memory_guard(self, method):
-        # d = 4: svd's complex 12816^2 system at k_rho = 400 and lu's real
-        # 17936^2 one at k_rho = 560 each need 2.6 GB; the guard refuses them
-        # before allocating anything
-        k_rho = {"svd": 400, "lu": 560}[method]
+        # d = 4: the real 17936^2 system at k_rho = 560, which svd decomposes
+        # and lu factors, needs 2.6 GB; the guard refuses it before
+        # allocating anything
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=2), k_ext=6)
         with pytest.raises(SteadyStateError, match=r"would need 2\.6 GB"):
-            steady_state(liouv, k_rho=k_rho, method=method)
+            steady_state(liouv, k_rho=560, method=method)
 
     def test_gmres_memory_guard(self):
         # d = 4: k_rho + 1 = 366212 block factors of 4096 B need 1.5 GB; the
@@ -691,6 +728,67 @@ class TestSteadyState:
         final = v.reshape(d, d).T
         dist = np.sum(np.abs(np.linalg.eigvalsh(final - rho.at_time(0.0))))
         assert dist < 1e-6
+
+
+# the cooling sideband delta = -omega_cc at weak coupling g = d_c = 1e-6,
+# n_fock 5 (d = 10): a unique steady state, n = 0.0625 (the sideband limit
+# d_h^2 / (16 omega_cc^2)), that cools so slowly that the second-smallest
+# singular value of its block system is 6.9e-9, below svd's rank rule
+WEAK_LASERCOOL = SupersystemSpec(
+    omega0=1.0, g=1e-6, omega_L=0.995, omega_cc=5e-3, n_fock=5, lambda0=1e-6,
+    beta_h=1e4, beta_c=1e4, hot_bath=Ohmic(d_h=5e-3, omega_ref=1.0), residual_bath=None,
+)
+
+
+class TestOneVerdict:
+    """A configuration solves or fails the same way on every production
+    route, whatever its size."""
+
+    @pytest.fixture(scope="class")
+    def weak(self):
+        return build_pipeline_liouvillian(WEAK_LASERCOOL, k_ext=4)[2]
+
+    @staticmethod
+    def n_mean(rho):
+        return float(np.trace(number_operator(WEAK_LASERCOOL.n_fock) @ rho.average).real)
+
+    def test_auto_solves_what_lu_and_gmres_solve(self, weak):
+        rho, info = steady_state(weak, k_rho=2)
+        assert (info.method, info.size) == ("lu", 500)
+        rho_lu, _ = steady_state(weak, k_rho=2, method="lu")
+        assert rho.harmonics.keys() == rho_lu.harmonics.keys()
+        for n, m in rho_lu.harmonics.items():
+            np.testing.assert_array_equal(rho.harmonics[n], m)
+        rho_gmres, info_gmres = steady_state(weak, k_rho=2, method="gmres")
+        assert info_gmres.method == "gmres"
+        limit = WEAK_LASERCOOL.hot_bath.d_h**2 / (16 * WEAK_LASERCOOL.omega_cc**2)
+        for state in (rho, rho_gmres):
+            assert self.n_mean(state) == pytest.approx(limit, rel=1e-3)
+        # the svd diagnostic keeps its relative 1e-8 rank rule
+        with pytest.raises(DegenerateSteadyStateError, match="null space dimension 4"):
+            steady_state(weak, k_rho=2, method="svd")
+
+    def test_auto_never_takes_svd(self, weak, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("auto must not take the svd diagnostic")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for k_rho in range(1, 7):
+            _, info = steady_state(weak, k_rho=k_rho)
+            assert info.method == ("lu" if info.size <= generator.DENSE_SIZE_LIMIT else "gmres")
+        # k_rho = 6: 1300 unknowns, the first size above the limit
+        assert (info.method, info.size) == ("gmres", 1300)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="GMRES stops on the preconditioned residual: n_mean 0.0625343468710914 "
+        "(gmres) against 0.0625343479082611 (lu), 1.66e-8 relative, after 0 "
+        "iterations at residual 2.0e-14; 3.5e-9 at g = d_c = 1e-7",
+    )
+    def test_gmres_n_mean_matches_lu(self, weak):
+        n_gmres = self.n_mean(steady_state(weak, k_rho=2, method="gmres")[0])
+        n_lu = self.n_mean(steady_state(weak, k_rho=2, method="lu")[0])
+        assert n_gmres == pytest.approx(n_lu, rel=1e-10)
 
 
 class TestHeatCurrents:
