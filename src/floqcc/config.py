@@ -34,7 +34,7 @@ class ConfigError(ValueError):
 
 SWEEP_VARIABLES = ("omegaL", "d_c", "gamma", "delta")
 COUPLING_FORMS = ("sinusoidal", "static")
-SOLVER_METHODS = ("auto", "svd", "lu", "gmres")
+SOLVER_METHODS = ("auto", "lu", "gmres")
 CONVERGENCE_MODES = ("fast", "full", "off")
 
 
@@ -82,7 +82,12 @@ class RunConfig:
         mode = MODES.get(self.mode)
         if mode is None:
             raise ConfigError(f"run.mode must be one of {tuple(MODES)}, got {self.mode!r}")
-        for name in ("omega0", "omegaL", "d_h", "beta_c", "beta_h"):
+        positive = ("omega0", "omegaL", "d_h", "beta_c", "beta_h")
+        if mode.maps_cold_bath:
+            # the mapped peak needs a width and a strength; lasercool reads
+            # bath.cold.d_c as lambda0, which may be 0
+            positive += ("d_c", "gamma")
+        for name in positive:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"{_KEY_OF[name]} must be finite and > 0, got {v}")
@@ -101,16 +106,16 @@ class RunConfig:
         for name in ("k_ext", "k_rho"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{_KEY_OF[name]} must be >= 0 (0 = auto)")
-        if self.coupling_form not in COUPLING_FORMS:
-            raise ConfigError(f"model.coupling_form must be one of {COUPLING_FORMS}")
-        if self.method not in SOLVER_METHODS:
-            raise ConfigError(f"solver.method must be one of {SOLVER_METHODS}")
-        if self.convergence not in CONVERGENCE_MODES:
-            raise ConfigError(f"solver.convergence must be one of {CONVERGENCE_MODES}")
-        if self.sweep_variable not in SWEEP_VARIABLES:
-            raise ConfigError(f"sweep.variable must be one of {SWEEP_VARIABLES}")
-        if self.sweep2_variable not in SWEEP_VARIABLES:
-            raise ConfigError(f"sweep2.variable must be one of {SWEEP_VARIABLES}")
+        for name, allowed in (
+            ("coupling_form", COUPLING_FORMS),
+            ("method", SOLVER_METHODS),
+            ("convergence", CONVERGENCE_MODES),
+            ("sweep_variable", SWEEP_VARIABLES),
+            ("sweep2_variable", SWEEP_VARIABLES),
+        ):
+            v = getattr(self, name)
+            if v not in allowed:
+                raise ConfigError(f"{_KEY_OF[name]} must be one of {allowed}, got {v!r}")
         if mode.axes == 2:
             # the detuning delta = omegaL - omega0 sets omegaL
             swept = {

@@ -158,10 +158,6 @@ class FloquetSolution:
         v = self.state_matrix_at_time(0.0)
         return float(np.max(np.abs(v @ v.conj().T - np.eye(self.dim))))
 
-    def orthonormality_defect(self) -> float:
-        flat = self.modes.reshape(self.dim, -1)
-        return float(np.max(np.abs(flat @ flat.conj().T - np.eye(self.dim))))
-
 
 def _real_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Hermitian ``a`` in a real gauge: (D^dag a D as a real matrix, the unit

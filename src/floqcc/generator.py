@@ -40,21 +40,20 @@ L_0 - i n w, after subtracting the couplings L_{n-m} rho_m from the
 harmonics |m| < n already solved.  ``lu`` makes the centre the whole
 system, so the sweep is the solve; ``gmres`` iterates under it, with the
 centre |n| <= 1 on a single-reservoir generator; the positivity probe
-reuses the base route's centre.  The ``svd`` diagnostic takes the dense
-null space of the unbordered system instead.  Each ``steady_state`` call
-runs one route, and a route that fails fails the call.  GMRES applies the
-block system matrix-free and in time: the periodic operators of L are
-sampled once per solve, and each action is an FFT pair around stacked
-d x d products.  The generator keeps rho Hermitian, rho_{-n} = rho_n^dag,
+reuses the base route's centre.  Each ``steady_state`` call runs one
+route, and a route that fails fails the call.  GMRES applies the block
+system matrix-free and in time: the periodic operators of L are sampled
+once per solve, and each action is an FFT pair around stacked d x d
+products.  The generator keeps rho Hermitian, rho_{-n} = rho_n^dag,
 so every route runs in the real Hermitian basis: its unknowns are rho_0 by
 its d^2 Hermitian coordinates and Re and Im of rho_n for n >= 1.  The
 exact centre is one real LU of the system in that basis; the block LUs
 are complex, one per harmonic n >= 0 outside it, the last one in L_0's own
-buffer.  The one dense system, the real one that ``lu`` factors and
-``svd`` decomposes, is refused above 2.5 GB at 8 B per entry; the
-``gmres`` preconditioner has its own guard, 1.5 GB, which counts its
-block LUs and its exact centre.  A generator with nan or inf entries
-fails every route up front, with the parts that hold them named.
+buffer.  The one dense system, the real one that ``lu`` factors, is
+refused above 2.5 GB at 8 B per entry; the ``gmres`` preconditioner has
+its own guard, 1.5 GB, which counts its block LUs and its exact centre.
+A generator with nan or inf entries fails every route up front, with the
+parts that hold them named.
 """
 
 from __future__ import annotations
@@ -325,8 +324,7 @@ class SteadyStateInfo:
     k_rho: int
     size: int
     residual: float
-    iterations: int  # GMRES iterations; 0 on the direct routes
-    sigma_second: float | None
+    iterations: int  # GMRES iterations; 0 on lu
     trace_defect: float
     min_eigenvalue: float
 
@@ -808,17 +806,14 @@ def steady_state(
     iteration), "gmres" (the same solve under a forward sweep over |n| with
     one block factor per harmonic, ``_forward_sweep``, iterated on the
     system's action in time, the count in ``SteadyStateInfo.iterations``),
-    "auto" (lu up to DENSE_SIZE_LIMIT unknowns, gmres above), or "svd", a
-    diagnostic that ``auto`` never picks: the null space of the same real
-    system, unbordered, with its singular values reported.  Its rank rule
-    is relative, singular values below 1e-8 of the largest, so it calls a
-    unique but slow state degenerate.  On a single-reservoir generator
-    gmres solves the harmonics |n| <= 1 exactly, by the real LU lu would
-    take at k_rho = 1, and takes block factors for n >= 2 only; its 1.5 GB
-    guard counts that centre, 72 d^4 B, before it is built.  svd and lu
-    build the real block system densely and refuse it above 2.5 GB.  Each
-    call runs only the route picked: a gmres solve that stalls or meets its
-    preconditioner memory guard fails with that one cause.  An exactly
+    or "auto" (lu up to DENSE_SIZE_LIMIT unknowns, gmres above).  On a
+    single-reservoir generator gmres solves the harmonics |n| <= 1 exactly,
+    by the real LU lu would take at k_rho = 1, and takes block factors for
+    n >= 2 only; its 1.5 GB guard counts that centre, 72 d^4 B, before it
+    is built.  lu builds the real block system densely and refuses it
+    above 2.5 GB.  Each call runs only the route picked: a gmres solve that
+    stalls or meets its preconditioner memory guard fails with that one
+    cause; any other ``method`` is a ValueError.  An exactly
     singular bordered system means more than one steady state.  Every route
     yields the real Hermitian coordinates of the state, so
     rho_{-n} = rho_n^dag holds exactly; the returned harmonics are
@@ -838,38 +833,19 @@ def steady_state(
     size = (2 * k_rho + 1) * d * d
     if method == "auto":
         method = "lu" if size <= DENSE_SIZE_LIMIT else "gmres"
-
-    exact = sigma_second = None
-    iterations = 0
-    if method == "svd":
-        _, s, vh = np.linalg.svd(_real_block_system(liouv, k_rho))
-        sigma_second = float(s[-2])
-        rank_tol = float(s[0]) * 1e-8
-        n_null = int(np.sum(s < rank_tol))
-        if n_null != 1:
-            raise DegenerateSteadyStateError(
-                f"null space dimension {n_null} (expected 1); "
-                f"second-smallest singular value {sigma_second:.3e}"
-            )
-        coords = vh[-1]
-        if abs(coords[_trace_cols(d, 0)].sum()) < 1e-14:
-            raise SteadyStateError("null vector has (numerically) traceless rho_0")
-        residual = float(s[-1]) / float(s[0])
-    elif method == "lu":
-        exact = _real_factor(liouv, k_rho)
-        coords, residual, _ = _solve_bordered(liouv, k_rho, exact)
-    elif method == "gmres":
-        if len(liouv.channels) == 1:
-            # one reservoir: its slow modes couple rho_0 only through
-            # rho_{+-1}, so the harmonics |n| <= 1 get an exact centre
-            k_in = min(1, k_rho)
-            _preconditioner_guard(
-                ((2 * k_in + 1) * d * d) ** 2 * 8 + (k_rho - k_in) * d**4 * 16
-            )
-            exact = _real_factor(liouv, k_in)
-        coords, residual, iterations = _solve_bordered(liouv, k_rho, exact)
-    else:
+    elif method not in ("lu", "gmres"):
         raise ValueError(f"unknown steady-state method {method!r}")
+
+    exact = None
+    if method == "lu":
+        exact = _real_factor(liouv, k_rho)
+    elif len(liouv.channels) == 1:
+        # one reservoir: its slow modes couple rho_0 only through
+        # rho_{+-1}, so the harmonics |n| <= 1 get an exact centre
+        k_in = min(1, k_rho)
+        _preconditioner_guard(((2 * k_in + 1) * d * d) ** 2 * 8 + (k_rho - k_in) * d**4 * 16)
+        exact = _real_factor(liouv, k_in)
+    coords, residual, iterations = _solve_bordered(liouv, k_rho, exact)
 
     result, trace_defect = _periodic_state(coords, k_rho, d, liouv.omega_L)
     min_eig = _min_eigenvalue(result)
@@ -880,7 +856,6 @@ def steady_state(
         size=size,
         residual=residual,
         iterations=iterations,
-        sigma_second=sigma_second,
         trace_defect=trace_defect,
         min_eigenvalue=min_eig,
     )
@@ -891,8 +866,6 @@ def steady_state(
             "raise k_rho / k_ext / n_fock"
         ) from None
     if not min_eig >= -positivity_tol:
-        if method == "svd":
-            exact = _real_factor(liouv, k_rho)
         raise SteadyStateError(_positivity_message(liouv, k_rho, min_eig, exact))
     if not residual <= 1e-8:
         raise SteadyStateError(f"steady-state residual {residual:.3e} above 1.0e-08")

@@ -66,14 +66,6 @@ class PeriodicOperator:
             out += np.exp(1j * k * self.omega_L * t) * mat
         return out
 
-    def hermitian_pairing_defect(self) -> float:
-        """max_k || O_{-k} - O_k^dag ||_max; zero for Hermitian-periodic O(t)."""
-        worst = 0.0
-        for k in set(self.harmonics) | {-k for k in self.harmonics}:
-            d = np.max(np.abs(self.component(-k) - self.component(k).conj().T))
-            worst = max(worst, float(d))
-        return worst
-
 
 SINUSOIDAL_COLD = "sinusoidal"
 STATIC_COLD = "static"

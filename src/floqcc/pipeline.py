@@ -73,8 +73,7 @@ class Diagnostics:
     k_rho: int
     method: str
     residual: float
-    iterations: int  # GMRES iterations of the steady solve, 0 on lu and svd
-    sigma_second: float | None
+    iterations: int  # GMRES iterations of the steady solve, 0 on lu
     trunc_top: float
     completeness: float
     cc_flow_avg: float
@@ -329,7 +328,6 @@ def _run_point(cfg: RunConfig) -> PointResult:
         method=info.method,
         residual=info.residual,
         iterations=info.iterations,
-        sigma_second=info.sigma_second,
         trunc_top=trunc.top_population,
         completeness=floq.completeness,
         cc_flow_avg=cc_flow,

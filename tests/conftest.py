@@ -6,6 +6,7 @@ from floqcc.bath import Ohmic, StructuredPeak, map_collective_coordinate
 from floqcc.floquet import build_quasienergy_operator, decompose_operator, solve_floquet
 from floqcc.generator import BathChannel, SteadyStateError, build_liouvillian, steady_state
 from floqcc.model import (
+    PeriodicOperator,
     SupersystemSpec,
     build_coupling_operators,
     build_supersystem_fourier,
@@ -92,6 +93,19 @@ def block_system_dense(liouv, k_rho: int) -> np.ndarray:
             i, j = (m + q + k_rho) * d2, (m + k_rho) * d2
             big[i : i + d2, j : j + d2] += lq
     return big
+
+
+def null_space_state(liouv, k_rho: int) -> PeriodicOperator:
+    """The steady state as the SVD null vector of ``block_system_dense``,
+    trace-normalised: the independent oracle of the bordered routes."""
+    d = liouv.dim
+    vec = np.linalg.svd(block_system_dense(liouv, k_rho))[2][-1].conj()
+    # column-stacking: vec index j*d + i of each block holds element (i, j)
+    blocks = vec.reshape(2 * k_rho + 1, d, d).transpose(0, 2, 1)
+    blocks = blocks / np.trace(blocks[k_rho])
+    return PeriodicOperator(
+        harmonics={n - k_rho: m for n, m in enumerate(blocks)}, omega_L=liouv.omega_L
+    )
 
 
 def solve_pipeline(spec: SupersystemSpec, k_ext: int, k_rho=None, method="auto"):

@@ -18,6 +18,10 @@ from floqcc import pipeline
 from floqcc.bath import Ohmic, StructuredPeak
 from floqcc.cli import CSV_COLUMNS, _build_parser, main, render_csv, render_json
 from floqcc.config import (
+    CONVERGENCE_MODES,
+    COUPLING_FORMS,
+    SOLVER_METHODS,
+    SWEEP_VARIABLES,
     ConfigError,
     RunConfig,
     apply_overrides,
@@ -94,6 +98,49 @@ class TestConfigParsing:
         line = re.search(r"^run\.mode\s+(.*)$", readme, re.M).group(1)
         sub = next(a for a in _build_parser()._actions if a.dest == "command")
         assert set(sub.choices) == {m.strip() for m in line.split("|")} == set(MODES)
+
+    def test_enumerations_are_one_set(self):
+        # the README's "key (a|b|c)" groups and the values validate accepts
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config keys", 1)[1].split("```")[1]
+        groups = re.findall(r"([a-z0-9_.]+) \(([^)]*\|[^)]*)\)", block)
+        assert {key: set(values.split("|")) for key, values in groups} == {
+            "model.coupling_form": set(COUPLING_FORMS),
+            "solver.method": set(SOLVER_METHODS),
+            "solver.convergence": set(CONVERGENCE_MODES),
+            "sweep.variable": set(SWEEP_VARIABLES),
+        }
+
+    @pytest.mark.parametrize(
+        "key",
+        ["model.coupling_form", "solver.method", "solver.convergence", "sweep.variable",
+         "sweep2.variable"],
+    )
+    def test_enumerated_key_names_the_rejected_value(self, key):
+        cfg = apply_overrides(RunConfig(), {key: "bogus"})
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be one of \(.*\), got 'bogus'$"):
+            cfg.validate()
+
+    def test_retired_svd_method_exit_2(self, capsys):
+        assert main(["steady", "--solver.method", "svd"] + FAST_POINT) == 2
+        assert (
+            "solver.method must be one of ('auto', 'lu', 'gmres'), got 'svd'"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("key", ["bath.cold.d_c", "bath.cold.gamma"])
+    def test_mapped_cold_bath_needs_a_positive_peak(self, key, capsys):
+        # the structured peak needs a strength and a width on every mode that
+        # maps it; lasercool reads bath.cold.d_c as lambda0, which may be 0
+        assert main(["steady", f"--{key}", "0"] + FAST_POINT) == 2
+        assert f"{key} must be finite and > 0, got 0.0" in capsys.readouterr().err
+        for name, mode in MODES.items():
+            cfg = apply_overrides(replace(RunConfig(), mode=name, omega_res=5e-3), {key: "0"})
+            if mode.maps_cold_bath:
+                with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite and > 0"):
+                    cfg.validate()
+            else:
+                cfg.validate()
 
     def test_n_fock_within_ceiling(self):
         RunConfig(n_fock=32, n_fock_max=32).validate()
@@ -270,7 +317,7 @@ class TestSweepGrid:
         assert point_cfg == replace(cfg, **{field: expected})
 
     def test_every_point_is_validated_before_solving(self, monkeypatch):
-        # the last point's gamma leaves the valid domain; nothing may be
+        # the last two points' gamma leave the valid domain; nothing may be
         # solved before the sweep is refused
         def spy(cfg):
             raise AssertionError("run_point called before the grid was validated")
@@ -280,7 +327,7 @@ class TestSweepGrid:
             RunConfig(), mode="sweep", sweep_variable="gamma", sweep_start=4e-4,
             sweep_stop=-4e-4, sweep_steps=3,
         )
-        with pytest.raises(ConfigError, match="gamma must be finite and >= 0, got -0.0004"):
+        with pytest.raises(ConfigError, match="gamma must be finite and > 0, got 0.0"):
             run_sweep(cfg)
 
     def test_phase_grid_is_row_major(self):
@@ -329,7 +376,7 @@ class TestFailedRows:
         header, row = render_csv([point], mode).splitlines()
         return dict(zip(header.split(","), row.split(",")))
 
-    @pytest.mark.parametrize("method", ["svd", "lu", "gmres"])
+    @pytest.mark.parametrize("method", ["lu", "gmres"])
     def test_nonfinite_generator_is_a_failed_row(self, monkeypatch, method):
         # a nan in one kernel harmonic fails that point with a named cause on
         # every route, and the sweep goes on to the next point

@@ -44,6 +44,7 @@ from conftest import (
     build_pipeline_liouvillian,
     fig2_spec,
     lasercool_spec,
+    null_space_state,
     solve_pipeline,
 )
 
@@ -319,20 +320,22 @@ class TestEquilibriumFixedPoints:
             beta_h=2.22, beta_c=5.0, hot_bath=Ohmic(d_h=5e-3, omega_ref=1.0),
             residual_bath=None,
         )
-        with pytest.raises(DegenerateSteadyStateError, match="second-smallest"):
-            solve_pipeline(spec, k_ext=8, method="svd")
+        _, _, liouv = build_pipeline_liouvillian(spec, k_ext=8)
+        for method in ("lu", "gmres"):
+            with pytest.raises(DegenerateSteadyStateError, match="bordered system is singular"):
+                steady_state(liouv, method=method)
 
 
 class TestSteadyState:
     def test_methods_agree(self):
         spec = fig2_spec(0.75, n_fock=8)
-        _, _, liouv, rho_svd, _ = solve_pipeline(spec, k_ext=12, k_rho=3, method="svd")
-        _, _, _, rho_gmres, _ = solve_pipeline(spec, k_ext=12, k_rho=3, method="gmres")
-        _, _, _, rho_lu, _ = solve_pipeline(spec, k_ext=12, k_rho=3, method="lu")
+        _, _, liouv, rho_gmres, _ = solve_pipeline(spec, k_ext=12, k_rho=3, method="gmres")
+        rho_lu, _ = steady_state(liouv, k_rho=3, method="lu")
+        oracle = null_space_state(liouv, 3)
         for other in (rho_gmres, rho_lu):
-            for n in rho_svd.harmonics:
+            for n in oracle.harmonics:
                 np.testing.assert_allclose(
-                    other.component(n), rho_svd.component(n), atol=1e-10
+                    other.component(n), oracle.component(n), atol=1e-10
                 )
 
     def test_invariants(self):
@@ -352,16 +355,14 @@ class TestSteadyState:
     @pytest.fixture(scope="class")
     def driven(self):
         """Generator whose minimum rho(t) eigenvalue still moves from k_rho = 1
-        to 3 but not from 4 to 6, with those eigenvalues from direct solves."""
+        to 3 but not from 4 to 6, with those eigenvalues from the null-space
+        oracle."""
         spec = fig2_spec(0.75, n_fock=3, g=0.05)
-        _, _, liouv, _, _ = solve_pipeline(spec, k_ext=14, k_rho=6, method="svd")
-        direct = {
-            k: steady_state(liouv, k_rho=k, method="svd")[1].min_eigenvalue
-            for k in (3, 6)
-        }
+        _, _, liouv = build_pipeline_liouvillian(spec, k_ext=14)
+        direct = {k: generator._min_eigenvalue(null_space_state(liouv, k)) for k in (3, 6)}
         return liouv, direct
 
-    @pytest.mark.parametrize("method", ["svd", "lu", "gmres"])
+    @pytest.mark.parametrize("method", ["lu", "gmres"])
     def test_positivity_failure_names_its_cause(self, driven, method):
         # a negative tolerance demands eigenvalues above |tol|, which runs the
         # failure branch on a cheap, well-resolved generator
@@ -446,11 +447,10 @@ class TestSteadyState:
         assert calls == [((size, size), np.dtype(np.float64))]
 
     @pytest.mark.parametrize("case", ["undamped", "fig2"])
-    def test_real_null_space_matches_complex_oracle(self, case, monkeypatch):
+    def test_real_null_space_matches_complex_oracle(self, case):
         # J commutes with the block system, so its real Hermitian form has a
         # null space of the complex one's dimension: 3 for the undamped mode
-        # of test_single_undamped_mode_is_degenerate, 1 for a Fig-2 point;
-        # the svd diagnostic decomposes that real system
+        # of test_single_undamped_mode_is_degenerate, 1 for a Fig-2 point
         if case == "undamped":
             spec = SupersystemSpec(
                 omega0=1.0, g=0.0, omega_L=0.7, omega_cc=0.3, n_fock=3, lambda0=0.0,
@@ -466,21 +466,6 @@ class TestSteadyState:
         assert real.dtype == np.float64 and real.shape == oracle.shape
         null = [a.shape[0] - np.linalg.matrix_rank(a) for a in (real, oracle)]
         assert null == [{"undamped": 3, "fig2": 1}[case]] * 2
-
-        real_svd = np.linalg.svd
-        calls = []
-
-        def spy(a, *args, **kwargs):
-            calls.append((a.shape, a.dtype))
-            return real_svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        if case == "undamped":
-            with pytest.raises(DegenerateSteadyStateError, match="null space dimension 3"):
-                steady_state(liouv, k_rho=k_rho, method="svd")
-        else:
-            assert steady_state(liouv, k_rho=k_rho, method="svd")[1].method == "svd"
-        assert calls == [(real.shape, np.dtype(np.float64))]
 
     @pytest.mark.parametrize("k_rho", [1, 3])
     def test_real_solve_inverts_bordered_system(self, k_rho):
@@ -594,14 +579,18 @@ class TestSteadyState:
         shapes = {a.shape for a in arrays(vars(liouv))}
         assert shapes and (d2, d2) not in shapes
 
-    @pytest.mark.parametrize("method", ["svd", "lu"])
+    @pytest.mark.parametrize("method", ["lu"])
     def test_dense_memory_guard(self, method):
-        # d = 4: the real 17936^2 system at k_rho = 560, which svd decomposes
-        # and lu factors, needs 2.6 GB; the guard refuses it before
-        # allocating anything
+        # d = 4: the real 17936^2 system at k_rho = 560, which lu factors,
+        # needs 2.6 GB; the guard refuses it before allocating anything
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=2), k_ext=6)
         with pytest.raises(SteadyStateError, match=r"would need 2\.6 GB"):
             steady_state(liouv, k_rho=560, method=method)
+
+    def test_only_lu_and_gmres_are_routes(self):
+        _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=2), k_ext=6)
+        with pytest.raises(ValueError, match="unknown steady-state method 'svd'"):
+            steady_state(liouv, k_rho=1, method="svd")
 
     def test_gmres_memory_guard(self):
         # d = 4: k_rho + 1 = 366212 block factors of 4096 B need 1.5 GB; the
@@ -630,8 +619,8 @@ class TestSteadyState:
         assert info.size > generator.DENSE_SIZE_LIMIT
         assert info.method == "gmres"
         assert info.iterations > 0
-        for method in ("lu", "svd"):
-            other, _ = steady_state(lasercool, k_rho=4, method=method)
+        rho_lu, _ = steady_state(lasercool, k_rho=4, method="lu")
+        for other in (rho_lu, null_space_state(lasercool, 4)):
             for n in other.harmonics:
                 np.testing.assert_allclose(
                     rho.component(n), other.component(n), atol=1e-10
@@ -733,7 +722,7 @@ class TestSteadyState:
 # the cooling sideband delta = -omega_cc at weak coupling g = d_c = 1e-6,
 # n_fock 5 (d = 10): a unique steady state, n = 0.0625 (the sideband limit
 # d_h^2 / (16 omega_cc^2)), that cools so slowly that the second-smallest
-# singular value of its block system is 6.9e-9, below svd's rank rule
+# singular value of its block system is 6.9e-9, below a relative 1e-8 rank rule
 WEAK_LASERCOOL = SupersystemSpec(
     omega0=1.0, g=1e-6, omega_L=0.995, omega_cc=5e-3, n_fock=5, lambda0=1e-6,
     beta_h=1e4, beta_c=1e4, hot_bath=Ohmic(d_h=5e-3, omega_ref=1.0), residual_bath=None,
@@ -764,9 +753,6 @@ class TestOneVerdict:
         limit = WEAK_LASERCOOL.hot_bath.d_h**2 / (16 * WEAK_LASERCOOL.omega_cc**2)
         for state in (rho, rho_gmres):
             assert self.n_mean(state) == pytest.approx(limit, rel=1e-3)
-        # the svd diagnostic keeps its relative 1e-8 rank rule
-        with pytest.raises(DegenerateSteadyStateError, match="null space dimension 4"):
-            steady_state(weak, k_rho=2, method="svd")
 
     def test_auto_never_takes_svd(self, weak, monkeypatch):
         def no_svd(*args, **kwargs):
