@@ -63,9 +63,6 @@ class StructuredPeak:
         """dJ/dw at w = 0, the finite limit entering degenerate (w = 0) rates."""
         return self.d_c**2 * self.gamma / self.omega_res**4
 
-    def default_cutoff(self) -> float:
-        return self.omega_res + 100.0 * self.gamma
-
 
 @dataclass(frozen=True)
 class Ohmic:
@@ -96,9 +93,6 @@ class Ohmic:
 
     def slope_at_zero(self) -> float:
         return self.d_h / self.omega_ref
-
-    def default_cutoff(self) -> float:
-        return 100.0 * self.omega_ref
 
 
 SpectralDensity = StructuredPeak | Ohmic
@@ -166,7 +160,7 @@ def _quad_segments(f, segments, quad_limit: int):
 
 def mapping_integrals_numeric(
     j: SpectralDensity,
-    cutoff: float | None = None,
+    cutoff: float,
     rel_tol: float = 1e-8,
     quad_limit: int = 200,
 ) -> tuple[float, float, float]:
@@ -183,8 +177,6 @@ def mapping_integrals_numeric(
 
     Raises QuadratureError if the quadrature does not converge to ``rel_tol``.
     """
-    if cutoff is None:
-        cutoff = j.default_cutoff()
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
 

@@ -35,6 +35,9 @@ class DegeneracyError(RuntimeError):
 # edge blocks, and largest residual just outside the ladder (times omega_L)
 EDGE_WEIGHT_BOUND = 1e-10
 EDGE_RESIDUAL_BOUND = 1e-8
+# largest dense working array a solve may allocate, in bytes: the Sambe
+# matrix here, and the gmres preconditioner's factors (``generator``)
+ARRAY_BYTES_LIMIT = 1_500_000_000
 
 
 class FloquetConvergenceError(RuntimeError):
@@ -75,7 +78,8 @@ def build_quasienergy_operator(
 
     Block (m, m') holds H_{m - m'}; the diagonal block m additionally
     carries m * omega_L * identity.  Requires k_ext at least as large as the
-    harmonic support of ``h``.
+    harmonic support of ``h``, and a matrix within ARRAY_BYTES_LIMIT, checked
+    before it is allocated.
     """
     if k_ext < h.max_harmonic:
         raise ValueError(
@@ -83,8 +87,13 @@ def build_quasienergy_operator(
             f"{h.max_harmonic}"
         )
     d = h.dim
-    nb = 2 * k_ext + 1
-    big = np.zeros((nb * d, nb * d), dtype=complex)
+    side = (2 * k_ext + 1) * d
+    if 16 * side * side > ARRAY_BYTES_LIMIT:
+        raise ValueError(
+            f"Sambe matrix at k_ext={k_ext} (side {side}) would need "
+            f"{16 * side * side / 1e9:.1f} GB; reduce k_ext"
+        )
+    big = np.zeros((side, side), dtype=complex)
     for k, mat in h.harmonics.items():
         # block row m, block column m-k  <->  F_k acting on the ladder index
         for mcol in range(-k_ext, k_ext + 1):

@@ -33,15 +33,16 @@ Tr{S rho_{-q} G2'_q} + Tr{G1'_q rho_{-q} S}.  The principal-value
 The periodic steady state, a ``PeriodicOperator`` of harmonics rho_n,
 solves the block system i n w rho_n = sum_k L_k rho_{n-k} by one bordered
 solve (the trace condition in place of a redundant row) under a block
-lower-triangular preconditioner, one forward sweep over |n|.  The sweep
-solves an exact centre first (the bordered rho_0, or the harmonics
-|n| <= k_in by a dense factor), then each outer harmonic n by the LU of
+lower-triangular preconditioner, one forward sweep over |n|.  Every route
+is one call ``_solve_bordered(liouv, k_rho, k_in)``, differing only in
+k_in: the sweep solves the exact centre |n| <= k_in first (the bordered
+rho_0 alone when k_in = -1), then each outer harmonic n by the LU of
 L_0 - i n w, after subtracting the couplings L_{n-m} rho_m from the
-harmonics |m| < n already solved.  ``lu`` makes the centre the whole
-system, so the sweep is the solve; ``gmres`` iterates under it, with the
-centre |n| <= 1 on a single-reservoir generator; the positivity probe
-reuses the base route's centre.  Each ``steady_state`` call runs one
-route, and a route that fails fails the call.  GMRES applies the block
+harmonics |m| < n already solved.  ``lu`` takes k_in = k_rho, so the sweep
+is the solve; ``gmres`` iterates under it, with k_in = 1 on a
+single-reservoir generator and -1 on two; the positivity probe solves
+k_rho + 2 around its base route's k_in.  Each ``steady_state`` call runs
+one route, and a route that fails fails the call.  GMRES applies the block
 system matrix-free and in time: the periodic operators of L are sampled
 once per solve, and each action is an FFT pair around stacked d x d
 products.  The generator keeps rho Hermitian, rho_{-n} = rho_n^dag,
@@ -49,9 +50,9 @@ so every route runs in the real Hermitian basis: its unknowns are rho_0 by
 its d^2 Hermitian coordinates and Re and Im of rho_n for n >= 1.  The
 exact centre is one real LU of the system in that basis; the block LUs
 are complex, one per harmonic n >= 0 outside it, the last one in L_0's own
-buffer.  The one dense system, the real one that ``lu`` factors, is
-refused above 2.5 GB at 8 B per entry; the ``gmres`` preconditioner has
-its own guard, 1.5 GB, which counts its block LUs and its exact centre.
+buffer.  One guard, before anything is allocated, counts what a route
+holds, the centre at 8 B per entry and the block LUs at 16 B, and refuses
+it above 2.5 GB on ``lu`` and 1.5 GB on ``gmres``.
 A generator with nan or inf entries fails every route up front, with the
 parts that hold them named.
 """
@@ -67,7 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from .bath import SpectralDensity, bose_occupation
-from .floquet import FloquetSolution, JumpDecomposition
+from .floquet import ARRAY_BYTES_LIMIT, FloquetSolution, JumpDecomposition
 from .model import PeriodicOperator
 
 
@@ -133,11 +134,6 @@ class ChannelKernels:
     g2_prime: dict[int, np.ndarray]
 
 
-def _jump_rates(channel: BathChannel, jumps: JumpDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Absorption and emission rates (J N, J (1 + N)) of every jump entry."""
-    return thermal_rates(channel.density, channel.beta, jumps.delta)
-
-
 def _channel_kernels(
     channel: BathChannel, jumps: JumpDecomposition, fs: FloquetSolution
 ) -> ChannelKernels:
@@ -149,7 +145,7 @@ def _channel_kernels(
     n_min, n_max = int(n_e.min()), int(n_e.max())
 
     # per-harmonic weight matrices W_n[r, r'] of the four kernels
-    gn, ge = _jump_rates(channel, jumps)
+    gn, ge = thermal_rates(channel.density, channel.beta, jumps.delta)
     amp = jumps.amplitude
     w = np.zeros((4, n_max - n_min + 1, d, d), dtype=complex)
     entries = (n_e - n_min, jumps.r_idx, jumps.rp_idx)
@@ -336,18 +332,6 @@ def _trace_cols(d: int, k_rho: int) -> np.ndarray:
     return k_rho * d * d + np.arange(d) * (d + 1)
 
 
-def _dense_zeros(size: int) -> np.ndarray:
-    """A zero real dense block system in Fortran order, so LAPACK factors it
-    in place; refused above 2.5 GB before anything is allocated."""
-    dense_bytes = size * size * 8
-    if dense_bytes > 2_500_000_000:
-        raise SteadyStateError(
-            f"dense block system of size {size} would need {dense_bytes / 1e9:.1f} GB "
-            "(n_fock too large); reduce the problem size"
-        )
-    return np.zeros((size, size), order="F")
-
-
 # The real Hermitian basis.  A stacked vector is J-invariant, J: rho_n ->
 # rho_{-n}^dag, exactly when it holds the harmonics of a Hermitian rho(t).
 # Its real coordinates are rho_0 by its d^2 Hermitian coordinates (at vec
@@ -392,7 +376,7 @@ def _from_hermitian_coords(r: np.ndarray, k_rho: int) -> np.ndarray:
 
 def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
     """The block system in the real Hermitian basis, built from each L_q
-    once.
+    once, in Fortran order, so LAPACK factors it in place.
 
     Block L_q maps input harmonic m to output harmonic n = m + q, and only
     n >= 0 is kept.  Row coordinate Re y or Im y takes Re(w L_q) with w = 1
@@ -403,7 +387,7 @@ def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
     is added into the system in place, through views of Re and Im L_q."""
     d = liouv.dim
     d2 = d * d
-    big = _dense_zeros((2 * k_rho + 1) * d2)
+    big = np.zeros(((2 * k_rho + 1) * d2,) * 2, order="F")
     perm, lower = _transpose_perm(d)
     diag = _trace_cols(d, 0)
 
@@ -456,13 +440,10 @@ def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
     return big
 
 
-ExactFactor = tuple[int, tuple[np.ndarray, np.ndarray]]
-
-
-def _real_factor(liouv: CountingLiouvillian, k_rho: int) -> ExactFactor:
-    """(k_rho, the LU of ``_real_block_system`` with the trace border in
-    place of the real (0, 0) row): an exact solve of the bordered k_rho
-    system in the real Hermitian basis."""
+def _real_factor(liouv: CountingLiouvillian, k_rho: int) -> tuple[np.ndarray, np.ndarray]:
+    """The LU of ``_real_block_system`` with the trace border in place of
+    the real (0, 0) row: an exact solve of the bordered k_rho system in the
+    real Hermitian basis."""
     from scipy.linalg import LinAlgWarning, lu_factor
 
     big = _real_block_system(liouv, k_rho)
@@ -473,7 +454,7 @@ def _real_factor(liouv: CountingLiouvillian, k_rho: int) -> ExactFactor:
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         try:
-            return k_rho, lu_factor(big, overwrite_a=True, check_finite=False)
+            return lu_factor(big, overwrite_a=True, check_finite=False)
         except LinAlgWarning as exc:
             raise DegenerateSteadyStateError(
                 f"bordered system is singular ({exc}): more than one steady state"
@@ -537,40 +518,48 @@ def _residual(
     return float(np.linalg.norm(res) / np.linalg.norm(vec))
 
 
-def _preconditioner_guard(factor_bytes: int) -> None:
-    """Refuse preconditioner factors above 1.5 GB before any is taken, so
-    oversized problems fail cleanly instead of thrashing."""
-    if factor_bytes > 1_500_000_000:
+def _memory_guard(d: int, k_rho: int, k_in: int) -> None:
+    """Refuse a route before anything is allocated, so oversized problems
+    fail cleanly instead of thrashing.  It counts every factor the route
+    holds: the real centre |n| <= k_in at 8 B per entry, and one complex
+    d^2 x d^2 block per outer harmonic n = k_in + 1..k_rho at 16 B.  The
+    limit is 2.5 GB when the centre is the whole system (``lu``) and
+    ARRAY_BYTES_LIMIT, 1.5 GB, for the ``gmres`` preconditioner."""
+    centre = max(0, 2 * k_in + 1) * d * d
+    need = centre * centre * 8 + (k_rho - k_in) * d**4 * 16
+    if k_in == k_rho:
+        limit, what = 2_500_000_000, f"dense block system of size {centre}"
+    else:
+        limit, what = ARRAY_BYTES_LIMIT, "gmres preconditioner"
+    if need > limit:
         raise SteadyStateError(
-            f"gmres preconditioner would need {factor_bytes / 1e9:.1f} GB "
-            "(n_fock too large); reduce the problem size"
+            f"{what} would need {need / 1e9:.1f} GB (n_fock too large); reduce the problem size"
         )
 
 
 def _forward_sweep(
-    liouv: CountingLiouvillian, k_rho: int, exact: ExactFactor | None = None
+    liouv: CountingLiouvillian, k_rho: int, k_in: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Block lower-triangular preconditioner of the bordered system in the
     real Hermitian basis: one forward Gauss-Seidel sweep over |n|.
 
-    The centre goes first: ``exact = (k_in, factor)`` solves the harmonics
-    |n| <= k_in, a prefix of the coordinates, by the LU of the bordered k_in
-    system (``_real_factor``); without it, rho_0 gets the complex LU of the
-    bordered L_0, applied to the Hermitian rho_0.  Each outer harmonic
-    n = k_in + 1..k_rho then solves the complex LU of its diagonal block
-    L_0 - i n w on Re + i Im of its two coordinate blocks minus
-    sum_{|m| < n} L_{n-m} rho_m, from the harmonics already solved, with
-    rho_{-m} = rho_m^dag.  Only L_q with q = 1..2 n - 1 enter.  Their A_q
-    over the G1_q and their B_q beside the G2_q are stacked over q once,
+    The centre goes first.  For k_in >= 0 the harmonics |n| <= k_in, a
+    prefix of the coordinates, are solved by the LU of the bordered k_in
+    system, which ``_real_factor`` builds here; for k_in = -1, rho_0 gets
+    the complex LU of the bordered L_0, applied to the Hermitian rho_0.
+    Each outer harmonic n = k_in + 1..k_rho then solves the complex LU of
+    its diagonal block L_0 - i n w on Re + i Im of its two coordinate blocks
+    minus sum_{|m| < n} L_{n-m} rho_m, from the harmonics already solved,
+    with rho_{-m} = rho_m^dag.  Only L_q with q = 1..2 n - 1 enter.  Their
+    A_q over the G1_q and their B_q beside the G2_q are stacked over q once,
     before the factors, so each coupling is two stacked d x d products
     summed over q, then one product with S per reservoir and side.  The
-    last block LU is taken in L_0's own buffer, so the k_rho - k_in factors
-    are all that is held."""
+    last block LU is taken in L_0's own buffer, so the centre and the
+    k_rho - k_in block factors are all that is held."""
     from scipy.linalg import lu_factor, lu_solve
 
     d = liouv.dim
     d2 = d * d
-    k_in, central = exact if exact is not None else (-1, None)
     outer = range(k_in + 1, k_rho + 1)
 
     # stacks over q = reach..1, descending, so row n meets its rho_m, m
@@ -603,6 +592,7 @@ def _forward_sweep(
             out += lt[i * d : (i + 1) * d] @ s + s @ rt[:, i * d : (i + 1) * d]
         return out
 
+    central = _real_factor(liouv, k_in) if k_in >= 0 else None
     factors = {}
     if outer:
         l0 = liouv.component(0)
@@ -646,17 +636,18 @@ def _forward_sweep(
 
 
 def _solve_bordered(
-    liouv: CountingLiouvillian, k_rho: int, exact: ExactFactor | None = None
+    liouv: CountingLiouvillian, k_rho: int, k_in: int
 ) -> tuple[np.ndarray, float, int]:
     """The bordered block system in the real Hermitian basis, solved under
     the forward-sweep preconditioner (``_forward_sweep``).
 
     The unknowns are the real coordinates of the harmonics n >= 0
-    (``_hermitian_coords``), with the trace border on coordinate 0.
-    ``exact = (k_in, factor)`` is the exact centre |n| <= k_in: all of the
-    harmonics on the ``lu`` route, |n| <= 1 on ``gmres`` for a single
-    reservoir, the base route's centre in the positivity probe.  With
-    k_in = k_rho the preconditioned right-hand side is the solution.
+    (``_hermitian_coords``), with the trace border on coordinate 0.  k_in
+    names the exact centre |n| <= k_in: k_rho on the ``lu`` route, 1 on
+    ``gmres`` for a single reservoir, -1 (none) for two; the positivity
+    probe passes its base route's k_in.  ``_memory_guard`` runs first,
+    before anything is allocated.  With k_in = k_rho the preconditioned
+    right-hand side is the solution.
     Otherwise one full-memory GMRES cycle runs on the matrix-free system
     action (``_block_action``, sampled in time before the block factors are
     taken), from the preconditioned right-hand side: the sweep leaves out
@@ -674,14 +665,12 @@ def _solve_bordered(
     d = liouv.dim
     d2 = d * d
     size = (2 * k_rho + 1) * d2
-    k_in = exact[0] if exact is not None else -1
 
-    # the factors hold one dense d^2 x d^2 block per outer harmonic n >= 0
-    _preconditioner_guard((k_rho - k_in) * d2**2 * 16)
+    _memory_guard(d, k_rho, k_in)
     # the small time samples and couplings go before the large factors: made
     # after them, they raised the peak RSS by heap placement
     act = _block_action(liouv, k_rho)
-    precond = _forward_sweep(liouv, k_rho, exact)
+    precond = _forward_sweep(liouv, k_rho, k_in)
 
     rhs = np.zeros(size)
     rhs[0] = 1.0
@@ -745,19 +734,19 @@ def _min_eigenvalue(rho: PeriodicOperator) -> float:
 
 
 def _positivity_message(
-    liouv: CountingLiouvillian, k_rho: int, min_eig: float, exact: ExactFactor | None
+    liouv: CountingLiouvillian, k_rho: int, k_in: int, min_eig: float
 ) -> str:
     """Name the cause of a positivity violation with one refinement probe.
 
-    The state is re-solved with k_rho + 2, seeded with the base route's
-    direct factor when there is one.  Only when that moves the minimum
-    eigenvalue is the violation blamed on truncation; otherwise it belongs
-    to the non-secular (Redfield-type) generator itself, which does not
-    guarantee a positive state.
+    The state is re-solved with k_rho + 2 around the base route's exact
+    centre |n| <= k_in, which the probe factors again.  Only when that
+    moves the minimum eigenvalue is the violation blamed on truncation;
+    otherwise it belongs to the non-secular (Redfield-type) generator
+    itself, which does not guarantee a positive state.
     """
     head = f"reconstructed rho(t) has negative eigenvalue {min_eig:.3e}"
     try:
-        coords, _, _ = _solve_bordered(liouv, k_rho + 2, exact)
+        coords, _, _ = _solve_bordered(liouv, k_rho + 2, k_in)
         rho, _ = _periodic_state(coords, k_rho + 2, liouv.dim, liouv.omega_L)
     except SteadyStateError as exc:
         return f"{head}; cause unknown, the k_rho={k_rho + 2} probe failed ({exc})"
@@ -789,31 +778,30 @@ def _nonfinite_parts(liouv: CountingLiouvillian) -> list[str]:
 DENSE_SIZE_LIMIT = 1200
 # largest off-harmonic trace |Tr rho_n|, n >= 1, of an accepted state
 TRACE_TOL = 1e-10
-# default bound on -min eig rho(t) of an accepted state
+# bound on -min eig rho(t) of an accepted state
 POSITIVITY_TOL = 1e-8
 
 
 def steady_state(
-    liouv: CountingLiouvillian,
-    k_rho: int | None = None,
-    method: str = "auto",
-    positivity_tol: float = POSITIVITY_TOL,
+    liouv: CountingLiouvillian, k_rho: int | None = None, method: str = "auto"
 ) -> tuple[PeriodicOperator, SteadyStateInfo]:
     """Solve the harmonic steady-state block system.
 
-    ``method`` is "lu" (the bordered solve in the real Hermitian basis with
-    the real LU of the whole system as its preconditioner, exact, so no
-    iteration), "gmres" (the same solve under a forward sweep over |n| with
-    one block factor per harmonic, ``_forward_sweep``, iterated on the
-    system's action in time, the count in ``SteadyStateInfo.iterations``),
-    or "auto" (lu up to DENSE_SIZE_LIMIT unknowns, gmres above).  On a
-    single-reservoir generator gmres solves the harmonics |n| <= 1 exactly,
-    by the real LU lu would take at k_rho = 1, and takes block factors for
-    n >= 2 only; its 1.5 GB guard counts that centre, 72 d^4 B, before it
-    is built.  lu builds the real block system densely and refuses it
-    above 2.5 GB.  Each call runs only the route picked: a gmres solve that
-    stalls or meets its preconditioner memory guard fails with that one
-    cause; any other ``method`` is a ValueError.  An exactly
+    Every route is one ``_solve_bordered(liouv, k_rho, k_in)``, and the
+    routes differ only in k_in, the exact centre |n| <= k_in, decided here
+    once.  ``method`` is "lu" (k_in = k_rho: the real LU of the whole
+    bordered system is the preconditioner, exact, so no iteration),
+    "gmres" (the same solve under a forward sweep over |n| with one block
+    factor per outer harmonic, ``_forward_sweep``, iterated on the system's
+    action in time, the count in ``SteadyStateInfo.iterations``), or "auto"
+    (lu up to DENSE_SIZE_LIMIT unknowns, gmres above).  On a
+    single-reservoir generator gmres takes k_in = 1: the harmonics
+    |n| <= 1 by the real LU lu would take at k_rho = 1, block factors for
+    n >= 2 only; on two reservoirs k_in = -1, no centre.  One memory guard
+    (``_memory_guard``) counts the route's factors before anything is
+    allocated: 2.5 GB on lu, 1.5 GB on gmres.  Each call runs only the
+    route picked: a gmres solve that stalls or meets its memory guard fails
+    with that one cause; any other ``method`` is a ValueError.  An exactly
     singular bordered system means more than one steady state.  Every route
     yields the real Hermitian coordinates of the state, so
     rho_{-n} = rho_n^dag holds exactly; the returned harmonics are
@@ -836,16 +824,10 @@ def steady_state(
     elif method not in ("lu", "gmres"):
         raise ValueError(f"unknown steady-state method {method!r}")
 
-    exact = None
-    if method == "lu":
-        exact = _real_factor(liouv, k_rho)
-    elif len(liouv.channels) == 1:
-        # one reservoir: its slow modes couple rho_0 only through
-        # rho_{+-1}, so the harmonics |n| <= 1 get an exact centre
-        k_in = min(1, k_rho)
-        _preconditioner_guard(((2 * k_in + 1) * d * d) ** 2 * 8 + (k_rho - k_in) * d**4 * 16)
-        exact = _real_factor(liouv, k_in)
-    coords, residual, iterations = _solve_bordered(liouv, k_rho, exact)
+    # one reservoir: its slow modes couple rho_0 only through rho_{+-1}, so
+    # gmres takes the harmonics |n| <= 1 as an exact centre
+    k_in = k_rho if method == "lu" else min(1, k_rho) if len(liouv.channels) == 1 else -1
+    coords, residual, iterations = _solve_bordered(liouv, k_rho, k_in)
 
     result, trace_defect = _periodic_state(coords, k_rho, d, liouv.omega_L)
     min_eig = _min_eigenvalue(result)
@@ -865,8 +847,8 @@ def steady_state(
             f"off-harmonic trace {trace_defect:.3e} above {TRACE_TOL:.1e}; "
             "raise k_rho / k_ext / n_fock"
         ) from None
-    if not min_eig >= -positivity_tol:
-        raise SteadyStateError(_positivity_message(liouv, k_rho, min_eig, exact))
+    if not min_eig >= -POSITIVITY_TOL:
+        raise SteadyStateError(_positivity_message(liouv, k_rho, k_in, min_eig))
     if not residual <= 1e-8:
         raise SteadyStateError(f"steady-state residual {residual:.3e} above 1.0e-08")
     return result, info
@@ -928,7 +910,7 @@ def secular_rate_solution(
     rates = np.zeros((d, d))  # [r, r'] = W[r' -> r]
     per_channel = []
     for ch, jd in zip(channels, jumps):
-        gammas = 2.0 * _jump_rates(ch, jd)[0] * np.abs(jd.amplitude) ** 2
+        gammas = 2.0 * thermal_rates(ch.density, ch.beta, jd.delta)[0] * np.abs(jd.amplitude) ** 2
         per_channel.append(gammas)
         off = jd.r_idx != jd.rp_idx
         np.add.at(rates, (jd.r_idx[off], jd.rp_idx[off]), gammas[off])

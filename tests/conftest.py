@@ -122,15 +122,15 @@ def rng():
 
 @pytest.fixture
 def stalled_gmres(monkeypatch):
-    """Every iterated bordered solve without an exact central solve stalls
-    with "stalled on purpose", so a two-reservoir ``gmres`` call fails with
-    that cause; the direct ``lu`` solve, which runs through the same
-    function, still works."""
+    """Every iterated bordered solve without an exact central solve
+    (k_in < 0) stalls with "stalled on purpose", so a two-reservoir
+    ``gmres`` call fails with that cause; the direct ``lu`` solve, which
+    runs through the same function, still works."""
     real = generator._solve_bordered
 
-    def solve(liouv, k_rho, exact=None):
-        if exact is None:
+    def solve(liouv, k_rho, k_in):
+        if k_in < 0:
             raise SteadyStateError("stalled on purpose")
-        return real(liouv, k_rho, exact)
+        return real(liouv, k_rho, k_in)
 
     monkeypatch.setattr(generator, "_solve_bordered", solve)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -781,3 +782,21 @@ class TestCLI:
         # resonance lock at omegaL > omega0 cannot map the cold bath
         code = main(["steady", "--model.omegaL", "1.5"] + FAST_POINT)
         assert code == 1
+
+    def test_oversized_sambe_ladder_is_a_failed_row(self, capsys):
+        # k_ext 100000 asks for a 114 TiB Sambe matrix; it is refused before
+        # allocation as a [floquet] row, not a MemoryError traceback.  The
+        # first call also loads what the pipeline imports lazily, so the
+        # second one's traced peak is the refusal's own
+        argv = ["steady", "--solver.k_ext", "100000", "--solver.n_fock", "2"]
+        assert main(argv) == 1
+        tracemalloc.start()
+        try:
+            assert main(argv) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert out.startswith("FAILED: [floquet] Sambe matrix at k_ext=100000 (side ")
+        assert "reduce k_ext" in out and "Traceback" not in out + err
+        assert peak < 1_000_000

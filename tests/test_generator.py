@@ -363,15 +363,16 @@ class TestSteadyState:
         return liouv, direct
 
     @pytest.mark.parametrize("method", ["lu", "gmres"])
-    def test_positivity_failure_names_its_cause(self, driven, method):
+    def test_positivity_failure_names_its_cause(self, driven, method, monkeypatch):
         # a negative tolerance demands eigenvalues above |tol|, which runs the
         # failure branch on a cheap, well-resolved generator
         liouv, direct = driven
+        monkeypatch.setattr(generator, "POSITIVITY_TOL", -2e-5)
         with pytest.raises(SteadyStateError, match="truncation") as exc:
-            steady_state(liouv, k_rho=1, method=method, positivity_tol=-2e-5)
+            steady_state(liouv, k_rho=1, method=method)
         assert f"k_rho 1->3 moves it to {direct[3]:.3e}" in str(exc.value)
         with pytest.raises(SteadyStateError, match="intrinsic") as exc:
-            steady_state(liouv, k_rho=4, method=method, positivity_tol=-2e-5)
+            steady_state(liouv, k_rho=4, method=method)
         assert f"k_rho 4->6 leaves it at {direct[6]:.3e}" in str(exc.value)
 
     def test_stalled_gmres_fails_with_its_own_cause(self, monkeypatch):
@@ -404,7 +405,7 @@ class TestSteadyState:
         monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_gmres)
         rho, info = steady_state(liouv, k_rho=2, method="lu")
         d = liouv.dim
-        _, factor = generator._real_factor(liouv, 2)
+        factor = generator._real_factor(liouv, 2)
         rhs = np.zeros(5 * d * d)
         rhs[0] = 1.0  # the trace border, on the real coordinate 0
         expected, _ = generator._periodic_state(
@@ -477,11 +478,10 @@ class TestSteadyState:
         tr = generator._trace_cols(d, k_rho)
         big[tr[0], :] = 0.0
         big[tr[0], tr] = 1.0
-        k_in, factor = generator._real_factor(liouv, k_rho)
+        factor = generator._real_factor(liouv, k_rho)
         r = np.random.default_rng(k_rho).normal(size=big.shape[0])
         x = generator._from_hermitian_coords(scipy.linalg.lu_solve(factor, r), k_rho)
         y = generator._from_hermitian_coords(r, k_rho)
-        assert k_in == k_rho
         assert np.linalg.norm(big @ x - y) <= 1e-12 * np.linalg.norm(y)
 
     @pytest.mark.parametrize("reservoirs", [2, 1])
@@ -492,12 +492,12 @@ class TestSteadyState:
         # built here from the L_q blocks and checked in the complex stacked form
         if reservoirs == 2:
             _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=3), k_ext=8)
-            exact = None
+            k_in = -1
         else:
             _, _, liouv = build_pipeline_liouvillian(lasercool_spec(-0.005, n_fock=4), k_ext=8)
-            exact = generator._real_factor(liouv, 1)
+            k_in = 1
         assert len(liouv.channels) == reservoirs
-        k_rho, k_in = 3, exact[0] if exact else -1
+        k_rho = 3
         d2 = liouv.dim**2
         lower = np.zeros(((2 * k_rho + 1) * d2,) * 2, dtype=complex)
         for n in range(-k_rho, k_rho + 1):
@@ -513,7 +513,7 @@ class TestSteadyState:
         tr = generator._trace_cols(liouv.dim, k_rho)
         lower[tr[0], :] = 0.0
         lower[tr[0], tr] = 1.0
-        precond = generator._forward_sweep(liouv, k_rho, exact)
+        precond = generator._forward_sweep(liouv, k_rho, k_in)
         r = np.random.default_rng(reservoirs).normal(size=lower.shape[0])
         x = generator._from_hermitian_coords(precond(r), k_rho)
         y = generator._from_hermitian_coords(r, k_rho)
@@ -553,7 +553,7 @@ class TestSteadyState:
         basis = (min(180, size) + 1) * size * 8  # gmres's (restart + 1) vectors
         tracemalloc.start()
         try:
-            _, _, iterations = generator._solve_bordered(liouv, k_rho)
+            _, _, iterations = generator._solve_bordered(liouv, k_rho, -1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -579,23 +579,43 @@ class TestSteadyState:
         shapes = {a.shape for a in arrays(vars(liouv))}
         assert shapes and (d2, d2) not in shapes
 
+    @staticmethod
+    def forbid_building(monkeypatch):
+        """Make building the exact centre or the sampled system action fail
+        the test, so a guard must refuse before either."""
+
+        def built(*args, **kwargs):
+            raise AssertionError("the guard must run before anything is built")
+
+        for name in ("_real_factor", "_block_action"):
+            monkeypatch.setattr(generator, name, built)
+
     @pytest.mark.parametrize("method", ["lu"])
-    def test_dense_memory_guard(self, method):
+    def test_dense_memory_guard(self, method, monkeypatch):
         # d = 4: the real 17936^2 system at k_rho = 560, which lu factors,
-        # needs 2.6 GB; the guard refuses it before allocating anything
+        # needs 2.6 GB; the guard refuses it before allocating anything, and
+        # nothing else runs
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=2), k_ext=6)
-        with pytest.raises(SteadyStateError, match=r"would need 2\.6 GB"):
-            steady_state(liouv, k_rho=560, method=method)
+        self.forbid_building(monkeypatch)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SteadyStateError, match=r"would need 2\.6 GB"):
+                steady_state(liouv, k_rho=560, method=method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_only_lu_and_gmres_are_routes(self):
         _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=2), k_ext=6)
         with pytest.raises(ValueError, match="unknown steady-state method 'svd'"):
             steady_state(liouv, k_rho=1, method="svd")
 
-    def test_gmres_memory_guard(self):
+    def test_gmres_memory_guard(self, monkeypatch):
         # d = 4: k_rho + 1 = 366212 block factors of 4096 B need 1.5 GB; the
         # guard refuses them before allocating anything, and nothing else runs
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=2), k_ext=6)
+        self.forbid_building(monkeypatch)
         tracemalloc.start()
         try:
             with pytest.raises(SteadyStateError) as exc:
@@ -645,11 +665,11 @@ class TestSteadyState:
             ((d2, d2), np.dtype(np.complex128))
         ] * (k_rho - 1)
 
-    def test_single_reservoir_probe_reuses_centre(self, lasercool, monkeypatch):
+    def test_single_reservoir_probe_factors_its_own_centre(self, lasercool, monkeypatch):
         # a negative tolerance forces the failure branch; the k_rho + 2 probe
-        # runs gmres around the base route's |n| <= 1 centre, factoring only
-        # its own outer blocks, and must report the eigenvalue of a direct
-        # solve at k_rho + 2
+        # runs gmres around the base route's |n| <= 1 centre, which it
+        # factors again, beside its own outer blocks n = 2..k_rho + 2, and
+        # must report the eigenvalue of a direct solve at k_rho + 2
         real_lu_factor = scipy.linalg.lu_factor
         dtypes = []
 
@@ -658,14 +678,15 @@ class TestSteadyState:
             return real_lu_factor(a, *args, **kwargs)
 
         k_rho = 2
+        real, cplx = np.dtype(np.float64), np.dtype(np.complex128)
         with monkeypatch.context() as m:
             m.setattr(scipy.linalg, "lu_factor", spy)
+            m.setattr(generator, "POSITIVITY_TOL", -1.0)
             with pytest.raises(SteadyStateError) as exc:
-                steady_state(lasercool, k_rho=k_rho, method="gmres", positivity_tol=-1.0)
-        assert dtypes == [np.dtype(np.float64)] + [np.dtype(np.complex128)] * (2 * k_rho)
-        _, direct = steady_state(
-            lasercool, k_rho=k_rho + 2, method="lu", positivity_tol=math.inf
-        )
+                steady_state(lasercool, k_rho=k_rho, method="gmres")
+        assert dtypes == [real] + [cplx] * (k_rho - 1) + [real] + [cplx] * (k_rho + 1)
+        monkeypatch.setattr(generator, "POSITIVITY_TOL", math.inf)
+        _, direct = steady_state(lasercool, k_rho=k_rho + 2, method="lu")
         assert re.search(
             rf"k_rho {k_rho}->{k_rho + 2} (moves it to|leaves it at) "
             rf"{direct.min_eigenvalue:.3e}",
@@ -676,11 +697,8 @@ class TestSteadyState:
         # d = 4: the |n| <= 1 centre (72 d^4 = 18432 B) and 366210 block
         # factors of 4096 B need 1.5 GB; the guard refuses them before the
         # centre is built, and nothing else runs
-        def no_centre(*args, **kwargs):
-            raise AssertionError("the guard must run before the centre is built")
-
         _, _, liouv = build_pipeline_liouvillian(lasercool_spec(-5e-3, n_fock=2), k_ext=6)
-        monkeypatch.setattr(generator, "_real_factor", no_centre)
+        self.forbid_building(monkeypatch)
         tracemalloc.start()
         try:
             with pytest.raises(SteadyStateError) as exc:
