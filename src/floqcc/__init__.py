@@ -16,7 +16,6 @@ from .floquet import (
     DegeneracyError,
     ExtendedOperator,
     FloquetSolution,
-    JumpDecomposition,
     build_quasienergy_operator,
     decompose_operator,
     fold_to_zone,

@@ -53,12 +53,6 @@ class StructuredPeak:
         den = (omega**2 - self.omega_res**2) ** 2 + (self.gamma * omega) ** 2
         return num / den
 
-    def evaluate_signed(self, omega: float) -> float:
-        """Odd extension J(-w) = -J(w), used by the generator's rate kernel."""
-        if omega >= 0:
-            return self.evaluate(omega)
-        return -self.evaluate(-omega)
-
     def slope_at_zero(self) -> float:
         """dJ/dw at w = 0, the finite limit entering degenerate (w = 0) rates."""
         return self.d_c**2 * self.gamma / self.omega_res**4
@@ -85,10 +79,6 @@ class Ohmic:
     def evaluate(self, omega):
         if np.any(np.less(omega, 0)):
             raise ValueError(f"spectral density defined for omega >= 0, got {omega}")
-        return self.d_h * omega / self.omega_ref
-
-    def evaluate_signed(self, omega: float) -> float:
-        # linear, so the odd extension is the same expression
         return self.d_h * omega / self.omega_ref
 
     def slope_at_zero(self) -> float:

@@ -130,7 +130,7 @@ class FloquetSolution:
     inner product, sum_m ||u^(m)||^2 = 1.  ``quasienergies`` are the
     energies folded into (-w/2, w/2] (``solve_floquet`` orders the modes by
     them), and the zone modes e^{-i s_r w t} |r(t)> that go with them are
-    what ``mode_at_time`` and ``state_matrix_at_time`` return.
+    the columns ``state_matrix_at_time`` returns.
     ``edge_weight`` and ``edge_residual`` are the ladder certificate (nan
     when not computed).
     """
@@ -150,8 +150,11 @@ class FloquetSolution:
     def quasienergies(self) -> np.ndarray:
         return _zone(self.energies, self.omega_L)
 
-    def mode_at_time(self, r: int, t: float) -> np.ndarray:
-        return self.state_matrix_at_time(t)[:, r]
+    def transition_frequencies(self, n: np.ndarray) -> np.ndarray:
+        """delta[i, r, r'] = eps_r - eps_r' + n[i] omega_L on the unfolded
+        energies, the frequency of jump amplitude [n[i], r, r']."""
+        eps = self.energies
+        return eps[:, None] - eps + n[:, None, None] * self.omega_L
 
     def state_matrix_at_time(self, t: float) -> np.ndarray:
         """Columns are the zone modes |r(t)> for r = 0..d-1: each copy's
@@ -292,42 +295,22 @@ def solve_floquet(q: ExtendedOperator) -> FloquetSolution:
     return FloquetSolution(evals[chosen], modes, k, w, edge_weight, edge_residual)
 
 
-@dataclass(frozen=True)
-class JumpDecomposition:
-    """Floquet decomposition of a static coupling operator.
-
-    Entry i couples |r'(t)> to |r(t)| with harmonic index n, scalar amplitude
-    <<r| F_{-n} (x) S |r'>> and transition frequency
-    delta = eps_r - eps_r' + n omega_L, all taken on the unfolded
-    representatives (``FloquetSolution.energies`` and ``modes``); the
-    transition frequencies do not depend on which copies those are.  For
-    Hermitian S the entries close under (r, r', n) -> (r', r, -n) with
-    conjugated amplitude.
-    """
-
-    r_idx: np.ndarray
-    rp_idx: np.ndarray
-    n_idx: np.ndarray
-    amplitude: np.ndarray
-    delta: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.r_idx.shape[0])
-
-
-# jump entries at or below this amplitude are dropped
+# jump amplitudes at or below this are set to 0
 AMPLITUDE_FLOOR = 1e-12
 
 
-def decompose_operator(s: np.ndarray, fs: FloquetSolution) -> JumpDecomposition:
-    """Matrix elements <<r| F_{-n} (x) S |r'>> for every harmonic the ladder
-    holds, |n| <= 2 k_ext.
+def decompose_operator(s: np.ndarray, fs: FloquetSolution) -> np.ndarray:
+    """Jump amplitudes amp[n + 2 k_ext, r, r'] = <<r| F_{-n} (x) S |r'>> for
+    every harmonic the ladder holds, |n| <= 2 k_ext.
 
-    The harmonic sum runs over the whole ladder: the certificate of
-    ``solve_floquet`` bounds what the kept representatives leave in and
-    beyond its edge blocks.  Entries with |amplitude| <= ``AMPLITUDE_FLOOR``
-    are dropped; the floor acts symmetrically on conjugate partners,
-    preserving Hermitian pairing.  Entries are ordered by (n, r, r').
+    Each couples |r'(t)> to |r(t)> at the transition frequency
+    eps_r - eps_r' + n omega_L (``FloquetSolution.transition_frequencies``),
+    both taken on the unfolded representatives; the frequencies do not
+    depend on which copies those are.  The harmonic sum runs over the whole ladder: the certificate
+    of ``solve_floquet`` bounds what the kept representatives leave in and
+    beyond its edge blocks.  Amplitudes with |amp| <= ``AMPLITUDE_FLOOR``
+    are set to 0.  For Hermitian S, amp[-n] = amp[n]^dag, and the floor acts
+    alike on both sides.
     """
     d = fs.dim
     n_window = 2 * fs.k_ext
@@ -346,13 +329,5 @@ def decompose_operator(s: np.ndarray, fs: FloquetSolution) -> JumpDecomposition:
             left = u[:, -n:, :]
             right = su[:, : nm + n, :]
         amp[n + n_window] = np.einsum("rmi,smi->rs", left.conj(), right)
-    n_pos, r_idx, rp_idx = np.nonzero(np.abs(amp) > AMPLITUDE_FLOOR)
-    n_idx = n_pos - n_window
-    eps = fs.energies
-    return JumpDecomposition(
-        r_idx=r_idx,
-        rp_idx=rp_idx,
-        n_idx=n_idx,
-        amplitude=amp[n_pos, r_idx, rp_idx],
-        delta=eps[r_idx] - eps[rp_idx] + n_idx * fs.omega_L,
-    )
+    amp[np.abs(amp) <= AMPLITUDE_FLOOR] = 0.0
+    return amp

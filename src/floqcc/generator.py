@@ -5,11 +5,12 @@ The generator is stored by harmonic components L(t) = sum_q exp(i q w t) L_q.
 Each reservoir contributes four dissipator terms built from its static
 coupling operator S and two rate-filtered periodic kernels
 
-    G1(t) = sum_e J(D_e) N(D_e)     a_e e^{i n_e w t} |r_e(t)><r'_e(t)| ,
-    G2(t) = sum_e J(D_e) [1+N(D_e)] a_e e^{i n_e w t} |r_e(t)><r'_e(t)| ,
+    G1(t) = sum_{n,r,r'} J(D) N(D)     a e^{i n w t} |r(t)><r'(t)| ,
+    G2(t) = sum_{n,r,r'} J(D) [1+N(D)] a e^{i n w t} |r(t)><r'(t)| ,
 
-where e runs over the Floquet jump decomposition of S, D_e is the transition
-frequency and a_e the entry amplitude:
+where a = amp[n, r, r'] is the Floquet jump amplitude of S
+(``floquet.decompose_operator``) and D = eps_r - eps_r' + n w its
+transition frequency:
 
     L_diss(t) rho = - S G1(t) rho + S rho G2(t) + G1(t) rho S - rho G2(t) S .
 
@@ -68,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .bath import SpectralDensity, bose_occupation
-from .floquet import ARRAY_BYTES_LIMIT, FloquetSolution, JumpDecomposition
+from .floquet import ARRAY_BYTES_LIMIT, FloquetSolution
 from .model import PeriodicOperator
 
 
@@ -135,22 +136,22 @@ class ChannelKernels:
 
 
 def _channel_kernels(
-    channel: BathChannel, jumps: JumpDecomposition, fs: FloquetSolution
+    channel: BathChannel, amp: np.ndarray, fs: FloquetSolution
 ) -> ChannelKernels:
     d = fs.dim
     k = fs.k_ext
-    n_e = jumps.n_idx
-    if len(jumps) == 0:
+    # n_min..n_max: the lowest and highest harmonic holding a nonzero amplitude
+    held = np.flatnonzero(np.any(amp != 0, axis=(1, 2))) - 2 * k
+    if held.size == 0:
         return ChannelKernels(channel.coupling, {}, {}, {}, {})
-    n_min, n_max = int(n_e.min()), int(n_e.max())
+    n_min, n_max = int(held[0]), int(held[-1])
+    amp = amp[n_min + 2 * k : n_max + 2 * k + 1]
 
-    # per-harmonic weight matrices W_n[r, r'] of the four kernels
-    gn, ge = thermal_rates(channel.density, channel.beta, jumps.delta)
-    amp = jumps.amplitude
-    w = np.zeros((4, n_max - n_min + 1, d, d), dtype=complex)
-    entries = (n_e - n_min, jumps.r_idx, jumps.rp_idx)
-    for wa, vals in zip(w, (gn * amp, ge * amp, jumps.delta * gn * amp, -jumps.delta * ge * amp)):
-        np.add.at(wa, entries, vals)
+    # per-harmonic weight matrices W_n[r, r'] of the four kernels; rates are
+    # finite at every delta, so zero amplitudes weigh exactly 0
+    delta = fs.transition_frequencies(np.arange(n_min, n_max + 1))
+    gn, ge = thermal_rates(channel.density, channel.beta, delta)
+    w = np.stack([gn * amp, ge * amp, delta * gn * amp, -delta * ge * amp])
 
     # kernel G(t) = V(t) W(t) V(t)^dag with V(t) = sum_m e^{i m w t} V_m the
     # mode matrix; its harmonics q = n + m' - m span exactly nt values, so nt
@@ -277,10 +278,11 @@ def build_liouvillian(
     h: PeriodicOperator,
     fs: FloquetSolution,
     channels: list[BathChannel],
-    jumps: list[JumpDecomposition],
+    jumps: list[np.ndarray],
 ) -> CountingLiouvillian:
     """Assemble the harmonic generator components and their counting-field
-    derivatives from per-reservoir Floquet jump decompositions.
+    derivatives from each reservoir's jump amplitudes amp[n + 2 k_ext, r, r']
+    (``decompose_operator``).
 
     Kernel harmonics below KERNEL_PRUNE of the largest one are dropped (the
     four kernels of a reservoir are pruned jointly, so they share their
@@ -894,28 +896,29 @@ def periodic_average_rate(
 def secular_rate_solution(
     fs: FloquetSolution,
     channels: list[BathChannel],
-    jumps: list[JumpDecomposition],
+    jumps: list[np.ndarray],
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Secular (rate-equation) steady state in the Floquet basis.
 
     Keeps only population dynamics: transition rates
-    W_nu[r' -> r] = sum_n 2 J_nu(D) N_nu(D) |a|^2 with D = eps_r - eps_r' +
-    n w.  Returns steady populations and the period-averaged heat currents
-    Q_nu = sum_entries D * rate * p_{r'} (diagonal entries with n != 0 are
-    photon-assisted processes and do contribute).  This is the standard
-    Born-Markov-secular treatment, kept for benchmarking; it is unreliable
-    whenever quasienergy differences are comparable to the rates.
+    W_nu[r' -> r] = sum_n 2 J_nu(D) N_nu(D) |amp[n, r, r']|^2 with
+    D = eps_r - eps_r' + n w, from each reservoir's jump amplitudes
+    (``decompose_operator``).  Returns steady populations and the
+    period-averaged heat currents Q_nu = sum_{n, r, r'} D * rate * p_{r'}
+    (diagonal terms with n != 0 are photon-assisted processes and do
+    contribute).  This is the standard Born-Markov-secular treatment, kept
+    for benchmarking; it is unreliable whenever quasienergy differences are
+    comparable to the rates.
     """
-    d = fs.dim
-    rates = np.zeros((d, d))  # [r, r'] = W[r' -> r]
-    per_channel = []
-    for ch, jd in zip(channels, jumps):
-        gammas = 2.0 * thermal_rates(ch.density, ch.beta, jd.delta)[0] * np.abs(jd.amplitude) ** 2
-        per_channel.append(gammas)
-        off = jd.r_idx != jd.rp_idx
-        np.add.at(rates, (jd.r_idx[off], jd.rp_idx[off]), gammas[off])
-    gen = rates.copy()
-    gen[np.diag_indices(d)] -= rates.sum(axis=0)
+    delta = fs.transition_frequencies(np.arange(-2 * fs.k_ext, 2 * fs.k_ext + 1))
+    gammas = [
+        2.0 * thermal_rates(ch.density, ch.beta, delta)[0] * np.abs(amp) ** 2
+        for ch, amp in zip(channels, jumps)
+    ]
+    # [r, r'] = W[r' -> r], one running sum over every reservoir's harmonics
+    rates = np.concatenate(gammas).sum(axis=0)
+    np.fill_diagonal(rates, 0.0)
+    gen = rates - np.diag(rates.sum(axis=0))
     _, s, vh = np.linalg.svd(gen)
     if s[-2] < s[0] * 1e-10:
         raise DegenerateSteadyStateError("secular rate matrix has degenerate kernel")
@@ -926,7 +929,9 @@ def secular_rate_solution(
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
 
+    # summed over the nonzero amplitudes alone, so the zeros do not regroup
+    # numpy's pairwise summation
     currents = {}
-    for (ch, jd), gammas in zip(zip(channels, jumps), per_channel):
-        currents[ch.name] = float(np.sum(jd.delta * gammas * p[jd.rp_idx]))
+    for ch, amp, gam in zip(channels, jumps, gammas):
+        currents[ch.name] = float(np.sum((delta * gam * p)[amp != 0]))
     return p, currents

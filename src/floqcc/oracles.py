@@ -188,12 +188,12 @@ def bare_qubit_secular_steady(
     q = build_quasienergy_operator(h, omega_L, 16)
     fs = solve_floquet(q)
     s = SIGMA_X / math.sqrt(2.0 * omega0)
-    jd = decompose_operator(s, fs)
+    amp = decompose_operator(s, fs)
     channels = [
         BathChannel(name="cold", coupling=s, density=j_cold, beta=beta_c),
         BathChannel(name="hot", coupling=s, density=j_hot, beta=beta_h),
     ]
-    _, currents = secular_rate_solution(fs, channels, [jd, jd])
+    _, currents = secular_rate_solution(fs, channels, [amp, amp])
     qbar_c = currents["cold"]
     qbar_h = currents["hot"]
     return qbar_c, qbar_h, -qbar_c - qbar_h

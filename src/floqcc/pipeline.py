@@ -5,8 +5,8 @@ are read from its record in ``floqcc.modes``.
 
 Every point maps the bath, builds the model, then runs three stages under
 adaptive Fock truncation: Floquet (one Sambe solve per ladder, the ladder
-raised until its certificate passes), generator (coupling operators, jumps,
-kernels) and steady (periodic state and heat flows); failures are
+raised until its certificate passes), generator (coupling operators, jump
+amplitudes, kernels) and steady (periodic state and heat flows); failures are
 ``PointFailure``s tagged with their layer.
 Sweep points are independent and can be dispatched to a process pool
 (worker count via the FLOQCC_WORKERS environment variable; default serial).
@@ -197,7 +197,7 @@ def _floquet_stage(cfg: RunConfig, spec: SupersystemSpec, k_ext: int = 0) -> Flo
 
 def _generator_stage(cfg: RunConfig, spec: SupersystemSpec, floq: FloquetStage):
     """Counting-field generator: one channel per reservoir, each with the
-    Floquet jump decomposition of its coupling operator."""
+    Floquet jump amplitudes of its coupling operator."""
     ops = build_coupling_operators(spec)
     channels = [BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h)]
     if spec.residual_bath is not None:
@@ -235,10 +235,12 @@ def _steady_stage(cfg: RunConfig, liouv, k_rho: int | None) -> SteadyStage:
 def run_point(cfg: RunConfig) -> PointResult:
     """Execute the full pipeline at one parameter point.
 
-    Fock truncation is raised (in steps of 4, up to solver.n_fock_max) until
-    the top-level occupancy check passes; every Floquet stage certifies its
-    own ladder (``_floquet_stage``).  With solver.convergence = "full" the
-    n_fock + 4, k_ext + 2 and k_rho + 2 refinements must each move the
+    Fock truncation is raised in steps of 4, the last step landing on
+    solver.n_fock_max itself, until the top-level occupancy check passes;
+    every Floquet stage certifies its own ladder (``_floquet_stage``), and
+    the generator reads each reservoir's jump amplitudes as the one dense
+    array ``decompose_operator`` returns.  With solver.convergence = "full"
+    the n_fock + 4, k_ext + 2 and k_rho + 2 refinements must each move the
     period-averaged flows by less than 0.1% relative.  k_rho + 2 re-solves
     the base generator, k_ext + 2 makes its own Floquet solve at the
     certified k_ext + 2 and rebuilds the generator from it, and n_fock + 4
@@ -282,13 +284,13 @@ def _run_point(cfg: RunConfig) -> PointResult:
             )
             if trunc.passed:
                 break
-            if n_fock + 4 > cfg.n_fock_max:
+            if n_fock >= cfg.n_fock_max:
                 raise PointFailure(
                     "model",
                     f"top Fock occupancy {trunc.top_population:.2e} above "
                     f"{cfg.trunc_threshold:.1e} at n_fock={n_fock} (max reached)",
                 )
-            n_fock += 4
+            n_fock = min(n_fock + 4, cfg.n_fock_max)
     except PointFailure as exc:
         return failed(omega_cc, str(exc))
 

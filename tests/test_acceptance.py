@@ -207,10 +207,10 @@ def test_criterion_3_generator_reconstruction():
         t = tgrid[jt]
         ht = h.at_time(t)
         direct = -1j * (spre(ht) - spost(ht))
-        for ch, jd in zip(channels, jumps):
+        for ch, amp_ch in zip(channels, jumps):
             s_op = ch.coupling
-            for e in range(len(jd)):
-                r, rp, n = jd.r_idx[e], jd.rp_idx[e], jd.n_idx[e]
+            for n_pos, r, rp in zip(*np.nonzero(amp_ch)):
+                n = n_pos - 2 * fs.k_ext
                 amp = np.mean(
                     sb[ch.name][:, r, rp] * np.exp(-1j * n * spec.omega_L * tgrid[:ngrid])
                 )

@@ -14,6 +14,7 @@ from floqcc.bath import (
     map_collective_coordinate,
     mapping_integrals_numeric,
 )
+from floqcc.generator import thermal_rates
 
 
 class TestEvaluate:
@@ -37,11 +38,6 @@ class TestEvaluate:
             j.evaluate(-0.1)
         with pytest.raises(ValueError):
             StructuredPeak(d_c=1.0, gamma=0.1, omega_res=1.0).evaluate(-1e-12)
-
-    def test_odd_extension(self):
-        j = StructuredPeak(d_c=1e-3, gamma=4e-4, omega_res=0.25)
-        for w in (0.1, 0.25, 0.9):
-            assert j.evaluate_signed(-w) == -j.evaluate(w)
 
     @given(st.floats(min_value=1e-6, max_value=1e3))
     def test_positive_on_positive_axis(self, w):
@@ -137,10 +133,12 @@ class TestBoseOccupation:
         assert bose_occupation(-w, beta) == pytest.approx(-(1.0 + n), rel=1e-12)
 
     def test_detailed_balance_kernel(self):
+        # the absorption rate at -w, J(-w) N(-w) of the odd-extended density,
+        # is the emission rate at w
         j = StructuredPeak(d_c=1e-3, gamma=4e-4, omega_res=0.25)
         beta = 7.0
         for w in (0.05, 0.25, 1.3):
-            lhs = j.evaluate_signed(-w) * bose_occupation(-w, beta)
+            lhs = thermal_rates(j, beta, -w)[0]
             rhs = j.evaluate(w) * (1.0 + bose_occupation(w, beta))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 

@@ -369,6 +369,22 @@ class TestResonanceLock:
         assert "omega_res" in point.error
 
 
+class TestFockEscalation:
+    def test_last_step_tries_the_maximum(self):
+        # 1e-19 is missed at n_fock 12 (top population 1.6e-18); a step of 4
+        # would pass the maximum 14, so the escalation lands on it
+        cfg = replace(RunConfig(), mode="steady", n_fock_max=14, trunc_threshold=1e-19)
+        point = run_point(cfg)
+        assert point.ok, point.error
+        assert point.diagnostics.n_fock == 14
+
+    def test_failure_at_the_maximum(self):
+        cfg = replace(RunConfig(), mode="steady", n_fock_max=12, trunc_threshold=1e-19)
+        point = run_point(cfg)
+        assert not point.ok
+        assert "at n_fock=12 (max reached)" in point.error
+
+
 class TestFailedRows:
     """A failed point keeps every column the configuration alone determines."""
 

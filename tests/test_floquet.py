@@ -138,9 +138,10 @@ class TestSolveFloquet:
         h = build_supersystem_fourier(spec)
         fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
         t, dt = 1.234, 1e-6
+        v = fs.state_matrix_at_time(t)
+        dv = (fs.state_matrix_at_time(t + dt) - fs.state_matrix_at_time(t - dt)) / (2 * dt)
         for r in (0, 3, 5):
-            psi = fs.mode_at_time(r, t)
-            dpsi = (fs.mode_at_time(r, t + dt) - fs.mode_at_time(r, t - dt)) / (2 * dt)
+            psi, dpsi = v[:, r], dv[:, r]
             lhs = h.at_time(t) @ psi - 1j * dpsi
             np.testing.assert_allclose(lhs, fs.quasienergies[r] * psi, atol=1e-7)
 
@@ -209,7 +210,6 @@ class TestSolveFloquet:
         np.testing.assert_allclose(
             fs.state_matrix_at_time(t), raw * np.exp(-1j * shifts * spec.omega_L * t), atol=1e-15
         )
-        np.testing.assert_allclose(fs.mode_at_time(2, t), fs.state_matrix_at_time(t)[:, 2], atol=1e-15)
 
 
 class TestRelabellingInvariance:
@@ -243,8 +243,9 @@ class TestRelabellingInvariance:
         for ch in self.channels(spec):
             found = []
             for fs in (small, large):
-                jd = decompose_operator(ch.coupling, fs)
-                found.append(np.sort(jd.delta[np.abs(jd.amplitude) > 1e-8]))
+                amp = decompose_operator(ch.coupling, fs)
+                delta = fs.transition_frequencies(np.arange(-2 * fs.k_ext, 2 * fs.k_ext + 1))
+                found.append(np.sort(delta[np.abs(amp) > 1e-8]))
             assert found[0].shape == found[1].shape, ch.name
             np.testing.assert_allclose(found[0], found[1], rtol=0, atol=1e-12 * spec.omega_L)
 
@@ -349,26 +350,26 @@ class TestDecomposeOperator:
         h = build_supersystem_fourier(spec)
         fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
         monkeypatch.setattr(floquet, "AMPLITUDE_FLOOR", 1e-9)
-        jd = decompose_operator(np.eye(h.dim, dtype=complex), fs)
-        assert np.all(jd.r_idx == jd.rp_idx)
-        assert np.all(jd.n_idx == 0)
-        np.testing.assert_allclose(jd.amplitude, 1.0, atol=1e-8)
-        np.testing.assert_allclose(jd.delta, 0.0, atol=1e-12)
+        amp = decompose_operator(np.eye(h.dim, dtype=complex), fs)
+        n_window = 2 * fs.k_ext
+        n, r, rp = np.nonzero(amp)
+        assert np.all(r == rp)
+        assert np.all(n == n_window)
+        np.testing.assert_allclose(amp[n, r, rp], 1.0, atol=1e-8)
+        delta = fs.transition_frequencies(np.arange(-n_window, n_window + 1))
+        np.testing.assert_allclose(delta[n, r, rp], 0.0, atol=1e-12)
 
     def test_hermitian_pairing(self):
         spec = fig2_spec(0.75, n_fock=4)
         h = build_supersystem_fourier(spec)
         fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
         ops = build_coupling_operators(spec)
-        jd = decompose_operator(ops.s_hot, fs)
-        table = {
-            (int(r), int(rp), int(n)): a
-            for r, rp, n, a in zip(jd.r_idx, jd.rp_idx, jd.n_idx, jd.amplitude)
-        }
-        for (r, rp, n), a in table.items():
-            partner = table.get((rp, r, -n))
-            assert partner is not None
-            assert partner == pytest.approx(np.conj(a), rel=1e-12, abs=1e-15)
+        amp = decompose_operator(ops.s_hot, fs)
+        # partner[n, r, r'] = conj(amp[-n, r', r]): amp[-n] = amp[n]^dag
+        partner = amp[::-1].conj().transpose(0, 2, 1)
+        assert np.any(amp != 0)
+        np.testing.assert_array_equal(partner == 0, amp == 0)
+        np.testing.assert_allclose(partner, amp, rtol=1e-12, atol=1e-15)
 
     def test_interaction_picture_reconstruction(self):
         spec = fig2_spec(0.75, n_fock=4)
@@ -384,51 +385,44 @@ class TestDecomposeOperator:
         u = states[-1]
         for s in (ops.s_hot, ops.s_cold_residual):
             direct = u.conj().T @ s @ u
-            jd = decompose_operator(s, fs)
-            rec = np.zeros_like(direct)
-            for e in range(len(jd)):
-                rec += (
-                    jd.amplitude[e]
-                    * np.exp(1j * jd.delta[e] * t)
-                    * np.outer(v0[:, jd.r_idx[e]], v0[:, jd.rp_idx[e]].conj())
-                )
+            amp = decompose_operator(s, fs)
+            delta = fs.transition_frequencies(np.arange(-2 * fs.k_ext, 2 * fs.k_ext + 1))
+            rec = v0 @ np.sum(amp * np.exp(1j * delta * t), axis=0) @ v0.conj().T
             assert np.max(np.abs(direct - rec)) < 1e-6
 
     @pytest.mark.parametrize("floor", [1e-12, 1e-3])
     def test_matches_per_harmonic_loop(self, floor, monkeypatch):
-        """Values and entry order against a loop over n that keeps each
-        harmonic's entries above the floor in row-major (r, r') order."""
+        """Values against a loop over n that keeps each harmonic's amplitudes
+        above the floor and sets the rest to 0, and transition frequencies
+        against eps_r - eps_r' + n omega_L taken entry by entry."""
         spec = fig2_spec(0.75, n_fock=3)
         h = build_supersystem_fourier(spec)
         fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
         s = build_coupling_operators(spec).s_hot
-        n_default = len(decompose_operator(s, fs))
+        n_default = np.count_nonzero(decompose_operator(s, fs))
         monkeypatch.setattr(floquet, "AMPLITUDE_FLOOR", floor)
-        jd = decompose_operator(s, fs)
+        amp = decompose_operator(s, fs)
 
         n_window = 2 * fs.k_ext
         u = fs.modes
         su = np.einsum("ij,rmj->rmi", s, u)
         nm = u.shape[1]
-        r_idx, rp_idx, n_idx, amplitude = [], [], [], []
+        ref = []
         for n in range(-n_window, n_window + 1):
             left = u[:, max(0, -n) : nm - max(0, n)]
             right = su[:, max(0, n) : nm - max(0, -n)]
-            amp = np.einsum("rmi,smi->rs", left.conj(), right)
-            r, rp = np.nonzero(np.abs(amp) > floor)
-            r_idx.extend(r)
-            rp_idx.extend(rp)
-            n_idx.extend([n] * r.size)
-            amplitude.extend(amp[r, rp])
-        r_idx, rp_idx, n_idx = np.array(r_idx), np.array(rp_idx), np.array(n_idx)
+            a = np.einsum("rmi,smi->rs", left.conj(), right)
+            ref.append(np.where(np.abs(a) > floor, a, 0.0))
+        assert amp.shape == (2 * n_window + 1, fs.dim, fs.dim)
+        np.testing.assert_array_equal(amp, np.array(ref))
+        n_idx, r_idx, rp_idx = np.indices(amp.shape)
+        n_idx -= n_window
         eps = fs.energies
-        np.testing.assert_array_equal(jd.r_idx, r_idx)
-        np.testing.assert_array_equal(jd.rp_idx, rp_idx)
-        np.testing.assert_array_equal(jd.n_idx, n_idx)
-        np.testing.assert_array_equal(jd.amplitude, np.array(amplitude))
         np.testing.assert_array_equal(
-            jd.delta, eps[r_idx] - eps[rp_idx] + n_idx * fs.omega_L
+            fs.transition_frequencies(np.arange(-n_window, n_window + 1)),
+            eps[r_idx] - eps[rp_idx] + n_idx * fs.omega_L,
         )
-        assert 0 < len(jd) < (2 * n_window + 1) * fs.dim**2
-        if floor > 1e-12:  # the higher floor drops entries the default keeps
-            assert len(jd) < n_default
+        kept = np.count_nonzero(amp)
+        assert 0 < kept < amp.size
+        if floor > 1e-12:  # the higher floor drops amplitudes the default keeps
+            assert kept < n_default

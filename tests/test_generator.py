@@ -13,7 +13,6 @@ from floqcc import generator
 from floqcc.bath import Ohmic, StructuredPeak, bose_occupation
 from floqcc.floquet import (
     FloquetSolution,
-    JumpDecomposition,
     build_quasienergy_operator,
     decompose_operator,
     solve_floquet,
@@ -181,42 +180,44 @@ class TestLiouvillianStructure:
     def test_channel_kernels_exact_at_ladder_edges(self):
         """Random modes fill every ladder block, so the extreme harmonics
         q = n_min - 2 k_ext and n_max + 2 k_ext carry full weight and any
-        aliasing of the sampled product would show."""
+        aliasing of the sampled product would show.  Zero harmonic rows at
+        both ends and in the middle, and scattered zero amplitudes, check
+        the n_min..n_max trimming and that zero amplitudes weigh 0."""
         x_rng = np.random.default_rng(11)
-        d, k, n_entries = 4, 3, 40
+        d, k = 4, 3
         modes = x_rng.normal(size=(d, 2 * k + 1, d)) + 1j * x_rng.normal(size=(d, 2 * k + 1, d))
         fs = FloquetSolution(np.sort(x_rng.uniform(-0.3, 0.3, d)), modes, k, 0.75)
-        n_idx = x_rng.integers(-2, 3, n_entries)
-        jd = JumpDecomposition(
-            r_idx=x_rng.integers(0, d, n_entries),
-            rp_idx=x_rng.integers(0, d, n_entries),
-            n_idx=n_idx,
-            amplitude=x_rng.normal(size=n_entries) + 1j * x_rng.normal(size=n_entries),
-            delta=x_rng.uniform(0.1, 1.0, n_entries) * np.sign(n_idx + 0.5),
-        )
+        shape = (4 * k + 1, d, d)
+        amp = x_rng.normal(size=shape) + 1j * x_rng.normal(size=shape)
+        amp[x_rng.random(shape) < 0.3] = 0.0
+        amp[[0, 1, 2 * k + 1, 4 * k]] = 0.0  # n = -6, -5, 1 and 6
         ch = BathChannel("hot", np.eye(d), Ohmic(d_h=5e-3, omega_ref=1.0), beta=2.0)
-        assert_kernels_match_direct_sum(ch, jd, fs)
+        assert_kernels_match_direct_sum(ch, amp, fs)
 
 
-def assert_kernels_match_direct_sum(ch, jd, fs, prune_rel=3e-12):
+def assert_kernels_match_direct_sum(ch, amp, fs, prune_rel=3e-12):
     """Kernel harmonics G_q = sum_{n + m' - m = q} V_m' W_n V_m^dag, summed
-    term by term, against ``_channel_kernels``: the same retained q set and
-    values within 1e-14 of the largest harmonic."""
-    kernels = generator._channel_kernels(ch, jd, fs)
+    term by term over the nonzero amplitudes, against ``_channel_kernels``:
+    the same retained q set and values within 1e-14 of the largest
+    harmonic."""
+    kernels = generator._channel_kernels(ch, amp, fs)
     k = fs.k_ext
     d = fs.dim
+    eps = fs.energies
     ladder = np.arange(-k, k + 1)
     v = np.transpose(fs.modes, (1, 2, 0))  # [m, component, r]
-    n_min, n_max = int(jd.n_idx.min()), int(jd.n_idx.max())
+    n_pos, r_idx, rp_idx = np.nonzero(amp)
+    n_min, n_max = int(n_pos.min()) - 2 * k, int(n_pos.max()) - 2 * k
     w = np.zeros((4, n_max - n_min + 1, d, d), dtype=complex)
-    for e in range(len(jd)):
-        gn, ge = thermal_rates(ch.density, ch.beta, jd.delta[e])
-        at = (int(jd.n_idx[e]) - n_min, int(jd.r_idx[e]), int(jd.rp_idx[e]))
-        amp = jd.amplitude[e]
-        w[(0, *at)] += gn * amp
-        w[(1, *at)] += ge * amp
-        w[(2, *at)] += jd.delta[e] * gn * amp
-        w[(3, *at)] += -jd.delta[e] * ge * amp
+    for n, r, rp in zip(n_pos - 2 * k, r_idx, rp_idx):
+        delta = eps[r] - eps[rp] + n * fs.omega_L
+        gn, ge = thermal_rates(ch.density, ch.beta, delta)
+        at = (n - n_min, r, rp)
+        a = amp[n + 2 * k, r, rp]
+        w[(0, *at)] += gn * a
+        w[(1, *at)] += ge * a
+        w[(2, *at)] += delta * gn * a
+        w[(3, *at)] += -delta * ge * a
     terms = np.einsum("pcr,anrs,mts->anpmct", v, w, v.conj())
     q_lo = n_min - 2 * k
     q_of = np.arange(n_min, n_max + 1)[:, None, None] + ladder[:, None] - ladder
@@ -273,10 +274,10 @@ class TestReconstructionOracle:
             t = tgrid[jt]
             ht = h.at_time(t)
             out = -1j * (spre(ht) - spost(ht))
-            for ch, jd in zip(channels, jumps):
+            for ch, amp_ch in zip(channels, jumps):
                 s_op = ch.coupling
-                for e in range(len(jd)):
-                    r, rp, n = jd.r_idx[e], jd.rp_idx[e], jd.n_idx[e]
+                for n_pos, r, rp in zip(*np.nonzero(amp_ch)):
+                    n = n_pos - 2 * fs.k_ext
                     amp = np.mean(sb[ch.name][:, r, rp] * np.exp(-1j * n * spec.omega_L * tgrid[:ngrid]))
                     delta = eps[r] - eps[rp] + n * spec.omega_L
                     gn, ge = thermal_rates(ch.density, ch.beta, delta)

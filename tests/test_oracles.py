@@ -118,7 +118,8 @@ class TestPropagate:
         np.testing.assert_allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-9)
 
     def test_failure_surfaces(self):
-        with pytest.raises(PropagationError):
+        # the deliberate blow-up overflows inside the integrator
+        with pytest.raises(PropagationError), pytest.warns(RuntimeWarning):
             propagate(
                 lambda t: np.array([[1e12]], dtype=complex),
                 np.array([1.0 + 0j]),
