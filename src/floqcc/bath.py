@@ -148,11 +148,12 @@ def _quad_segments(f, segments, quad_limit: int):
     return total, err
 
 
+# relative error estimate a mapping integral must meet
+MAPPING_REL_TOL = 1e-8
+
+
 def mapping_integrals_numeric(
-    j: SpectralDensity,
-    cutoff: float,
-    rel_tol: float = 1e-8,
-    quad_limit: int = 200,
+    j: SpectralDensity, cutoff: float, quad_limit: int = 200
 ) -> tuple[float, float, float]:
     """Mapping parameters (lambda0, delta_omega0, omega_cc) by quadrature.
 
@@ -165,7 +166,8 @@ def mapping_integrals_numeric(
     resolves narrow resonances; the cutoff should sit far above the spectral
     support (the lambda0 integrand has a 1/w^2 tail).
 
-    Raises QuadratureError if the quadrature does not converge to ``rel_tol``.
+    Raises QuadratureError if the quadrature does not converge to
+    MAPPING_REL_TOL.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -187,7 +189,7 @@ def mapping_integrals_numeric(
     )
     if lam2 <= 0 or dom2 <= 0:
         raise QuadratureError("mapping integrals came out non-positive")
-    if err1 > rel_tol * lam2 or err2 > rel_tol * dom2:
+    if err1 > MAPPING_REL_TOL * lam2 or err2 > MAPPING_REL_TOL * dom2:
         raise QuadratureError(
             f"quadrature error estimate too large: {err1:.3e} on lambda0^2 "
             f"({lam2:.6e}), {err2:.3e} on delta_omega0^2 ({dom2:.6e})"

@@ -19,9 +19,12 @@ Each L_q is stored as its no-jump pair plus the reservoir sandwiches,
     L_q rho = A_q rho + rho B_q + sum_nu (G1_{nu,q} rho S_nu + S_nu rho G2_{nu,q}),
     A_q = -i H_q - sum_nu S_nu G1_{nu,q},   B_q = i H_q - sum_nu G2_{nu,q} S_nu ,
 
-and no superoperator matrix is kept; dense ones act on column-stacked
-vectors, vec(A X B) = (B^T kron A) vec(X), and each is built as one stacked
-matrix product, in Fortran order.
+and every evaluator reads it through one grouping,
+``CountingLiouvillian.stacks`` ([A_q; G1_{nu,q}...] and [B_q, G2_{nu,q}...]
+per q), and one formula, ``CountingLiouvillian.sandwich``.  No
+superoperator matrix is kept; dense ones act on column-stacked vectors,
+vec(A X B) = (B^T kron A) vec(X), and each is built as one stacked matrix
+product, in Fortran order.
 
 The counting-field derivative keeps only the two sandwich terms with weights
 -D on the emission sandwich (S rho G2) and +D on the absorption sandwich
@@ -44,11 +47,11 @@ is the solve; ``gmres`` iterates under it, with k_in = 1 on a
 single-reservoir generator and -1 on two; the positivity probe solves
 k_rho + 2 around its base route's k_in.  Each ``steady_state`` call runs
 one route, and a route that fails fails the call.  GMRES applies the block
-system matrix-free and in time: the periodic operators of L are sampled
-once per solve, and each action is an FFT pair around stacked d x d
-products.  The generator keeps rho Hermitian, rho_{-n} = rho_n^dag,
-so every route runs in the real Hermitian basis: its unknowns are rho_0 by
-its d^2 Hermitian coordinates and Re and Im of rho_n for n >= 1.  The
+system matrix-free and in time: the stacks of L are sampled once per
+solve, and each action is an FFT pair around their sandwich.  The
+generator keeps rho Hermitian, rho_{-n} = rho_n^dag, so every route runs
+in the real Hermitian basis: its unknowns are rho_0 by its d^2 Hermitian
+coordinates and Re and Im of rho_n for n >= 1.  The
 exact centre is one real LU of the system in that basis; the block LUs
 are complex, one per harmonic n >= 0 outside it, the last one in L_0's own
 buffer.  One guard, before anything is allocated, counts what a route
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -176,49 +179,75 @@ def _channel_kernels(
     return ChannelKernels(channel.coupling, *mats)
 
 
+def _k_rho_estimate(h: PeriodicOperator, kernels: dict[str, ChannelKernels]) -> int:
+    """Harmonic count for the steady state: rho_n falls off roughly like
+    (c / omega_L)^n with c the strength of the generator's oscillating
+    part, so pick the smallest n with that estimate below 1e-8, between
+    2 and 12; 1 when the generator has no oscillating part."""
+    c = max([0.0] + [float(np.max(np.abs(m))) for q, m in h.harmonics.items() if q != 0])
+    for ker in kernels.values():
+        smax = float(np.max(np.abs(ker.coupling)))
+        for dd in (ker.g1, ker.g2):
+            c = max([c] + [smax * float(np.max(np.abs(m))) for q, m in dd.items() if q != 0])
+    if c == 0.0:
+        return 1
+    ratio = min(c / h.omega_L, 0.5)
+    k = math.ceil(math.log(1e-8) / math.log(ratio))
+    return int(np.clip(k, 2, 12))
+
+
 @dataclass(frozen=True)
 class CountingLiouvillian:
     """Harmonic components of the generator, each as its no-jump pair
     (A_q, B_q) plus the reservoir sandwiches, and of its counting-field
-    derivative for each reservoir.  ``h_harmonics`` is kept for the k_rho
-    estimate only."""
+    derivative for each reservoir.  Every evaluator of L_q groups them by
+    ``stacks`` and applies them by ``sandwich``.  ``k_rho_estimate`` is
+    the steady state's default harmonic count."""
 
-    h_harmonics: dict[int, np.ndarray]
     no_jump: dict[int, tuple[np.ndarray, np.ndarray]]
     channels: dict[str, ChannelKernels]
     omega_L: float
     dim: int
+    k_rho_estimate: int
 
     @cached_property
     def support(self) -> int:
         """Largest |q| with a nonzero harmonic component."""
         return max((abs(q) for q in self.no_jump), default=0)
 
-    def suggested_k_rho(self) -> int:
-        """Harmonic count for the steady state: rho_n falls off roughly like
-        (c / omega_L)^n with c the strength of the generator's oscillating
-        part, so pick the smallest n with that estimate below 1e-8, between
-        2 and 12; 1 when the generator has no oscillating part."""
-        c = 0.0
-        for q, m in self.h_harmonics.items():
-            if q != 0:
-                c = max(c, float(np.max(np.abs(m))))
-        for ker in self.channels.values():
-            smax = float(np.max(np.abs(ker.coupling)))
-            for dd in (ker.g1, ker.g2):
-                for q, m in dd.items():
-                    if q != 0:
-                        c = max(c, smax * float(np.max(np.abs(m))))
-        if c == 0.0:
-            return 1
-        ratio = min(c / self.omega_L, 0.5)
-        k = math.ceil(math.log(1e-8) / math.log(ratio))
-        return int(np.clip(k, 2, 12))
+    def stacks(self, qs: Collection[int]) -> tuple[np.ndarray, np.ndarray]:
+        """For each q in ``qs``, [A_q; G1_{1,q}; G1_{2,q}; ...] ((R+1) d x d)
+        and [B_q, G2_{1,q}, G2_{2,q}, ...] (d x (R+1) d), the reservoirs in
+        ``channels`` order, with a zero block where a part has no harmonic q."""
+        d = self.dim
+        width = (len(self.channels) + 1) * d
+        left = np.zeros((len(qs), width, d), dtype=complex)
+        right = np.zeros((len(qs), d, width), dtype=complex)
+        for i, q in enumerate(qs):
+            if q in self.no_jump:
+                left[i, :d], right[i, :, :d] = self.no_jump[q]
+            for j, ker in enumerate(self.channels.values(), 1):
+                if q in ker.g1:
+                    left[i, j * d : (j + 1) * d] = ker.g1[q]
+                    right[i, :, j * d : (j + 1) * d] = ker.g2[q]
+        return left, right
+
+    def sandwich(self, lt: np.ndarray, rt: np.ndarray) -> np.ndarray:
+        """L_q rho = A_q rho + rho B_q + sum_nu (G1_{nu,q} rho S_nu +
+        S_nu rho G2_{nu,q}) from lt = left rho and rt = rho right, the
+        products with the ``stacks`` of q; on one matrix or on stacks of
+        them (shapes (..., (R+1) d, d) and (..., d, (R+1) d))."""
+        d = self.dim
+        out = lt[..., :d, :] + rt[..., :d]
+        for i, ker in enumerate(self.channels.values(), 1):
+            s = ker.coupling
+            out += lt[..., i * d : (i + 1) * d, :] @ s + s @ rt[..., i * d : (i + 1) * d]
+        return out
 
     def _superoperator(self, weights: dict[int, complex]) -> np.ndarray:
         """sum_q weights[q] L_q on column-stacked vectors, in Fortran order:
         kron(I, A) + kron(B^T, I) + sum_nu [kron(S^T, G1) + kron(G2^T, S)],
-        every operator weighted over q alike.
+        every operator of ``stacks`` weighted over q alike.
 
         sum_r kron(X_r, Y_r) holds X_r[a, c] Y_r[b, e] at row a d + b and
         column c d + e, which in Fortran order is the C-ordered array
@@ -226,19 +255,13 @@ class CountingLiouvillian:
         straight into the result."""
         d = self.dim
         eye = np.eye(d)
-
-        def mix(mats: dict[int, np.ndarray]) -> np.ndarray:
-            zero = np.zeros((d, d), dtype=complex)
-            return sum((w * mats[q] for q, w in weights.items() if q in mats), zero)
-
-        # X_r^T and Y_r^T of the four kinds of term
-        xt = [eye, mix({q: b for q, (_, b) in self.no_jump.items()})]
-        yt = [mix({q: a for q, (a, _) in self.no_jump.items()}).T, eye]
-        for ker in self.channels.values():
-            if weights.keys() & ker.g1.keys():
-                s = ker.coupling
-                xt += [s, mix(ker.g2)]
-                yt += [mix(ker.g1).T, s.T]
+        w = list(weights.values())
+        left, right = (np.tensordot(w, m, axes=1) for m in self.stacks(weights))
+        # X_r^T and Y_r^T of the four kinds of term, the no-jump pair as S = I's
+        xt, yt = [], []
+        for i, s in enumerate([eye] + [ker.coupling for ker in self.channels.values()]):
+            xt += [s, right[:, i * d : (i + 1) * d]]
+            yt += [left[i * d : (i + 1) * d].T, s.T]
         out = np.empty((d * d, d * d), dtype=complex, order="F")
         np.matmul(
             np.stack(xt, axis=-1)[:, None], np.stack(yt, axis=1)[None],
@@ -254,17 +277,8 @@ class CountingLiouvillian:
     def apply_component(self, q: int, rho: np.ndarray) -> np.ndarray:
         """L_q acting on a density matrix, or on each matrix of a stack
         (shape (..., d, d)), without building superoperators."""
-        pair = self.no_jump.get(q)
-        if pair is None:
-            return np.zeros_like(rho)
-        a, b = pair
-        out = a @ rho + rho @ b
-        for ker in self.channels.values():
-            g1 = ker.g1.get(q)
-            if g1 is not None:
-                s = ker.coupling
-                out += g1 @ rho @ s + s @ rho @ ker.g2[q]
-        return out
+        (left,), (right,) = self.stacks([q])
+        return self.sandwich(left @ rho, rho @ right)
 
     def matrix_at_time(self, t: float) -> np.ndarray:
         """Dense superoperator L(t) = sum_q exp(i q w t) L_q, in Fortran
@@ -282,7 +296,7 @@ def build_liouvillian(
 ) -> CountingLiouvillian:
     """Assemble the harmonic generator components and their counting-field
     derivatives from each reservoir's jump amplitudes amp[n + 2 k_ext, r, r']
-    (``decompose_operator``).
+    (``decompose_operator``), and the steady state's k_rho estimate.
 
     Kernel harmonics below KERNEL_PRUNE of the largest one are dropped (the
     four kernels of a reservoir are pruned jointly, so they share their
@@ -308,11 +322,11 @@ def build_liouvillian(
                 b -= ker.g2[q] @ ker.coupling
         no_jump[q] = (a, b)
     return CountingLiouvillian(
-        h_harmonics=dict(h.harmonics),
         no_jump=no_jump,
         channels=kernels,
         omega_L=h.omega_L,
         dim=h.dim,
+        k_rho_estimate=_k_rho_estimate(h, kernels),
     )
 
 
@@ -468,30 +482,24 @@ def _block_action(liouv: CountingLiouvillian, k_rho: int) -> Callable[[np.ndarra
     density-matrix harmonics |n| <= k_rho (column-stacked within each
     block), applied in time.
 
-    A(t), B(t) and each reservoir's G1(t) and G2(t), from their harmonics
-    |q| <= Q = min(support, 2 k_rho) (no other L_q couples two kept
-    harmonics), are sampled once, at nt = 2 k_rho + Q + 1 points per
-    period.  The product L(t) rho(t) then holds harmonics |n| <= k_rho + Q,
-    so none aliases onto a kept one.  Each action is an inverse FFT to
-    rho(t_j), the stacked products, a forward FFT back to harmonics
-    |n| <= k_rho, and the diagonal -i n w rho_n."""
+    The ``stacks`` of L_q for |q| <= Q = min(support, 2 k_rho) (no other
+    L_q couples two kept harmonics) are sampled once, by two FFTs, at
+    nt = 2 k_rho + Q + 1 points per period.  The product L(t) rho(t) then
+    holds harmonics |n| <= k_rho + Q, so none aliases onto a kept one.
+    Each action is an inverse FFT to rho(t_j), the ``sandwich`` of the
+    stacked products, a forward FFT back to harmonics |n| <= k_rho, and
+    the diagonal -i n w rho_n."""
     d = liouv.dim
     reach = min(liouv.support, 2 * k_rho)
     nt = 2 * k_rho + reach + 1
 
-    def samples(mats: dict[int, np.ndarray]) -> np.ndarray:
+    def samples(stack: np.ndarray) -> np.ndarray:
         # M(t_j) = sum_q e^{2 pi i q j / nt} M_q; harmonic q sits at q mod nt
-        out = np.zeros((nt, d, d), dtype=complex)
-        for q, m in mats.items():
-            if abs(q) <= reach:
-                out[q % nt] = m
-        return np.fft.ifft(out, axis=0, norm="forward")
+        padded = np.zeros((nt, *stack.shape[1:]), dtype=complex)
+        padded[np.arange(-reach, reach + 1) % nt] = stack
+        return np.fft.ifft(padded, axis=0, norm="forward")
 
-    a_t = samples({q: a for q, (a, _) in liouv.no_jump.items()})
-    b_t = samples({q: b for q, (_, b) in liouv.no_jump.items()})
-    sandwiches = [
-        (ker.coupling, samples(ker.g1), samples(ker.g2)) for ker in liouv.channels.values()
-    ]
+    left_t, right_t = map(samples, liouv.stacks(range(-reach, reach + 1)))
     n = np.arange(-k_rho, k_rho + 1)
     slots = n % nt
     shift = (-1j * n * liouv.omega_L)[:, None, None]
@@ -501,9 +509,7 @@ def _block_action(liouv: CountingLiouvillian, k_rho: int) -> Callable[[np.ndarra
         padded = np.zeros((nt, d, d), dtype=complex)
         padded[slots] = rho_n
         rho = np.fft.ifft(padded, axis=0, norm="forward")
-        y = a_t @ rho + rho @ b_t
-        for s, g1, g2 in sandwiches:
-            y += g1 @ (rho @ s) + (s @ rho) @ g2
+        y = liouv.sandwich(left_t @ rho, rho @ right_t)
         out = np.fft.fft(y, axis=0, norm="forward")[slots] + shift * rho_n
         return out.transpose(0, 2, 1).reshape(-1)
 
@@ -553,11 +559,10 @@ def _forward_sweep(
     its diagonal block L_0 - i n w on Re + i Im of its two coordinate blocks
     minus sum_{|m| < n} L_{n-m} rho_m, from the harmonics already solved,
     with rho_{-m} = rho_m^dag.  Only L_q with q = 1..2 n - 1 enter.  Their
-    A_q over the G1_q and their B_q beside the G2_q are stacked over q once,
-    before the factors, so each coupling is two stacked d x d products
-    summed over q, then one product with S per reservoir and side.  The
-    last block LU is taken in L_0's own buffer, so the centre and the
-    k_rho - k_in block factors are all that is held."""
+    ``stacks`` are taken once, before the factors, so each coupling is the
+    ``sandwich`` of two stacked products summed over q.  The last block LU
+    is taken in L_0's own buffer, so the centre and the k_rho - k_in block
+    factors are all that is held."""
     from scipy.linalg import lu_factor, lu_solve
 
     d = liouv.dim
@@ -565,34 +570,21 @@ def _forward_sweep(
     outer = range(k_in + 1, k_rho + 1)
 
     # stacks over q = reach..1, descending, so row n meets its rho_m, m
-    # ascending, in one slice: the last min(reach, 2 n - 1)
+    # ascending, in one slice: the last min(reach, 2 n - 1); empty when
+    # nothing oscillates (reach 0), where no row has a coupling
     reach = max(0, min(liouv.support, 2 * k_rho - 1))
-    zero = np.zeros((d, d), dtype=complex)
-    kernels = list(liouv.channels.values())
-
-    def stack(mats: list[dict[int, np.ndarray]], axis: int) -> np.ndarray:
-        # empty when nothing oscillates (reach 0): no row has a coupling
-        return np.array(
-            [np.concatenate([m.get(q, zero) for m in mats], axis=axis) for q in range(reach, 0, -1)]
-        )
-
-    # [A_q; G1_q per reservoir] and [B_q, G2_q per reservoir], one product
-    # per q: each stays below OpenBLAS's threading size, while one product
-    # over all q would wake numpy's thread pool against scipy's
-    left = stack([{q: a for q, (a, _) in liouv.no_jump.items()}] + [k.g1 for k in kernels], 0)
-    right = stack([{q: b for q, (_, b) in liouv.no_jump.items()}] + [k.g2 for k in kernels], 1)
+    left, right = liouv.stacks(range(reach, 0, -1))
 
     def coupling(rho: np.ndarray, n: int) -> np.ndarray:
-        # sum_{|m| < n} L_{n-m} rho_m, with rho[m + k_rho] = rho_m
+        # sum_{|m| < n} L_{n-m} rho_m, with rho[m + k_rho] = rho_m, one
+        # product per q: each stays below OpenBLAS's threading size, while
+        # one product over all q would wake numpy's thread pool against scipy's
         width = min(reach, 2 * n - 1)
         solved = rho[k_rho + n - width : k_rho + n]
-        lt = (left[reach - width :] @ solved).sum(axis=0)
-        rt = (solved @ right[reach - width :]).sum(axis=0)
-        out = lt[:d] + rt[:, :d]
-        for i, ker in enumerate(kernels, 1):
-            s = ker.coupling
-            out += lt[i * d : (i + 1) * d] @ s + s @ rt[:, i * d : (i + 1) * d]
-        return out
+        return liouv.sandwich(
+            (left[reach - width :] @ solved).sum(axis=0),
+            (solved @ right[reach - width :]).sum(axis=0),
+        )
 
     central = _real_factor(liouv, k_in) if k_in >= 0 else None
     factors = {}
@@ -818,7 +810,7 @@ def steady_state(
     if bad:
         raise SteadyStateError(f"non-finite generator: nan or inf in {', '.join(bad)}")
     if k_rho is None:
-        k_rho = liouv.suggested_k_rho()
+        k_rho = liouv.k_rho_estimate
     d = liouv.dim
     size = (2 * k_rho + 1) * d * d
     if method == "auto":

@@ -124,10 +124,6 @@ class SupersystemSpec:
     def period(self) -> float:
         return 2.0 * math.pi / self.omega_L
 
-    @property
-    def resonance_locked(self) -> bool:
-        return math.isclose(self.omega0, self.omega_L + self.omega_cc, rel_tol=1e-12)
-
 
 def build_supersystem_fourier(spec: SupersystemSpec) -> PeriodicOperator:
     """Harmonic components of the mapped supersystem Hamiltonian.

@@ -35,6 +35,7 @@ from .floquet import (
     FloquetSolution,
     build_quasienergy_operator,
     decompose_operator,
+    fold_to_zone,
     solve_floquet,
 )
 from .generator import (
@@ -191,7 +192,16 @@ def _floquet_stage(cfg: RunConfig, spec: SupersystemSpec, k_ext: int = 0) -> Flo
         raise PointFailure("floquet", str(refused))
     completeness = fs.completeness_defect_t0()
     if completeness > 1e-6:
-        raise PointFailure("floquet", f"Floquet completeness defect {completeness:.2e} > 1e-6")
+        # the pair of states behind it, and how near (mod omega_L) they lie
+        v = fs.state_matrix_at_time(0.0)
+        overlap = np.abs(v.conj().T @ v) * (1.0 - np.eye(fs.dim))
+        r, s = sorted(np.unravel_index(np.argmax(overlap), overlap.shape))
+        gap = abs(fold_to_zone(fs.quasienergies[s] - fs.quasienergies[r], fs.omega_L))
+        raise PointFailure(
+            "floquet",
+            f"Floquet completeness defect {completeness:.2e} > 1e-6: states {r} and {s} "
+            f"overlap {overlap[r, s]:.2e} at t = 0, quasienergy gap {gap:.1e}",
+        )
     return FloquetStage(h, fs, completeness, trail)
 
 

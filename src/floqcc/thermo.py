@@ -43,16 +43,15 @@ SIGMA_TOL = 1e-10
 REGIME_TOL = 1e-12
 
 
-def entropy_production(
-    qbar_c: float, qbar_h: float, beta_c: float, beta_h: float, tol: float = SIGMA_TOL
-) -> float:
-    """sigma = -beta_h qbar_h - beta_c qbar_c; raises if negative beyond tol."""
+def entropy_production(qbar_c: float, qbar_h: float, beta_c: float, beta_h: float) -> float:
+    """sigma = -beta_h qbar_h - beta_c qbar_c; raises if negative beyond
+    SIGMA_TOL."""
     if not (beta_c > beta_h > 0):
         raise ValueError(f"need beta_c > beta_h > 0, got {beta_c}, {beta_h}")
     sigma = -beta_h * qbar_h - beta_c * qbar_c
-    if sigma < -tol:
+    if sigma < -SIGMA_TOL:
         raise RegimeError(
-            f"entropy production rate {sigma:.3e} < -{tol:.1e}: inconsistent "
+            f"entropy production rate {sigma:.3e} < -{SIGMA_TOL:.1e}: inconsistent "
             "steady state upstream"
         )
     return sigma

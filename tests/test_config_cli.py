@@ -385,6 +385,25 @@ class TestFockEscalation:
         assert "at n_fock=12 (max reached)" in point.error
 
 
+class TestCompletenessFailure:
+    def test_message_names_the_overlapping_pair(self, capsys):
+        # at d_c 1e-9 two Floquet states, one omega_L apart unfolded, share a
+        # quasienergy to 3.3e-13 and overlap 9.27e-3 at t = 0: the failure
+        # names that pair after the defect
+        argv = ["steady", "--bath.cold.d_c", "1e-9", "--solver.convergence", "off"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        match = re.search(
+            r"FAILED: \[floquet\] Floquet completeness defect (\S+) > 1e-6: states (\d+) and "
+            r"(\d+) overlap (\S+) at t = 0, quasienergy gap (\S+)\n", out
+        )
+        assert match, out
+        defect, r, s, overlap, gap = match.groups()
+        assert (int(r), int(s)) == (9, 10)
+        assert float(defect) == float(overlap) == pytest.approx(9.27e-3, rel=1e-3)
+        assert float(gap) < 1e-11
+
+
 class TestFailedRows:
     """A failed point keeps every column the configuration alone determines."""
 

@@ -19,6 +19,7 @@ from floqcc.floquet import (
 )
 from floqcc.generator import (
     BathChannel,
+    ChannelKernels,
     DegenerateSteadyStateError,
     SteadyStateError,
     build_liouvillian,
@@ -164,6 +165,43 @@ class TestLiouvillianStructure:
         x = x_rng.normal(size=size) + 1j * x_rng.normal(size=size)
         dense = block_system_dense(liouv, k_rho) @ x
         applied = generator._block_action(liouv, k_rho)(x)
+        assert np.max(np.abs(applied - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_evaluators_fill_missing_harmonics_with_zero_blocks(self):
+        # the cold reservoir lacks harmonics q = -3, -1 and 2 that the hot one
+        # holds: every evaluator must read its terms there as zero
+        _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=3), k_ext=8)
+        dropped = {-3, -1, 2}
+        cold = liouv.channels["cold"]
+        assert dropped <= cold.g1.keys() and dropped <= liouv.channels["hot"].g1.keys()
+        cold = ChannelKernels(
+            cold.coupling,
+            *({q: m for q, m in kind.items() if q not in dropped}
+              for kind in (cold.g1, cold.g2, cold.g1_prime, cold.g2_prime)),
+        )
+        liouv = replace(liouv, channels={**liouv.channels, "cold": cold})
+        d = liouv.dim
+        x_rng = np.random.default_rng(5)
+        x = x_rng.normal(size=(d, d)) + 1j * x_rng.normal(size=(d, d))
+        eye = np.eye(d)
+        # the formula written out from the dicts, with q = +-4 held by no part
+        for q in range(-liouv.support - 1, liouv.support + 2):
+            a, b = liouv.no_jump.get(q, (np.zeros((d, d)),) * 2)
+            expected = a @ x + x @ b
+            kron = np.kron(eye, a) + np.kron(b.T, eye)
+            for ker in liouv.channels.values():
+                if q in ker.g1:
+                    s = ker.coupling
+                    expected += ker.g1[q] @ x @ s + s @ x @ ker.g2[q]
+                    kron += np.kron(s.T, ker.g1[q]) + np.kron(ker.g2[q].T, s)
+            applied = liouv.apply_component(q, x)
+            assert np.max(np.abs(applied - expected)) <= 1e-14 * np.max(np.abs(expected))
+            assert np.max(np.abs(liouv.component(q) - kron)) <= 1e-14 * np.max(np.abs(kron))
+        k_rho = 2
+        size = (2 * k_rho + 1) * d * d
+        v = x_rng.normal(size=size) + 1j * x_rng.normal(size=size)
+        dense = block_system_dense(liouv, k_rho) @ v
+        applied = generator._block_action(liouv, k_rho)(v)
         assert np.max(np.abs(applied - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_channel_kernels_match_direct_sum(self):
@@ -462,7 +500,7 @@ class TestSteadyState:
         else:
             spec = fig2_spec(0.75, n_fock=3)
         _, _, liouv = build_pipeline_liouvillian(spec, k_ext=8)
-        k_rho = liouv.suggested_k_rho()
+        k_rho = liouv.k_rho_estimate
         real = generator._real_block_system(liouv, k_rho)
         oracle = block_system_dense(liouv, k_rho)
         assert real.dtype == np.float64 and real.shape == oracle.shape

@@ -133,15 +133,6 @@ class TestCouplingOperators:
 
 
 class TestSpecValidation:
-    def test_resonance_lock_flag(self):
-        assert fig2_spec(0.75).resonance_locked
-        spec = SupersystemSpec(
-            omega0=1.0, g=0.0, omega_L=0.75, omega_cc=0.3, n_fock=3, lambda0=0.0,
-            beta_h=2.0, beta_c=20.0, hot_bath=Ohmic(d_h=1e-3, omega_ref=1.0),
-            residual_bath=Ohmic.from_slope(1e-4),
-        )
-        assert not spec.resonance_locked
-
     def test_thermal_bias_enforced(self):
         with pytest.raises(ValueError, match="hotter"):
             SupersystemSpec(
