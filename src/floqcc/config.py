@@ -133,6 +133,11 @@ class RunConfig:
                 raise ConfigError(
                     f"{self.mode} mode needs bath.cold.omega_res (the mode frequency)"
                 )
+            if self.sweep_variable == "gamma":
+                raise ConfigError(
+                    f"sweep.variable=gamma: {self.mode} mode maps no cold bath, "
+                    "so bath.cold.gamma is read by no point"
+                )
         elif mode.solves and not self.beta_h < self.beta_c:
             raise ConfigError(
                 f"hot bath must be hotter: beta_h={self.beta_h} < beta_c="

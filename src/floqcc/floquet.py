@@ -295,6 +295,16 @@ def solve_floquet(q: ExtendedOperator) -> FloquetSolution:
     return FloquetSolution(evals[chosen], modes, k, w, edge_weight, edge_residual)
 
 
+def time_samples(components: np.ndarray, first: int, nt: int) -> np.ndarray:
+    """M(t_j) = sum_q e^{2 pi i q j / nt} M_q at t_j = j T / nt, j = 0..nt-1,
+    from the harmonics M_q, q = first, first + 1, ..., stacked on axis 0, by
+    one zero-padded inverse FFT.  Harmonic q sits at FFT slot q mod nt, so
+    the harmonics must span at most nt values."""
+    padded = np.zeros((nt, *components.shape[1:]), dtype=complex)
+    padded[np.arange(first, first + len(components)) % nt] = components
+    return np.fft.ifft(padded, axis=0, norm="forward")
+
+
 # jump amplitudes at or below this are set to 0
 AMPLITUDE_FLOOR = 1e-12
 
@@ -306,28 +316,20 @@ def decompose_operator(s: np.ndarray, fs: FloquetSolution) -> np.ndarray:
     Each couples |r'(t)> to |r(t)> at the transition frequency
     eps_r - eps_r' + n omega_L (``FloquetSolution.transition_frequencies``),
     both taken on the unfolded representatives; the frequencies do not
-    depend on which copies those are.  The harmonic sum runs over the whole ladder: the certificate
+    depend on which copies those are.  amp[n] is harmonic n of
+    <r(t)|S|r'(t)>, taken by one FFT of its samples at 4 k_ext + 1 points
+    per period (``time_samples``), exactly the count of harmonics it holds,
+    so none aliases.  The harmonic sum runs over the whole ladder: the certificate
     of ``solve_floquet`` bounds what the kept representatives leave in and
     beyond its edge blocks.  Amplitudes with |amp| <= ``AMPLITUDE_FLOOR``
     are set to 0.  For Hermitian S, amp[-n] = amp[n]^dag, and the floor acts
     alike on both sides.
     """
-    d = fs.dim
-    n_window = 2 * fs.k_ext
-
-    # S applied once per (m) index
-    u = fs.modes  # [r, m, :]
-    su = np.einsum("ij,rmj->rmi", s, u)
-    nm = u.shape[1]
-    amp = np.empty((2 * n_window + 1, d, d), dtype=complex)
-    for n in range(-n_window, n_window + 1):
-        # amp[n, r, r'] = sum_m u_r^(m)* . (S u_r'^(m+n))
-        if n >= 0:
-            left = u[:, : nm - n, :]
-            right = su[:, n:, :]
-        else:
-            left = u[:, -n:, :]
-            right = su[:, : nm + n, :]
-        amp[n + n_window] = np.einsum("rmi,smi->rs", left.conj(), right)
+    k = fs.k_ext
+    # v[j] = V(t_j), whose columns are the modes |r(t_j)>
+    v = time_samples(fs.modes.transpose(1, 2, 0), -k, 4 * k + 1)
+    amp = np.fft.fft(v.conj().transpose(0, 2, 1) @ s @ v, axis=0, norm="forward")
+    # harmonic n sits at slot n mod (4 k + 1): n = -2k..-1 at the top
+    amp = np.roll(amp, 2 * k, axis=0)
     amp[np.abs(amp) <= AMPLITUDE_FLOOR] = 0.0
     return amp

@@ -72,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .bath import SpectralDensity, bose_occupation
-from .floquet import ARRAY_BYTES_LIMIT, FloquetSolution
+from .floquet import ARRAY_BYTES_LIMIT, FloquetSolution, time_samples
 from .model import PeriodicOperator
 
 
@@ -141,7 +141,6 @@ class ChannelKernels:
 def _channel_kernels(
     channel: BathChannel, amp: np.ndarray, fs: FloquetSolution
 ) -> ChannelKernels:
-    d = fs.dim
     k = fs.k_ext
     # n_min..n_max: the lowest and highest harmonic holding a nonzero amplitude
     held = np.flatnonzero(np.any(amp != 0, axis=(1, 2))) - 2 * k
@@ -150,32 +149,27 @@ def _channel_kernels(
     n_min, n_max = int(held[0]), int(held[-1])
     amp = amp[n_min + 2 * k : n_max + 2 * k + 1]
 
-    # per-harmonic weight matrices W_n[r, r'] of the four kernels; rates are
-    # finite at every delta, so zero amplitudes weigh exactly 0
+    # per-harmonic weight matrices W_n[kind, r, r'] of the four kernels; rates
+    # are finite at every delta, so zero amplitudes weigh exactly 0
     delta = fs.transition_frequencies(np.arange(n_min, n_max + 1))
     gn, ge = thermal_rates(channel.density, channel.beta, delta)
-    w = np.stack([gn * amp, ge * amp, delta * gn * amp, -delta * ge * amp])
+    w = np.stack([gn * amp, ge * amp, delta * gn * amp, -delta * ge * amp], axis=1)
 
     # kernel G(t) = V(t) W(t) V(t)^dag with V(t) = sum_m e^{i m w t} V_m the
     # mode matrix; its harmonics q = n + m' - m span exactly nt values, so nt
     # samples per period and one FFT give them without aliasing
     nt = n_max - n_min + 4 * k + 1
-    tj = np.arange(nt)[:, None]
-    ladder = np.arange(-k, k + 1)
-    # v_t[j] = V(t_j)^T: rows are the modes |r(t_j)>
-    v_t = np.tensordot(np.exp(2j * np.pi * (tj * ladder % nt) / nt), fs.modes, axes=(1, 1))
-    ph_n = np.exp(2j * np.pi * (tj * np.arange(n_min, n_max + 1) % nt) / nt)
-    g = (ph_n @ w.reshape(4, -1, d * d)).reshape(4, nt, d, d)  # W(t_j), then G
-    for ga in g:
-        np.matmul(v_t.transpose(0, 2, 1) @ ga, v_t.conj(), out=ga)
-        ga[:] = np.fft.fft(ga, axis=0, norm="forward")
+    v = time_samples(fs.modes.transpose(1, 2, 0), -k, nt)[:, None]
+    g = time_samples(w, n_min, nt)  # W(t_j)[kind], then G
+    np.matmul(v @ g, v.conj().transpose(0, 1, 3, 2), out=g)
+    g = np.fft.fft(g, axis=0, norm="forward")
 
     # prune the four kernels jointly; harmonic q sits at index q mod nt, and
     # only the retained harmonics are kept in memory
-    block_max = np.abs(g).max(axis=(0, 2, 3))
+    block_max = np.abs(g).max(axis=(1, 2, 3))
     floor = KERNEL_PRUNE * block_max.max()
     kept = [q for q in range(n_min - 2 * k, n_max + 2 * k + 1) if block_max[q % nt] > floor]
-    mats = [dict(zip(kept, ga)) for ga in g[:, [q % nt for q in kept]]]
+    mats = [dict(zip(kept, ga)) for ga in g[[q % nt for q in kept]].transpose(1, 0, 2, 3)]
     return ChannelKernels(channel.coupling, *mats)
 
 
@@ -483,32 +477,25 @@ def _block_action(liouv: CountingLiouvillian, k_rho: int) -> Callable[[np.ndarra
     block), applied in time.
 
     The ``stacks`` of L_q for |q| <= Q = min(support, 2 k_rho) (no other
-    L_q couples two kept harmonics) are sampled once, by two FFTs, at
-    nt = 2 k_rho + Q + 1 points per period.  The product L(t) rho(t) then
-    holds harmonics |n| <= k_rho + Q, so none aliases onto a kept one.
-    Each action is an inverse FFT to rho(t_j), the ``sandwich`` of the
-    stacked products, a forward FFT back to harmonics |n| <= k_rho, and
-    the diagonal -i n w rho_n."""
+    L_q couples two kept harmonics) are sampled once by
+    ``floquet.time_samples`` at nt = 2 k_rho + Q + 1 points per period.
+    The product L(t) rho(t) then holds harmonics |n| <= k_rho + Q, so none
+    aliases onto a kept one.  Each action samples rho(t_j) the same way,
+    takes the ``sandwich`` of the stacked products, a forward FFT back to
+    harmonics |n| <= k_rho, and the diagonal -i n w rho_n."""
     d = liouv.dim
     reach = min(liouv.support, 2 * k_rho)
     nt = 2 * k_rho + reach + 1
 
-    def samples(stack: np.ndarray) -> np.ndarray:
-        # M(t_j) = sum_q e^{2 pi i q j / nt} M_q; harmonic q sits at q mod nt
-        padded = np.zeros((nt, *stack.shape[1:]), dtype=complex)
-        padded[np.arange(-reach, reach + 1) % nt] = stack
-        return np.fft.ifft(padded, axis=0, norm="forward")
-
-    left_t, right_t = map(samples, liouv.stacks(range(-reach, reach + 1)))
+    stacks = liouv.stacks(range(-reach, reach + 1))
+    left_t, right_t = (time_samples(m, -reach, nt) for m in stacks)
     n = np.arange(-k_rho, k_rho + 1)
     slots = n % nt
     shift = (-1j * n * liouv.omega_L)[:, None, None]
 
     def act(x: np.ndarray) -> np.ndarray:
         rho_n = x.reshape(2 * k_rho + 1, d, d).transpose(0, 2, 1)
-        padded = np.zeros((nt, d, d), dtype=complex)
-        padded[slots] = rho_n
-        rho = np.fft.ifft(padded, axis=0, norm="forward")
+        rho = time_samples(rho_n, -k_rho, nt)
         y = liouv.sandwich(left_t @ rho, rho @ right_t)
         out = np.fft.fft(y, axis=0, norm="forward")[slots] + shift * rho_n
         return out.transpose(0, 2, 1).reshape(-1)

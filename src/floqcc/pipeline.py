@@ -207,15 +207,20 @@ def _floquet_stage(cfg: RunConfig, spec: SupersystemSpec, k_ext: int = 0) -> Flo
 
 def _generator_stage(cfg: RunConfig, spec: SupersystemSpec, floq: FloquetStage):
     """Counting-field generator: one channel per reservoir, each with the
-    Floquet jump amplitudes of its coupling operator."""
+    Floquet jump amplitudes of its coupling operator.  A ``ValueError`` or
+    ``LinAlgError`` on the way (say, an occupation that diverges because
+    beta * omega underflows to 0) fails the point at this stage."""
     ops = build_coupling_operators(spec)
     channels = [BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h)]
     if spec.residual_bath is not None:
         channels.append(
             BathChannel("cold", ops.s_cold_residual, spec.residual_bath, beta=spec.beta_c)
         )
-    jumps = [decompose_operator(ch.coupling, floq.fs) for ch in channels]
-    return build_liouvillian(floq.h, floq.fs, channels, jumps)
+    try:
+        jumps = [decompose_operator(ch.coupling, floq.fs) for ch in channels]
+        return build_liouvillian(floq.h, floq.fs, channels, jumps)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise PointFailure("generator", str(exc)) from exc
 
 
 @dataclass(frozen=True)

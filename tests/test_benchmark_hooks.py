@@ -48,3 +48,11 @@ def test_traced_point_feeds_the_checks():
     # run.py adds the tracer's own overhead; every other layer comes from here
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(layers) == {m["name"] for m in spec["per_layer"]} - {"trace.overhead_s"}
+    # every span-timed layer this point runs took time: a call that no
+    # longer goes through a patched name would read 0 here
+    ran = [
+        "floquet.build_s", "floquet.solve_s", "floquet.jumps_s", "generator.kernels_s",
+        "generator.steady_s", "generator.block_lu_s", "generator.heat_s", "bath.map_s",
+        "model.build_s", "thermo.report_s",
+    ]
+    assert {name: layers[name][0] for name in ran if not layers[name][0] > 0} == {}

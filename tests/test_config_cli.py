@@ -143,6 +143,14 @@ class TestConfigParsing:
             else:
                 cfg.validate()
 
+    def test_lasercool_sweep_over_gamma_exit_2(self, capsys):
+        # lasercool maps no cold bath, so every gamma would give one point
+        argv = ["lasercool", "--bath.cold.omega_res", "0.005", "--sweep.variable", "gamma",
+                "--sweep.steps", "2"]
+        assert main(argv + FAST_POINT) == 2
+        err = capsys.readouterr().err
+        assert "config error: sweep.variable=gamma: lasercool mode maps no cold bath" in err
+
     def test_n_fock_within_ceiling(self):
         RunConfig(n_fock=32, n_fock_max=32).validate()
         with pytest.raises(ConfigError, match=r"<= solver.n_fock_max \(32\), got 40"):
@@ -434,6 +442,19 @@ class TestFailedRows:
         assert second.ok, second.error
         row = self._row(first, "sweep")
         assert row["converged"] == "false"
+
+    def test_generator_value_error_is_a_failed_row(self, tmp_path, capsys):
+        # beta_h omega underflows to 0, so the hot occupation diverges while
+        # the kernels are built: a [generator] row, not a traceback
+        csv = tmp_path / "out.csv"
+        argv = ["steady", "--bath.beta_h", "5e-324", "--solver.n_fock", "4",
+                "--output.csv", str(csv)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.startswith(
+            "FAILED: [generator] occupation diverges at omega = 0"
+        )
+        header, row = csv.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["regime"] == "error"
 
     def test_lasercool_failed_row_keeps_delta(self):
         # a cooled mode cannot be held in two Fock levels: cheap, certain failure

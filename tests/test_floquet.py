@@ -344,6 +344,19 @@ class TestRealGauge:
         assert np.max(np.abs(eps_u - np.sort(fs.quasienergies))) / h.omega_L < 1e-6
 
 
+class TestTimeSamples:
+    def test_matches_the_harmonic_sum(self):
+        # harmonics q = -3..4 on nt = 8 samples, as many as harmonics: the
+        # tightest count that aliases none of them
+        rng = np.random.default_rng(7)
+        comps = rng.normal(size=(8, 3, 3)) + 1j * rng.normal(size=(8, 3, 3))
+        op = PeriodicOperator(dict(zip(range(-3, 5), comps)), omega_L=0.7)
+        got = floquet.time_samples(comps, -3, 8)
+        period = 2.0 * math.pi / op.omega_L
+        want = [op.at_time(j * period / 8) for j in range(8)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
 class TestDecomposeOperator:
     def test_identity_decomposition(self, monkeypatch):
         spec = fig2_spec(0.75, n_fock=4)
@@ -393,8 +406,10 @@ class TestDecomposeOperator:
     @pytest.mark.parametrize("floor", [1e-12, 1e-3])
     def test_matches_per_harmonic_loop(self, floor, monkeypatch):
         """Values against a loop over n that keeps each harmonic's amplitudes
-        above the floor and sets the rest to 0, and transition frequencies
-        against eps_r - eps_r' + n omega_L taken entry by entry."""
+        above the floor and sets the rest to 0 (the same zero pattern, values
+        to 1e-14 of the largest: the FFT sums in another order), and
+        transition frequencies against eps_r - eps_r' + n omega_L taken
+        entry by entry."""
         spec = fig2_spec(0.75, n_fock=3)
         h = build_supersystem_fourier(spec)
         fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
@@ -413,8 +428,10 @@ class TestDecomposeOperator:
             right = su[:, max(0, n) : nm - max(0, -n)]
             a = np.einsum("rmi,smi->rs", left.conj(), right)
             ref.append(np.where(np.abs(a) > floor, a, 0.0))
+        ref = np.array(ref)
         assert amp.shape == (2 * n_window + 1, fs.dim, fs.dim)
-        np.testing.assert_array_equal(amp, np.array(ref))
+        np.testing.assert_array_equal(amp == 0, ref == 0)
+        np.testing.assert_allclose(amp, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
         n_idx, r_idx, rp_idx = np.indices(amp.shape)
         n_idx -= n_window
         eps = fs.energies
