@@ -39,6 +39,7 @@ from .model import (
     build_supersystem_fourier,
     cc_hamiltonian,
     fock_truncation_check,
+    parity,
 )
 from .oracles import (
     SidebandParams,

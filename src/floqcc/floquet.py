@@ -305,6 +305,19 @@ def time_samples(components: np.ndarray, first: int, nt: int) -> np.ndarray:
     return np.fft.ifft(padded, axis=0, norm="forward")
 
 
+def fast_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: a sample count whose FFT takes a
+    fraction of a prime length's."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 # jump amplitudes at or below this are set to 0
 AMPLITUDE_FLOOR = 1e-12
 

@@ -48,15 +48,22 @@ single-reservoir generator and -1 on two; the positivity probe solves
 k_rho + 2 around its base route's k_in.  Each ``steady_state`` call runs
 one route, and a route that fails fails the call.  GMRES applies the block
 system matrix-free and in time: the stacks of L are sampled once per
-solve, and each action is an FFT pair around their sandwich.  The
-generator keeps rho Hermitian, rho_{-n} = rho_n^dag, so every route runs
-in the real Hermitian basis: its unknowns are rho_0 by its d^2 Hermitian
-coordinates and Re and Im of rho_n for n >= 1.  The
-exact centre is one real LU of the system in that basis; the block LUs
-are complex, one per harmonic n >= 0 outside it, the last one in L_0's own
-buffer.  One guard, before anything is allocated, counts what a route
-holds, the centre at 8 B per entry and the block LUs at 16 B, and refuses
-it above 2.5 GB on ``lu`` and 1.5 GB on ``gmres``.
+solve, and each action is an FFT pair around their sandwich.
+
+The generator keeps rho Hermitian, rho_{-n} = rho_n^dag, and the model's
+half-period parity, Q L_q(Q X Q) Q = (-1)^q L_q(X) for the +-1 diagonal Q
+of ``model.parity`` (checked once, in ``build_liouvillian``), so
+rho(t + T/2) = Q rho(t) Q and rho_n lies in the sector q_i q_j = (-1)^n,
+d^2 / 2 of its d^2 entries.  Every route therefore solves for one set of
+real coordinates, the map ``Coordinates``: rho_0 by its Hermitian
+coordinates and Re and Im of rho_n for n >= 1, each on its sector,
+(2 k_rho + 1) d^2 / 2 unknowns.  The exact centre is one real LU of the
+system on those coordinates; the block LUs are complex and d^2 x d^2, one
+per harmonic n >= 0 outside it, the last one in L_0's own buffer, each
+taking and returning sector vectors through the map.  One guard, before
+anything is allocated, counts what a route holds, the centre at 8 B per
+entry and the block LUs at 16 B, and refuses it above 2.5 GB on ``lu``
+and 1.5 GB on ``gmres``.
 A generator with nan or inf entries fails every route up front, with the
 parts that hold them named.
 """
@@ -72,8 +79,11 @@ from functools import cached_property
 import numpy as np
 
 from .bath import SpectralDensity, bose_occupation
-from .floquet import ARRAY_BYTES_LIMIT, FloquetSolution, time_samples
+from .floquet import ARRAY_BYTES_LIMIT, FloquetSolution, fast_length, time_samples
 from .model import PeriodicOperator
+
+# parts (J, I) of the vec positions j d + i, j in J and i in I, in turn
+Parts = list[tuple[np.ndarray, np.ndarray]]
 
 
 class SteadyStateError(RuntimeError):
@@ -156,9 +166,10 @@ def _channel_kernels(
     w = np.stack([gn * amp, ge * amp, delta * gn * amp, -delta * ge * amp], axis=1)
 
     # kernel G(t) = V(t) W(t) V(t)^dag with V(t) = sum_m e^{i m w t} V_m the
-    # mode matrix; its harmonics q = n + m' - m span exactly nt values, so nt
-    # samples per period and one FFT give them without aliasing
-    nt = n_max - n_min + 4 * k + 1
+    # mode matrix; its harmonics q = n + m' - m span n_max - n_min + 4 k + 1
+    # values, so as many samples per period, or more, and one FFT give them
+    # without aliasing
+    nt = fast_length(n_max - n_min + 4 * k + 1)
     v = time_samples(fs.modes.transpose(1, 2, 0), -k, nt)[:, None]
     g = time_samples(w, n_min, nt)  # W(t_j)[kind], then G
     np.matmul(v @ g, v.conj().transpose(0, 1, 3, 2), out=g)
@@ -196,18 +207,25 @@ class CountingLiouvillian:
     (A_q, B_q) plus the reservoir sandwiches, and of its counting-field
     derivative for each reservoir.  Every evaluator of L_q groups them by
     ``stacks`` and applies them by ``sandwich``.  ``k_rho_estimate`` is
-    the steady state's default harmonic count."""
+    the steady state's default harmonic count, and ``parity`` the +-1
+    diagonal of the half-period parity Q the generator keeps."""
 
     no_jump: dict[int, tuple[np.ndarray, np.ndarray]]
     channels: dict[str, ChannelKernels]
     omega_L: float
     dim: int
     k_rho_estimate: int
+    parity: np.ndarray
 
     @cached_property
     def support(self) -> int:
         """Largest |q| with a nonzero harmonic component."""
         return max((abs(q) for q in self.no_jump), default=0)
+
+    @cached_property
+    def coords(self) -> Coordinates:
+        """The real coordinates every steady-state route solves for."""
+        return Coordinates.of(self.parity)
 
     def stacks(self, qs: Collection[int]) -> tuple[np.ndarray, np.ndarray]:
         """For each q in ``qs``, [A_q; G1_{1,q}; G1_{2,q}; ...] ((R+1) d x d)
@@ -238,17 +256,27 @@ class CountingLiouvillian:
             out += lt[..., i * d : (i + 1) * d, :] @ s + s @ rt[..., i * d : (i + 1) * d]
         return out
 
-    def _superoperator(self, weights: dict[int, complex]) -> np.ndarray:
+    def _superoperator(
+        self,
+        weights: dict[int, complex],
+        rows: Parts | None = None,
+        cols: Parts | None = None,
+    ) -> np.ndarray:
         """sum_q weights[q] L_q on column-stacked vectors, in Fortran order:
         kron(I, A) + kron(B^T, I) + sum_nu [kron(S^T, G1) + kron(G2^T, S)],
-        every operator of ``stacks`` weighted over q alike.
+        every operator of ``stacks`` weighted over q alike.  ``rows`` and
+        ``cols`` restrict it to the vec positions j d + i of their parts
+        (J, I), j in J and i in I, ordered part by part, then by j, then by
+        i; by default the whole space, one part.
 
         sum_r kron(X_r, Y_r) holds X_r[a, c] Y_r[b, e] at row a d + b and
         column c d + e, which in Fortran order is the C-ordered array
-        [c, e, a, b]: one stacked product of the X_r^T and Y_r^T, written
-        straight into the result."""
+        [c, e, a, b]: one stacked product of the X_r^T and Y_r^T per pair of
+        parts, written straight into the result."""
         d = self.dim
         eye = np.eye(d)
+        whole = [(np.arange(d), np.arange(d))]
+        rows, cols = rows or whole, cols or whole
         w = list(weights.values())
         left, right = (np.tensordot(w, m, axes=1) for m in self.stacks(weights))
         # X_r^T and Y_r^T of the four kinds of term, the no-jump pair as S = I's
@@ -256,17 +284,31 @@ class CountingLiouvillian:
         for i, s in enumerate([eye] + [ker.coupling for ker in self.channels.values()]):
             xt += [s, right[:, i * d : (i + 1) * d]]
             yt += [left[i * d : (i + 1) * d].T, s.T]
-        out = np.empty((d * d, d * d), dtype=complex, order="F")
-        np.matmul(
-            np.stack(xt, axis=-1)[:, None], np.stack(yt, axis=1)[None],
-            out=out.T.reshape(d, d, d, d),
+        xt, yt = np.stack(xt, axis=-1), np.stack(yt, axis=1)
+        out = np.empty(
+            (sum(len(j) * len(i) for j, i in rows), sum(len(j) * len(i) for j, i in cols)),
+            dtype=complex, order="F",
         )
+        c0 = 0
+        for jc, ic in cols:
+            r0 = 0
+            for ja, ia in rows:
+                block = out.T[c0 : c0 + len(jc) * len(ic), r0 : r0 + len(ja) * len(ia)]
+                np.matmul(
+                    xt[np.ix_(jc, ja)][:, None], yt[ic][:, :, ia][None],
+                    out=block.reshape(len(jc), len(ic), len(ja), len(ia)),
+                )
+                r0 += len(ja) * len(ia)
+            c0 += len(jc) * len(ic)
         return out
 
-    def component(self, q: int) -> np.ndarray:
+    def component(
+        self, q: int, rows: Parts | None = None, cols: Parts | None = None
+    ) -> np.ndarray:
         """Superoperator matrix L_q on the vectorized density space, in
-        Fortran order."""
-        return self._superoperator({q: 1.0})
+        Fortran order; restricted to the parts ``rows`` and ``cols`` of
+        the space (``_superoperator``), by default the whole."""
+        return self._superoperator({q: 1.0}, rows, cols)
 
     def apply_component(self, q: int, rho: np.ndarray) -> np.ndarray:
         """L_q acting on a density matrix, or on each matrix of a stack
@@ -287,6 +329,7 @@ def build_liouvillian(
     fs: FloquetSolution,
     channels: list[BathChannel],
     jumps: list[np.ndarray],
+    parity: np.ndarray,
 ) -> CountingLiouvillian:
     """Assemble the harmonic generator components and their counting-field
     derivatives from each reservoir's jump amplitudes amp[n + 2 k_ext, r, r']
@@ -295,7 +338,9 @@ def build_liouvillian(
     Kernel harmonics below KERNEL_PRUNE of the largest one are dropped (the
     four kernels of a reservoir are pruned jointly, so they share their
     harmonics, which preserves exact trace annihilation of every retained
-    harmonic).
+    harmonic).  ``parity`` is the +-1 diagonal of the model's half-period
+    parity Q (``model.parity``); a generator that breaks it is a ValueError
+    naming the parts that do (``_parity_breaches``).
     """
     if len(channels) != len(jumps):
         raise ValueError("need one jump decomposition per channel")
@@ -315,160 +360,256 @@ def build_liouvillian(
                 a -= ker.coupling @ ker.g1[q]
                 b -= ker.g2[q] @ ker.coupling
         no_jump[q] = (a, b)
-    return CountingLiouvillian(
+    liouv = CountingLiouvillian(
         no_jump=no_jump,
         channels=kernels,
         omega_L=h.omega_L,
         dim=h.dim,
         k_rho_estimate=_k_rho_estimate(h, kernels),
+        parity=np.asarray(parity, dtype=float),
     )
+    bad = _parity_breaches(liouv)
+    if bad:
+        raise ValueError(
+            f"generator breaks the half-period parity Q in {', '.join(bad)}: entries off "
+            f"their sector above {PARITY_TOL:.0e} of the largest part"
+        )
+    return liouv
+
+
+# entries a part of the generator may hold off its parity sector, relative
+# to the largest part
+PARITY_TOL = 1e-12
+
+
+def _parity_breaches(liouv: CountingLiouvillian) -> list[str]:
+    """The parts of the generator that break Q L_q(Q X Q) Q = (-1)^q L_q(X).
+
+    Q X Q weighs entry (i, j) by q_i q_j, so Q L_q(Q X Q) Q is the
+    ``sandwich`` of the ``stacks`` of q with every part conjugated by Q.
+    The covariance therefore holds when each part lies in its sector: A_q
+    and B_q where q_i q_j = (-1)^q, G1_{nu,q} and G2_{nu,q} where
+    q_i q_j = (-1)^q sigma_nu, with Q S_nu Q = sigma_nu S_nu.  A part's
+    entries off its sector are weighed like its term, G1 and G2 by
+    max|S_nu|, against the largest part; a coupling S_nu of no definite
+    parity is a breach of its own."""
+    d = liouv.dim
+    signs = np.outer(liouv.parity, liouv.parity)
+    bad, sigmas = [], [1.0]
+    for name, ker in liouv.channels.items():
+        even, odd = (np.abs(ker.coupling[signs == p]).max(initial=0.0) for p in (1.0, -1.0))
+        sigmas.append(1.0 if even >= odd else -1.0)
+        if min(even, odd) > PARITY_TOL * max(even, odd):
+            bad.append(f"{name} coupling")
+    names = ["no-jump L_{q}"] + [f"{name} kernel q={{q}}" for name in liouv.channels]
+    weights = [1.0] + [np.abs(ker.coupling).max() for ker in liouv.channels.values()]
+    qs = list(liouv.no_jump)
+    left, right = liouv.stacks(qs)
+    # |part| [side, q, part, i, j], each weighed like its term
+    parts = np.abs(np.stack([
+        left.reshape(len(qs), -1, d, d), right.reshape(len(qs), d, -1, d).transpose(0, 2, 1, 3)
+    ])) * np.reshape(weights, (-1, 1, 1))
+    sign = np.outer((-1.0) ** np.array(qs), sigmas)[..., None, None]
+    off = np.where(signs != sign, parts, 0.0).max(axis=(0, 3, 4))
+    return bad + [names[j].format(q=qs[i]) for i, j in np.argwhere(off > PARITY_TOL * parts.max())]
 
 
 @dataclass(frozen=True)
 class SteadyStateInfo:
     method: str
     k_rho: int
-    size: int
+    size: int  # complex unknowns of the block system, (2 k_rho + 1) d^2
+    unknowns: int  # real unknowns of the solve, on the parity sectors
     residual: float
     iterations: int  # GMRES iterations; 0 on lu
     trace_defect: float
     min_eigenvalue: float
 
 
-def _trace_cols(d: int, k_rho: int) -> np.ndarray:
-    """The trace border: positions of rho_0's diagonal among the stacked
-    harmonics |n| <= k_rho.  The first is the bordered row, a redundant row
-    (the trace on the n = 0 block is an exact left null vector)."""
-    return k_rho * d * d + np.arange(d) * (d + 1)
+@dataclass(frozen=True)
+class Coordinates:
+    """The coordinate map: the real unknowns of every steady-state route.
 
+    A stacked vector holds the harmonics rho_n, |n| <= k, each column-stacked
+    (vec position j d + i holds element (i, j)).  It holds a Hermitian rho(t)
+    exactly when it is J-invariant, J: rho_n -> rho_{-n}^dag, and a rho(t)
+    with the half-period parity rho(t + T/2) = Q rho(t) Q exactly when each
+    rho_n lies in its sector, the positions with q_i q_j = (-1)^n, q the
+    +-1 diagonal of Q.  Its real coordinates are those of the harmonics
+    n >= 0 on their sectors: rho_0 by its Hermitian coordinates (at position
+    (i, j): Re rho_0[i, j] for i <= j, Im rho_0[i, j] for i > j), then
+    Re rho_n and Im rho_n for n = 1..k, harmonic n at ``span(n)``.  The
+    block system commutes with J and keeps the sectors (``build_liouvillian``
+    checks it), so on these vectors it is one real system, whose rows are
+    the same coordinates of its output; the steady state is one of them."""
 
-# The real Hermitian basis.  A stacked vector is J-invariant, J: rho_n ->
-# rho_{-n}^dag, exactly when it holds the harmonics of a Hermitian rho(t).
-# Its real coordinates are rho_0 by its d^2 Hermitian coordinates (at vec
-# position (i, j): Re rho_0[i, j] for i <= j, Im rho_0[i, j] for i > j),
-# then Re rho_n and Im rho_n for n = 1..k_rho: (2 k_rho + 1) d^2 reals.
-# The block system commutes with J, so on J-invariant vectors it is one real
-# system, whose rows are the same coordinates of the harmonics n >= 0.
+    dim: int
+    # the indices with q_i = q_0 and with q_i = -q_0
+    classes: tuple[np.ndarray, np.ndarray]
+    # vec positions of the sectors q_i q_j = +1 and -1, in the order of
+    # their ``parts``
+    positions: tuple[np.ndarray, np.ndarray]
+    # index within its sector of each position's transpose (j, i)
+    transposes: tuple[np.ndarray, np.ndarray]
+    # over the +1 sector: i > j, where rho_0's coordinate is Im
+    lower: np.ndarray
+    # the trace border: rho_0's diagonal among the coordinates; the first,
+    # coordinate 0 at position (0, 0), is the bordered row
+    trace: np.ndarray
 
+    @classmethod
+    def of(cls, parity: np.ndarray) -> Coordinates:
+        d = len(parity)
+        classes = (np.flatnonzero(parity == parity[0]), np.flatnonzero(parity != parity[0]))
+        positions = tuple(
+            np.concatenate([(classes[c][:, None] * d + classes[c ^ s]).ravel() for c in (0, 1)])
+            for s in (0, 1)
+        )
+        # each position's index within its sector
+        index = np.empty(d * d, dtype=int)
+        for p in positions:
+            index[p] = np.arange(len(p))
+        transposes = tuple(index[p % d * d + p // d] for p in positions)
+        even = positions[0]
+        return cls(
+            d, classes, positions, transposes, even % d > even // d, index[np.arange(d) * (d + 1)]
+        )
 
-def _transpose_perm(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """vec(X) -> vec(X^T) as an index map, and the vec positions (i, j) with
-    i > j, on column-stacked d x d matrices."""
-    idx = np.arange(d * d)
-    return idx.reshape(d, d).T.reshape(-1), idx % d > idx // d
+    def parts(self, n: int) -> Parts:
+        """The sector of harmonic n as parts (J, I) (``_superoperator``):
+        the positions j d + i with j and i in the classes of q that make
+        q_i q_j = (-1)^n."""
+        s = n % 2
+        return [(self.classes[c], self.classes[c ^ s]) for c in (0, 1)]
 
+    def sector(self, n: int) -> np.ndarray:
+        """The positions rho_n and rho_{-n} hold."""
+        return self.positions[n % 2]
 
-def _hermitian_coords(x: np.ndarray, k_rho: int) -> np.ndarray:
-    """Real coordinates of a J-invariant stacked vector."""
-    nb = 2 * k_rho + 1
-    blocks = x.reshape(nb, -1)
-    _, lower = _transpose_perm(math.isqrt(blocks.shape[1]))
-    out = np.empty((nb, blocks.shape[1]))
-    out[0] = np.where(lower, blocks[k_rho].imag, blocks[k_rho].real)
-    out[1::2] = blocks[k_rho + 1 :].real
-    out[2::2] = blocks[k_rho + 1 :].imag
-    return out.reshape(-1)
+    def span(self, n: int) -> slice:
+        """The coordinates of harmonic n >= 0."""
+        even, odd = (len(p) for p in self.positions)
+        start = 0 if n == 0 else even + 2 * (odd * (n // 2) + even * ((n - 1) // 2))
+        return slice(start, start + (even if n == 0 else 2 * len(self.sector(n))))
 
+    def size(self, k: int) -> int:
+        """The number of real coordinates of the harmonics |n| <= k."""
+        return self.span(k).stop
 
-def _from_hermitian_coords(r: np.ndarray, k_rho: int) -> np.ndarray:
-    """The J-invariant stacked vector with real coordinates ``r``."""
-    nb = 2 * k_rho + 1
-    coords = r.reshape(nb, -1)
-    perm, lower = _transpose_perm(math.isqrt(coords.shape[1]))
-    h = coords[0]
-    h_lower = np.where(lower, h, 0.0)
-    blocks = np.empty(coords.shape, dtype=complex)
-    blocks[k_rho] = np.where(lower, h[perm], h) + 1j * (h_lower - h_lower[perm])
-    blocks[k_rho + 1 :] = coords[1::2] + 1j * coords[2::2]
-    blocks[:k_rho] = blocks[: k_rho : -1, perm].conj()
-    return blocks.reshape(-1)
+    def project(self, c: np.ndarray, n: int, out: np.ndarray) -> None:
+        """Add the real coordinates of output harmonic n, from its entries
+        on the sector (axis 0 of ``c``; each column alike), to ``out``."""
+        if n == 0:
+            lower = self.lower.reshape(-1, *(1,) * (c.ndim - 1))
+            out += np.where(lower, c.imag, c.real)
+        else:
+            out[: len(c)] += c.real
+            out[len(c) :] += c.imag
+
+    def embed(self, mat: np.ndarray, m: int) -> np.ndarray:
+        """mat E_m: ``mat`` acting on the sector of input harmonic m, taken
+        onto the real coordinates of rho_{|m|} that make rho_m.  rho_m for
+        m < 0 is rho_{|m|}^dag, which reads the transpose."""
+        t = self.transposes[m % 2]
+        if m > 0:
+            return np.concatenate([mat, 1j * mat], axis=1)
+        if m < 0:
+            return np.concatenate([mat[:, t], -1j * mat[:, t]], axis=1)
+        # coordinate (i, j) of rho_0 enters at (i, j) and (j, i): with
+        # factors 1 and 1 above the diagonal, i and -i below it, 1 on it
+        mt = mat[:, t]
+        out = mat + mt
+        out[:, self.lower] = 1j * (mat[:, self.lower] - mt[:, self.lower])
+        out[:, self.trace] = mat[:, self.trace]
+        return out
+
+    def harmonic(self, r: np.ndarray, n: int) -> np.ndarray:
+        """rho_n, n >= 0, column-stacked, from coordinates ``r`` that reach
+        harmonic n; zero off its sector."""
+        pos = self.sector(n)
+        c = r[self.span(n)]
+        v = np.zeros(self.dim**2, dtype=complex)
+        if n == 0:
+            t = self.transposes[0]
+            c_lower = np.where(self.lower, c, 0.0)
+            v[pos] = np.where(self.lower, c[t], c) + 1j * (c_lower - c_lower[t])
+        else:
+            v[pos] = c[: len(pos)] + 1j * c[len(pos) :]
+        return v
+
+    def expand(self, r: np.ndarray, k: int) -> np.ndarray:
+        """The stacked harmonics |n| <= k with coordinates ``r``, shape
+        (2 k + 1, d^2), rho_{-n} = rho_n^dag."""
+        d = self.dim
+        blocks = np.empty((2 * k + 1, d * d), dtype=complex)
+        for n in range(k + 1):
+            blocks[k + n] = self.harmonic(r, n)
+        perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
+        blocks[:k] = blocks[:k:-1, perm].conj()
+        return blocks
+
+    def restrict(self, blocks: np.ndarray, k: int) -> np.ndarray:
+        """The coordinates of stacked harmonics |n| <= k (shape
+        (2 k + 1, d^2)); their entries off the sectors are dropped."""
+        out = np.zeros(self.size(k))
+        for n in range(k + 1):
+            self.project(blocks[k + n, self.sector(n)], n, out[self.span(n)])
+        return out
 
 
 def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
-    """The block system in the real Hermitian basis, built from each L_q
-    once, in Fortran order, so LAPACK factors it in place.
+    """The block system on the real coordinates (``Coordinates``), built
+    from each L_q once, in Fortran order, so LAPACK factors it in place.
 
     Block L_q maps input harmonic m to output harmonic n = m + q, and only
-    n >= 0 is kept.  Row coordinate Re y or Im y takes Re(w L_q) with w = 1
-    or -i, so (Re, Im)(w L_q) is (Re L_q, Im L_q) or (Im L_q, -Re L_q).
-    Coordinate Re rho_m enters harmonic m with factor 1 and Im rho_m with i;
-    harmonic -m holds rho_m^dag, so it reads the transpose (L_q with
-    permuted columns, taken once per q) with factors 1 and -i.  Every part
-    is added into the system in place, through views of Re and Im L_q."""
-    d = liouv.dim
-    d2 = d * d
-    big = np.zeros(((2 * k_rho + 1) * d2,) * 2, order="F")
-    perm, lower = _transpose_perm(d)
-    diag = _trace_cols(d, 0)
-
-    def add(rows: slice, where: bool | np.ndarray, minus_i: bool, m: int) -> None:
-        # the rows ``where`` selects take Re(w L_q), w = -i if minus_i else 1,
-        # on the real columns of harmonic m, from the loop's lq and lp
-        def parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # (Re(w mat), +-Im(w mat)), the sign - for w = -i
-            return (mat.imag, mat.real) if minus_i else (mat.real, mat.imag)
-
-        x, y = parts(lq if m >= 0 else lp)
-        if m == 0:
-            # coordinate (i, j) of rho_0 enters at (i, j) and (j, i): with
-            # factors 1 and 1 above the diagonal, i and -i below it
-            xp, yp = parts(lp)
-            t = x + xp
-            t[:, diag] = x[:, diag]
-            np.subtract(*((y, yp) if minus_i else (yp, y)), out=t, where=lower)
-            view = big[rows, :d2]
-            np.add(view, t, out=view, where=where)
-            return
-        c = (2 * abs(m) - 1) * d2
-        head, tail = big[rows, c : c + d2], big[rows, c + d2 : c + 2 * d2]
-        np.add(head, x, out=head, where=where)
-        # Im rho_m enters with i, so tail takes -Im(w L_q); Im rho_{-m} with -i
-        (np.subtract if (m > 0) != minus_i else np.add)(tail, y, out=tail, where=where)
-
+    n >= 0 is kept: its rows are the coordinates of the output on sector n,
+    ``project`` of L_q restricted to the sectors of n and m, ``embed``-ded
+    onto the coordinates of rho_{|m|}."""
+    cm = liouv.coords
+    big = np.zeros((cm.size(k_rho),) * 2, order="F")
     for q in liouv.no_jump:
         rows = range(max(0, q - k_rho), min(k_rho, k_rho + q) + 1)
         if not rows:
             continue
-        # in the same (Fortran) order as big, so each block adds in cache order
-        lq = liouv.component(q)
-        # input harmonics m = n - q <= 0 read the transpose
-        lp = lq[:, perm] if rows[0] <= q else None
+        # L_q between the sectors, one block per parity of the output
+        parities = {n % 2 for n in rows}
+        blocks = {s: liouv.component(q, cm.parts(s), cm.parts(s - q)) for s in parities}
         for n in rows:
-            if n == 0:
-                # rho_0's Hermitian coordinates: Re above the diagonal, Im below
-                add(slice(0, d2), ~lower[:, None], False, -q)
-                add(slice(0, d2), lower[:, None], True, -q)
-            else:
-                r = (2 * n - 1) * d2
-                add(slice(r, r + d2), True, False, n - q)
-                add(slice(r + d2, r + 2 * d2), True, True, n - q)
+            m = n - q
+            cm.project(cm.embed(blocks[n % 2], m), n, big[cm.span(n), cm.span(abs(m))])
     # -i n w rho_n: Re y_n gains n w Im rho_n, Im y_n loses n w Re rho_n
     for n in range(1, k_rho + 1):
-        re = (2 * n - 1) * d2 + np.arange(d2)
-        big[re, re + d2] += n * liouv.omega_L
-        big[re + d2, re] -= n * liouv.omega_L
+        span = cm.span(n)
+        re = np.arange(span.start, span.stop - len(cm.sector(n)))
+        im = re + len(cm.sector(n))
+        big[re, im] += n * liouv.omega_L
+        big[im, re] -= n * liouv.omega_L
     return big
 
 
 def _real_factor(liouv: CountingLiouvillian, k_rho: int) -> tuple[np.ndarray, np.ndarray]:
     """The LU of ``_real_block_system`` with the trace border in place of
-    the real (0, 0) row: an exact solve of the bordered k_rho system in the
-    real Hermitian basis."""
+    the real row 0: an exact solve of the bordered k_rho system on the real
+    coordinates.  A pivot at most N eps of the largest, N the system size,
+    means the system is singular to working precision: more than one
+    steady state.  (Whether such a pivot comes out exactly 0 depends on the
+    rounding of the elimination.)"""
     from scipy.linalg import LinAlgWarning, lu_factor
 
     big = _real_block_system(liouv, k_rho)
-    # rho_0's diagonal leads the real basis, so its trace border is k_rho = 0's
-    diag = _trace_cols(liouv.dim, 0)
-    big[diag[0], :] = 0.0
-    big[diag[0], diag] = 1.0
+    big[0, :] = 0.0
+    big[0, liouv.coords.trace] = 1.0
     with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            return lu_factor(big, overwrite_a=True, check_finite=False)
-        except LinAlgWarning as exc:
-            raise DegenerateSteadyStateError(
-                f"bordered system is singular ({exc}): more than one steady state"
-            ) from exc
+        # an exact zero pivot is judged below, with the rest
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(big, overwrite_a=True, check_finite=False)
+    pivots = np.abs(lu.diagonal())
+    if not pivots.min() > len(pivots) * np.finfo(float).eps * pivots.max():
+        raise DegenerateSteadyStateError(
+            f"bordered system is singular (smallest pivot {pivots.min() / pivots.max():.1e} "
+            "of the largest): more than one steady state"
+        )
+    return lu, piv
 
 
 def _block_action(liouv: CountingLiouvillian, k_rho: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -504,29 +645,43 @@ def _block_action(liouv: CountingLiouvillian, k_rho: int) -> Callable[[np.ndarra
 
 
 def _residual(
-    act: Callable[[np.ndarray], np.ndarray], d: int, k_rho: int, vec: np.ndarray
+    act: Callable[[np.ndarray], np.ndarray], k_rho: int, blocks: np.ndarray
 ) -> float:
     """Relative residual of the original (singular) block system rows, with
-    ``act`` the system's action."""
-    res = act(vec)
-    res[_trace_cols(d, k_rho)[0]] = 0.0
-    return float(np.linalg.norm(res) / np.linalg.norm(vec))
+    ``act`` the system's action, at the stacked harmonics ``blocks``."""
+    res = act(blocks.reshape(-1)).reshape(blocks.shape)
+    res[k_rho, 0] = 0.0  # rho_0's (0, 0) entry, the bordered row
+    return float(np.linalg.norm(res) / np.linalg.norm(blocks))
 
 
-def _memory_guard(d: int, k_rho: int, k_in: int) -> None:
+# what the centre and block factors of a route may hold: the whole real
+# system on ``lu``, the ``gmres`` preconditioner
+DENSE_BYTES_LIMIT = 2_500_000_000
+
+
+def _route_bytes(liouv: CountingLiouvillian, k_rho: int, k_in: int) -> tuple[int, int]:
+    """The bytes of every factor the route with exact centre |n| <= k_in
+    holds, and its limit: the real centre on its parity sectors,
+    ``coords.size(k_in)`` unknowns, at 8 B per entry of that sector system,
+    and one complex d^2 x d^2 block per outer harmonic
+    n = k_in + 1..k_rho at 16 B.  The limit is DENSE_BYTES_LIMIT, 2.5 GB,
+    when the centre is the whole system (``lu``) and ARRAY_BYTES_LIMIT,
+    1.5 GB, for the ``gmres`` preconditioner."""
+    centre = liouv.coords.size(k_in) if k_in >= 0 else 0
+    need = centre * centre * 8 + (k_rho - k_in) * liouv.dim**4 * 16
+    return need, DENSE_BYTES_LIMIT if k_in == k_rho else ARRAY_BYTES_LIMIT
+
+
+def _memory_guard(liouv: CountingLiouvillian, k_rho: int, k_in: int) -> None:
     """Refuse a route before anything is allocated, so oversized problems
-    fail cleanly instead of thrashing.  It counts every factor the route
-    holds: the real centre |n| <= k_in at 8 B per entry, and one complex
-    d^2 x d^2 block per outer harmonic n = k_in + 1..k_rho at 16 B.  The
-    limit is 2.5 GB when the centre is the whole system (``lu``) and
-    ARRAY_BYTES_LIMIT, 1.5 GB, for the ``gmres`` preconditioner."""
-    centre = max(0, 2 * k_in + 1) * d * d
-    need = centre * centre * 8 + (k_rho - k_in) * d**4 * 16
-    if k_in == k_rho:
-        limit, what = 2_500_000_000, f"dense block system of size {centre}"
-    else:
-        limit, what = ARRAY_BYTES_LIMIT, "gmres preconditioner"
+    fail cleanly instead of thrashing, by the count of ``_route_bytes``."""
+    need, limit = _route_bytes(liouv, k_rho, k_in)
     if need > limit:
+        what = (
+            f"dense block system of size {liouv.coords.size(k_rho)}"
+            if k_in == k_rho
+            else "gmres preconditioner"
+        )
         raise SteadyStateError(
             f"{what} would need {need / 1e9:.1f} GB (n_fock too large); reduce the problem size"
         )
@@ -535,25 +690,29 @@ def _memory_guard(d: int, k_rho: int, k_in: int) -> None:
 def _forward_sweep(
     liouv: CountingLiouvillian, k_rho: int, k_in: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Block lower-triangular preconditioner of the bordered system in the
-    real Hermitian basis: one forward Gauss-Seidel sweep over |n|.
+    """Block lower-triangular preconditioner of the bordered system on the
+    real coordinates (``Coordinates``): one forward Gauss-Seidel sweep over
+    |n|.
 
     The centre goes first.  For k_in >= 0 the harmonics |n| <= k_in, a
-    prefix of the coordinates, are solved by the LU of the bordered k_in
-    system, which ``_real_factor`` builds here; for k_in = -1, rho_0 gets
-    the complex LU of the bordered L_0, applied to the Hermitian rho_0.
-    Each outer harmonic n = k_in + 1..k_rho then solves the complex LU of
-    its diagonal block L_0 - i n w on Re + i Im of its two coordinate blocks
-    minus sum_{|m| < n} L_{n-m} rho_m, from the harmonics already solved,
-    with rho_{-m} = rho_m^dag.  Only L_q with q = 1..2 n - 1 enter.  Their
-    ``stacks`` are taken once, before the factors, so each coupling is the
-    ``sandwich`` of two stacked products summed over q.  The last block LU
-    is taken in L_0's own buffer, so the centre and the k_rho - k_in block
-    factors are all that is held."""
+    prefix of the coordinates, are solved by the real LU of the bordered
+    k_in system on its sectors, which ``_real_factor`` builds here; for
+    k_in = -1, rho_0 gets the complex LU of the bordered L_0, applied to the
+    Hermitian rho_0.  Each outer harmonic n = k_in + 1..k_rho then solves
+    the complex d^2 x d^2 LU of its diagonal block L_0 - i n w on rho_n
+    from its coordinates minus sum_{|m| < n} L_{n-m} rho_m, from the
+    harmonics already solved, with rho_{-m} = rho_m^dag, and keeps the
+    solution's coordinates: every block takes and returns sector vectors
+    through the map.  Only L_q with q = 1..2 n - 1 enter.  Their ``stacks``
+    are taken once, before the factors, so each coupling is the ``sandwich``
+    of two stacked products summed over q.  The last block LU is taken in
+    L_0's own buffer, so the centre and the k_rho - k_in block factors are
+    all that is held."""
     from scipy.linalg import lu_factor, lu_solve
 
     d = liouv.dim
     d2 = d * d
+    cm = liouv.coords
     outer = range(k_in + 1, k_rho + 1)
 
     # stacks over q = reach..1, descending, so row n meets its rho_m, m
@@ -577,40 +736,38 @@ def _forward_sweep(
     factors = {}
     if outer:
         l0 = liouv.component(0)
-        tr0 = _trace_cols(d, 0)
+        diag = np.arange(d) * (d + 1)
         for n in outer:
             # the last one is factored in L_0's own buffer
             block = l0 if n == outer[-1] else l0.copy(order="F")
             block.flat[:: d2 + 1] -= 1j * n * liouv.omega_L
             if n == 0:
-                block[tr0[0], :] = 0.0
-                block[tr0[0], tr0] = 1.0
+                block[0, :] = 0.0
+                block[0, diag] = 1.0
             factors[n] = lu_factor(block, overwrite_a=True, check_finite=False)
 
     def precond(r: np.ndarray) -> np.ndarray:
-        out = np.empty_like(r)
-        blocks, out_blocks = r.reshape(-1, d2), out.reshape(-1, d2)
+        out = np.zeros_like(r)
         # rho[m + k_rho] = rho_m as a matrix, filled as the sweep goes
         rho = np.empty((2 * k_rho + 1, d, d), dtype=complex)
         if central is not None:
-            c = (2 * k_in + 1) * d2
+            c = cm.size(k_in)
             out[:c] = lu_solve(central, r[:c], check_finite=False)
-            centre = _from_hermitian_coords(out[:c], k_in).reshape(-1, d, d)
+            centre = cm.expand(out[:c], k_in).reshape(-1, d, d)
             rho[k_rho - k_in : k_rho + k_in + 1] = centre.transpose(0, 2, 1)
         for n, factor in factors.items():
-            if n == 0:
-                rho0 = lu_solve(factor, _from_hermitian_coords(blocks[0], 0), check_finite=False)
-                out_blocks[0] = _hermitian_coords(rho0, 0)
-                rho[k_rho] = _from_hermitian_coords(out_blocks[0], 0).reshape(d, d).T
-                continue
-            rhs = blocks[2 * n - 1] + 1j * blocks[2 * n]
-            if reach:
+            rhs = cm.harmonic(r, n)
+            if reach and n > 0:
                 # column-stacked: vec index j d + i holds element (i, j)
                 rhs -= coupling(rho, n).T.reshape(-1)
             rho_n = lu_solve(factor, rhs, check_finite=False)
-            out_blocks[2 * n - 1], out_blocks[2 * n] = rho_n.real, rho_n.imag
-            rho[k_rho + n] = rho_n.reshape(d, d).T
-            rho[k_rho - n] = rho_n.reshape(d, d).conj()
+            cm.project(rho_n[cm.sector(n)], n, out[cm.span(n)])
+            # the solution as its coordinates hold it: on its sector, and
+            # Hermitian for n = 0
+            rho_n = cm.harmonic(out, n).reshape(d, d)
+            rho[k_rho + n] = rho_n.T
+            if n > 0:
+                rho[k_rho - n] = rho_n.conj()
         return out
 
     return precond
@@ -619,16 +776,17 @@ def _forward_sweep(
 def _solve_bordered(
     liouv: CountingLiouvillian, k_rho: int, k_in: int
 ) -> tuple[np.ndarray, float, int]:
-    """The bordered block system in the real Hermitian basis, solved under
-    the forward-sweep preconditioner (``_forward_sweep``).
+    """The bordered block system on the real coordinates (``Coordinates``),
+    solved under the forward-sweep preconditioner (``_forward_sweep``).
 
-    The unknowns are the real coordinates of the harmonics n >= 0
-    (``_hermitian_coords``), with the trace border on coordinate 0.  k_in
-    names the exact centre |n| <= k_in: k_rho on the ``lu`` route, 1 on
-    ``gmres`` for a single reservoir, -1 (none) for two; the positivity
-    probe passes its base route's k_in.  ``_memory_guard`` runs first,
-    before anything is allocated.  With k_in = k_rho the preconditioned
-    right-hand side is the solution.
+    The unknowns are the real coordinates of the harmonics n >= 0 on their
+    parity sectors, (2 k_rho + 1) d^2 / 2 of them when Q has as many +1 as
+    -1, with the trace border on coordinate 0.  k_in names the exact centre
+    |n| <= k_in: k_rho on the ``lu`` route, 1 on ``gmres`` for a single
+    reservoir, -1 (none) for two; the positivity probe passes its base
+    route's k_in.  ``_memory_guard`` runs first, before anything is
+    allocated.  With k_in = k_rho the preconditioned right-hand side is the
+    solution.
     Otherwise one full-memory GMRES cycle runs on the matrix-free system
     action (``_block_action``, sampled in time before the block factors are
     taken), from the preconditioned right-hand side: the sweep leaves out
@@ -637,17 +795,17 @@ def _solve_bordered(
     undamped mode is cooled only by drive sidebands, which couple rho_0
     through rho_{+-1} alone, so with rho_0 alone exact GMRES stalls near
     residual 3e-3 (or the centre is singular), and with |n| <= 1 it
-    converges in a few iterations.
+    converges in a few iterations.  A stall names ``lu`` as the direct
+    route only where its guard would let it run.
     Returns (real coordinates, relative residual of the original system,
     GMRES iterations).
     """
     from scipy.sparse.linalg import LinearOperator, gmres
 
-    d = liouv.dim
-    d2 = d * d
-    size = (2 * k_rho + 1) * d2
+    cm = liouv.coords
+    size = cm.size(k_rho)
 
-    _memory_guard(d, k_rho, k_in)
+    _memory_guard(liouv, k_rho, k_in)
     # the small time samples and couplings go before the large factors: made
     # after them, they raised the peak RSS by heap placement
     act = _block_action(liouv, k_rho)
@@ -657,13 +815,11 @@ def _solve_bordered(
     rhs[0] = 1.0
     x0 = precond(rhs)
     if k_in == k_rho:
-        return x0, _residual(act, d, k_rho, _from_hermitian_coords(x0, k_rho)), 0
-
-    tr0 = _trace_cols(d, 0)
+        return x0, _residual(act, k_rho, cm.expand(x0, k_rho)), 0
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        out = _hermitian_coords(act(_from_hermitian_coords(x, k_rho)), k_rho)
-        out[0] = x[tr0].sum()
+        out = cm.restrict(act(cm.expand(x, k_rho).reshape(-1)).reshape(2 * k_rho + 1, -1), k_rho)
+        out[0] = x[cm.trace].sum()
         return out
 
     iterations = 0
@@ -679,30 +835,37 @@ def _solve_bordered(
         op, rhs, x0=x0, M=pre, rtol=1e-13, atol=0.0, maxiter=1, restart=min(180, size),
         callback=count, callback_type="pr_norm",
     )
-    residual = _residual(act, d, k_rho, _from_hermitian_coords(vec, k_rho))
+    residual = _residual(act, k_rho, cm.expand(vec, k_rho))
     if not residual <= 1e-10:
         # generators with very slow modes (e.g. an undamped mode cooled only
         # through drive sidebands) defeat the sweep unless the harmonics that
         # couple them are exact; a non-finite residual fails here too
-        raise SteadyStateError(
-            f"preconditioned GMRES stalled (code {code}, residual {residual:.2e}); "
+        need, limit = _route_bytes(liouv, k_rho, k_rho)
+        direct = (
             "solver.method=lu is the direct route"
+            if need <= limit
+            else f"solver.method=lu would need {need / 1e9:.1f} GB, above its "
+            f"{limit / 1e9:.1f} GB limit"
+        )
+        raise SteadyStateError(
+            f"preconditioned GMRES stalled (code {code}, residual {residual:.2e}); {direct}"
         )
     return vec, residual, iterations
 
 
 def _periodic_state(
-    coords: np.ndarray, k_rho: int, d: int, omega_L: float
+    liouv: CountingLiouvillian, coords: np.ndarray, k_rho: int
 ) -> tuple[PeriodicOperator, float]:
     """Trace-normalized harmonics from the real coordinates of a solution,
     with the off-harmonic trace defect."""
-    coords = coords / coords[_trace_cols(d, 0)].sum()
-    blocks = _from_hermitian_coords(coords, k_rho).reshape(2 * k_rho + 1, d, d)
+    d, cm = liouv.dim, liouv.coords
+    coords = coords / coords[cm.trace].sum()
+    blocks = cm.expand(coords, k_rho).reshape(2 * k_rho + 1, d, d)
     # column-stacking: vec index j*d + i holds element (i, j)
     rho = {n - k_rho: m.T.copy() for n, m in enumerate(blocks)}
     trace_defect = max((float(abs(np.trace(rho[n]))) for n in range(1, k_rho + 1)), default=0.0)
     pruned = {n: m for n, m in rho.items() if n == 0 or np.max(np.abs(m)) > 1e-16}
-    return PeriodicOperator(harmonics=pruned, omega_L=omega_L), trace_defect
+    return PeriodicOperator(harmonics=pruned, omega_L=liouv.omega_L), trace_defect
 
 
 def _min_eigenvalue(rho: PeriodicOperator) -> float:
@@ -728,7 +891,7 @@ def _positivity_message(
     head = f"reconstructed rho(t) has negative eigenvalue {min_eig:.3e}"
     try:
         coords, _, _ = _solve_bordered(liouv, k_rho + 2, k_in)
-        rho, _ = _periodic_state(coords, k_rho + 2, liouv.dim, liouv.omega_L)
+        rho, _ = _periodic_state(liouv, coords, k_rho + 2)
     except SteadyStateError as exc:
         return f"{head}; cause unknown, the k_rho={k_rho + 2} probe failed ({exc})"
     moved = _min_eigenvalue(rho)
@@ -775,17 +938,20 @@ def steady_state(
     "gmres" (the same solve under a forward sweep over |n| with one block
     factor per outer harmonic, ``_forward_sweep``, iterated on the system's
     action in time, the count in ``SteadyStateInfo.iterations``), or "auto"
-    (lu up to DENSE_SIZE_LIMIT unknowns, gmres above).  On a
-    single-reservoir generator gmres takes k_in = 1: the harmonics
-    |n| <= 1 by the real LU lu would take at k_rho = 1, block factors for
-    n >= 2 only; on two reservoirs k_in = -1, no centre.  One memory guard
-    (``_memory_guard``) counts the route's factors before anything is
-    allocated: 2.5 GB on lu, 1.5 GB on gmres.  Each call runs only the
-    route picked: a gmres solve that stalls or meets its memory guard fails
-    with that one cause; any other ``method`` is a ValueError.  An exactly
-    singular bordered system means more than one steady state.  Every route
-    yields the real Hermitian coordinates of the state, so
-    rho_{-n} = rho_n^dag holds exactly; the returned harmonics are
+    (lu up to DENSE_SIZE_LIMIT complex unknowns, (2 k_rho + 1) d^2, gmres
+    above).  On a single-reservoir generator gmres takes k_in = 1: the
+    harmonics |n| <= 1 by the real LU lu would take at k_rho = 1, block
+    factors for n >= 2 only; on two reservoirs k_in = -1, no centre.  One
+    memory guard (``_memory_guard``) counts the route's factors before
+    anything is allocated: 2.5 GB on lu, 1.5 GB on gmres.  Each call runs
+    only the route picked: a gmres solve that stalls or meets its memory
+    guard fails with that one cause; any other ``method`` is a ValueError.
+    A real bordered LU with a pivot at most N eps of its largest means more
+    than one steady state (``_real_factor``).
+    Every route solves for the real coordinates of the state on its parity
+    sectors (``Coordinates``), their count in ``SteadyStateInfo.unknowns``,
+    so rho_{-n} = rho_n^dag and Q rho_n Q = (-1)^n rho_n hold exactly; the
+    returned harmonics are
     trace-normalized, and the off-harmonic trace (at most TRACE_TOL),
     positivity of rho(t) and the residual of the block equation (at most
     1e-8) are checked, a nan failing each.  A generator with nan or inf
@@ -810,13 +976,14 @@ def steady_state(
     k_in = k_rho if method == "lu" else min(1, k_rho) if len(liouv.channels) == 1 else -1
     coords, residual, iterations = _solve_bordered(liouv, k_rho, k_in)
 
-    result, trace_defect = _periodic_state(coords, k_rho, d, liouv.omega_L)
+    result, trace_defect = _periodic_state(liouv, coords, k_rho)
     min_eig = _min_eigenvalue(result)
 
     info = SteadyStateInfo(
         method=method,
         k_rho=k_rho,
         size=size,
+        unknowns=liouv.coords.size(k_rho),
         residual=residual,
         iterations=iterations,
         trace_defect=trace_defect,

@@ -163,6 +163,18 @@ def build_supersystem_fourier(spec: SupersystemSpec) -> PeriodicOperator:
     return PeriodicOperator(harmonics=harmonics, omega_L=spec.omega_L)
 
 
+def parity(spec: SupersystemSpec) -> np.ndarray:
+    """The +-1 diagonal of the half-period parity Q, sigma_z (x) 1 for the
+    sinusoidal coupling (laser cooling included) and sigma_z (x)
+    (-1)^{a^dag a} for the static one.  Every Hamiltonian harmonic obeys
+    Q H_k Q = (-1)^k H_k and each coupling operator Q S Q = +-S, so the
+    steady state obeys rho(t + T/2) = Q rho(t) Q."""
+    fock = np.ones(spec.n_fock)
+    if spec.coupling_form == STATIC_COLD:
+        fock = (-1.0) ** np.arange(spec.n_fock)
+    return np.kron([1.0, -1.0], fock)
+
+
 @dataclass(frozen=True)
 class CouplingOperators:
     """Static system operators appearing in the bath interactions."""

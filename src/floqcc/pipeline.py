@@ -54,6 +54,7 @@ from .model import (
     build_supersystem_fourier,
     cc_hamiltonian,
     fock_truncation_check,
+    parity,
 )
 from .modes import MODES
 from .thermo import ThermoReport, build_report, occupation_statistics
@@ -72,6 +73,7 @@ class Diagnostics:
     n_fock: int
     k_ext: int
     k_rho: int
+    unknowns: int  # real unknowns of the steady solve, on the parity sectors
     method: str
     residual: float
     iterations: int  # GMRES iterations of the steady solve, 0 on lu
@@ -105,11 +107,15 @@ class PointResult:
 def _n_fock_estimate(cfg: RunConfig, omega_cc: float, residual: Ohmic | None) -> int:
     """Thermal estimate of the ladder size whose top levels stay below the
     truncation threshold; the adaptive loop still raises it if the drive
-    heats the mode beyond this."""
+    heats the mode beyond this.  An occupation that diverges (beta * omega
+    underflows to 0) fails the point at the model stage."""
     # without a cold reservoir the mode thermalizes with the hot bath
     beta = cfg.beta_h if residual is None else cfg.beta_c
     x = beta * omega_cc
-    nbar = bose_occupation(omega_cc, beta) if x < 600 else 0.0
+    try:
+        nbar = bose_occupation(omega_cc, beta) if x < 600 else 0.0
+    except ValueError as exc:
+        raise PointFailure("model", str(exc)) from exc
     ratio = (nbar + 0.02) / (1.0 + nbar + 0.02)
     need = math.ceil(math.log(max(cfg.trunc_threshold, 1e-12) * 0.01) / math.log(ratio))
     return int(np.clip(need + 2, 2, cfg.n_fock_max))
@@ -218,7 +224,7 @@ def _generator_stage(cfg: RunConfig, spec: SupersystemSpec, floq: FloquetStage):
         )
     try:
         jumps = [decompose_operator(ch.coupling, floq.fs) for ch in channels]
-        return build_liouvillian(floq.h, floq.fs, channels, jumps)
+        return build_liouvillian(floq.h, floq.fs, channels, jumps, parity(spec))
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise PointFailure("generator", str(exc)) from exc
 
@@ -290,8 +296,8 @@ def _run_point(cfg: RunConfig) -> PointResult:
         liouv = _generator_stage(cfg, spec, floq)
         return spec, floq, liouv, _steady_stage(cfg, liouv, k_rho)
 
-    n_fock = max(cfg.n_fock, _n_fock_estimate(cfg, omega_cc, residual))
     try:
+        n_fock = max(cfg.n_fock, _n_fock_estimate(cfg, omega_cc, residual))
         while True:
             spec, floq, liouv, steady = chain(n_fock)
             trunc = fock_truncation_check(
@@ -342,6 +348,7 @@ def _run_point(cfg: RunConfig) -> PointResult:
         n_fock=n_fock,
         k_ext=floq.fs.k_ext,
         k_rho=info.k_rho,
+        unknowns=info.unknowns,
         method=info.method,
         residual=info.residual,
         iterations=info.iterations,

@@ -10,6 +10,7 @@ from floqcc.model import (
     SupersystemSpec,
     build_coupling_operators,
     build_supersystem_fourier,
+    parity,
 )
 
 # Fig. 2 caption parameters (units of omega0)
@@ -73,7 +74,7 @@ def build_pipeline_liouvillian(spec: SupersystemSpec, k_ext: int):
             BathChannel("cold", ops.s_cold_residual, spec.residual_bath, beta=spec.beta_c)
         )
         jumps.append(decompose_operator(ops.s_cold_residual, fs))
-    return h, fs, build_liouvillian(h, fs, channels, jumps)
+    return h, fs, build_liouvillian(h, fs, channels, jumps, parity(spec))
 
 
 def block_system_dense(liouv, k_rho: int) -> np.ndarray:

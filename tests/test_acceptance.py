@@ -29,6 +29,7 @@ from floqcc.model import (
     build_supersystem_fourier,
     cc_hamiltonian,
     number_operator,
+    parity,
 )
 from floqcc.oracles import SidebandParams, propagate, sideband_cooling_occupation
 from floqcc.pipeline import run_point, run_sweep, sweep_values
@@ -177,7 +178,7 @@ def test_criterion_3_generator_reconstruction():
         decompose_operator(ops.s_hot, fs),
         decompose_operator(ops.s_cold_residual, fs),
     ]
-    liouv = build_liouvillian(h, fs, channels, jumps)
+    liouv = build_liouvillian(h, fs, channels, jumps, parity(spec))
 
     d = h.dim
     eye = np.eye(d)

@@ -456,6 +456,17 @@ class TestFailedRows:
         header, row = csv.read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))["regime"] == "error"
 
+    def test_lasercool_diverging_occupation_is_a_failed_row(self, capsys):
+        # beta_h omega_cc underflows to 0 in the Fock-size estimate, before
+        # any stage runs: a [model] row, not a traceback
+        argv = ["lasercool", "--bath.cold.omega_res", "0.005", "--bath.beta_h", "5e-324",
+                "--sweep.steps", "1", "--solver.n_fock", "4"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: all 1 sweep points failed; first error: [model] occupation diverges "
+            "at omega = 0; use the limiting rate\n"
+        )
+
     def test_lasercool_failed_row_keeps_delta(self):
         # a cooled mode cannot be held in two Fock levels: cheap, certain failure
         cfg = replace(
@@ -595,6 +606,16 @@ class TestRefinementGates:
             iterations[method] = conv["iterations"]
         assert iterations["lu"] == 0
         assert iterations["gmres"] > 0
+
+    def test_unknowns_reach_json(self, tmp_path):
+        # the real unknowns of the steady solve, on the parity sectors: half
+        # the complex block system's (2 k_rho + 1) d^2
+        js = tmp_path / "out.json"
+        code = main(["steady", "--model.omegaL", "0.8", "--output.json", str(js)] + FAST_POINT)
+        assert code == 0
+        conv = json.loads(js.read_text())["rows"][0]["convergence"]
+        d = 2 * conv["n_fock"]
+        assert conv["unknowns"] == (2 * conv["k_rho"] + 1) * d * d // 2
 
     def test_lasercool_gmres_matches_lu(self):
         # solver.method=gmres on a single reservoir iterates around its exact

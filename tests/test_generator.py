@@ -9,8 +9,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from floqcc import generator
+from floqcc import generator, pipeline
 from floqcc.bath import Ohmic, StructuredPeak, bose_occupation
+from floqcc.config import RunConfig
 from floqcc.floquet import (
     FloquetSolution,
     build_quasienergy_operator,
@@ -35,6 +36,7 @@ from floqcc.model import (
     build_supersystem_fourier,
     cc_hamiltonian,
     number_operator,
+    parity,
 )
 from floqcc.oracles import propagate
 
@@ -55,6 +57,15 @@ def spre(x):
 
 def spost(x):
     return np.kron(x.T, np.eye(x.shape[0]))
+
+
+def bordered(big, d, k_rho):
+    """The stacked block system ``big`` with the trace border in place of
+    rho_0's (0, 0) row."""
+    diag = k_rho * d * d + np.arange(d) * (d + 1)
+    big[diag[0], :] = 0.0
+    big[diag[0], diag] = 1.0
+    return big
 
 
 class TestThermalRates:
@@ -166,6 +177,20 @@ class TestLiouvillianStructure:
         dense = block_system_dense(liouv, k_rho) @ x
         applied = generator._block_action(liouv, k_rho)(x)
         assert np.max(np.abs(applied - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("form", ["sinusoidal", "static"])
+    def test_component_restricts_to_sector_parts(self, form):
+        # L_q between two parity sectors, built from their parts alone, is
+        # the whole L_q at those rows and columns
+        spec = fig2_spec(0.75, n_fock=3, coupling_form=form)
+        _, _, liouv = build_pipeline_liouvillian(spec, k_ext=10)
+        cm = liouv.coords
+        for q in (0, 1, -2):
+            full = liouv.component(q)
+            for n in (0, 1):
+                sub = liouv.component(q, cm.parts(n), cm.parts(n - q))
+                expected = full[np.ix_(cm.sector(n), cm.sector(n - q))]
+                assert np.max(np.abs(sub - expected)) <= 1e-15 * np.max(np.abs(full))
 
     def test_evaluators_fill_missing_harmonics_with_zero_blocks(self):
         # the cold reservoir lacks harmonics q = -3, -1 and 2 that the hot one
@@ -289,7 +314,7 @@ class TestReconstructionOracle:
             decompose_operator(ops.s_hot, fs),
             decompose_operator(ops.s_cold_residual, fs),
         ]
-        liouv = build_liouvillian(h, fs, channels, jumps)
+        liouv = build_liouvillian(h, fs, channels, jumps, parity(spec))
 
         d = h.dim
         period = spec.period
@@ -365,6 +390,69 @@ class TestEquilibriumFixedPoints:
                 steady_state(liouv, method=method)
 
 
+class TestParity:
+    """The half-period parity Q: the generator keeps it, every route solves
+    on its sectors, and a generator that breaks it is refused."""
+
+    CASES = {
+        "fig2": lambda: fig2_spec(0.75, n_fock=4),
+        "static": lambda: fig2_spec(0.75, n_fock=4, coupling_form="static"),
+        "lasercool": lambda: lasercool_spec(-LASERCOOL["omega_cc"], n_fock=4),
+    }
+
+    @pytest.fixture(scope="class", params=list(CASES))
+    def case(self, request):
+        spec = self.CASES[request.param]()
+        return spec, build_pipeline_liouvillian(spec, k_ext=10)[2]
+
+    def test_states_keep_the_parity(self, case):
+        # Q rho_n Q = (-1)^n rho_n on every route
+        spec, liouv = case
+        signs = np.outer(parity(spec), parity(spec))
+        for method in ("lu", "gmres"):
+            rho, info = steady_state(liouv, k_rho=3, method=method)
+            assert info.unknowns == 7 * liouv.dim**2 // 2
+            for n, m in rho.harmonics.items():
+                assert np.max(np.abs(signs * m - (-1) ** n * m)) <= 1e-14
+
+    def test_routes_match_complex_oracle(self, case):
+        # both routes against the SVD null vector of the complex block
+        # system, which knows nothing of the sectors
+        _, liouv = case
+        oracle = null_space_state(liouv, 3)
+        for method in ("lu", "gmres"):
+            rho, _ = steady_state(liouv, k_rho=3, method=method)
+            for n in oracle.harmonics:
+                np.testing.assert_allclose(rho.component(n), oracle.component(n), atol=1e-10)
+
+    def test_wrong_parity_fails_with_the_part_named(self):
+        # the static coupling's Q on a sinusoidal model: sigma_x (a + a^dag)
+        # at q = +-1 is even under it, the drive sigma_x odd
+        spec = fig2_spec(0.75, n_fock=3)
+        h = build_supersystem_fourier(spec)
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        ops = build_coupling_operators(spec)
+        channels = [BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h)]
+        jumps = [decompose_operator(ops.s_hot, fs)]
+        wrong = parity(replace(spec, coupling_form="static"))
+        with pytest.raises(ValueError, match=r"parity Q in .*no-jump L_1, hot kernel q=1, "):
+            build_liouvillian(h, fs, channels, jumps, wrong)
+        # a coupling of no definite parity is named itself
+        mixed = [BathChannel("hot", ops.s_hot + ops.s_cold_residual, spec.hot_bath, spec.beta_h)]
+        jumps = [decompose_operator(mixed[0].coupling, fs)]
+        with pytest.raises(ValueError, match=r"parity Q in hot coupling, "):
+            build_liouvillian(h, fs, mixed, jumps, parity(spec))
+
+    def test_wrong_parity_is_a_generator_row(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "parity", lambda spec: np.ones(spec.dim))
+        point = pipeline.run_point(replace(RunConfig(), n_fock=4, convergence="off"))
+        # Q = 1: every odd harmonic breaks it, and only those
+        assert point.error.startswith(
+            "[generator] generator breaks the half-period parity Q in no-jump L_-1, "
+            "hot kernel q=-1, cold kernel q=-1, no-jump L_1, hot kernel q=1, cold kernel q=1: "
+        )
+
+
 class TestSteadyState:
     def test_methods_agree(self):
         spec = fig2_spec(0.75, n_fock=8)
@@ -417,7 +505,8 @@ class TestSteadyState:
     def test_stalled_gmres_fails_with_its_own_cause(self, monkeypatch):
         # a GMRES that takes no step stops at the block-preconditioned guess,
         # whose residual is far above 1e-10; the call fails with that one
-        # cause, and no direct factor is taken after it
+        # cause, and no direct factor is taken after it.  The message names
+        # lu as the direct route only where lu's guard would let it run
         def no_step(op, b, x0, **kwargs):
             return x0, 1
 
@@ -427,12 +516,16 @@ class TestSteadyState:
         _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=4), k_ext=10)
         monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_step)
         monkeypatch.setattr(generator, "_real_factor", no_direct)
+        stalled = r"^preconditioned GMRES stalled \(code 1, residual \S+\); "
+        direct = r"solver\.method=lu is the direct route$"
+        with pytest.raises(SteadyStateError, match=stalled + direct):
+            steady_state(liouv, method="gmres")
+        # d = 8: at k_rho = 280 lu would factor a real 17952^2 system, 2.6 GB
         with pytest.raises(
             SteadyStateError,
-            match=r"^preconditioned GMRES stalled \(code 1, residual \S+\); "
-            r"solver\.method=lu is the direct route$",
+            match=stalled + r"solver\.method=lu would need 2\.6 GB, above its 2\.5 GB limit$",
         ):
-            steady_state(liouv, method="gmres")
+            steady_state(liouv, k_rho=280, method="gmres")
 
     def test_lu_solves_without_gmres(self, monkeypatch):
         # lu is the bordered solve whose preconditioner is the dense factor
@@ -443,13 +536,10 @@ class TestSteadyState:
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=4), k_ext=10, k_rho=2)
         monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_gmres)
         rho, info = steady_state(liouv, k_rho=2, method="lu")
-        d = liouv.dim
         factor = generator._real_factor(liouv, 2)
-        rhs = np.zeros(5 * d * d)
+        rhs = np.zeros(liouv.coords.size(2))
         rhs[0] = 1.0  # the trace border, on the real coordinate 0
-        expected, _ = generator._periodic_state(
-            scipy.linalg.lu_solve(factor, rhs), 2, d, liouv.omega_L
-        )
+        expected, _ = generator._periodic_state(liouv, scipy.linalg.lu_solve(factor, rhs), 2)
         assert info.method == "lu"
         assert rho.harmonics.keys() == expected.harmonics.keys()
         for n, m in expected.harmonics.items():
@@ -482,15 +572,17 @@ class TestSteadyState:
         monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
         k_rho = 3
         _, info = steady_state(liouv, k_rho=k_rho, method="lu")
+        # the real coordinates of the parity sectors, half the complex size
         size = (2 * k_rho + 1) * liouv.dim**2
-        assert (info.method, info.size) == ("lu", size)
-        assert calls == [((size, size), np.dtype(np.float64))]
+        assert (info.method, info.size, info.unknowns) == ("lu", size, size // 2)
+        assert calls == [((size // 2, size // 2), np.dtype(np.float64))]
 
     @pytest.mark.parametrize("case", ["undamped", "fig2"])
     def test_real_null_space_matches_complex_oracle(self, case):
-        # J commutes with the block system, so its real Hermitian form has a
-        # null space of the complex one's dimension: 3 for the undamped mode
-        # of test_single_undamped_mode_is_degenerate, 1 for a Fig-2 point
+        # J and the half-period parity commute with the block system, so its
+        # real form on the parity sectors has a null space of the complex
+        # one's dimension: 3 for the undamped mode of
+        # test_single_undamped_mode_is_degenerate, 1 for a Fig-2 point
         if case == "undamped":
             spec = SupersystemSpec(
                 omega0=1.0, g=0.0, omega_L=0.7, omega_cc=0.3, n_fock=3, lambda0=0.0,
@@ -503,32 +595,30 @@ class TestSteadyState:
         k_rho = liouv.k_rho_estimate
         real = generator._real_block_system(liouv, k_rho)
         oracle = block_system_dense(liouv, k_rho)
-        assert real.dtype == np.float64 and real.shape == oracle.shape
+        assert real.dtype == np.float64 and 2 * real.shape[0] == oracle.shape[0]
         null = [a.shape[0] - np.linalg.matrix_rank(a) for a in (real, oracle)]
         assert null == [{"undamped": 3, "fig2": 1}[case]] * 2
 
     @pytest.mark.parametrize("k_rho", [1, 3])
     def test_real_solve_inverts_bordered_system(self, k_rho):
-        # the real Hermitian-basis solve of random real coordinates, checked
+        # the real solve of random coordinates on the parity sectors, checked
         # in the complex stacked form against the complex bordered system
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=3), k_ext=8)
-        d = liouv.dim
-        big = block_system_dense(liouv, k_rho)
-        tr = generator._trace_cols(d, k_rho)
-        big[tr[0], :] = 0.0
-        big[tr[0], tr] = 1.0
+        cm = liouv.coords
+        big = bordered(block_system_dense(liouv, k_rho), liouv.dim, k_rho)
         factor = generator._real_factor(liouv, k_rho)
-        r = np.random.default_rng(k_rho).normal(size=big.shape[0])
-        x = generator._from_hermitian_coords(scipy.linalg.lu_solve(factor, r), k_rho)
-        y = generator._from_hermitian_coords(r, k_rho)
+        r = np.random.default_rng(k_rho).normal(size=cm.size(k_rho))
+        x = cm.expand(scipy.linalg.lu_solve(factor, r), k_rho).reshape(-1)
+        y = cm.expand(r, k_rho).reshape(-1)
         assert np.linalg.norm(big @ x - y) <= 1e-12 * np.linalg.norm(y)
 
     @pytest.mark.parametrize("reservoirs", [2, 1])
     def test_forward_sweep_inverts_the_lower_block_triangle(self, reservoirs):
         # the preconditioner is the exact inverse of the bordered system's
-        # block lower triangle in |n|: the exact centre |n|, |m| <= k_in whole,
-        # then each row n's diagonal L_0 - i n w and its columns |m| < |n|,
-        # built here from the L_q blocks and checked in the complex stacked form
+        # block lower triangle in |n| on the parity sectors, where every
+        # GMRES vector lies: the exact centre |n|, |m| <= k_in whole, then
+        # each row n's diagonal L_0 - i n w and its columns |m| < |n|, built
+        # here from the L_q blocks and checked in the complex stacked form
         if reservoirs == 2:
             _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=3), k_ext=8)
             k_in = -1
@@ -549,22 +639,20 @@ class TestSteadyState:
         lower.flat[:: lower.shape[0] + 1] -= 1j * liouv.omega_L * np.repeat(
             np.arange(-k_rho, k_rho + 1), d2
         )
-        tr = generator._trace_cols(liouv.dim, k_rho)
-        lower[tr[0], :] = 0.0
-        lower[tr[0], tr] = 1.0
+        lower = bordered(lower, liouv.dim, k_rho)
         precond = generator._forward_sweep(liouv, k_rho, k_in)
-        r = np.random.default_rng(reservoirs).normal(size=lower.shape[0])
-        x = generator._from_hermitian_coords(precond(r), k_rho)
-        y = generator._from_hermitian_coords(r, k_rho)
+        cm = liouv.coords
+        r = np.random.default_rng(reservoirs).normal(size=cm.size(k_rho))
+        x = cm.expand(precond(r), k_rho).reshape(-1)
+        y = cm.expand(r, k_rho).reshape(-1)
         assert np.linalg.norm(lower @ x - y) <= 1e-10 * np.linalg.norm(y)
         # and it is not the whole system, whose other blocks GMRES supplies
-        full = block_system_dense(liouv, k_rho)
-        full[tr[0], :] = 0.0
-        full[tr[0], tr] = 1.0
+        full = bordered(block_system_dense(liouv, k_rho), liouv.dim, k_rho)
         assert np.linalg.norm(full @ x - y) > 1e-6 * np.linalg.norm(y)
 
     def test_gmres_runs_in_real_basis(self, monkeypatch):
-        # GMRES iterates on the real Hermitian coordinates of the harmonics
+        # GMRES iterates on the real coordinates of the harmonics on their
+        # parity sectors, half the complex size
         real_gmres = scipy.sparse.linalg.gmres
         calls = []
 
@@ -578,7 +666,7 @@ class TestSteadyState:
         _, info = steady_state(liouv, k_rho=k_rho, method="gmres")
         assert info.method == "gmres"
         assert info.iterations > 0
-        assert calls == [(np.dtype(np.float64), ((2 * k_rho + 1) * liouv.dim**2,))]
+        assert calls == [(np.dtype(np.float64), ((2 * k_rho + 1) * liouv.dim**2 // 2,))]
 
     def test_block_factors_hold_no_extra_block(self):
         # d = 36, k_rho = 2: one d^4 block (27 MB) outweighs GMRES's Krylov
@@ -631,15 +719,15 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("method", ["lu"])
     def test_dense_memory_guard(self, method, monkeypatch):
-        # d = 4: the real 17936^2 system at k_rho = 560, which lu factors,
-        # needs 2.6 GB; the guard refuses it before allocating anything, and
-        # nothing else runs
+        # d = 4: the real 17928^2 system on the parity sectors at
+        # k_rho = 1120, which lu factors, needs 2.6 GB; the guard refuses it
+        # before allocating anything, and nothing else runs
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=2), k_ext=6)
         self.forbid_building(monkeypatch)
         tracemalloc.start()
         try:
             with pytest.raises(SteadyStateError, match=r"would need 2\.6 GB"):
-                steady_state(liouv, k_rho=560, method=method)
+                steady_state(liouv, k_rho=1120, method=method)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -686,8 +774,8 @@ class TestSteadyState:
                 )
 
     def test_single_reservoir_gmres_has_exact_centre(self, lasercool, monkeypatch):
-        # the harmonics |n| <= 1 by one real LU of side 3 d^2, then one
-        # complex block LU for each n = 2..k_rho
+        # the harmonics |n| <= 1 by one real LU of side 3 d^2 / 2, on the
+        # parity sectors, then one complex block LU for each n = 2..k_rho
         real_lu_factor = scipy.linalg.lu_factor
         calls = []
 
@@ -700,7 +788,7 @@ class TestSteadyState:
         d2 = lasercool.dim**2
         _, info = steady_state(lasercool, k_rho=k_rho, method="gmres")
         assert info.method == "gmres"
-        assert calls == [((3 * d2, 3 * d2), np.dtype(np.float64))] + [
+        assert calls == [((3 * d2 // 2, 3 * d2 // 2), np.dtype(np.float64))] + [
             ((d2, d2), np.dtype(np.complex128))
         ] * (k_rho - 1)
 
@@ -733,7 +821,7 @@ class TestSteadyState:
         )
 
     def test_single_reservoir_gmres_memory_guard(self, monkeypatch):
-        # d = 4: the |n| <= 1 centre (72 d^4 = 18432 B) and 366210 block
+        # d = 4: the |n| <= 1 centre (18 d^4 = 4608 B) and 366210 block
         # factors of 4096 B need 1.5 GB; the guard refuses them before the
         # centre is built, and nothing else runs
         _, _, liouv = build_pipeline_liouvillian(lasercool_spec(-5e-3, n_fock=2), k_ext=6)

@@ -16,6 +16,7 @@ from floqcc.model import (
     fock_op,
     fock_truncation_check,
     number_operator,
+    parity,
     qubit_op,
 )
 
@@ -130,6 +131,23 @@ class TestCouplingOperators:
             residual_bath=None,
         )
         assert build_coupling_operators(spec).s_cold_residual is None
+
+
+@pytest.mark.parametrize("form", ["sinusoidal", "static"])
+def test_parity_is_a_half_period_symmetry(form):
+    # Q H_k Q = (-1)^k H_k for every harmonic and Q S Q = +-S for each
+    # coupling, with Q the diagonal the model declares, half of it -1
+    spec = fig2_spec(0.75, n_fock=5, coupling_form=form)
+    q = parity(spec)
+    assert sorted(set(q)) == [-1.0, 1.0] and q.sum() == 0.0
+    signs = np.outer(q, q)
+    for k, hk in build_supersystem_fourier(spec).harmonics.items():
+        np.testing.assert_array_equal(signs * hk, (-1) ** k * hk)
+    ops = build_coupling_operators(spec)
+    # the hot coupling is odd; the cold one is even only when Q leaves the mode alone
+    np.testing.assert_array_equal(signs * ops.s_hot, -ops.s_hot)
+    cold_sign = 1 if form == "sinusoidal" else -1
+    np.testing.assert_array_equal(signs * ops.s_cold_residual, cold_sign * ops.s_cold_residual)
 
 
 class TestSpecValidation:
