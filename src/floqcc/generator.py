@@ -14,17 +14,18 @@ transition frequency:
 
     L_diss(t) rho = - S G1(t) rho + S rho G2(t) + G1(t) rho S - rho G2(t) S .
 
-Each L_q is stored as its no-jump pair plus the reservoir sandwiches,
+Each L_q is its no-jump pair plus the reservoir sandwiches,
 
     L_q rho = A_q rho + rho B_q + sum_nu (G1_{nu,q} rho S_nu + S_nu rho G2_{nu,q}),
     A_q = -i H_q - sum_nu S_nu G1_{nu,q},   B_q = i H_q - sum_nu G2_{nu,q} S_nu ,
 
-and every evaluator reads it through one grouping,
-``CountingLiouvillian.stacks`` ([A_q; G1_{nu,q}...] and [B_q, G2_{nu,q}...]
-per q), and one formula, ``CountingLiouvillian.sandwich``.  No
-superoperator matrix is kept; dense ones act on column-stacked vectors,
-vec(A X B) = (B^T kron A) vec(X), and each is built as one stacked matrix
-product, in Fortran order.
+stored as the two stacks every evaluator reads, ``CountingLiouvillian.left``
+([A_q; G1_{nu,q}...] per q) and ``right`` ([B_q, G2_{nu,q}...]), on the
+grid q = -support..support, and applied by one formula,
+``CountingLiouvillian.sandwich``; the parity and finiteness checks read
+them as one array of parts.  No superoperator matrix is kept; dense ones
+act on column-stacked vectors, vec(A X B) = (B^T kron A) vec(X), and each
+is built as one stacked matrix product, in Fortran order.
 
 The counting-field derivative keeps only the two sandwich terms with weights
 -D on the emission sandwich (S rho G2) and +D on the absorption sandwich
@@ -137,26 +138,17 @@ class BathChannel:
     beta: float
 
 
-@dataclass(frozen=True)
-class ChannelKernels:
-    """Harmonic components of a reservoir's rate-filtered kernels."""
-
-    coupling: np.ndarray
-    g1: dict[int, np.ndarray]
-    g2: dict[int, np.ndarray]
-    g1_prime: dict[int, np.ndarray]
-    g2_prime: dict[int, np.ndarray]
-
-
 def _channel_kernels(
     channel: BathChannel, amp: np.ndarray, fs: FloquetSolution
-) -> ChannelKernels:
+) -> tuple[int, np.ndarray]:
+    """Harmonics q = q_lo, q_lo + 1, ... of a reservoir's four rate-filtered
+    kernels, as (q_lo, g[q - q_lo, kind, d, d]) with kinds G1, G2, G1', G2',
+    over the range of the harmonics kept; empty when none is."""
     k = fs.k_ext
     # n_min..n_max: the lowest and highest harmonic holding a nonzero amplitude
+    # (0..0 when none does: the kernels are then zero, and none is kept)
     held = np.flatnonzero(np.any(amp != 0, axis=(1, 2))) - 2 * k
-    if held.size == 0:
-        return ChannelKernels(channel.coupling, {}, {}, {}, {})
-    n_min, n_max = int(held[0]), int(held[-1])
+    n_min, n_max = (int(held[0]), int(held[-1])) if held.size else (0, 0)
     amp = amp[n_min + 2 * k : n_max + 2 * k + 1]
 
     # per-harmonic weight matrices W_n[kind, r, r'] of the four kernels; rates
@@ -175,25 +167,38 @@ def _channel_kernels(
     np.matmul(v @ g, v.conj().transpose(0, 1, 3, 2), out=g)
     g = np.fft.fft(g, axis=0, norm="forward")
 
-    # prune the four kernels jointly; harmonic q sits at index q mod nt, and
-    # only the retained harmonics are kept in memory
+    # prune the four kernels jointly, harmonic q at index q mod nt: those
+    # below KERNEL_PRUNE of the largest are cut from the ends and zeroed
+    # inside; a nan or inf one, or a nan floor, keeps them for the check
     block_max = np.abs(g).max(axis=(1, 2, 3))
-    floor = KERNEL_PRUNE * block_max.max()
-    kept = [q for q in range(n_min - 2 * k, n_max + 2 * k + 1) if block_max[q % nt] > floor]
-    mats = [dict(zip(kept, ga)) for ga in g[[q % nt for q in kept]].transpose(1, 0, 2, 3)]
-    return ChannelKernels(channel.coupling, *mats)
+    qs = np.arange(n_min - 2 * k, n_max + 2 * k + 1)
+    kept = ~(block_max[qs % nt] <= KERNEL_PRUNE * block_max.max())
+    if not kept.any():
+        return 0, np.zeros((0, 4, fs.dim, fs.dim), dtype=complex)
+    first, last = np.flatnonzero(kept)[[0, -1]]
+    out = g[qs[first : last + 1] % nt]
+    out[~kept[first : last + 1]] = 0.0
+    return int(qs[first]), out
 
 
-def _k_rho_estimate(h: PeriodicOperator, kernels: dict[str, ChannelKernels]) -> int:
+def _parts(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The stacks of a generator (``CountingLiouvillian``) as one array
+    [side, q + support, part, i, j]: side 0 holds A_q, G1_{1,q}, ..., side 1
+    B_q, G2_{1,q}, ...; part 0 is the no-jump pair, part nu reservoir nu."""
+    nq, _, d = left.shape
+    return np.stack([left.reshape(nq, -1, d, d), right.reshape(nq, d, -1, d).transpose(0, 2, 1, 3)])
+
+
+def _k_rho_estimate(h: PeriodicOperator, parts: np.ndarray, couplings: list[np.ndarray]) -> int:
     """Harmonic count for the steady state: rho_n falls off roughly like
     (c / omega_L)^n with c the strength of the generator's oscillating
     part, so pick the smallest n with that estimate below 1e-8, between
     2 and 12; 1 when the generator has no oscillating part."""
     c = max([0.0] + [float(np.max(np.abs(m))) for q, m in h.harmonics.items() if q != 0])
-    for ker in kernels.values():
-        smax = float(np.max(np.abs(ker.coupling)))
-        for dd in (ker.g1, ker.g2):
-            c = max([c] + [smax * float(np.max(np.abs(m))) for q, m in dd.items() if q != 0])
+    # each reservoir's kernels G1_q and G2_q, q != 0, weighed by max|S_nu|
+    osc = np.delete(np.abs(parts[:, :, 1:]), parts.shape[1] // 2, axis=1)
+    for s, g in zip(couplings, osc.max(axis=(0, 1, 3, 4), initial=0.0)):
+        c = max(c, float(np.max(np.abs(s))) * float(g))
     if c == 0.0:
         return 1
     ratio = min(c / h.omega_L, 0.5)
@@ -203,24 +208,31 @@ def _k_rho_estimate(h: PeriodicOperator, kernels: dict[str, ChannelKernels]) -> 
 
 @dataclass(frozen=True)
 class CountingLiouvillian:
-    """Harmonic components of the generator, each as its no-jump pair
-    (A_q, B_q) plus the reservoir sandwiches, and of its counting-field
-    derivative for each reservoir.  Every evaluator of L_q groups them by
-    ``stacks`` and applies them by ``sandwich``.  ``k_rho_estimate`` is
-    the steady state's default harmonic count, and ``parity`` the +-1
-    diagonal of the half-period parity Q the generator keeps."""
+    """Harmonic components L_q of the generator, q = -support..support, as
+    the stacks every evaluator reads and ``sandwich`` applies:
+    ``left[q + support]`` = [A_q; G1_{1,q}; ...] ((R+1) d x d) and
+    ``right[q + support]`` = [B_q, G2_{1,q}, ...] (d x (R+1) d), reservoirs
+    in ``couplings`` order (S_nu by name), zero where a part lacks q.
+    ``derivatives[name]`` holds reservoir name's (G1'_q, G2'_q) on the same
+    grid, ``k_rho_estimate`` the steady state's default harmonic count, and
+    ``parity`` the +-1 diagonal of the half-period parity Q it keeps."""
 
-    no_jump: dict[int, tuple[np.ndarray, np.ndarray]]
-    channels: dict[str, ChannelKernels]
+    left: np.ndarray
+    right: np.ndarray
+    couplings: dict[str, np.ndarray]
+    derivatives: dict[str, np.ndarray]
     omega_L: float
-    dim: int
     k_rho_estimate: int
     parity: np.ndarray
 
-    @cached_property
+    @property
+    def dim(self) -> int:
+        return self.left.shape[2]
+
+    @property
     def support(self) -> int:
-        """Largest |q| with a nonzero harmonic component."""
-        return max((abs(q) for q in self.no_jump), default=0)
+        """Largest |q| with a stored harmonic component."""
+        return len(self.left) // 2
 
     @cached_property
     def coords(self) -> Coordinates:
@@ -228,21 +240,19 @@ class CountingLiouvillian:
         return Coordinates.of(self.parity)
 
     def stacks(self, qs: Collection[int]) -> tuple[np.ndarray, np.ndarray]:
-        """For each q in ``qs``, [A_q; G1_{1,q}; G1_{2,q}; ...] ((R+1) d x d)
-        and [B_q, G2_{1,q}, G2_{2,q}, ...] (d x (R+1) d), the reservoirs in
-        ``channels`` order, with a zero block where a part has no harmonic q."""
-        d = self.dim
-        width = (len(self.channels) + 1) * d
-        left = np.zeros((len(qs), width, d), dtype=complex)
-        right = np.zeros((len(qs), d, width), dtype=complex)
-        for i, q in enumerate(qs):
-            if q in self.no_jump:
-                left[i, :d], right[i, :, :d] = self.no_jump[q]
-            for j, ker in enumerate(self.channels.values(), 1):
-                if q in ker.g1:
-                    left[i, j * d : (j + 1) * d] = ker.g1[q]
-                    right[i, :, j * d : (j + 1) * d] = ker.g2[q]
+        """``left`` and ``right`` at each q in ``qs``, with zero blocks where
+        |q| > support (L_q = 0 there)."""
+        i = np.fromiter(qs, dtype=int) + self.support
+        outside = (i < 0) | (i >= len(self.left))
+        left, right = (np.take(m, i, axis=0, mode="clip") for m in (self.left, self.right))
+        left[outside] = right[outside] = 0.0
         return left, right
+
+    def part_names(self, mask: np.ndarray) -> list[str]:
+        """The names of the parts [q + support, part] (``_parts``) where
+        ``mask`` holds, by q, then by part."""
+        names = ["no-jump L_{q}"] + [f"{name} kernel q={{q}}" for name in self.couplings]
+        return [names[j].format(q=i - self.support) for i, j in np.argwhere(mask)]
 
     def sandwich(self, lt: np.ndarray, rt: np.ndarray) -> np.ndarray:
         """L_q rho = A_q rho + rho B_q + sum_nu (G1_{nu,q} rho S_nu +
@@ -251,8 +261,7 @@ class CountingLiouvillian:
         them (shapes (..., (R+1) d, d) and (..., d, (R+1) d))."""
         d = self.dim
         out = lt[..., :d, :] + rt[..., :d]
-        for i, ker in enumerate(self.channels.values(), 1):
-            s = ker.coupling
+        for i, s in enumerate(self.couplings.values(), 1):
             out += lt[..., i * d : (i + 1) * d, :] @ s + s @ rt[..., i * d : (i + 1) * d]
         return out
 
@@ -281,7 +290,7 @@ class CountingLiouvillian:
         left, right = (np.tensordot(w, m, axes=1) for m in self.stacks(weights))
         # X_r^T and Y_r^T of the four kinds of term, the no-jump pair as S = I's
         xt, yt = [], []
-        for i, s in enumerate([eye] + [ker.coupling for ker in self.channels.values()]):
+        for i, s in enumerate([eye, *self.couplings.values()]):
             xt += [s, right[:, i * d : (i + 1) * d]]
             yt += [left[i * d : (i + 1) * d].T, s.T]
         xt, yt = np.stack(xt, axis=-1), np.stack(yt, axis=1)
@@ -317,11 +326,9 @@ class CountingLiouvillian:
         return self.sandwich(left @ rho, rho @ right)
 
     def matrix_at_time(self, t: float) -> np.ndarray:
-        """Dense superoperator L(t) = sum_q exp(i q w t) L_q, in Fortran
-        order."""
-        return self._superoperator(
-            {q: np.exp(1j * q * self.omega_L * t) for q in self.no_jump}
-        )
+        """Dense superoperator L(t) = sum_q exp(i q w t) L_q, in Fortran order."""
+        qs = range(-self.support, self.support + 1)
+        return self._superoperator({q: np.exp(1j * q * self.omega_L * t) for q in qs})
 
 
 def build_liouvillian(
@@ -338,35 +345,39 @@ def build_liouvillian(
     Kernel harmonics below KERNEL_PRUNE of the largest one are dropped (the
     four kernels of a reservoir are pruned jointly, so they share their
     harmonics, which preserves exact trace annihilation of every retained
-    harmonic).  ``parity`` is the +-1 diagonal of the model's half-period
-    parity Q (``model.parity``); a generator that breaks it is a ValueError
-    naming the parts that do (``_parity_breaches``).
+    harmonic); a nan or inf one is kept, for ``steady_state`` to name.
+    ``parity`` is the +-1 diagonal of the model's half-period parity Q
+    (``model.parity``); a generator that breaks it is a ValueError naming
+    the parts that do (``_parity_breaches``).
     """
     if len(channels) != len(jumps):
         raise ValueError("need one jump decomposition per channel")
     if not channels:
         raise ValueError("at least one reservoir is required")
-    kernels: dict[str, ChannelKernels] = {}
-    for ch, jd in zip(channels, jumps):
-        if ch.name in kernels:
-            raise ValueError(f"duplicate channel name {ch.name!r}")
-        kernels[ch.name] = _channel_kernels(ch, jd, fs)
-    no_jump = {}
-    for q in sorted(set(h.harmonics).union(*(ker.g1 for ker in kernels.values()))):
-        hq = h.harmonics.get(q, np.zeros((h.dim, h.dim), dtype=complex))
-        a, b = -1j * hq, 1j * hq
-        for ker in kernels.values():
-            if q in ker.g1:
-                a -= ker.coupling @ ker.g1[q]
-                b -= ker.g2[q] @ ker.coupling
-        no_jump[q] = (a, b)
+    couplings = {ch.name: ch.coupling for ch in channels}
+    if len(couplings) < len(channels):
+        raise ValueError(f"duplicate channel name in {[ch.name for ch in channels]}")
+    kernels = [_channel_kernels(ch, jd, fs) for ch, jd in zip(channels, jumps)]
+    d = h.dim
+    support = max(h.max_harmonic, *(max(-lo, lo + len(g) - 1) for lo, g in kernels))
+    left = np.zeros((2 * support + 1, (len(channels) + 1) * d, d), dtype=complex)
+    right = np.zeros((len(left), d, left.shape[1]), dtype=complex)
+    for q, hq in h.harmonics.items():
+        left[q + support, :d] = -1j * hq
+        right[q + support, :, :d] = 1j * hq
+    # the stacks by slices: H first, then the reservoirs in order, each on
+    # its kept range of q
+    derivatives = {name: np.zeros((len(left), 2, d, d), dtype=complex) for name in couplings}
+    for j, ((name, s), (lo, g)) in enumerate(zip(couplings.items(), kernels), 1):
+        at = slice(lo + support, lo + support + len(g))
+        left[at, j * d : (j + 1) * d] = g[:, 0]
+        right[at, :, j * d : (j + 1) * d] = g[:, 1]
+        left[at, :d] -= s @ g[:, 0]
+        right[at, :, :d] -= g[:, 1] @ s
+        derivatives[name][at] = g[:, 2:]
+    k_rho = _k_rho_estimate(h, _parts(left, right), list(couplings.values()))
     liouv = CountingLiouvillian(
-        no_jump=no_jump,
-        channels=kernels,
-        omega_L=h.omega_L,
-        dim=h.dim,
-        k_rho_estimate=_k_rho_estimate(h, kernels),
-        parity=np.asarray(parity, dtype=float),
+        left, right, couplings, derivatives, h.omega_L, k_rho, np.asarray(parity, dtype=float)
     )
     bad = _parity_breaches(liouv)
     if bad:
@@ -393,25 +404,19 @@ def _parity_breaches(liouv: CountingLiouvillian) -> list[str]:
     entries off its sector are weighed like its term, G1 and G2 by
     max|S_nu|, against the largest part; a coupling S_nu of no definite
     parity is a breach of its own."""
-    d = liouv.dim
     signs = np.outer(liouv.parity, liouv.parity)
-    bad, sigmas = [], [1.0]
-    for name, ker in liouv.channels.items():
-        even, odd = (np.abs(ker.coupling[signs == p]).max(initial=0.0) for p in (1.0, -1.0))
+    bad, sigmas, weights = [], [1.0], [1.0]
+    for name, s in liouv.couplings.items():
+        even, odd = (np.abs(s[signs == p]).max(initial=0.0) for p in (1.0, -1.0))
         sigmas.append(1.0 if even >= odd else -1.0)
+        weights.append(max(even, odd))
         if min(even, odd) > PARITY_TOL * max(even, odd):
             bad.append(f"{name} coupling")
-    names = ["no-jump L_{q}"] + [f"{name} kernel q={{q}}" for name in liouv.channels]
-    weights = [1.0] + [np.abs(ker.coupling).max() for ker in liouv.channels.values()]
-    qs = list(liouv.no_jump)
-    left, right = liouv.stacks(qs)
     # |part| [side, q, part, i, j], each weighed like its term
-    parts = np.abs(np.stack([
-        left.reshape(len(qs), -1, d, d), right.reshape(len(qs), d, -1, d).transpose(0, 2, 1, 3)
-    ])) * np.reshape(weights, (-1, 1, 1))
-    sign = np.outer((-1.0) ** np.array(qs), sigmas)[..., None, None]
+    parts = np.abs(_parts(liouv.left, liouv.right)) * np.reshape(weights, (-1, 1, 1))
+    sign = np.outer((-1.0) ** np.arange(-liouv.support, liouv.support + 1), sigmas)[..., None, None]
     off = np.where(signs != sign, parts, 0.0).max(axis=(0, 3, 4))
-    return bad + [names[j].format(q=qs[i]) for i, j in np.argwhere(off > PARITY_TOL * parts.max())]
+    return bad + liouv.part_names(off > PARITY_TOL * parts.max())
 
 
 @dataclass(frozen=True)
@@ -567,7 +572,7 @@ def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
     onto the coordinates of rho_{|m|}."""
     cm = liouv.coords
     big = np.zeros((cm.size(k_rho),) * 2, order="F")
-    for q in liouv.no_jump:
+    for q in range(-liouv.support, liouv.support + 1):
         rows = range(max(0, q - k_rho), min(k_rho, k_rho + q) + 1)
         if not rows:
             continue
@@ -907,16 +912,12 @@ def _positivity_message(
 
 
 def _nonfinite_parts(liouv: CountingLiouvillian) -> list[str]:
-    """The generator parts that hold nan or inf: no-jump pairs (A_q, B_q)
-    and reservoir kernels (G1_q, G2_q), by harmonic q."""
-
-    def finite(*mats: np.ndarray) -> bool:
-        return all(np.isfinite(m).all() for m in mats)
-
-    bad = [f"no-jump L_{q}" for q, pair in liouv.no_jump.items() if not finite(*pair)]
-    for name, ker in liouv.channels.items():
-        bad += [f"{name} kernel q={q}" for q in ker.g1 if not finite(ker.g1[q], ker.g2[q])]
-    return bad
+    """The generator parts that hold nan or inf, by harmonic q: reservoir
+    kernels (G1_q, G2_q), and no-jump pairs (A_q, B_q) where no kernel of
+    their q does, since they are built from them."""
+    bad = ~np.isfinite(_parts(liouv.left, liouv.right)).all(axis=(0, 3, 4))
+    bad[:, 0] &= ~bad[:, 1:].any(axis=1)
+    return liouv.part_names(bad)
 
 
 DENSE_SIZE_LIMIT = 1200
@@ -973,7 +974,7 @@ def steady_state(
 
     # one reservoir: its slow modes couple rho_0 only through rho_{+-1}, so
     # gmres takes the harmonics |n| <= 1 as an exact centre
-    k_in = k_rho if method == "lu" else min(1, k_rho) if len(liouv.channels) == 1 else -1
+    k_in = k_rho if method == "lu" else min(1, k_rho) if len(liouv.couplings) == 1 else -1
     coords, residual, iterations = _solve_bordered(liouv, k_rho, k_in)
 
     result, trace_defect = _periodic_state(liouv, coords, k_rho)
@@ -1006,19 +1007,17 @@ def heat_current(liouv: CountingLiouvillian, rho: PeriodicOperator, name: str) -
     """Period average of Q_nu(t) = Tr{L'_nu(t) rho(t)}, positive when heat
     flows into the supersystem: the sum over kernel harmonics q of
     Tr{S rho_{-q} G2'_q} + Tr{G1'_q rho_{-q} S}."""
-    ker = liouv.channels.get(name)
-    if ker is None:
-        raise KeyError(f"no reservoir named {name!r}; have {sorted(liouv.channels)}")
-    s = ker.coupling
+    s = liouv.couplings.get(name)
+    if s is None:
+        raise KeyError(f"no reservoir named {name!r}; have {sorted(liouv.couplings)}")
+    qs = range(-liouv.support, liouv.support + 1)
+    g1p, g2p = liouv.derivatives[name].transpose(1, 0, 2, 3)
+    # the G2' terms, then the G1' terms, each as Tr{x rho_{-q} y}
     total = 0.0
-    for q, g2p in ker.g2_prime.items():
+    for q, (x, y) in zip([*qs, *qs], [(s, g) for g in g2p] + [(g, s) for g in g1p]):
         rn = rho.harmonics.get(-q)
         if rn is not None:
-            total += complex(np.trace(s @ rn @ g2p))
-    for q, g1p in ker.g1_prime.items():
-        rn = rho.harmonics.get(-q)
-        if rn is not None:
-            total += complex(np.trace(g1p @ rn @ s))
+            total += complex(np.trace(x @ rn @ y))
     return float(total.real)
 
 

@@ -249,7 +249,7 @@ def _steady_stage(cfg: RunConfig, liouv, k_rho: int | None) -> SteadyStage:
     except (SteadyStateError, np.linalg.LinAlgError) as exc:
         raise PointFailure("generator", str(exc)) from exc
     qbar_h = heat_current(liouv, rho, "hot")
-    qbar_c = heat_current(liouv, rho, "cold") if "cold" in liouv.channels else math.nan
+    qbar_c = heat_current(liouv, rho, "cold") if "cold" in liouv.couplings else math.nan
     return SteadyStage(rho, info, qbar_h, qbar_c)
 
 

@@ -85,7 +85,7 @@ def block_system_dense(liouv, k_rho: int) -> np.ndarray:
     size = (2 * k_rho + 1) * d2
     big = np.zeros((size, size), dtype=complex)
     big.flat[:: size + 1] = -1j * liouv.omega_L * np.repeat(np.arange(-k_rho, k_rho + 1), d2)
-    for q in liouv.no_jump:
+    for q in range(-liouv.support, liouv.support + 1):
         if abs(q) > 2 * k_rho:
             continue
         lq = liouv.component(q)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import floqcc
-from floqcc import pipeline
+from floqcc import generator, pipeline
 from floqcc.bath import Ohmic, StructuredPeak
 from floqcc.cli import CSV_COLUMNS, _build_parser, main, render_csv, render_json
 from floqcc.config import (
@@ -429,7 +429,7 @@ class TestFailedRows:
         def poisoned(cfg, spec, floq):
             liouv = real(cfg, spec, floq)
             if cfg.omegaL == 0.75:
-                next(iter(liouv.channels["hot"].g1.values()))[0, 0] = math.nan
+                liouv.left[liouv.support, liouv.dim, 0] = math.nan  # hot G1_0
             return liouv
 
         monkeypatch.setattr(pipeline, "_generator_stage", poisoned)
@@ -442,6 +442,29 @@ class TestFailedRows:
         assert second.ok, second.error
         row = self._row(first, "sweep")
         assert row["converged"] == "false"
+
+    @pytest.mark.parametrize("method, n_fock", [("lu", 3), ("gmres", 6)])
+    def test_nan_rate_is_a_failed_row(self, monkeypatch, method, n_fock):
+        # one nan among the hot reservoir's rates makes every hot kernel
+        # harmonic nan; the kernel prune keeps them, so the point fails
+        # naming them instead of solving without the reservoir
+        real = generator.thermal_rates
+        beta_h = RunConfig().beta_h
+
+        def poisoned(density, beta, delta):
+            gn, ge = real(density, beta, delta)
+            if beta == beta_h and np.ndim(gn):
+                gn = gn.copy()
+                gn.flat[0] = math.nan
+            return gn, ge
+
+        monkeypatch.setattr(generator, "thermal_rates", poisoned)
+        cfg = replace(RunConfig(), n_fock=n_fock, k_rho=2, convergence="off", method=method)
+        point = pipeline.run_point(cfg)
+        assert point.error.startswith(
+            "[generator] non-finite generator: nan or inf in hot kernel q="
+        ), point.error
+        assert "cold" not in point.error
 
     def test_generator_value_error_is_a_failed_row(self, tmp_path, capsys):
         # beta_h omega underflows to 0, so the hot occupation diverges while
@@ -845,15 +868,20 @@ class TestCLI:
         assert err.startswith("error: ") and cause in err
 
     def test_import_skips_quadrature(self):
-        # no solve uses scipy.integrate, which would dominate the import time;
-        # only the quadrature check of `map` and the time-domain oracles load it
+        # importing the package and its command line loads no scipy module,
+        # which would dominate the start-up time of every run: each solve
+        # imports what it needs at call time, and scipy.integrate only the
+        # quadrature check of `map` and the time-domain oracles
         src = str(Path(floqcc.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        probe = "import sys, floqcc, floqcc.cli; print('scipy.integrate' in sys.modules)"
+        probe = (
+            "import sys, floqcc, floqcc.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_numerical_failure_exit_1(self):
         # resonance lock at omegaL > omega0 cannot map the cold bath

@@ -20,7 +20,6 @@ from floqcc.floquet import (
 )
 from floqcc.generator import (
     BathChannel,
-    ChannelKernels,
     DegenerateSteadyStateError,
     SteadyStateError,
     build_liouvillian,
@@ -155,11 +154,11 @@ class TestLiouvillianStructure:
         d = liouv.dim
         eye = np.eye(d)
         for q in range(-liouv.support, liouv.support + 1):
-            a, b = liouv.no_jump[q]
-            expected = np.kron(eye, a) + np.kron(b.T, eye)
-            for ker in liouv.channels.values():
-                s = ker.coupling
-                expected += np.kron(s.T, ker.g1[q]) + np.kron(ker.g2[q].T, s)
+            (left,), (right,) = liouv.stacks([q])
+            expected = np.kron(eye, left[:d]) + np.kron(right[:, :d].T, eye)
+            for j, s in enumerate(liouv.couplings.values(), 1):
+                g1, g2 = left[j * d : (j + 1) * d], right[:, j * d : (j + 1) * d]
+                expected += np.kron(s.T, g1) + np.kron(g2.T, s)
             lq = liouv.component(q)
             assert lq.flags.f_contiguous
             assert np.max(np.abs(lq - expected)) <= 1e-14 * np.max(np.abs(expected))
@@ -193,33 +192,40 @@ class TestLiouvillianStructure:
                 assert np.max(np.abs(sub - expected)) <= 1e-15 * np.max(np.abs(full))
 
     def test_evaluators_fill_missing_harmonics_with_zero_blocks(self):
-        # the cold reservoir lacks harmonics q = -3, -1 and 2 that the hot one
-        # holds: every evaluator must read its terms there as zero
+        # the cold reservoir's blocks zeroed at harmonics q = -3, -1 and 2 that
+        # both reservoirs hold: every evaluator must read its terms there as
+        # zero, and read L_q = 0 for |q| > support
         _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=3), k_ext=8)
-        dropped = {-3, -1, 2}
-        cold = liouv.channels["cold"]
-        assert dropped <= cold.g1.keys() and dropped <= liouv.channels["hot"].g1.keys()
-        cold = ChannelKernels(
-            cold.coupling,
-            *({q: m for q, m in kind.items() if q not in dropped}
-              for kind in (cold.g1, cold.g2, cold.g1_prime, cold.g2_prime)),
-        )
-        liouv = replace(liouv, channels={**liouv.channels, "cold": cold})
-        d = liouv.dim
+        d, top = liouv.dim, liouv.support
+        assert list(liouv.couplings) == ["hot", "cold"]
+        dropped = [q + top for q in (-3, -1, 2)]
+        left, right = liouv.left.copy(), liouv.right.copy()
+        for j in (1, 2):
+            assert np.all(np.abs(left[dropped, j * d : (j + 1) * d]).max(axis=(1, 2)) > 0)
+        left[dropped, 2 * d :] = 0.0
+        right[dropped, :, 2 * d :] = 0.0
+        liouv = replace(liouv, left=left, right=right)
+        # q = -(support + 1) reads zero, not a wrapped-round q = support
+        beyond = liouv.stacks([-top - 1, top + 1])
+        assert not any(m.any() for m in beyond) and liouv.stacks([top])[0].any()
         x_rng = np.random.default_rng(5)
         x = x_rng.normal(size=(d, d)) + 1j * x_rng.normal(size=(d, d))
         eye = np.eye(d)
-        # the formula written out from the dicts, with q = +-4 held by no part
-        for q in range(-liouv.support - 1, liouv.support + 2):
-            a, b = liouv.no_jump.get(q, (np.zeros((d, d)),) * 2)
+        # the formula written out from the stored stacks, and zero at
+        # q = +-(support + 1), held by no part
+        for q in range(-top - 1, top + 2):
+            applied = liouv.apply_component(q, x)
+            if abs(q) > top:
+                assert not applied.any() and not liouv.component(q).any()
+                continue
+            lq, rq = left[q + top], right[q + top]
+            a, b = lq[:d], rq[:, :d]
             expected = a @ x + x @ b
             kron = np.kron(eye, a) + np.kron(b.T, eye)
-            for ker in liouv.channels.values():
-                if q in ker.g1:
-                    s = ker.coupling
-                    expected += ker.g1[q] @ x @ s + s @ x @ ker.g2[q]
-                    kron += np.kron(s.T, ker.g1[q]) + np.kron(ker.g2[q].T, s)
-            applied = liouv.apply_component(q, x)
+            for j, s in enumerate(liouv.couplings.values(), 1):
+                g1, g2 = lq[j * d : (j + 1) * d], rq[:, j * d : (j + 1) * d]
+                expected += g1 @ x @ s + s @ x @ g2
+                kron += np.kron(s.T, g1) + np.kron(g2.T, s)
             assert np.max(np.abs(applied - expected)) <= 1e-14 * np.max(np.abs(expected))
             assert np.max(np.abs(liouv.component(q) - kron)) <= 1e-14 * np.max(np.abs(kron))
         k_rho = 2
@@ -228,6 +234,50 @@ class TestLiouvillianStructure:
         dense = block_system_dense(liouv, k_rho) @ v
         applied = generator._block_action(liouv, k_rho)(v)
         assert np.max(np.abs(applied - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("form", ["sinusoidal", "static"])
+    def test_stacks_hold_the_generator_parts(self, form):
+        # the stored stacks against A_q = -i H_q - sum_nu S_nu G1_{nu,q},
+        # B_q = i H_q - sum_nu G2_{nu,q} S_nu and the kernel blocks, and the
+        # stored derivative kernels, built here from h and _channel_kernels
+        spec = fig2_spec(0.75, n_fock=3, coupling_form=form)
+        h = build_supersystem_fourier(spec)
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        ops = build_coupling_operators(spec)
+        channels = [
+            BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h),
+            BathChannel("cold", ops.s_cold_residual, spec.residual_bath, beta=spec.beta_c),
+        ]
+        jumps = [decompose_operator(ch.coupling, fs) for ch in channels]
+        liouv = build_liouvillian(h, fs, channels, jumps, parity(spec))
+        d = h.dim
+        zero = np.zeros((d, d))
+        kernels = [generator._channel_kernels(ch, amp, fs) for ch, amp in zip(channels, jumps)]
+
+        def kernel(i, q, kind):
+            lo, g = kernels[i]
+            return g[q - lo, kind] if lo <= q < lo + len(g) else zero
+
+        reach = [abs(q) for lo, g in kernels for q in (lo, lo + len(g) - 1)]
+        assert liouv.support == max(reach + [abs(q) for q in h.harmonics])
+        peak = np.abs(liouv.left).max()
+        for q in range(-liouv.support - 1, liouv.support + 2):
+            hq = h.harmonics.get(q, zero)
+            g1 = [kernel(i, q, 0) for i in range(2)]
+            g2 = [kernel(i, q, 1) for i in range(2)]
+            a = -1j * hq - sum(ch.coupling @ g for ch, g in zip(channels, g1))
+            b = 1j * hq - sum(g @ ch.coupling for ch, g in zip(channels, g2))
+            (left,), (right,) = liouv.stacks([q])
+            np.testing.assert_allclose(left, np.concatenate([a, *g1]), rtol=0, atol=1e-15 * peak)
+            np.testing.assert_allclose(
+                right, np.concatenate([b, *g2], axis=1), rtol=0, atol=1e-15 * peak
+            )
+            if abs(q) <= liouv.support:
+                for i, ch in enumerate(channels):
+                    np.testing.assert_array_equal(
+                        liouv.derivatives[ch.name][q + liouv.support],
+                        [kernel(i, q, 2), kernel(i, q, 3)],
+                    )
 
     def test_channel_kernels_match_direct_sum(self):
         spec = fig2_spec(0.75, n_fock=3)
@@ -261,9 +311,9 @@ class TestLiouvillianStructure:
 def assert_kernels_match_direct_sum(ch, amp, fs, prune_rel=3e-12):
     """Kernel harmonics G_q = sum_{n + m' - m = q} V_m' W_n V_m^dag, summed
     term by term over the nonzero amplitudes, against ``_channel_kernels``:
-    the same retained q set and values within 1e-14 of the largest
-    harmonic."""
-    kernels = generator._channel_kernels(ch, amp, fs)
+    the same retained q set (the rest zero) and values within 1e-14 of the
+    largest harmonic."""
+    lo, got = generator._channel_kernels(ch, amp, fs)
     k = fs.k_ext
     d = fs.dim
     eps = fs.energies
@@ -290,10 +340,14 @@ def assert_kernels_match_direct_sum(ch, amp, fs, prune_rel=3e-12):
     block_max = np.abs(direct).max(axis=(0, 2, 3))
     peak = block_max.max()
     kept = [q_lo + i for i in np.nonzero(block_max > prune_rel * peak)[0]]
-    for a, got in enumerate((kernels.g1, kernels.g2, kernels.g1_prime, kernels.g2_prime)):
-        assert sorted(got) == kept
-        for q in kept:
-            assert np.max(np.abs(got[q] - direct[a, q - q_lo])) <= 1e-14 * peak
+    # the range of the kept harmonics, the others inside it zero
+    assert (lo, lo + len(got) - 1) == (kept[0], kept[-1])
+    for q in range(kept[0], kept[-1] + 1):
+        if q not in kept:
+            assert not got[q - lo].any()
+            continue
+        for a in range(4):
+            assert np.max(np.abs(got[q - lo, a] - direct[a, q - q_lo])) <= 1e-14 * peak
 
 
 class TestReconstructionOracle:
@@ -625,14 +679,14 @@ class TestSteadyState:
         else:
             _, _, liouv = build_pipeline_liouvillian(lasercool_spec(-0.005, n_fock=4), k_ext=8)
             k_in = 1
-        assert len(liouv.channels) == reservoirs
+        assert len(liouv.couplings) == reservoirs
         k_rho = 3
         d2 = liouv.dim**2
         lower = np.zeros(((2 * k_rho + 1) * d2,) * 2, dtype=complex)
         for n in range(-k_rho, k_rho + 1):
             for m in range(-k_rho, k_rho + 1):
                 centre = max(abs(n), abs(m)) <= k_in
-                if not (centre or abs(m) < abs(n) or m == n) or n - m not in liouv.no_jump:
+                if not (centre or abs(m) < abs(n) or m == n) or abs(n - m) > liouv.support:
                     continue
                 i, j = (n + k_rho) * d2, (m + k_rho) * d2
                 lower[i : i + d2, j : j + d2] = liouv.component(n - m)
@@ -953,18 +1007,19 @@ class TestHeatCurrents:
         """Q_nu = sum over q + n = 0 of Tr{S rho_n G2'_q} + Tr{G1'_q rho_n S}."""
         spec = fig2_spec(0.75, n_fock=8)
         h, fs, liouv, rho, info = solve_pipeline(spec, k_ext=12)
+        qs = range(-liouv.support, liouv.support + 1)
         for name in ("hot", "cold"):
-            ker = liouv.channels[name]
-            s = ker.coupling
+            s = liouv.couplings[name]
+            g1p, g2p = liouv.derivatives[name].transpose(1, 0, 2, 3)
             expected = 0.0
-            for q, g2p in ker.g2_prime.items():
+            for q, g in zip(qs, g2p):
                 for n, rn in rho.harmonics.items():
                     if q + n == 0:
-                        expected += np.trace(s @ rn @ g2p)
-            for q, g1p in ker.g1_prime.items():
+                        expected += np.trace(s @ rn @ g)
+            for q, g in zip(qs, g1p):
                 for n, rn in rho.harmonics.items():
                     if q + n == 0:
-                        expected += np.trace(g1p @ rn @ s)
+                        expected += np.trace(g @ rn @ s)
             got = heat_current(liouv, rho, name)
             assert abs(got - expected.real) <= 1e-15 * abs(expected.real)
 
