@@ -93,19 +93,15 @@ def build_quasienergy_operator(
             f"Sambe matrix at k_ext={k_ext} (side {side}) would need "
             f"{16 * side * side / 1e9:.1f} GB; reduce k_ext"
         )
-    big = np.zeros((side, side), dtype=complex)
-    for k, mat in h.harmonics.items():
-        # block row m, block column m-k  <->  F_k acting on the ladder index
-        for mcol in range(-k_ext, k_ext + 1):
-            mrow = mcol + k
-            if mrow < -k_ext or mrow > k_ext:
-                continue
-            i = (mrow + k_ext) * d
-            j = (mcol + k_ext) * d
-            big[i : i + d, j : j + d] += mat
-    for m in range(-k_ext, k_ext + 1):
-        i = (m + k_ext) * d
-        big[i : i + d, i : i + d] += m * omega_L * np.eye(d)
+    # [m_row, :, m_col, :]: block diagonal k holds H_k, m_row = m_col + k
+    n = 2 * k_ext + 1
+    big = np.zeros((n, d, n, d), dtype=complex)
+    m = np.arange(n)
+    for k, mat in enumerate(h.harmonics, -h.max_harmonic):
+        rows = m[max(k, 0) : n + min(k, 0)]
+        big[rows, :, rows - k] = mat
+    big[m, :, m] += np.multiply.outer((m - k_ext) * omega_L, np.eye(d))
+    big = big.reshape(side, side)
     return ExtendedOperator(matrix=big, k_ext=k_ext, dim_phys=d, omega_L=omega_L)
 
 

@@ -30,9 +30,10 @@ is built as one stacked matrix product, in Fortran order.
 The counting-field derivative keeps only the two sandwich terms with weights
 -D on the emission sandwich (S rho G2) and +D on the absorption sandwich
 (G1 rho S), so the heat current into the supersystem from reservoir nu is
-Q_nu(t) = Tr{S rho(t) G2'(t)} + Tr{G1'(t) rho(t) S}; ``heat_current`` returns
-its period average, the sum over harmonics q of
-Tr{S rho_{-q} G2'_q} + Tr{G1'_q rho_{-q} S}.  The principal-value
+Q_nu(t) = Tr{S rho(t) G2'(t)} + Tr{G1'(t) rho(t) S} = Tr{rho(t) J(t)}, with
+the current operator J = G2' S + S G1' (the derivative in the Heisenberg
+picture) stored by harmonic beside the stacks; ``heat_current`` returns its
+period average, the contraction sum_q Tr{rho_{-q} J_q}.  The principal-value
 (Lamb-shift) contribution is omitted.
 
 The periodic steady state, a ``PeriodicOperator`` of harmonics rho_n,
@@ -103,8 +104,8 @@ KERNEL_PRUNE = 3e-12
 
 def thermal_rates(density: SpectralDensity, beta: float, delta):
     """Absorption and emission rates (J N, J (1 + N)) at transition frequency
-    ``delta``, using the odd-extended spectral density: floats for a float
-    ``delta``, arrays of its shape for an array.
+    ``delta``, using the odd-extended spectral density: arrays of its shape,
+    0-d for a scalar.
 
     Both rates are continuous through delta = 0 with common limit
     slope(J)/beta, evaluated explicitly below DEGENERATE_DELTA where the
@@ -122,8 +123,6 @@ def thermal_rates(density: SpectralDensity, beta: float, delta):
     rising = delta > 0
     absorption = np.where(degenerate, limit, np.where(rising, lower, upper))
     emission = np.where(degenerate, limit, np.where(rising, upper, lower))
-    if delta.ndim == 0:
-        return float(absorption), float(emission)
     return absorption, emission
 
 
@@ -194,7 +193,7 @@ def _k_rho_estimate(h: PeriodicOperator, parts: np.ndarray, couplings: list[np.n
     (c / omega_L)^n with c the strength of the generator's oscillating
     part, so pick the smallest n with that estimate below 1e-8, between
     2 and 12; 1 when the generator has no oscillating part."""
-    c = max([0.0] + [float(np.max(np.abs(m))) for q, m in h.harmonics.items() if q != 0])
+    c = float(np.abs(np.delete(h.harmonics, h.max_harmonic, axis=0)).max(initial=0.0))
     # each reservoir's kernels G1_q and G2_q, q != 0, weighed by max|S_nu|
     osc = np.delete(np.abs(parts[:, :, 1:]), parts.shape[1] // 2, axis=1)
     for s, g in zip(couplings, osc.max(axis=(0, 1, 3, 4), initial=0.0)):
@@ -213,14 +212,15 @@ class CountingLiouvillian:
     ``left[q + support]`` = [A_q; G1_{1,q}; ...] ((R+1) d x d) and
     ``right[q + support]`` = [B_q, G2_{1,q}, ...] (d x (R+1) d), reservoirs
     in ``couplings`` order (S_nu by name), zero where a part lacks q.
-    ``derivatives[name]`` holds reservoir name's (G1'_q, G2'_q) on the same
-    grid, ``k_rho_estimate`` the steady state's default harmonic count, and
-    ``parity`` the +-1 diagonal of the half-period parity Q it keeps."""
+    ``currents[name][q + support]`` holds reservoir name's current operator
+    J_q = G2'_q S + S G1'_q on the same grid, ``k_rho_estimate`` the steady
+    state's default harmonic count, and ``parity`` the +-1 diagonal of the
+    half-period parity Q it keeps."""
 
     left: np.ndarray
     right: np.ndarray
     couplings: dict[str, np.ndarray]
-    derivatives: dict[str, np.ndarray]
+    currents: dict[str, np.ndarray]
     omega_L: float
     k_rho_estimate: int
     parity: np.ndarray
@@ -338,8 +338,8 @@ def build_liouvillian(
     jumps: list[np.ndarray],
     parity: np.ndarray,
 ) -> CountingLiouvillian:
-    """Assemble the harmonic generator components and their counting-field
-    derivatives from each reservoir's jump amplitudes amp[n + 2 k_ext, r, r']
+    """Assemble the harmonic generator components and each reservoir's
+    current operators from its jump amplitudes amp[n + 2 k_ext, r, r']
     (``decompose_operator``), and the steady state's k_rho estimate.
 
     Kernel harmonics below KERNEL_PRUNE of the largest one are dropped (the
@@ -358,26 +358,25 @@ def build_liouvillian(
     if len(couplings) < len(channels):
         raise ValueError(f"duplicate channel name in {[ch.name for ch in channels]}")
     kernels = [_channel_kernels(ch, jd, fs) for ch, jd in zip(channels, jumps)]
-    d = h.dim
-    support = max(h.max_harmonic, *(max(-lo, lo + len(g) - 1) for lo, g in kernels))
+    d, k = h.dim, h.max_harmonic
+    support = max(k, *(max(-lo, lo + len(g) - 1) for lo, g in kernels))
     left = np.zeros((2 * support + 1, (len(channels) + 1) * d, d), dtype=complex)
     right = np.zeros((len(left), d, left.shape[1]), dtype=complex)
-    for q, hq in h.harmonics.items():
-        left[q + support, :d] = -1j * hq
-        right[q + support, :, :d] = 1j * hq
     # the stacks by slices: H first, then the reservoirs in order, each on
     # its kept range of q
-    derivatives = {name: np.zeros((len(left), 2, d, d), dtype=complex) for name in couplings}
+    left[support - k : support + k + 1, :d] = -1j * h.harmonics
+    right[support - k : support + k + 1, :, :d] = 1j * h.harmonics
+    currents = {name: np.zeros((len(left), d, d), dtype=complex) for name in couplings}
     for j, ((name, s), (lo, g)) in enumerate(zip(couplings.items(), kernels), 1):
         at = slice(lo + support, lo + support + len(g))
         left[at, j * d : (j + 1) * d] = g[:, 0]
         right[at, :, j * d : (j + 1) * d] = g[:, 1]
         left[at, :d] -= s @ g[:, 0]
         right[at, :, :d] -= g[:, 1] @ s
-        derivatives[name][at] = g[:, 2:]
+        currents[name][at] = g[:, 3] @ s + s @ g[:, 2]
     k_rho = _k_rho_estimate(h, _parts(left, right), list(couplings.values()))
     liouv = CountingLiouvillian(
-        left, right, couplings, derivatives, h.omega_L, k_rho, np.asarray(parity, dtype=float)
+        left, right, couplings, currents, h.omega_L, k_rho, np.asarray(parity, dtype=float)
     )
     bad = _parity_breaches(liouv)
     if bad:
@@ -592,29 +591,39 @@ def _real_block_system(liouv: CountingLiouvillian, k_rho: int) -> np.ndarray:
     return big
 
 
-def _real_factor(liouv: CountingLiouvillian, k_rho: int) -> tuple[np.ndarray, np.ndarray]:
-    """The LU of ``_real_block_system`` with the trace border in place of
-    the real row 0: an exact solve of the bordered k_rho system on the real
-    coordinates.  A pivot at most N eps of the largest, N the system size,
-    means the system is singular to working precision: more than one
-    steady state.  (Whether such a pivot comes out exactly 0 depends on the
-    rounding of the elimination.)"""
-    from scipy.linalg import LinAlgWarning, lu_factor
+def _bordered_factor(big: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LU of a bordered system ``big`` (real or complex, Fortran order),
+    taken in its own buffer and judged by LAPACK's estimate of its
+    reciprocal 1-norm condition number from the same factor: below N eps,
+    N the system size, the system is singular to working precision, so the
+    steady state is not unique.  (Small pivots alone miss such a null
+    space: which pivot comes out small depends on the rounding of the
+    elimination.)"""
+    from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
-    big = _real_block_system(liouv, k_rho)
-    big[0, :] = 0.0
-    big[0, liouv.coords.trace] = 1.0
+    lange, gecon = get_lapack_funcs(("lange", "gecon"), (big,))
+    norm = lange("1", big)
     with warnings.catch_warnings():
         # an exact zero pivot is judged below, with the rest
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(big, overwrite_a=True, check_finite=False)
-    pivots = np.abs(lu.diagonal())
-    if not pivots.min() > len(pivots) * np.finfo(float).eps * pivots.max():
+    rcond, _ = gecon(lu, norm)
+    if not rcond >= len(big) * np.finfo(float).eps:
         raise DegenerateSteadyStateError(
-            f"bordered system is singular (smallest pivot {pivots.min() / pivots.max():.1e} "
-            "of the largest): more than one steady state"
+            f"bordered system is singular (condition estimate {rcond:.1e}, below N eps = "
+            f"{len(big) * np.finfo(float).eps:.1e}): more than one steady state"
         )
     return lu, piv
+
+
+def _real_factor(liouv: CountingLiouvillian, k_rho: int) -> tuple[np.ndarray, np.ndarray]:
+    """The LU of ``_real_block_system`` with the trace border in place of
+    the real row 0: an exact solve of the bordered k_rho system on the real
+    coordinates, judged by ``_bordered_factor``."""
+    big = _real_block_system(liouv, k_rho)
+    big[0, :] = 0.0
+    big[0, liouv.coords.trace] = 1.0
+    return _bordered_factor(big)
 
 
 def _block_action(liouv: CountingLiouvillian, k_rho: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -703,16 +712,16 @@ def _forward_sweep(
     prefix of the coordinates, are solved by the real LU of the bordered
     k_in system on its sectors, which ``_real_factor`` builds here; for
     k_in = -1, rho_0 gets the complex LU of the bordered L_0, applied to the
-    Hermitian rho_0.  Each outer harmonic n = k_in + 1..k_rho then solves
-    the complex d^2 x d^2 LU of its diagonal block L_0 - i n w on rho_n
-    from its coordinates minus sum_{|m| < n} L_{n-m} rho_m, from the
-    harmonics already solved, with rho_{-m} = rho_m^dag, and keeps the
-    solution's coordinates: every block takes and returns sector vectors
-    through the map.  Only L_q with q = 1..2 n - 1 enter.  Their ``stacks``
-    are taken once, before the factors, so each coupling is the ``sandwich``
-    of two stacked products summed over q.  The last block LU is taken in
-    L_0's own buffer, so the centre and the k_rho - k_in block factors are
-    all that is held."""
+    Hermitian rho_0; ``_bordered_factor`` judges either centre.  Each
+    outer harmonic n = k_in + 1..k_rho then solves the complex d^2 x d^2
+    LU of its diagonal block L_0 - i n w on rho_n from its coordinates
+    minus sum_{|m| < n} L_{n-m} rho_m, from the harmonics already solved,
+    with rho_{-m} = rho_m^dag, and keeps the solution's coordinates: every
+    block takes and returns sector vectors through the map.  Only L_q with
+    q = 1..2 n - 1 enter.  Their ``stacks`` are taken once, before the
+    factors, so each coupling is the ``sandwich`` of two stacked products
+    summed over q.  The last block LU is taken in L_0's own buffer, so the
+    centre and the k_rho - k_in block factors are all that is held."""
     from scipy.linalg import lu_factor, lu_solve
 
     d = liouv.dim
@@ -749,7 +758,9 @@ def _forward_sweep(
             if n == 0:
                 block[0, :] = 0.0
                 block[0, diag] = 1.0
-            factors[n] = lu_factor(block, overwrite_a=True, check_finite=False)
+                factors[n] = _bordered_factor(block)
+            else:
+                factors[n] = lu_factor(block, overwrite_a=True, check_finite=False)
 
     def precond(r: np.ndarray) -> np.ndarray:
         out = np.zeros_like(r)
@@ -861,25 +872,20 @@ def _solve_bordered(
 def _periodic_state(
     liouv: CountingLiouvillian, coords: np.ndarray, k_rho: int
 ) -> tuple[PeriodicOperator, float]:
-    """Trace-normalized harmonics from the real coordinates of a solution,
-    with the off-harmonic trace defect."""
+    """Trace-normalized harmonics |n| <= k_rho from the real coordinates of
+    a solution, with the off-harmonic trace defect."""
     d, cm = liouv.dim, liouv.coords
     coords = coords / coords[cm.trace].sum()
-    blocks = cm.expand(coords, k_rho).reshape(2 * k_rho + 1, d, d)
     # column-stacking: vec index j*d + i holds element (i, j)
-    rho = {n - k_rho: m.T.copy() for n, m in enumerate(blocks)}
-    trace_defect = max((float(abs(np.trace(rho[n]))) for n in range(1, k_rho + 1)), default=0.0)
-    pruned = {n: m for n, m in rho.items() if n == 0 or np.max(np.abs(m)) > 1e-16}
-    return PeriodicOperator(harmonics=pruned, omega_L=liouv.omega_L), trace_defect
+    rho = cm.expand(coords, k_rho).reshape(2 * k_rho + 1, d, d).transpose(0, 2, 1).copy()
+    trace_defect = float(np.abs(np.trace(rho[k_rho + 1 :], axis1=1, axis2=2)).max(initial=0.0))
+    return PeriodicOperator(harmonics=rho, omega_L=liouv.omega_L), trace_defect
 
 
 def _min_eigenvalue(rho: PeriodicOperator) -> float:
     """Smallest eigenvalue of rho(t) over six times in the period."""
-    period = 2.0 * math.pi / rho.omega_L
-    return min(
-        float(np.linalg.eigvalsh(rho.at_time(f * period)).min())
-        for f in (0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 5.0 / 6.0)
-    )
+    times = np.arange(6) / 6.0 * (2.0 * math.pi / rho.omega_L)
+    return float(np.linalg.eigvalsh(rho.at_time(times)).min())
 
 
 def _positivity_message(
@@ -947,8 +953,9 @@ def steady_state(
     anything is allocated: 2.5 GB on lu, 1.5 GB on gmres.  Each call runs
     only the route picked: a gmres solve that stalls or meets its memory
     guard fails with that one cause; any other ``method`` is a ValueError.
-    A real bordered LU with a pivot at most N eps of its largest means more
-    than one steady state (``_real_factor``).
+    A bordered LU (the real centre, or the complex L_0 when k_in = -1)
+    whose condition estimate is below N eps means more than one steady
+    state (``_bordered_factor``).
     Every route solves for the real coordinates of the state on its parity
     sectors (``Coordinates``), their count in ``SteadyStateInfo.unknowns``,
     so rho_{-n} = rho_n^dag and Q rho_n Q = (-1)^n rho_n hold exactly; the
@@ -1004,21 +1011,17 @@ def steady_state(
 
 
 def heat_current(liouv: CountingLiouvillian, rho: PeriodicOperator, name: str) -> float:
-    """Period average of Q_nu(t) = Tr{L'_nu(t) rho(t)}, positive when heat
-    flows into the supersystem: the sum over kernel harmonics q of
-    Tr{S rho_{-q} G2'_q} + Tr{G1'_q rho_{-q} S}."""
-    s = liouv.couplings.get(name)
-    if s is None:
+    """Period average of Q_nu(t) = Tr{L'_nu(t) rho(t)} = Tr{rho(t) J_nu(t)},
+    positive when heat flows into the supersystem: the contraction
+    sum_q Tr{rho_{-q} J_q} with the reservoir's current operators
+    (``CountingLiouvillian.currents``)."""
+    if name not in liouv.couplings:
         raise KeyError(f"no reservoir named {name!r}; have {sorted(liouv.couplings)}")
-    qs = range(-liouv.support, liouv.support + 1)
-    g1p, g2p = liouv.derivatives[name].transpose(1, 0, 2, 3)
-    # the G2' terms, then the G1' terms, each as Tr{x rho_{-q} y}
-    total = 0.0
-    for q, (x, y) in zip([*qs, *qs], [(s, g) for g in g2p] + [(g, s) for g in g1p]):
-        rn = rho.harmonics.get(-q)
-        if rn is not None:
-            total += complex(np.trace(x @ rn @ y))
-    return float(total.real)
+    s, k = liouv.support, rho.max_harmonic
+    m = min(s, k)
+    # rho_{-q} J_q for q = -m..m, the harmonics both hold: rho's reversed
+    products = rho.harmonics[k - m : k + m + 1][::-1] @ liouv.currents[name][s - m : s + m + 1]
+    return float(np.trace(products, axis1=1, axis2=2).sum().real)
 
 
 def periodic_average_rate(
@@ -1029,12 +1032,11 @@ def periodic_average_rate(
     Vanishes for any observable when rho solves the harmonic block system
     exactly, so the magnitude measures solve quality.
     """
-    total = 0.0 + 0.0j
-    for q in range(-liouv.support, liouv.support + 1):
-        rn = rho.harmonics.get(-q)
-        if rn is None:
-            continue
-        total += np.trace(observable @ liouv.apply_component(q, rn))
+    m = min(liouv.support, rho.max_harmonic)
+    total = sum(
+        np.trace(observable @ liouv.apply_component(q, rho.component(-q)))
+        for q in range(-m, m + 1)
+    )
     return float(abs(total))
 
 

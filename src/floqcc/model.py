@@ -3,8 +3,8 @@ Hamiltonian and bath coupling operators as harmonic (Fourier) components.
 
 Tensor-order convention: qubit factor first, Fock factor second, so a full
 operator is kron(qubit_op, fock_op) and the Hilbert-space dimension is
-2 * n_fock.  Periodic operators are stored as {k: O_k} with
-O(t) = sum_k exp(i k omega_L t) O_k.
+2 * n_fock.  A periodic operator O(t) = sum_k exp(i k omega_L t) O_k is
+stored as its harmonics stacked on axis 0, centred on k = 0.
 """
 
 from __future__ import annotations
@@ -35,35 +35,36 @@ def fock_op(op: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PeriodicOperator:
-    """T-periodic matrix O(t) = sum_k exp(i k omega_L t) O_k."""
+    """T-periodic matrix O(t) = sum_k exp(i k omega_L t) O_k, its harmonics
+    stacked as ``harmonics[k + K]`` for k = -K..K."""
 
-    harmonics: dict[int, np.ndarray]
+    harmonics: np.ndarray
     omega_L: float
 
     @property
     def dim(self) -> int:
-        return next(iter(self.harmonics.values())).shape[0]
+        return self.harmonics.shape[1]
 
     @property
     def max_harmonic(self) -> int:
-        return max(abs(k) for k in self.harmonics)
+        """K, the largest |k| stored."""
+        return len(self.harmonics) // 2
 
     @property
     def average(self) -> np.ndarray:
         """Period average of O(t): the zero harmonic."""
-        return self.harmonics[0]
+        return self.harmonics[self.max_harmonic]
 
     def component(self, k: int) -> np.ndarray:
-        mat = self.harmonics.get(k)
-        if mat is None:
+        """O_k, zero for |k| > K."""
+        if abs(k) > self.max_harmonic:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        return mat
+        return self.harmonics[k + self.max_harmonic]
 
-    def at_time(self, t: float) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, mat in self.harmonics.items():
-            out += np.exp(1j * k * self.omega_L * t) * mat
-        return out
+    def at_time(self, t) -> np.ndarray:
+        """O(t), or the stack of O at each time of an array ``t``."""
+        k = np.arange(-self.max_harmonic, self.max_harmonic + 1)
+        return np.tensordot(np.exp(1j * self.omega_L * np.multiply.outer(t, k)), self.harmonics, 1)
 
 
 SINUSOIDAL_COLD = "sinusoidal"
@@ -144,11 +145,7 @@ def build_supersystem_fourier(spec: SupersystemSpec) -> PeriodicOperator:
     # of S_c and the 1/sqrt(2 omega_cc) of the mode displacement
     c = spec.lambda0 / (2.0 * math.sqrt(spec.omega0 * spec.omega_cc))
 
-    harmonics: dict[int, np.ndarray] = {}
-    if spec.coupling_form == STATIC_COLD:
-        harmonics[0] = h0 - c * sx_x
-    else:
-        harmonics[0] = h0
+    h0 = h0 - c * sx_x if spec.coupling_form == STATIC_COLD else h0
     drive = spec.g / 2.0 * qubit_op(SIGMA_X, nf)
     plus = drive.copy()
     minus = drive.copy()
@@ -156,9 +153,7 @@ def build_supersystem_fourier(spec: SupersystemSpec) -> PeriodicOperator:
         # -c * sin(w t) = -c (e^{iwt} - e^{-iwt}) / (2i) = (ic/2) e^{iwt} - (ic/2) e^{-iwt}
         plus = plus + 0.5j * c * sx_x
         minus = minus - 0.5j * c * sx_x
-    if np.any(plus):
-        harmonics[1] = plus
-        harmonics[-1] = minus
+    harmonics = np.stack([minus, h0, plus]) if np.any(plus) else h0[None]
     return PeriodicOperator(harmonics=harmonics, omega_L=spec.omega_L)
 
 

@@ -178,11 +178,7 @@ def bare_qubit_secular_steady(
     the collective-coordinate pipeline is compared against.
     """
     h = PeriodicOperator(
-        harmonics={
-            0: omega0 / 2.0 * SIGMA_Z,
-            1: g / 2.0 * SIGMA_X,
-            -1: g / 2.0 * SIGMA_X,
-        },
+        harmonics=np.stack([g / 2.0 * SIGMA_X, omega0 / 2.0 * SIGMA_Z, g / 2.0 * SIGMA_X]),
         omega_L=omega_L,
     )
     q = build_quasienergy_operator(h, omega_L, 16)

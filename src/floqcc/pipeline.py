@@ -81,7 +81,7 @@ class Diagnostics:
     completeness: float
     cc_flow_avg: float
     min_eigenvalue: float
-    rho_tail: list[float]  # max |rho_n| for n = 1..k_rho, 0.0 where pruned
+    rho_tail: list[float]  # max |rho_n| for n = 1..k_rho
     edge_weight: float  # ladder certificate of the accepted k_ext
     edge_residual: float
     # each smaller ladder tried first: k_ext, edge_weight, edge_residual
@@ -356,9 +356,7 @@ def _run_point(cfg: RunConfig) -> PointResult:
         completeness=floq.completeness,
         cc_flow_avg=cc_flow,
         min_eigenvalue=info.min_eigenvalue,
-        rho_tail=[
-            float(np.max(np.abs(rho.component(n)))) for n in range(1, info.k_rho + 1)
-        ],
+        rho_tail=np.abs(rho.harmonics[info.k_rho + 1 :]).max(axis=(1, 2)).tolist(),
         edge_weight=floq.fs.edge_weight,
         edge_residual=floq.fs.edge_residual,
         k_ext_trail=floq.trail,

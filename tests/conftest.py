@@ -104,9 +104,7 @@ def null_space_state(liouv, k_rho: int) -> PeriodicOperator:
     # column-stacking: vec index j*d + i of each block holds element (i, j)
     blocks = vec.reshape(2 * k_rho + 1, d, d).transpose(0, 2, 1)
     blocks = blocks / np.trace(blocks[k_rho])
-    return PeriodicOperator(
-        harmonics={n - k_rho: m for n, m in enumerate(blocks)}, omega_L=liouv.omega_L
-    )
+    return PeriodicOperator(harmonics=blocks, omega_L=liouv.omega_L)
 
 
 def solve_pipeline(spec: SupersystemSpec, k_ext: int, k_rho=None, method="auto"):

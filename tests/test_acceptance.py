@@ -315,8 +315,9 @@ def test_criterion_5_thermodynamic_laws(fig2_sweep):
     spec = fig2_spec(0.78, n_fock=8)
     _, _, _, rho, _ = solve_pipeline(spec, k_ext=12)
     tr_err = abs(np.trace(rho.average) - 1.0)
+    k = rho.max_harmonic
     off_tr = max(
-        abs(np.trace(rho.component(n))) for n in rho.harmonics if n != 0
+        abs(np.trace(rho.component(n))) for n in range(-k, k + 1) if n != 0
     )
 
     # no drive: the two heat flows must balance exactly

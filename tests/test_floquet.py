@@ -179,10 +179,9 @@ class TestSolveFloquet:
         # zero-padded modes (here K = 2 and complex harmonics)
         x_rng = np.random.default_rng(5)
         h1, h2 = (x_rng.normal(size=(3, 3)) + 1j * x_rng.normal(size=(3, 3)) for _ in range(2))
+        h0 = np.diag([0.0, 0.35, 0.8]).astype(complex)
         h = PeriodicOperator(
-            harmonics={0: np.diag([0.0, 0.35, 0.8]).astype(complex), 1: h1,
-                       -1: h1.conj().T, 2: h2, -2: h2.conj().T},
-            omega_L=0.7,
+            harmonics=np.stack([h2.conj().T, h1.conj().T, h0, h1, h2]), omega_L=0.7
         )
         k = 3
         modes = x_rng.normal(size=(4, 2 * k + 1, 3)) + 1j * x_rng.normal(size=(4, 2 * k + 1, 3))
@@ -274,7 +273,7 @@ def flux_loop_hamiltonian(omega_L=0.7):
         h0[i, j] = t
         h0[j, i] = np.conj(t)
     drive = 0.05 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-    return PeriodicOperator(harmonics={0: h0, 1: drive, -1: drive}, omega_L=omega_L)
+    return PeriodicOperator(harmonics=np.stack([drive, h0, drive]), omega_L=omega_L)
 
 
 class TestRealGauge:
@@ -348,10 +347,11 @@ class TestRealGauge:
 class TestTimeSamples:
     def test_matches_the_harmonic_sum(self):
         # harmonics q = -3..4 on nt = 8 samples, as many as harmonics: the
-        # tightest count that aliases none of them
+        # tightest count that aliases none of them; the operator holds them
+        # centred, q = -4..4, with q = -4 zero
         rng = np.random.default_rng(7)
         comps = rng.normal(size=(8, 3, 3)) + 1j * rng.normal(size=(8, 3, 3))
-        op = PeriodicOperator(dict(zip(range(-3, 5), comps)), omega_L=0.7)
+        op = PeriodicOperator(np.concatenate([np.zeros((1, 3, 3)), comps]), omega_L=0.7)
         got = floquet.time_samples(comps, -3, 8)
         period = 2.0 * math.pi / op.omega_L
         want = [op.at_time(j * period / 8) for j in range(8)]

@@ -7,6 +7,7 @@ from floqcc.bath import Ohmic
 from floqcc.model import (
     SIGMA_X,
     SIGMA_Z,
+    PeriodicOperator,
     SupersystemSpec,
     TruncationReport,
     build_coupling_operators,
@@ -39,6 +40,25 @@ def hamiltonian_time_domain(spec: SupersystemSpec, t: float) -> np.ndarray:
     return h - spec.lambda0 / math.sqrt(2.0 * spec.omega_cc) * s_c * coup
 
 
+class TestPeriodicOperator:
+    def test_matches_the_harmonic_sum(self):
+        # a random centred stack, K = 3: O_k for |k| <= K and zero beyond,
+        # O(t) the explicit sum at single times and at an array of them
+        x_rng = np.random.default_rng(3)
+        comps = x_rng.normal(size=(7, 4, 4)) + 1j * x_rng.normal(size=(7, 4, 4))
+        op = PeriodicOperator(comps, omega_L=0.7)
+        assert (op.max_harmonic, op.dim) == (3, 4)
+        np.testing.assert_array_equal(op.average, comps[3])
+        for k in range(-5, 6):
+            want = comps[k + 3] if abs(k) <= 3 else np.zeros((4, 4))
+            np.testing.assert_array_equal(op.component(k), want)
+        times = np.array([0.0, 0.4, 3.1, 8.0])
+        want = [sum(np.exp(1j * k * 0.7 * t) * comps[k + 3] for k in range(-3, 4)) for t in times]
+        np.testing.assert_allclose(op.at_time(times), want, rtol=0, atol=1e-14)
+        for t, w in zip(times, want):
+            np.testing.assert_allclose(op.at_time(t), w, rtol=0, atol=1e-14)
+
+
 class TestSupersystemFourier:
     def test_undriven_decoupled_limit(self):
         spec = SupersystemSpec(
@@ -47,7 +67,7 @@ class TestSupersystemFourier:
             residual_bath=Ohmic.from_slope(1e-4),
         )
         h = build_supersystem_fourier(spec)
-        assert set(h.harmonics) == {0}
+        assert h.max_harmonic == 0 and h.harmonics.shape == (1, 10, 10)
         a = destroy(5)
         expected = 0.5 * qubit_op(SIGMA_Z, 5) + 0.25 * fock_op(a.conj().T @ a)
         np.testing.assert_allclose(h.component(0), expected, atol=1e-15)
@@ -66,7 +86,7 @@ class TestSupersystemFourier:
         # max_k ||H_{-k} - H_k^dag||_max, zero for a Hermitian-periodic H(t)
         defect = max(
             float(np.max(np.abs(h.component(-k) - h.component(k).conj().T)))
-            for k in set(h.harmonics) | {-k for k in h.harmonics}
+            for k in range(-h.max_harmonic, h.max_harmonic + 1)
         )
         assert defect == 0.0
         np.testing.assert_array_equal(h.component(-1), h.component(1).conj().T)
@@ -141,7 +161,8 @@ def test_parity_is_a_half_period_symmetry(form):
     q = parity(spec)
     assert sorted(set(q)) == [-1.0, 1.0] and q.sum() == 0.0
     signs = np.outer(q, q)
-    for k, hk in build_supersystem_fourier(spec).harmonics.items():
+    h = build_supersystem_fourier(spec)
+    for k, hk in enumerate(h.harmonics, -h.max_harmonic):
         np.testing.assert_array_equal(signs * hk, (-1) ** k * hk)
     ops = build_coupling_operators(spec)
     # the hot coupling is odd; the cold one is even only when Q leaves the mode alone

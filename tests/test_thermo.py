@@ -142,7 +142,7 @@ def thermal_density(n_fock: int, n_mean: float) -> PeriodicOperator:
     p = (1 - x) * x ** np.arange(n_fock)
     p /= p.sum()
     rho = np.kron(np.diag([0.6, 0.4]), np.diag(p)).astype(complex)
-    return PeriodicOperator(harmonics={0: rho}, omega_L=1.0)
+    return PeriodicOperator(harmonics=rho[None], omega_L=1.0)
 
 
 class TestOccupationStatistics:
@@ -157,7 +157,7 @@ class TestOccupationStatistics:
         one[1] = 1.0
         rho = np.kron(np.diag([1.0, 0.0]), np.diag(one)).astype(complex)
         occ = occupation_statistics(
-            PeriodicOperator(harmonics={0: rho}, omega_L=1.0), 5
+            PeriodicOperator(harmonics=rho[None], omega_L=1.0), 5
         )
         assert occ.n_mean == pytest.approx(1.0, abs=1e-12)
         assert occ.n_var == pytest.approx(0.0, abs=1e-12)
