@@ -41,6 +41,14 @@ class PeriodicOperator:
     harmonics: np.ndarray
     omega_L: float
 
+    def __post_init__(self) -> None:
+        shape = np.shape(self.harmonics)
+        if len(shape) != 3 or shape[0] % 2 == 0 or shape[1] != shape[2]:
+            raise ValueError(
+                f"harmonics must be an odd number of square matrices centred on k = 0, "
+                f"got shape {shape}"
+            )
+
     @property
     def dim(self) -> int:
         return self.harmonics.shape[1]

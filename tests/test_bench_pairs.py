@@ -36,7 +36,7 @@ def checkouts(tmp_path):
 
 def fake_runner(values, calls):
     """A runner that returns ``values[(side, seed)]`` and logs each call."""
-    def run(checkout, workload, seed, seconds):
+    def run(checkout, workload, seed):
         side = checkout.name
         calls.append((side, seed))
         return values.get((side, seed))

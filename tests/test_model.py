@@ -58,6 +58,13 @@ class TestPeriodicOperator:
         for t, w in zip(times, want):
             np.testing.assert_allclose(op.at_time(t), w, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(8, 4, 4), (0, 4, 4), (4, 4), (3, 4, 5)])
+    def test_rejects_a_stack_not_centred_on_zero(self, shape):
+        # an even count has no middle slice to be k = 0; a 2-D array is one
+        # matrix, not a stack of harmonics
+        with pytest.raises(ValueError, match="odd number of square matrices"):
+            PeriodicOperator(np.zeros(shape, dtype=complex), omega_L=0.7)
+
 
 class TestSupersystemFourier:
     def test_undriven_decoupled_limit(self):

@@ -2,9 +2,10 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload fig2_sweep --seeds 1-8
 
-For each seed, runs ``benchmarks/run.py --trace 0`` once in each checkout,
-the parent first on even seeds and the change first on odd ones, so that a
-drift of the machine weighs on both sides alike.  Then, for each end-to-end
+For each seed, runs ``benchmarks/run.py --trace 0`` once in each checkout, at
+the run length the benchmark sets, the parent first on even seeds and the
+change first on odd ones, so that a drift of the machine weighs on both sides
+alike.  Then, for each end-to-end
 metric that ``BENCHMARK.json`` declares, prints both sides' lower quartile,
 median and upper quartile and the change's wins out of all pairs (a tie
 counts for neither side), after each run's ``correct`` flag and failed
@@ -37,13 +38,13 @@ def run_order(seed: int) -> tuple[str, str]:
     return SIDES if seed % 2 == 0 else SIDES[::-1]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict | None:
+def run_once(checkout: Path, workload: str, seed: int) -> dict | None:
     """The result record (the last line of standard output) of one
     ``benchmarks/run.py --trace 0`` run in ``checkout``; None when it
     prints none."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -74,7 +75,6 @@ def main(argv: list[str] | None = None, runner: Callable = run_once) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, inclusive")
-    parser.add_argument("--seconds", type=int, default=10)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None, runner: Callable = run_once) -> int:
     for seed in args.seeds:
         got = {}
         for side in run_order(seed):
-            rec = runner(checkouts[side], args.workload, seed, args.seconds)
+            rec = runner(checkouts[side], args.workload, seed)
             if rec is None:
                 print(f"seed {seed} {side}: no result line")
                 ok = False
