@@ -44,6 +44,8 @@ class StructuredPeak:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"StructuredPeak.{name} must be finite and > 0, got {v}")
+        if not math.isfinite(self.d_c * self.d_c * self.gamma):
+            raise ValueError(f"StructuredPeak d_c^2 gamma overflows, got d_c={self.d_c}")
 
     def evaluate(self, omega):
         """J(omega) for omega >= 0, a float or an array of them."""
@@ -108,13 +110,13 @@ class CCMapping:
 def map_collective_coordinate(j: StructuredPeak) -> CCMapping:
     """Closed-form collective-coordinate mapping of a Brownian peak.
 
-    Valid for 4 * omega_res^2 > gamma^2 (underdamped peak); then the residual
+    Valid for 2 * omega_res > gamma (underdamped peak); then the residual
     bath is exactly Ohmic with slope gamma, the mode frequency equals the
     peak frequency and the mode coupling equals d_c.
     """
-    if not 4.0 * j.omega_res**2 > j.gamma**2:
+    if not 2.0 * j.omega_res > j.gamma:
         raise MappingError(
-            "analytic mapping requires 4*omega_res^2 > gamma^2; got "
+            "analytic mapping requires 2*omega_res > gamma; got "
             f"omega_res={j.omega_res}, gamma={j.gamma}"
         )
     return CCMapping(

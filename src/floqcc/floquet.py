@@ -121,14 +121,15 @@ def _zone(energies: np.ndarray, omega_L: float) -> np.ndarray:
 class FloquetSolution:
     """Unfolded Floquet representatives: eigenvalues of Q and their harmonics.
 
-    ``modes[r, m + k_ext, :]`` is the harmonic component u_r^(m) of the copy
-    with eigenvalue ``energies[r]``; each mode is normalized in the extended
-    inner product, sum_m ||u^(m)||^2 = 1.  ``quasienergies`` are the
-    energies folded into (-w/2, w/2] (``solve_floquet`` orders the modes by
-    them), and the zone modes e^{-i s_r w t} |r(t)> that go with them are
-    the columns ``state_matrix_at_time`` returns.
-    ``edge_weight`` and ``edge_residual`` are the ladder certificate (nan
-    when not computed).
+    ``modes[m + k_ext]`` is the harmonic V_m of the mode matrix V(t) =
+    sum_m e^{i m w t} V_m, shape (2 k_ext + 1, d, d): column r of V_m is
+    u_r^(m) of the copy with eigenvalue ``energies[r]``, each mode
+    normalized in the extended inner product, sum_m ||u_r^(m)||^2 = 1.
+    ``quasienergies`` are the energies folded into (-w/2, w/2]
+    (``solve_floquet`` orders the modes by them), and the zone modes
+    e^{-i s_r w t} |r(t)> that go with them are the columns
+    ``state_matrix_at_time`` returns.  ``edge_weight`` and
+    ``edge_residual`` are the ladder certificate (nan when not computed).
     """
 
     energies: np.ndarray
@@ -159,7 +160,7 @@ class FloquetSolution:
         w = self.omega_L
         ms = np.arange(-self.k_ext, self.k_ext + 1)
         shifts = np.rint((self.energies - self.quasienergies) / w)
-        modes = np.tensordot(np.exp(1j * ms * w * t), self.modes, axes=(0, 1)).T
+        modes = np.tensordot(np.exp(1j * ms * w * t), self.modes, axes=1)
         return modes * np.exp(-1j * shifts * w * t)
 
     def completeness_defect_t0(self) -> float:
@@ -288,7 +289,9 @@ def solve_floquet(q: ExtendedOperator) -> FloquetSolution:
     edge_residual = float(np.max(_edge_residual(q, modes)))
     if edge_weight > EDGE_WEIGHT_BOUND or edge_residual > EDGE_RESIDUAL_BOUND * w:
         raise FloquetConvergenceError(k, edge_weight, edge_residual)
-    return FloquetSolution(evals[chosen], modes, k, w, edge_weight, edge_residual)
+    return FloquetSolution(
+        evals[chosen], modes.transpose(1, 2, 0), k, w, edge_weight, edge_residual
+    )
 
 
 def time_samples(components: np.ndarray, first: int, nt: int) -> np.ndarray:
@@ -336,7 +339,7 @@ def decompose_operator(s: np.ndarray, fs: FloquetSolution) -> np.ndarray:
     """
     k = fs.k_ext
     # v[j] = V(t_j), whose columns are the modes |r(t_j)>
-    v = time_samples(fs.modes.transpose(1, 2, 0), -k, 4 * k + 1)
+    v = time_samples(fs.modes, -k, 4 * k + 1)
     amp = np.fft.fft(v.conj().transpose(0, 2, 1) @ s @ v, axis=0, norm="forward")
     # harmonic n sits at slot n mod (4 k + 1): n = -2k..-1 at the top
     amp = np.roll(amp, 2 * k, axis=0)

@@ -24,8 +24,8 @@ stored as the two stacks every evaluator reads, ``CountingLiouvillian.left``
 grid q = -support..support, and applied by one formula,
 ``CountingLiouvillian.sandwich``; the parity and finiteness checks read
 them as one array of parts.  No superoperator matrix is kept; dense ones
-act on column-stacked vectors, vec(A X B) = (B^T kron A) vec(X), and each
-is built as one stacked matrix product, in Fortran order.
+act on vec(X) = X.reshape(-1), so vec(A X B) = (A kron B^T) vec(X), and
+each is built as one stacked matrix product, in Fortran order.
 
 The counting-field derivative keeps only the two sandwich terms with weights
 -D on the emission sandwich (S rho G2) and +D on the absorption sandwich
@@ -84,7 +84,7 @@ from .bath import SpectralDensity, bose_occupation
 from .floquet import ARRAY_BYTES_LIMIT, FloquetSolution, fast_length, time_samples
 from .model import PeriodicOperator
 
-# parts (J, I) of the vec positions j d + i, j in J and i in I, in turn
+# parts (I, J) of the vec positions i d + j, i in I and j in J, in turn
 Parts = list[tuple[np.ndarray, np.ndarray]]
 
 
@@ -161,7 +161,7 @@ def _channel_kernels(
     # values, so as many samples per period, or more, and one FFT give them
     # without aliasing
     nt = fast_length(n_max - n_min + 4 * k + 1)
-    v = time_samples(fs.modes.transpose(1, 2, 0), -k, nt)[:, None]
+    v = time_samples(fs.modes, -k, nt)[:, None]
     g = time_samples(w, n_min, nt)  # W(t_j)[kind], then G
     np.matmul(v @ g, v.conj().transpose(0, 1, 3, 2), out=g)
     g = np.fft.fft(g, axis=0, norm="forward")
@@ -271,12 +271,12 @@ class CountingLiouvillian:
         rows: Parts | None = None,
         cols: Parts | None = None,
     ) -> np.ndarray:
-        """sum_q weights[q] L_q on column-stacked vectors, in Fortran order:
-        kron(I, A) + kron(B^T, I) + sum_nu [kron(S^T, G1) + kron(G2^T, S)],
+        """sum_q weights[q] L_q on vec(X) = X.reshape(-1), in Fortran order:
+        kron(A, I) + kron(I, B^T) + sum_nu [kron(G1, S^T) + kron(S, G2^T)],
         every operator of ``stacks`` weighted over q alike.  ``rows`` and
-        ``cols`` restrict it to the vec positions j d + i of their parts
-        (J, I), j in J and i in I, ordered part by part, then by j, then by
-        i; by default the whole space, one part.
+        ``cols`` restrict it to the vec positions i d + j of their parts
+        (I, J), i in I and j in J, ordered part by part, then by i, then by
+        j; by default the whole space, one part.
 
         sum_r kron(X_r, Y_r) holds X_r[a, c] Y_r[b, e] at row a d + b and
         column c d + e, which in Fortran order is the C-ordered array
@@ -291,24 +291,24 @@ class CountingLiouvillian:
         # X_r^T and Y_r^T of the four kinds of term, the no-jump pair as S = I's
         xt, yt = [], []
         for i, s in enumerate([eye, *self.couplings.values()]):
-            xt += [s, right[:, i * d : (i + 1) * d]]
-            yt += [left[i * d : (i + 1) * d].T, s.T]
+            xt += [left[i * d : (i + 1) * d].T, s.T]
+            yt += [s, right[:, i * d : (i + 1) * d]]
         xt, yt = np.stack(xt, axis=-1), np.stack(yt, axis=1)
         out = np.empty(
-            (sum(len(j) * len(i) for j, i in rows), sum(len(j) * len(i) for j, i in cols)),
+            (sum(len(i) * len(j) for i, j in rows), sum(len(i) * len(j) for i, j in cols)),
             dtype=complex, order="F",
         )
         c0 = 0
-        for jc, ic in cols:
+        for ic, jc in cols:
             r0 = 0
-            for ja, ia in rows:
-                block = out.T[c0 : c0 + len(jc) * len(ic), r0 : r0 + len(ja) * len(ia)]
+            for ia, ja in rows:
+                block = out.T[c0 : c0 + len(ic) * len(jc), r0 : r0 + len(ia) * len(ja)]
                 np.matmul(
-                    xt[np.ix_(jc, ja)][:, None], yt[ic][:, :, ia][None],
-                    out=block.reshape(len(jc), len(ic), len(ja), len(ia)),
+                    xt[np.ix_(ic, ia)][:, None], yt[jc][:, :, ja][None],
+                    out=block.reshape(len(ic), len(jc), len(ia), len(ja)),
                 )
-                r0 += len(ja) * len(ia)
-            c0 += len(jc) * len(ic)
+                r0 += len(ia) * len(ja)
+            c0 += len(ic) * len(jc)
         return out
 
     def component(
@@ -434,8 +434,8 @@ class SteadyStateInfo:
 class Coordinates:
     """The coordinate map: the real unknowns of every steady-state route.
 
-    A stacked vector holds the harmonics rho_n, |n| <= k, each column-stacked
-    (vec position j d + i holds element (i, j)).  It holds a Hermitian rho(t)
+    A stack holds the harmonics rho_n, |n| <= k, shape (2 k + 1, d, d), as
+    ``PeriodicOperator`` does.  It holds a Hermitian rho(t)
     exactly when it is J-invariant, J: rho_n -> rho_{-n}^dag, and a rho(t)
     with the half-period parity rho(t + T/2) = Q rho(t) Q exactly when each
     rho_n lies in its sector, the positions with q_i q_j = (-1)^n, q the
@@ -450,8 +450,8 @@ class Coordinates:
     dim: int
     # the indices with q_i = q_0 and with q_i = -q_0
     classes: tuple[np.ndarray, np.ndarray]
-    # vec positions of the sectors q_i q_j = +1 and -1, in the order of
-    # their ``parts``
+    # vec positions i d + j of the sectors q_i q_j = +1 and -1, in the
+    # order of their ``parts``
     positions: tuple[np.ndarray, np.ndarray]
     # index within its sector of each position's transpose (j, i)
     transposes: tuple[np.ndarray, np.ndarray]
@@ -476,12 +476,12 @@ class Coordinates:
         transposes = tuple(index[p % d * d + p // d] for p in positions)
         even = positions[0]
         return cls(
-            d, classes, positions, transposes, even % d > even // d, index[np.arange(d) * (d + 1)]
+            d, classes, positions, transposes, even // d > even % d, index[np.arange(d) * (d + 1)]
         )
 
     def parts(self, n: int) -> Parts:
-        """The sector of harmonic n as parts (J, I) (``_superoperator``):
-        the positions j d + i with j and i in the classes of q that make
+        """The sector of harmonic n as parts (I, J) (``_superoperator``):
+        the positions i d + j with i and j in the classes of q that make
         q_i q_j = (-1)^n."""
         s = n % 2
         return [(self.classes[c], self.classes[c ^ s]) for c in (0, 1)]
@@ -528,7 +528,7 @@ class Coordinates:
         return out
 
     def harmonic(self, r: np.ndarray, n: int) -> np.ndarray:
-        """rho_n, n >= 0, column-stacked, from coordinates ``r`` that reach
+        """rho_n, n >= 0, a d x d matrix, from coordinates ``r`` that reach
         harmonic n; zero off its sector."""
         pos = self.sector(n)
         c = r[self.span(n)]
@@ -539,25 +539,20 @@ class Coordinates:
             v[pos] = np.where(self.lower, c[t], c) + 1j * (c_lower - c_lower[t])
         else:
             v[pos] = c[: len(pos)] + 1j * c[len(pos) :]
-        return v
+        return v.reshape(self.dim, self.dim)
 
     def expand(self, r: np.ndarray, k: int) -> np.ndarray:
         """The stacked harmonics |n| <= k with coordinates ``r``, shape
-        (2 k + 1, d^2), rho_{-n} = rho_n^dag."""
-        d = self.dim
-        blocks = np.empty((2 * k + 1, d * d), dtype=complex)
-        for n in range(k + 1):
-            blocks[k + n] = self.harmonic(r, n)
-        perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
-        blocks[:k] = blocks[:k:-1, perm].conj()
-        return blocks
+        (2 k + 1, d, d), rho_{-n} = rho_n^dag."""
+        upper = np.stack([self.harmonic(r, n) for n in range(k + 1)])
+        return np.concatenate([upper[:0:-1].conj().transpose(0, 2, 1), upper])
 
     def restrict(self, blocks: np.ndarray, k: int) -> np.ndarray:
         """The coordinates of stacked harmonics |n| <= k (shape
-        (2 k + 1, d^2)); their entries off the sectors are dropped."""
+        (2 k + 1, d, d)); their entries off the sectors are dropped."""
         out = np.zeros(self.size(k))
         for n in range(k + 1):
-            self.project(blocks[k + n, self.sector(n)], n, out[self.span(n)])
+            self.project(blocks[k + n].reshape(-1)[self.sector(n)], n, out[self.span(n)])
         return out
 
 
@@ -627,9 +622,9 @@ def _real_factor(liouv: CountingLiouvillian, k_rho: int) -> tuple[np.ndarray, np
 
 
 def _block_action(liouv: CountingLiouvillian, k_rho: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Matrix-free action of the harmonic block system on stacked vectors of
-    density-matrix harmonics |n| <= k_rho (column-stacked within each
-    block), applied in time.
+    """Matrix-free action of the harmonic block system on the stacked
+    density-matrix harmonics |n| <= k_rho, shape (2 k_rho + 1, d, d),
+    applied in time.
 
     The ``stacks`` of L_q for |q| <= Q = min(support, 2 k_rho) (no other
     L_q couples two kept harmonics) are sampled once by
@@ -638,7 +633,6 @@ def _block_action(liouv: CountingLiouvillian, k_rho: int) -> Callable[[np.ndarra
     aliases onto a kept one.  Each action samples rho(t_j) the same way,
     takes the ``sandwich`` of the stacked products, a forward FFT back to
     harmonics |n| <= k_rho, and the diagonal -i n w rho_n."""
-    d = liouv.dim
     reach = min(liouv.support, 2 * k_rho)
     nt = 2 * k_rho + reach + 1
 
@@ -648,12 +642,10 @@ def _block_action(liouv: CountingLiouvillian, k_rho: int) -> Callable[[np.ndarra
     slots = n % nt
     shift = (-1j * n * liouv.omega_L)[:, None, None]
 
-    def act(x: np.ndarray) -> np.ndarray:
-        rho_n = x.reshape(2 * k_rho + 1, d, d).transpose(0, 2, 1)
+    def act(rho_n: np.ndarray) -> np.ndarray:
         rho = time_samples(rho_n, -k_rho, nt)
         y = liouv.sandwich(left_t @ rho, rho @ right_t)
-        out = np.fft.fft(y, axis=0, norm="forward")[slots] + shift * rho_n
-        return out.transpose(0, 2, 1).reshape(-1)
+        return np.fft.fft(y, axis=0, norm="forward")[slots] + shift * rho_n
 
     return act
 
@@ -663,8 +655,8 @@ def _residual(
 ) -> float:
     """Relative residual of the original (singular) block system rows, with
     ``act`` the system's action, at the stacked harmonics ``blocks``."""
-    res = act(blocks.reshape(-1)).reshape(blocks.shape)
-    res[k_rho, 0] = 0.0  # rho_0's (0, 0) entry, the bordered row
+    res = act(blocks)
+    res[k_rho, 0, 0] = 0.0  # rho_0's (0, 0) entry, the bordered row
     return float(np.linalg.norm(res) / np.linalg.norm(blocks))
 
 
@@ -725,7 +717,6 @@ def _forward_sweep(
     from scipy.linalg import lu_factor, lu_solve
 
     d = liouv.dim
-    d2 = d * d
     cm = liouv.coords
     outer = range(k_in + 1, k_rho + 1)
 
@@ -754,7 +745,7 @@ def _forward_sweep(
         for n in outer:
             # the last one is factored in L_0's own buffer
             block = l0 if n == outer[-1] else l0.copy(order="F")
-            block.flat[:: d2 + 1] -= 1j * n * liouv.omega_L
+            block.flat[:: d * d + 1] -= 1j * n * liouv.omega_L
             if n == 0:
                 block[0, :] = 0.0
                 block[0, diag] = 1.0
@@ -769,21 +760,18 @@ def _forward_sweep(
         if central is not None:
             c = cm.size(k_in)
             out[:c] = lu_solve(central, r[:c], check_finite=False)
-            centre = cm.expand(out[:c], k_in).reshape(-1, d, d)
-            rho[k_rho - k_in : k_rho + k_in + 1] = centre.transpose(0, 2, 1)
+            rho[k_rho - k_in : k_rho + k_in + 1] = cm.expand(out[:c], k_in)
         for n, factor in factors.items():
             rhs = cm.harmonic(r, n)
             if reach and n > 0:
-                # column-stacked: vec index j d + i holds element (i, j)
-                rhs -= coupling(rho, n).T.reshape(-1)
-            rho_n = lu_solve(factor, rhs, check_finite=False)
+                rhs -= coupling(rho, n)
+            rho_n = lu_solve(factor, rhs.reshape(-1), check_finite=False)
             cm.project(rho_n[cm.sector(n)], n, out[cm.span(n)])
             # the solution as its coordinates hold it: on its sector, and
             # Hermitian for n = 0
-            rho_n = cm.harmonic(out, n).reshape(d, d)
-            rho[k_rho + n] = rho_n.T
+            rho[k_rho + n] = cm.harmonic(out, n)
             if n > 0:
-                rho[k_rho - n] = rho_n.conj()
+                rho[k_rho - n] = rho[k_rho + n].conj().T
         return out
 
     return precond
@@ -834,7 +822,7 @@ def _solve_bordered(
         return x0, _residual(act, k_rho, cm.expand(x0, k_rho)), 0
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        out = cm.restrict(act(cm.expand(x, k_rho).reshape(-1)).reshape(2 * k_rho + 1, -1), k_rho)
+        out = cm.restrict(act(cm.expand(x, k_rho)), k_rho)
         out[0] = x[cm.trace].sum()
         return out
 
@@ -874,10 +862,8 @@ def _periodic_state(
 ) -> tuple[PeriodicOperator, float]:
     """Trace-normalized harmonics |n| <= k_rho from the real coordinates of
     a solution, with the off-harmonic trace defect."""
-    d, cm = liouv.dim, liouv.coords
-    coords = coords / coords[cm.trace].sum()
-    # column-stacking: vec index j*d + i holds element (i, j)
-    rho = cm.expand(coords, k_rho).reshape(2 * k_rho + 1, d, d).transpose(0, 2, 1).copy()
+    cm = liouv.coords
+    rho = cm.expand(coords / coords[cm.trace].sum(), k_rho)
     trace_defect = float(np.abs(np.trace(rho[k_rho + 1 :], axis1=1, axis2=2)).max(initial=0.0))
     return PeriodicOperator(harmonics=rho, omega_L=liouv.omega_L), trace_defect
 

@@ -78,7 +78,8 @@ def propagate(
 
     kind = "schrodinger": d psi/dt = -i H(t) psi for a state vector, or the
     same equation column-wise when ``state0`` is a matrix (propagator).
-    kind = "liouville": d vec(rho)/dt = L(t) vec(rho).
+    kind = "liouville": d vec(rho)/dt = L(t) vec(rho), vec(rho) = rho.reshape(-1)
+    (the vectorisation of ``CountingLiouvillian.matrix_at_time``).
 
     ``rhs_matrix`` maps t to the matrix (H(t) or L(t)); a PeriodicOperator is
     accepted directly.  Trace/norm conservation over the integration is
@@ -129,8 +130,8 @@ def propagate(
             drift = max(abs(np.linalg.norm(s) - np.linalg.norm(y0.reshape(shape))) for s in states)
         elif kind == "liouville" and len(shape) == 1:
             d = int(round(math.sqrt(n)))
-            tr0 = np.trace(y0.reshape(d, d).T)
-            drift = max(abs(np.trace(s.reshape(d, d).T) - tr0) for s in states)
+            tr0 = np.trace(y0.reshape(d, d))
+            drift = max(abs(np.trace(s.reshape(d, d)) - tr0) for s in states)
         else:
             drift = 0.0
         if drift > conservation_tol:

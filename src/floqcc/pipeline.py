@@ -108,7 +108,8 @@ def _n_fock_estimate(cfg: RunConfig, omega_cc: float, residual: Ohmic | None) ->
     """Thermal estimate of the ladder size whose top levels stay below the
     truncation threshold; the adaptive loop still raises it if the drive
     heats the mode beyond this.  An occupation that diverges (beta * omega
-    underflows to 0) fails the point at the model stage."""
+    underflows to 0), or one so large that no ladder holds it, fails the
+    point at the model stage."""
     # without a cold reservoir the mode thermalizes with the hot bath
     beta = cfg.beta_h if residual is None else cfg.beta_c
     x = beta * omega_cc
@@ -117,6 +118,8 @@ def _n_fock_estimate(cfg: RunConfig, omega_cc: float, residual: Ohmic | None) ->
     except ValueError as exc:
         raise PointFailure("model", str(exc)) from exc
     ratio = (nbar + 0.02) / (1.0 + nbar + 0.02)
+    if not ratio < 1.0:
+        raise PointFailure("model", f"occupation {nbar:.3e} has no Fock cutoff")
     need = math.ceil(math.log(max(cfg.trunc_threshold, 1e-12) * 0.01) / math.log(ratio))
     return int(np.clip(need + 2, 2, cfg.n_fock_max))
 

@@ -101,8 +101,7 @@ def null_space_state(liouv, k_rho: int) -> PeriodicOperator:
     trace-normalised: the independent oracle of the bordered routes."""
     d = liouv.dim
     vec = np.linalg.svd(block_system_dense(liouv, k_rho))[2][-1].conj()
-    # column-stacking: vec index j*d + i of each block holds element (i, j)
-    blocks = vec.reshape(2 * k_rho + 1, d, d).transpose(0, 2, 1)
+    blocks = vec.reshape(2 * k_rho + 1, d, d)
     blocks = blocks / np.trace(blocks[k_rho])
     return PeriodicOperator(harmonics=blocks, omega_L=liouv.omega_L)
 

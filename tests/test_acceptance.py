@@ -198,10 +198,10 @@ def test_criterion_3_generator_reconstruction():
     }
 
     def spre(x):
-        return np.kron(eye, x)
+        return np.kron(x, eye)
 
     def spost(x):
-        return np.kron(x.T, eye)
+        return np.kron(eye, x.T)
 
     worst = 0.0
     for jt in (0, 85, 170, 255, 340, 425):
@@ -269,10 +269,10 @@ def _trace_norm(m: np.ndarray) -> float:
 def test_criterion_4_relaxation_200_periods_as_stated():
     spec, rho, phi = _fig2_monodromy()
     d = spec.dim
-    v = _random_density(d).T.reshape(-1)
+    v = _random_density(d).reshape(-1)
     for _ in range(200):
         v = phi @ v
-    dist = _trace_norm(v.reshape(d, d).T - rho.at_time(0.0))
+    dist = _trace_norm(v.reshape(d, d) - rho.at_time(0.0))
     mu2 = np.sort(np.abs(np.linalg.eigvals(phi)))[-2]
     ok = dist < 1e-6
     report("4", ok, f"trace distance after 200 periods {dist:.3e} (<1e-6); "
@@ -292,8 +292,8 @@ def test_criterion_4_supplementary_measured_horizon():
     power = phi.copy()
     for _ in range(int(math.log2(periods))):
         power = power @ power
-    v = power @ _random_density(d).T.reshape(-1)
-    dist = _trace_norm(v.reshape(d, d).T - rho.at_time(0.0))
+    v = power @ _random_density(d).reshape(-1)
+    dist = _trace_norm(v.reshape(d, d) - rho.at_time(0.0))
     ok = dist < 1e-6
     report("4s", ok, f"trace distance after {periods} periods {dist:.3e} (<1e-6), "
                      f"|mu2|={mu2:.6f}")

@@ -78,7 +78,7 @@ class TestCCMapping:
         assert cc1.omega_cc == cc0.omega_cc
 
     def test_validity_condition(self):
-        # overdamped peak: 4 omega_res^2 <= gamma^2
+        # overdamped peak: 2 omega_res <= gamma
         with pytest.raises(MappingError):
             map_collective_coordinate(StructuredPeak(d_c=1e-3, gamma=1.0, omega_res=0.4))
 

@@ -12,8 +12,8 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 METRICS = [
-    {"name": "s_per_point", "unit": "s", "better": "lower"},
-    {"name": "speed", "unit": "1/s", "better": "higher"},
+    {"name": "s_per_point", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "speed", "unit": "1/s", "better": "higher", "bound": 0.05},
 ]
 
 
@@ -70,6 +70,10 @@ def test_quartiles_and_wins_with_ties(checkouts, capsys):
     # inclusive quartiles of 1, 2, 3, 4 and of 0.5, 1.5, 3, 5
     assert "parent 1.75 / 2.5 / 3.25; change 1.25 / 2.25 / 3.5; change wins 2/4" in out
     assert "change wins 1/4" in out
+    # the parent's spread 1.5 / 2.5 exceeds s_per_point's bound 0.25, and
+    # speed's median 1.0 -> 1.0 moves by nothing
+    assert "change wins 2/4; unresolved\n" in out
+    assert "change wins 1/4; no worse\n" in out
     assert bench_pairs.quartiles([2.0]) == (2.0, 2.0, 2.0)
     assert "seed 1 parent: correct True, failed 2/6" in out
 
@@ -83,6 +87,48 @@ def test_exit_status(checkouts, capsys, broken):
     assert code == 1
     out = capsys.readouterr().out
     assert ("no result line" in out) == (broken == "missing")
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, expected",
+    [
+        # the median 1.0 -> 1.3 is worse by 0.3 > 0.25
+        ([1.0] * 10, [1.3] * 10, "lower", "worse"),
+        ([1.0] * 10, [0.7] * 10, "higher", "worse"),
+        # within the bound: 1.2 is worse by 0.2, and a tie is no gain
+        ([1.0] * 10, [1.2] * 10, "lower", "no worse"),
+        ([1.0] * 10, [1.0] * 10, "lower", "no worse"),
+        # the parent's quartiles 0.85 / 1.0 / 1.25 spread 0.4 > 0.25
+        ([0.6, 0.7, 0.8, 1.0, 1.0, 1.0, 1.1, 1.3, 1.4, 1.5], [1.0] * 10, "lower", "unresolved"),
+        # ... unless every change run beats every parent run: then a gain
+        ([0.6, 0.7, 0.8, 1.0, 1.0, 1.0, 1.1, 1.3, 1.4, 1.5], [0.5] * 10, "lower", "gain"),
+        # 9 of 10 wins and a median better by 0.1 > the spread 0.015
+        ([1.0, 0.99, 1.01] * 3 + [1.0], [0.9] * 9 + [1.1], "lower", "gain"),
+        ([1.0, 0.99, 1.01] * 3 + [1.0], [1.1] * 9 + [0.9], "higher", "gain"),
+        # 8 of 10 wins is no gain
+        ([1.0, 0.99, 1.01] * 3 + [1.0], [0.9] * 8 + [1.1] * 2, "lower", "no worse"),
+        # 10 of 10 wins by less than the spread 0.03 is no gain
+        ([1.0, 0.98, 1.02] * 3 + [1.0], [p - 0.005 for p in [1.0, 0.98, 1.02] * 3 + [1.0]],
+         "lower", "no worse"),
+    ],
+)
+def test_verdicts(parent, change, better, expected):
+    assert bench_pairs.verdict(parent, change, better, 0.25) == expected
+
+
+def test_verdict_is_printed(checkouts, capsys):
+    values = {}
+    for seed in range(1, 11):
+        values[("parent", seed)] = record(1.0, 1.0)
+        values[("change", seed)] = record(1.5, 1.0)
+    code = bench_pairs.main([*map(str, checkouts), "--workload", "w", "--seeds", "1-10"],
+                            runner=fake_runner(values, []))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "s_per_point (s, lower is better): parent 1 / 1 / 1; change 1.5 / 1.5 / 1.5; " \
+        "change wins 0/10; worse\n" in out
+    assert "speed (1/s, higher is better): parent 1 / 1 / 1; change 1 / 1 / 1; " \
+        "change wins 0/10; no worse\n" in out
 
 
 def test_seed_ranges():

@@ -490,6 +490,43 @@ class TestFailedRows:
             "at omega = 0; use the limiting rate\n"
         )
 
+    def test_tiny_beta_is_a_model_row(self, capsys):
+        # beta omega_cc is tiny but not 0: the occupation is finite, but so
+        # large that the Fock-size estimate's ratio rounds to 1
+        point = run_point(replace(RunConfig(), beta_h=1e-300, beta_c=1e-299))
+        assert re.fullmatch(r"\[model\] occupation \S+e\+299 has no Fock cutoff", point.error)
+        beta = ["--bath.beta_h", "1e-300", "--bath.beta_c", "1e-299"]
+        assert main(["steady", *beta]) == 1
+        assert capsys.readouterr().out.startswith("FAILED: [model] occupation ")
+        assert main(["sweep", *beta, "--sweep.steps", "2"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: all 2 sweep points failed; first error: [model] occupation "
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--bath.cold.gamma", "1e300", "--sweep.steps", "2"],
+             "error: all 2 sweep points failed; first error: [bath] analytic mapping "
+             "requires 2*omega_res > gamma; "),
+            (["benchmark", "--bath.cold.d_c", "1e200", "--sweep.steps", "1"],
+             "error: all 1 sweep points failed; first error: [bath] StructuredPeak d_c^2 "
+             "gamma overflows"),
+            (["map", "--bath.cold.d_c", "1e200"], "error: StructuredPeak d_c^2 gamma overflows"),
+        ],
+    )
+    def test_bath_overflow_fails_its_stage(self, capsys, argv, message):
+        # gamma^2 and d_c^2 overflow a float: each command ends with its own
+        # stage's failure, not an OverflowError
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_overflowing_peak_has_nan_oracles(self):
+        point = run_point(replace(RunConfig(), mode="benchmark", d_c=1e200))
+        assert point.error.startswith("[bath] StructuredPeak d_c^2 gamma overflows")
+        assert math.isnan(point.extras["qbar_h_oracle"])
+        assert math.isnan(point.extras["qbar_c_oracle"])
+
     def test_lasercool_failed_row_keeps_delta(self):
         # a cooled mode cannot be held in two Fock levels: cheap, certain failure
         cfg = replace(

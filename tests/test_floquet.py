@@ -119,10 +119,13 @@ class TestSolveFloquet:
         spec = fig2_spec(0.75, n_fock=6)
         h = build_supersystem_fourier(spec)
         fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 10))
-        flat = fs.modes.reshape(fs.dim, -1)
+        # the centred stack V_m; row r: mode r's extended vector, its
+        # harmonics u_r^(m) in turn
+        assert fs.modes.shape == (2 * fs.k_ext + 1, fs.dim, fs.dim)
+        flat = fs.modes.transpose(2, 0, 1).reshape(fs.dim, -1)
         assert np.max(np.abs(flat @ flat.conj().T - np.eye(fs.dim))) < 1e-8
         assert fs.completeness_defect_t0() < 1e-6
-        norms = np.sum(np.abs(fs.modes) ** 2, axis=(1, 2))
+        norms = np.sum(np.abs(fs.modes) ** 2, axis=(0, 1))
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
     def test_k_ext_convergence(self):
@@ -205,7 +208,7 @@ class TestSolveFloquet:
         assert np.any(shifts != 0)
         assert np.all(np.diff(fs.quasienergies) >= 0)
         t = 0.37
-        raw = np.tensordot(np.exp(1j * np.arange(-4, 5) * spec.omega_L * t), fs.modes, axes=(0, 1)).T
+        raw = np.tensordot(np.exp(1j * np.arange(-4, 5) * spec.omega_L * t), fs.modes, axes=1)
         np.testing.assert_allclose(
             fs.state_matrix_at_time(t), raw * np.exp(-1j * shifts * spec.omega_L * t), atol=1e-15
         )
@@ -420,7 +423,7 @@ class TestDecomposeOperator:
         amp = decompose_operator(s, fs)
 
         n_window = 2 * fs.k_ext
-        u = fs.modes
+        u = fs.modes.transpose(2, 0, 1)  # [r, m, component]
         su = np.einsum("ij,rmj->rmi", s, u)
         nm = u.shape[1]
         ref = []

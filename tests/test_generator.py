@@ -51,11 +51,11 @@ from conftest import (
 
 
 def spre(x):
-    return np.kron(np.eye(x.shape[0]), x)
+    return np.kron(x, np.eye(x.shape[0]))
 
 
 def spost(x):
-    return np.kron(x.T, np.eye(x.shape[0]))
+    return np.kron(np.eye(x.shape[0]), x.T)
 
 
 def bordered(big, d, k_rho):
@@ -129,7 +129,7 @@ class TestLiouvillianStructure:
         x = x + x.conj().T
         for t in (0.0, 0.7, 2.9):
             lt = liouv.matrix_at_time(t)
-            out = (lt @ x.T.reshape(-1)).reshape(d, d).T
+            out = (lt @ x.reshape(-1)).reshape(d, d)
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_apply_component_matches_matrix(self, rng):
@@ -138,14 +138,14 @@ class TestLiouvillianStructure:
         d = h.dim
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         for q in range(-liouv.support, liouv.support + 1):
-            via_matrix = (liouv.component(q) @ x.T.reshape(-1)).reshape(d, d).T
+            via_matrix = (liouv.component(q) @ x.reshape(-1)).reshape(d, d)
             np.testing.assert_allclose(liouv.apply_component(q, x), via_matrix, atol=1e-13)
         # a stack of density matrices is acted on matrix by matrix
         stack_rng = np.random.default_rng(7)
         xs = stack_rng.normal(size=(3, d, d)) + 1j * stack_rng.normal(size=(3, d, d))
         for q in range(-liouv.support, liouv.support + 1):
             via_matrix = np.stack(
-                [(liouv.component(q) @ m.T.reshape(-1)).reshape(d, d).T for m in xs]
+                [(liouv.component(q) @ m.reshape(-1)).reshape(d, d) for m in xs]
             )
             np.testing.assert_allclose(liouv.apply_component(q, xs), via_matrix, atol=1e-13)
 
@@ -155,10 +155,10 @@ class TestLiouvillianStructure:
         eye = np.eye(d)
         for q in range(-liouv.support, liouv.support + 1):
             (left,), (right,) = liouv.stacks([q])
-            expected = np.kron(eye, left[:d]) + np.kron(right[:, :d].T, eye)
+            expected = np.kron(left[:d], eye) + np.kron(eye, right[:, :d].T)
             for j, s in enumerate(liouv.couplings.values(), 1):
                 g1, g2 = left[j * d : (j + 1) * d], right[:, j * d : (j + 1) * d]
-                expected += np.kron(s.T, g1) + np.kron(g2.T, s)
+                expected += np.kron(g1, s.T) + np.kron(s, g2.T)
             lq = liouv.component(q)
             assert lq.flags.f_contiguous
             assert np.max(np.abs(lq - expected)) <= 1e-14 * np.max(np.abs(expected))
@@ -174,8 +174,10 @@ class TestLiouvillianStructure:
         x_rng = np.random.default_rng(k_rho)
         x = x_rng.normal(size=size) + 1j * x_rng.normal(size=size)
         dense = block_system_dense(liouv, k_rho) @ x
-        applied = generator._block_action(liouv, k_rho)(x)
-        assert np.max(np.abs(applied - dense)) <= 1e-13 * np.max(np.abs(dense))
+        # the action maps the stack of harmonics (2 k_rho + 1, d, d) to one
+        applied = generator._block_action(liouv, k_rho)(x.reshape(-1, h.dim, h.dim))
+        assert applied.shape == (2 * k_rho + 1, h.dim, h.dim)
+        assert np.max(np.abs(applied.reshape(-1) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("form", ["sinusoidal", "static"])
     def test_component_restricts_to_sector_parts(self, form):
@@ -221,18 +223,18 @@ class TestLiouvillianStructure:
             lq, rq = left[q + top], right[q + top]
             a, b = lq[:d], rq[:, :d]
             expected = a @ x + x @ b
-            kron = np.kron(eye, a) + np.kron(b.T, eye)
+            kron = np.kron(a, eye) + np.kron(eye, b.T)
             for j, s in enumerate(liouv.couplings.values(), 1):
                 g1, g2 = lq[j * d : (j + 1) * d], rq[:, j * d : (j + 1) * d]
                 expected += g1 @ x @ s + s @ x @ g2
-                kron += np.kron(s.T, g1) + np.kron(g2.T, s)
+                kron += np.kron(g1, s.T) + np.kron(s, g2.T)
             assert np.max(np.abs(applied - expected)) <= 1e-14 * np.max(np.abs(expected))
             assert np.max(np.abs(liouv.component(q) - kron)) <= 1e-14 * np.max(np.abs(kron))
         k_rho = 2
         size = (2 * k_rho + 1) * d * d
         v = x_rng.normal(size=size) + 1j * x_rng.normal(size=size)
         dense = block_system_dense(liouv, k_rho) @ v
-        applied = generator._block_action(liouv, k_rho)(v)
+        applied = generator._block_action(liouv, k_rho)(v.reshape(-1, d, d)).reshape(-1)
         assert np.max(np.abs(applied - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("form", ["sinusoidal", "static"])
@@ -301,6 +303,8 @@ class TestLiouvillianStructure:
         x_rng = np.random.default_rng(11)
         d, k = 4, 3
         modes = x_rng.normal(size=(d, 2 * k + 1, d)) + 1j * x_rng.normal(size=(d, 2 * k + 1, d))
+        # as the stack V_m [m, component, r]
+        modes = modes.transpose(1, 2, 0)
         fs = FloquetSolution(np.sort(x_rng.uniform(-0.3, 0.3, d)), modes, k, 0.75)
         shape = (4 * k + 1, d, d)
         amp = x_rng.normal(size=shape) + 1j * x_rng.normal(size=shape)
@@ -320,7 +324,7 @@ def assert_kernels_match_direct_sum(ch, amp, fs, prune_rel=3e-12):
     d = fs.dim
     eps = fs.energies
     ladder = np.arange(-k, k + 1)
-    v = np.transpose(fs.modes, (1, 2, 0))  # [m, component, r]
+    v = fs.modes  # [m, component, r]
     n_pos, r_idx, rp_idx = np.nonzero(amp)
     n_min, n_max = int(n_pos.min()) - 2 * k, int(n_pos.max()) - 2 * k
     w = np.zeros((4, n_max - n_min + 1, d, d), dtype=complex)
@@ -500,6 +504,28 @@ class TestParity:
             rho, _ = steady_state(liouv, k_rho=3, method=method)
             for n in range(-3, 4):
                 np.testing.assert_allclose(rho.component(n), oracle.component(n), atol=1e-10)
+
+    def test_solver_stack_is_the_state_stack(self, case):
+        # one layout: the coordinates and the system action take and return
+        # the state's own harmonic stack (2 k + 1, d, d), which the dense
+        # block system reads as rho.harmonics.reshape(-1)
+        _, liouv = case
+        rho, _ = steady_state(liouv, k_rho=3)
+        cm = liouv.coords
+        np.testing.assert_array_equal(cm.expand(cm.restrict(rho.harmonics, 3), 3), rho.harmonics)
+        act, big = generator._block_action(liouv, 3), block_system_dense(liouv, 3)
+        # the transposed state, the other layout, is no steady state
+        scale = np.abs(big).max() * np.abs(rho.harmonics).max()
+        assert np.max(np.abs(big @ rho.harmonics.transpose(0, 2, 1).reshape(-1))) > 1e-6 * scale
+        # the action on the state, and on a random stack of the coordinates,
+        # the form of every GMRES vector, where it is far from 0
+        x = cm.expand(np.random.default_rng(0).normal(size=cm.size(3)), 3)
+        for stack in (rho.harmonics, x):
+            applied = act(stack)
+            assert applied.shape == stack.shape
+            dense = big @ stack.reshape(-1)
+            tol = 1e-13 * np.abs(big).max() * np.abs(stack).max()
+            assert np.max(np.abs(applied.reshape(-1) - dense)) <= tol
 
     def test_wrong_parity_fails_with_the_part_named(self):
         # the static coupling's Q on a sinusoidal model: sigma_x (a + a^dag)
@@ -931,10 +957,10 @@ class TestSteadyState:
             conservation_tol=None,
         )
         phi = phis[-1]
-        v = rho_init.T.reshape(-1)
+        v = rho_init.reshape(-1)
         for _ in range(200):
             v = phi @ v
-        final = v.reshape(d, d).T
+        final = v.reshape(d, d)
         dist = np.sum(np.abs(np.linalg.eigvalsh(final - rho.at_time(0.0))))
         assert dist < 1e-6
 

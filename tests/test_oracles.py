@@ -104,10 +104,10 @@ class TestPropagate:
         r0 /= np.trace(r0)
         ts = np.linspace(0.0, 2 * spec.period, 5)
         _, states = propagate(
-            liouv.matrix_at_time, r0.T.reshape(-1), (0.0, ts[-1]), kind="liouville",
+            liouv.matrix_at_time, r0.reshape(-1), (0.0, ts[-1]), kind="liouville",
             t_eval=ts, conservation_tol=1e-10,
         )
-        traces = [np.trace(s.reshape(d, d).T) for s in states]
+        traces = [np.trace(s.reshape(d, d)) for s in states]
         assert max(abs(tr - 1.0) for tr in traces) < 1e-10
 
     def test_one_period_propagator_unitary(self):

@@ -7,10 +7,11 @@ the run length the benchmark sets, the parent first on even seeds and the
 change first on odd ones, so that a drift of the machine weighs on both sides
 alike.  Then, for each end-to-end
 metric that ``BENCHMARK.json`` declares, prints both sides' lower quartile,
-median and upper quartile and the change's wins out of all pairs (a tie
-counts for neither side), after each run's ``correct`` flag and failed
-share.  Exits 1 when a run prints no result line or reports
-``correct: false``.  Uses the standard library only.
+median and upper quartile, the change's wins out of all pairs (a tie
+counts for neither side) and a verdict by the metric's ``bound``
+(``verdict``), after each run's ``correct`` flag and failed share.  Exits 1
+when a run prints no result line or reports ``correct: false``.  Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -69,6 +70,32 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The change's verdict on one metric from its runs and the parent's,
+    paired in order; ``bound`` and the quartile spread are relative to the
+    parent's median.  The first that holds of:
+
+    - ``worse``: the change's median is worse by more than ``bound``;
+    - ``unresolved``: the parent's quartile spread exceeds ``bound``, unless
+      every change run beats every parent run;
+    - ``gain``: the change wins at least 9 of 10 pairs and its median is
+      better by more than the parent's quartile spread;
+    - ``no worse``.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    q1, median, q3 = quartiles(parent)
+    scale = abs(median) or 1.0
+    worsening = sign * (statistics.median(change) - median) / scale
+    spread = (q3 - q1) / scale
+    if worsening > bound:
+        return "worse"
+    if spread > bound and not max(sign * c for c in change) < min(sign * p for p in parent):
+        return "unresolved"
+    if 10 * wins(parent, change, better) >= 9 * len(parent) and -worsening > spread:
+        return "gain"
+    return "no worse"
+
+
 def main(argv: list[str] | None = None, runner: Callable = run_once) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -106,7 +133,7 @@ def main(argv: list[str] | None = None, runner: Callable = run_once) -> int:
         cells = ["{:.4g} / {:.4g} / {:.4g}".format(*quartiles(v)) for v in (parent, change)]
         print(f"  {name} ({metric['unit']}, {metric['better']} is better): parent {cells[0]}; "
               f"change {cells[1]}; change wins {wins(parent, change, metric['better'])}"
-              f"/{len(pairs)}")
+              f"/{len(pairs)}; {verdict(parent, change, metric['better'], metric['bound'])}")
     return 0 if ok else 1
 
 
