@@ -51,9 +51,10 @@ class StructuredPeak:
         """J(omega) for omega >= 0, a float or an array of them."""
         if np.any(np.less(omega, 0)):
             raise ValueError(f"spectral density defined for omega >= 0, got {omega}")
-        num = self.d_c**2 * self.gamma * omega
-        den = (omega**2 - self.omega_res**2) ** 2 + (self.gamma * omega) ** 2
-        return num / den
+        # the denominator as h^2, h = hypot(w^2 - omega_res^2, gamma w),
+        # divided out one h at a time so that no square overflows
+        h = np.hypot(omega**2 - self.omega_res**2, self.gamma * omega)
+        return self.d_c**2 * self.gamma * omega / h / h
 
     def slope_at_zero(self) -> float:
         """dJ/dw at w = 0, the finite limit entering degenerate (w = 0) rates."""

@@ -33,7 +33,6 @@ from .config import (
     known_keys,
     parse_config_text,
 )
-from .generator import SteadyStateError
 from .modes import MODES
 from .pipeline import PointResult, run_point, run_sweep
 
@@ -241,12 +240,16 @@ def main(argv: list[str] | None = None) -> int:
         result = run_sweep(cfg)
         emit(cfg, result.points)
         n = len(result.points)
+        if result.n_failed == n:
+            first = result.points[0].error
+            print(f"error: all {n} sweep points failed; first error: {first}", file=sys.stderr)
+            return 1
         print(f"{n - result.n_failed}/{n} points completed", file=sys.stderr)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SteadyStateError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

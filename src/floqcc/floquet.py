@@ -9,7 +9,12 @@ is kept unfolded, its eigenvalue and its blocks u_r^(m) of
 |r(t)> = sum_m exp(i m w t) u_r^(m) together.  Folding the eigenvalues
 into one Brillouin zone (-w/2, w/2] gives the quasienergies.  The kept
 copies certify the ladder: their weight in the edge blocks and their
-residual just outside the ladder bound what the truncation leaves out.
+residual just outside the ladder bound what the truncation leaves out, and
+their t = 0 vectors must form a complete basis.
+
+With the model's half-period parity Q, the ladder parity (-1)^m Q commutes
+with the Sambe matrix, which is diagonalized on each of its two sectors, so
+every mode keeps a definite parity however degenerate the copies are.
 
 Q is diagonalized in a real gauge when it has one: a diagonal phase change
 D^dag Q D read off Q's own nonzero pattern makes every Q this model builds
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PeriodicOperator
+from .model import PARITY_TOL, PeriodicOperator
 
 
 class DegeneracyError(RuntimeError):
@@ -32,9 +37,13 @@ class DegeneracyError(RuntimeError):
 
 
 # ladder certificate of the kept representatives: largest weight in the two
-# edge blocks, and largest residual just outside the ladder (times omega_L)
+# edge blocks, largest residual just outside the ladder (times omega_L), and
+# largest entry of V(0) V(0)^dag - 1
 EDGE_WEIGHT_BOUND = 1e-10
 EDGE_RESIDUAL_BOUND = 1e-8
+COMPLETENESS_BOUND = 1e-6
+# eigenvalues of one sector closer than this (times omega_L) span one eigenspace
+CLUSTER_TOL = 1e-10
 # largest dense working array a solve may allocate, in bytes: the Sambe
 # matrix here, and the gmres preconditioner's factors (``generator``)
 ARRAY_BYTES_LIMIT = 1_500_000_000
@@ -42,17 +51,21 @@ ARRAY_BYTES_LIMIT = 1_500_000_000
 
 class FloquetConvergenceError(RuntimeError):
     """Truncated harmonic ladder too small for a converged Floquet solution:
-    the kept representatives fail the ladder certificate."""
+    the kept representatives fail the ladder certificate (``pair``: the
+    states behind a completeness defect)."""
 
-    def __init__(self, k_ext: int, edge_weight: float, edge_residual: float):
+    def __init__(self, k_ext: int, edge_weight: float, edge_residual: float,
+                 completeness: float, pair: str = ""):
         super().__init__(
             f"ladder k_ext={k_ext} not certified: edge weight {edge_weight:.2e} "
             f"(bound {EDGE_WEIGHT_BOUND:.0e}), edge residual {edge_residual:.2e} "
-            f"(bound {EDGE_RESIDUAL_BOUND:.0e} omega_L); increase k_ext"
+            f"(bound {EDGE_RESIDUAL_BOUND:.0e} omega_L), Floquet completeness defect "
+            f"{completeness:.2e} (bound {COMPLETENESS_BOUND:.0e}){pair}; increase k_ext"
         )
         self.k_ext = k_ext
         self.edge_weight = edge_weight
         self.edge_residual = edge_residual
+        self.completeness = completeness
 
 
 @dataclass(frozen=True)
@@ -128,8 +141,8 @@ class FloquetSolution:
     ``quasienergies`` are the energies folded into (-w/2, w/2]
     (``solve_floquet`` orders the modes by them), and the zone modes
     e^{-i s_r w t} |r(t)> that go with them are the columns
-    ``state_matrix_at_time`` returns.  ``edge_weight`` and
-    ``edge_residual`` are the ladder certificate (nan when not computed).
+    ``state_matrix_at_time`` returns.  ``edge_weight``, ``edge_residual``
+    and ``completeness`` are the ladder certificate (nan when not computed).
     """
 
     energies: np.ndarray
@@ -138,6 +151,7 @@ class FloquetSolution:
     omega_L: float
     edge_weight: float = math.nan
     edge_residual: float = math.nan
+    completeness: float = math.nan
 
     @property
     def dim(self) -> int:
@@ -162,10 +176,6 @@ class FloquetSolution:
         shifts = np.rint((self.energies - self.quasienergies) / w)
         modes = np.tensordot(np.exp(1j * ms * w * t), self.modes, axes=1)
         return modes * np.exp(-1j * shifts * w * t)
-
-    def completeness_defect_t0(self) -> float:
-        v = self.state_matrix_at_time(0.0)
-        return float(np.max(np.abs(v @ v.conj().T - np.eye(self.dim))))
 
 
 def _real_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -225,9 +235,35 @@ def _edge_residual(q: ExtendedOperator, modes: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(up) ** 2, axis=1) + np.sum(np.abs(down) ** 2, axis=1))
 
 
-def solve_floquet(q: ExtendedOperator) -> FloquetSolution:
+def _sector_eigh(a: np.ndarray, ladder: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of the Hermitian ``a``, on its real gauge when it has one
+    (``_real_form``).  Eigenvalues closer than ``tol`` to their neighbour
+    span one eigenspace, whose basis is the one that diagonalizes the ladder
+    position diag(``ladder``): a degeneracy between families then leaves
+    each copy apart instead of an arbitrary mix."""
+    matrix, phase = _real_form(a)
+    evals, evecs = np.linalg.eigh(matrix)
+    # each run of eigenvalues within tol of the next, as [first, last]
+    close = np.diff(np.concatenate([[0], np.diff(evals) < tol, [0]]).astype(int))
+    for first, last in zip(np.flatnonzero(close > 0), np.flatnonzero(close < 0)):
+        u = evecs[:, first : last + 1]
+        _, rotation = np.linalg.eigh(u.conj().T @ (ladder[:, None] * u))
+        evecs[:, first : last + 1] = u @ rotation
+    if phase is not None:
+        evecs = phase[:, None] * evecs
+    return evals, evecs
+
+
+def solve_floquet(q: ExtendedOperator, parity: np.ndarray | None = None) -> FloquetSolution:
     """Diagonalize the extended operator, keep one representative per
     Floquet family and certify the ladder.
+
+    ``parity`` is the +-1 diagonal of the model's half-period parity Q
+    (``model.parity``).  The ladder parity (-1)^m Q then commutes with the
+    Sambe matrix, which is refused with a ValueError when it holds entries
+    off its two sectors above ``PARITY_TOL`` of its largest, and otherwise
+    diagonalized on each sector apart (``_sector_eigh``), so every mode has
+    a definite parity.  Without ``parity`` the whole space is one sector.
 
     Copies of the same physical Floquet state differ by a ladder shift
     (eps + s w pairs with harmonics displaced by s blocks).  Candidates are
@@ -243,9 +279,10 @@ def solve_floquet(q: ExtendedOperator) -> FloquetSolution:
     m = +-k_ext, and its residual just outside the ladder
     (``_edge_residual``) must be at most ``EDGE_RESIDUAL_BOUND`` omega_L;
     a Hermitian eigenvalue lies within that residual of the untruncated
-    spectrum.  Otherwise ``FloquetConvergenceError`` names both numbers.
-    The ``eigh`` runs on the real gauge of Q when there is one
-    (``_real_form``).
+    spectrum.  The kept copies at t = 0, V(0), must be complete:
+    max |V(0) V(0)^dag - 1| at most ``COMPLETENESS_BOUND``.  Otherwise
+    ``FloquetConvergenceError`` names the three numbers, and the pair of
+    states behind a completeness defect with their quasienergy gap.
     """
     herm = float(np.max(np.abs(q.matrix - q.matrix.conj().T)))
     if herm > 1e-10:
@@ -253,19 +290,35 @@ def solve_floquet(q: ExtendedOperator) -> FloquetSolution:
     d = q.dim_phys
     k = q.k_ext
     w = q.omega_L
+    n = q.matrix.shape[0]
 
-    matrix, phase = _real_form(q.matrix)
-    evals, evecs = np.linalg.eigh(matrix)
-    if phase is not None:
-        evecs = phase[:, None] * evecs
-    blocks = evecs.T.reshape(-1, 2 * k + 1, d)  # [state, m, component]
+    ladder = np.repeat(np.arange(-k, k + 1), d)
+    sign = np.ones(n) if parity is None else (-1.0) ** ladder * np.tile(parity, 2 * k + 1)
+    sectors = [np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)]
+    off = np.abs(q.matrix[np.ix_(*sectors)]).max(initial=0.0)
+    if off > PARITY_TOL * np.abs(q.matrix).max():
+        raise ValueError(
+            f"Sambe matrix breaks the half-period parity Q: entries up to {off:.2e} off the "
+            f"sectors of (-1)^m Q, above {PARITY_TOL:.0e} of the largest"
+        )
+    evals, evecs = [], []
+    for idx in sectors:
+        if idx.size:
+            e, u = _sector_eigh(q.matrix[np.ix_(idx, idx)], ladder[idx], CLUSTER_TOL * w)
+            full = np.zeros((len(e), n), dtype=u.dtype)
+            full[:, idx] = u.T
+            evals.append(e)
+            evecs.append(full)
+    evals = np.concatenate(evals)
+    blocks = np.concatenate(evecs).reshape(-1, 2 * k + 1, d)  # [state, m, component]
     weights = np.sum(np.abs(blocks) ** 2, axis=2)  # [state, m]
     centre = weights @ np.arange(-k, k + 1)
     t0 = blocks.sum(axis=1)  # physical vector at t = 0 (unnormalized)
 
     chosen: list[int] = []
     basis = np.empty((d, d), dtype=t0.dtype)
-    for idx in np.argsort(np.abs(centre), kind="stable"):
+    # nearest the ladder centre first, ties by eigenvalue
+    for idx in np.lexsort((evals, np.abs(centre))):
         v = t0[idx]
         nv = np.linalg.norm(v)
         if nv < 1e-8:
@@ -287,10 +340,19 @@ def solve_floquet(q: ExtendedOperator) -> FloquetSolution:
     modes = blocks[chosen]
     edge_weight = float(np.max(np.sum(np.abs(modes[:, [0, -1]]) ** 2, axis=(1, 2))))
     edge_residual = float(np.max(_edge_residual(q, modes)))
+    v = modes.sum(axis=1).T  # V(0), column r the zone mode r at t = 0
+    completeness = float(np.max(np.abs(v @ v.conj().T - np.eye(d))))
+    if completeness > COMPLETENESS_BOUND:
+        # the pair of states behind it, and how near (mod omega_L) they lie
+        overlap = np.abs(v.conj().T @ v) * (1.0 - np.eye(d))
+        r, s = sorted(np.unravel_index(np.argmax(overlap), overlap.shape))
+        gap = abs(fold_to_zone(evals[chosen[s]] - evals[chosen[r]], w))
+        pair = f": states {r} and {s} overlap {overlap[r, s]:.2e} at t = 0, quasienergy gap {gap:.1e}"
+        raise FloquetConvergenceError(k, edge_weight, edge_residual, completeness, pair)
     if edge_weight > EDGE_WEIGHT_BOUND or edge_residual > EDGE_RESIDUAL_BOUND * w:
-        raise FloquetConvergenceError(k, edge_weight, edge_residual)
+        raise FloquetConvergenceError(k, edge_weight, edge_residual, completeness)
     return FloquetSolution(
-        evals[chosen], modes.transpose(1, 2, 0), k, w, edge_weight, edge_residual
+        evals[chosen], modes.transpose(1, 2, 0), k, w, edge_weight, edge_residual, completeness
     )
 
 

@@ -165,6 +165,12 @@ def build_supersystem_fourier(spec: SupersystemSpec) -> PeriodicOperator:
     return PeriodicOperator(harmonics=harmonics, omega_L=spec.omega_L)
 
 
+# entries an operator may hold off the sectors of the parity Q, relative to
+# its largest: the Sambe matrix (``floquet.solve_floquet``) and each part of
+# the generator (``generator.build_liouvillian``)
+PARITY_TOL = 1e-12
+
+
 def parity(spec: SupersystemSpec) -> np.ndarray:
     """The +-1 diagonal of the half-period parity Q, sigma_z (x) 1 for the
     sinusoidal coupling (laser cooling included) and sigma_z (x)

@@ -32,6 +32,31 @@ class TestEvaluate:
         j = StructuredPeak(d_c=d_c, gamma=gamma, omega_res=omega_res)
         assert j.evaluate(omega_res) == pytest.approx(d_c**2 / (gamma * omega_res), rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "peak",
+        [
+            StructuredPeak(d_c=1e-3, gamma=4e-4, omega_res=0.25),  # Fig. 2 at omega_L 0.75
+            StructuredPeak(d_c=0.05, gamma=5e-4, omega_res=0.2),  # criterion 9
+        ],
+    )
+    def test_structured_peak_matches_the_squared_denominator(self, peak):
+        # J = (d_c^2 gamma w / h) / h, h = hypot(w^2 - omega_res^2, gamma w),
+        # is the closed form with the squares summed first
+        w = np.concatenate([
+            np.linspace(0.0, 4.0 * peak.omega_res, 401),
+            peak.omega_res + np.linspace(-10.0, 10.0, 201) * peak.gamma,
+        ])
+        old = peak.d_c**2 * peak.gamma * w / ((w**2 - peak.omega_res**2) ** 2 + (peak.gamma * w) ** 2)
+        np.testing.assert_allclose(peak.evaluate(w), old, rtol=1e-14, atol=0.0)
+
+    def test_structured_peak_wide_gamma_does_not_overflow(self):
+        # gamma w squared would overflow; the test suite turns the overflow
+        # warning into an error
+        j = StructuredPeak(d_c=1e-3, gamma=1e300, omega_res=0.4)
+        value = j.evaluate(np.array([0.25, 1.0, 3.0]))
+        assert np.all(np.isfinite(value)) and np.all(value > 0)
+        assert 0 < j.evaluate(1.0) < math.inf
+
     def test_negative_frequency_rejected(self):
         j = Ohmic(d_h=1.0, omega_ref=1.0)
         with pytest.raises(ValueError):

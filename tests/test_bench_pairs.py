@@ -131,6 +131,32 @@ def test_verdict_is_printed(checkouts, capsys):
         "change wins 0/10; no worse\n" in out
 
 
+def test_failed_share(checkouts, capsys):
+    # two complete pairs and one whose change run printed nothing: the
+    # shares sum the complete pairs only, 2 + 2 of 6 + 6 on either side
+    # unless the change fails more
+    values = {}
+    for seed in (1, 2, 3):
+        values[("parent", seed)] = record(1.0, 1.0)
+        values[("change", seed)] = record(1.0, 1.0)
+    values[("change", 3)] = None
+    argv = [*map(str, checkouts), "--workload", "w", "--seeds", "1-3"]
+    code = bench_pairs.main(argv, runner=fake_runner(values, []))
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-1] == "failed share: parent 4/12, change 4/12; no worse"
+    values[("change", 2)] = {**record(1.0, 1.0), "failed": 3}
+    bench_pairs.main(argv, runner=fake_runner(values, []))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "failed share: parent 4/12, change 5/12; worse"
+    # a smaller share on the change's side is no worse
+    values[("change", 2)] = {**record(1.0, 1.0), "failed": 0}
+    bench_pairs.main(argv, runner=fake_runner(values, []))
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "failed share: parent 4/12, change 2/12; no worse"
+    )
+
+
 def test_seed_ranges():
     assert list(bench_pairs.parse_seeds("27001-27003")) == [27001, 27002, 27003]
     assert list(bench_pairs.parse_seeds("5")) == [5]

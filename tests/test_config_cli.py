@@ -30,7 +30,6 @@ from floqcc.config import (
     known_keys,
     parse_config_text,
 )
-from floqcc.generator import SteadyStateError
 from floqcc.model import fock_truncation_check
 from floqcc.modes import MODES
 from floqcc.oracles import SidebandParams, bare_qubit_secular_steady, sideband_cooling_occupation
@@ -394,22 +393,44 @@ class TestFockEscalation:
 
 
 class TestCompletenessFailure:
-    def test_message_names_the_overlapping_pair(self, capsys):
-        # at d_c 1e-9 two Floquet states, one omega_L apart unfolded, share a
-        # quasienergy to 3.3e-13 and overlap 9.27e-3 at t = 0: the failure
-        # names that pair after the defect
+    def test_message_names_the_overlapping_pair(self, monkeypatch, capsys):
+        # at d_c 1e-9 two Floquet states of opposite parity share a
+        # quasienergy to 3.3e-13; on the parity sectors they no longer mix,
+        # and the point solves
         argv = ["steady", "--bath.cold.d_c", "1e-9", "--solver.convergence", "off"]
+        assert main(argv) == 0
+        # at omega_L 0.5 the ladder k_ext 6 fails on completeness alone; with
+        # one step allowed, that refusal names the pair behind the defect
+        monkeypatch.setattr(pipeline, "K_EXT_STEPS", 1)
+        argv = ["steady", "--model.omegaL", "0.5", "--solver.n_fock", "4",
+                "--solver.convergence", "off"]
+        capsys.readouterr()
         assert main(argv) == 1
         out = capsys.readouterr().out
         match = re.search(
-            r"FAILED: \[floquet\] Floquet completeness defect (\S+) > 1e-6: states (\d+) and "
-            r"(\d+) overlap (\S+) at t = 0, quasienergy gap (\S+)\n", out
+            r"FAILED: \[floquet\] ladder k_ext=6 not certified: .*, Floquet completeness "
+            r"defect (\S+) \(bound 1e-06\): states (\d+) and (\d+) overlap (\S+) at t = 0, "
+            r"quasienergy gap (\S+); increase k_ext\n", out
         )
         assert match, out
         defect, r, s, overlap, gap = match.groups()
-        assert (int(r), int(s)) == (9, 10)
-        assert float(defect) == float(overlap) == pytest.approx(9.27e-3, rel=1e-3)
-        assert float(gap) < 1e-11
+        assert (int(r), int(s)) == (0, 6)
+        assert float(defect) > 1e-6 and 0 < float(overlap) <= float(defect)
+        assert float(gap) == pytest.approx(8.6e-4)
+
+    def test_completeness_raises_k_ext(self, tmp_path):
+        # a refused completeness raises k_ext like the edge bounds: omega_L 0.5
+        # is refused at k_ext 4 and at k_ext 6, there on completeness alone,
+        # and certified at 8
+        js = tmp_path / "out.json"
+        argv = ["steady", "--model.omegaL", "0.5", "--solver.n_fock", "4", "--output.json", str(js)]
+        assert main(argv) == 0
+        conv = json.loads(js.read_text())["rows"][0]["convergence"]
+        assert conv["k_ext"] == 8 and conv["completeness"] <= 1e-6
+        four, six = conv["k_ext_trail"]
+        assert (four["k_ext"], six["k_ext"]) == (4, 6)
+        assert six["completeness"] > 1e-6
+        assert six["edge_weight"] <= 1e-10 and six["edge_residual"] <= 1e-8 * 0.5
 
 
 class TestFailedRows:
@@ -605,12 +626,30 @@ class TestSingularGenerator:
         assert "singular" in point.error
 
     def test_sweep_reports_instead_of_crashing(self):
+        # run_sweep returns every row, the failed one included
         cfg = replace(
             self.CFG, sweep_variable="delta", sweep_start=-5e-3, sweep_stop=-5e-3,
             sweep_steps=1,
         )
-        with pytest.raises(SteadyStateError, match="all 1 sweep points failed"):
-            run_sweep(cfg)
+        result = run_sweep(cfg)
+        [point] = result.points
+        assert result.n_failed == 1
+        assert point.error.startswith("[generator]") and "singular" in point.error
+
+    def test_failed_sweep_writes_its_rows(self, tmp_path, capsys):
+        # every point fails: both files hold the stage-tagged rows, and the
+        # run still ends with the error line and exit 1
+        csv, js = tmp_path / "c.csv", tmp_path / "j.json"
+        argv = ["sweep", "--bath.cold.gamma", "1e300", "--sweep.steps", "2",
+                "--output.csv", str(csv), "--output.json", str(js)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: all 2 sweep points failed; first error: [bath] analytic mapping "
+        )
+        lines = csv.read_text().splitlines()
+        assert len(lines) == 3 and all(",error," in line for line in lines[1:])
+        rows = json.loads(js.read_text())["rows"]
+        assert [r["error"][:6] for r in rows] == ["[bath]"] * 2
 
 
 class TestRefinementGates:
@@ -676,6 +715,17 @@ class TestRefinementGates:
         conv = json.loads(js.read_text())["rows"][0]["convergence"]
         d = 2 * conv["n_fock"]
         assert conv["unknowns"] == (2 * conv["k_rho"] + 1) * d * d // 2
+
+    def test_steady_record_reaches_json(self, tmp_path):
+        # the whole steady-state record: the complex system size and the
+        # off-harmonic trace defect beside the route's fields
+        js = tmp_path / "out.json"
+        code = main(["steady", "--model.omegaL", "0.8", "--output.json", str(js)] + FAST_POINT)
+        assert code == 0
+        conv = json.loads(js.read_text())["rows"][0]["convergence"]
+        d = 2 * conv["n_fock"]
+        assert conv["size"] == (2 * conv["k_rho"] + 1) * d * d
+        assert 0 <= conv["trace_defect"] <= 1e-10
 
     def test_lasercool_gmres_matches_lu(self):
         # solver.method=gmres on a single reservoir iterates around its exact
@@ -749,7 +799,9 @@ class TestLadderCertificate:
         monkeypatch.setattr(np.linalg, "eigh", spy)
         point = run_point(replace(RunConfig(), omegaL=0.85))
         assert point.ok and point.diagnostics.k_ext_trail == []
-        assert len(shapes) == 1
+        # one per sector of the ladder parity, each half the Sambe side
+        side = (2 * point.diagnostics.k_ext + 1) * 2 * point.diagnostics.n_fock // 2
+        assert shapes == [(side, side)] * 2
 
 
 @pytest.fixture

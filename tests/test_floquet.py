@@ -124,7 +124,7 @@ class TestSolveFloquet:
         assert fs.modes.shape == (2 * fs.k_ext + 1, fs.dim, fs.dim)
         flat = fs.modes.transpose(2, 0, 1).reshape(fs.dim, -1)
         assert np.max(np.abs(flat @ flat.conj().T - np.eye(fs.dim))) < 1e-8
-        assert fs.completeness_defect_t0() < 1e-6
+        assert fs.completeness < 1e-6
         norms = np.sum(np.abs(fs.modes) ** 2, axis=(0, 1))
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 

@@ -456,18 +456,23 @@ class TestEquilibriumFixedPoints:
         # singular values near 1e-16 of its largest, but its smallest pivot
         # is 7.6e-13 of the largest; the condition estimate finds the null
         # space on the real centre (lu) and on the complex bordered L_0 of
-        # the two-reservoir gmres route alike
-        spec = replace(fig2_spec(0.7, n_fock=4), lambda0=0.0)
-        h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 6))
-        s = build_coupling_operators(spec).s_hot
-        channels = [
-            BathChannel("hot", s, spec.hot_bath, beta=spec.beta_h),
-            BathChannel("cold", s, spec.residual_bath, beta=spec.beta_c),
-        ]
-        liouv = build_liouvillian(h, fs, channels, [decompose_operator(s, fs)] * 2, parity(spec))
-        with pytest.raises(DegenerateSteadyStateError, match="bordered system is singular"):
-            steady_state(liouv, k_rho=3, method=method)
+        # the two-reservoir gmres route alike.  At omega_L 0.75, 3 omega_cc
+        # = omega_L exactly, so Sambe copies of opposite parity are
+        # degenerate: the modes keep their parity, and the point meets the
+        # same singular system rather than a parity breach
+        for omega_L in (0.7, 0.75):
+            spec = replace(fig2_spec(omega_L, n_fock=4), lambda0=0.0)
+            h = build_supersystem_fourier(spec)
+            fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 6), parity(spec))
+            s = build_coupling_operators(spec).s_hot
+            channels = [
+                BathChannel("hot", s, spec.hot_bath, beta=spec.beta_h),
+                BathChannel("cold", s, spec.residual_bath, beta=spec.beta_c),
+            ]
+            jumps = [decompose_operator(s, fs)] * 2
+            liouv = build_liouvillian(h, fs, channels, jumps, parity(spec))
+            with pytest.raises(DegenerateSteadyStateError, match="bordered system is singular"):
+                steady_state(liouv, k_rho=3, method=method)
 
 
 class TestParity:
@@ -546,13 +551,28 @@ class TestParity:
             build_liouvillian(h, fs, mixed, jumps, parity(spec))
 
     def test_wrong_parity_is_a_generator_row(self, monkeypatch):
+        # Q = 1: the Sambe matrix already breaks (-1)^m Q, through the drive's
+        # H_1, so the point fails at the Floquet stage, before any generator
         monkeypatch.setattr(pipeline, "parity", lambda spec: np.ones(spec.dim))
         point = pipeline.run_point(replace(RunConfig(), n_fock=4, convergence="off"))
-        # Q = 1: every odd harmonic breaks it, and only those
         assert point.error.startswith(
-            "[generator] generator breaks the half-period parity Q in no-jump L_-1, "
-            "hot kernel q=-1, cold kernel q=-1, no-jump L_1, hot kernel q=1, cold kernel q=1: "
+            "[floquet] Sambe matrix breaks the half-period parity Q: entries up to "
         )
+        assert point.error.endswith("off the sectors of (-1)^m Q, above 1e-12 of the largest")
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_floquet_modes_keep_the_parity(self, name):
+        # every kept mode lies in one sector of (-1)^m Q: its entries in the
+        # other are exactly 0
+        spec = self.CASES[name]()
+        h = build_supersystem_fourier(spec)
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 10), parity(spec))
+        ms = np.arange(-fs.k_ext, fs.k_ext + 1)
+        sign = np.multiply.outer((-1.0) ** ms, parity(spec))  # [m, component]
+        for r in range(fs.dim):
+            u = fs.modes[:, :, r]
+            sigma = 1.0 if np.abs(u[sign > 0]).max() > np.abs(u[sign < 0]).max() else -1.0
+            np.testing.assert_array_equal(u[sign != sigma], 0.0)
 
 
 class TestSteadyState:
@@ -629,6 +649,15 @@ class TestSteadyState:
             match=stalled + r"solver\.method=lu would need 2\.6 GB, above its 2\.5 GB limit$",
         ):
             steady_state(liouv, k_rho=280, method="gmres")
+
+    def test_lu_residual_is_judged(self, monkeypatch):
+        # the lu route judges its residual against the one bound of every
+        # route, RESIDUAL_TOL, in _solve_bordered
+        _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=4), k_ext=10)
+        assert steady_state(liouv, k_rho=2, method="lu")[1].residual <= generator.RESIDUAL_TOL
+        monkeypatch.setattr(generator, "_residual", lambda *args: 2e-10)
+        with pytest.raises(SteadyStateError, match=r"^direct solve residual 2\.00e-10 above 1e-10$"):
+            steady_state(liouv, k_rho=2, method="lu")
 
     def test_lu_solves_without_gmres(self, monkeypatch):
         # lu is the bordered solve whose preconditioner is the dense factor

@@ -9,7 +9,9 @@ alike.  Then, for each end-to-end
 metric that ``BENCHMARK.json`` declares, prints both sides' lower quartile,
 median and upper quartile, the change's wins out of all pairs (a tie
 counts for neither side) and a verdict by the metric's ``bound``
-(``verdict``), after each run's ``correct`` flag and failed share.  Exits 1
+(``verdict``), after each run's ``correct`` flag and failed share, and then
+both sides' failed share summed over the pairs, ``worse`` when the change's
+is larger (``failed_share``).  Exits 1
 when a run prints no result line or reports ``correct: false``.  Uses the
 standard library only.
 """
@@ -96,6 +98,18 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "no worse"
 
 
+def failed_share(pairs: list[tuple[dict, dict]]) -> str:
+    """Both sides' failed points out of those attempted, summed over
+    ``pairs``, and ``worse`` when the change's share is larger."""
+    (fp, ap), (fc, ac) = (
+        (sum(rec["failed"] for rec in side), sum(rec["attempted"] for rec in side))
+        for side in zip(*pairs)
+    )
+    # fc / ac > fp / ap, without dividing by a count of 0
+    worse = fc * ap > fp * ac
+    return f"failed share: parent {fp}/{ap}, change {fc}/{ac}; {'worse' if worse else 'no worse'}"
+
+
 def main(argv: list[str] | None = None, runner: Callable = run_once) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -134,6 +148,8 @@ def main(argv: list[str] | None = None, runner: Callable = run_once) -> int:
         print(f"  {name} ({metric['unit']}, {metric['better']} is better): parent {cells[0]}; "
               f"change {cells[1]}; change wins {wins(parent, change, metric['better'])}"
               f"/{len(pairs)}; {verdict(parent, change, metric['better'], metric['bound'])}")
+    if pairs:
+        print(failed_share(pairs))
     return 0 if ok else 1
 
 
