@@ -254,7 +254,7 @@ def _sector_eigh(a: np.ndarray, ladder: np.ndarray, tol: float) -> tuple[np.ndar
     return evals, evecs
 
 
-def solve_floquet(q: ExtendedOperator, parity: np.ndarray | None = None) -> FloquetSolution:
+def solve_floquet(q: ExtendedOperator, parity: np.ndarray) -> FloquetSolution:
     """Diagonalize the extended operator, keep one representative per
     Floquet family and certify the ladder.
 
@@ -263,7 +263,7 @@ def solve_floquet(q: ExtendedOperator, parity: np.ndarray | None = None) -> Floq
     Sambe matrix, which is refused with a ValueError when it holds entries
     off its two sectors above ``PARITY_TOL`` of its largest, and otherwise
     diagonalized on each sector apart (``_sector_eigh``), so every mode has
-    a definite parity.  Without ``parity`` the whole space is one sector.
+    a definite parity.
 
     Copies of the same physical Floquet state differ by a ladder shift
     (eps + s w pairs with harmonics displaced by s blocks).  Candidates are
@@ -293,7 +293,7 @@ def solve_floquet(q: ExtendedOperator, parity: np.ndarray | None = None) -> Floq
     n = q.matrix.shape[0]
 
     ladder = np.repeat(np.arange(-k, k + 1), d)
-    sign = np.ones(n) if parity is None else (-1.0) ** ladder * np.tile(parity, 2 * k + 1)
+    sign = (-1.0) ** ladder * np.tile(parity, 2 * k + 1)
     sectors = [np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)]
     off = np.abs(q.matrix[np.ix_(*sectors)]).max(initial=0.0)
     if off > PARITY_TOL * np.abs(q.matrix).max():
@@ -303,12 +303,11 @@ def solve_floquet(q: ExtendedOperator, parity: np.ndarray | None = None) -> Floq
         )
     evals, evecs = [], []
     for idx in sectors:
-        if idx.size:
-            e, u = _sector_eigh(q.matrix[np.ix_(idx, idx)], ladder[idx], CLUSTER_TOL * w)
-            full = np.zeros((len(e), n), dtype=u.dtype)
-            full[:, idx] = u.T
-            evals.append(e)
-            evecs.append(full)
+        e, u = _sector_eigh(q.matrix[np.ix_(idx, idx)], ladder[idx], CLUSTER_TOL * w)
+        full = np.zeros((len(e), n), dtype=u.dtype)
+        full[:, idx] = u.T
+        evals.append(e)
+        evecs.append(full)
     evals = np.concatenate(evals)
     blocks = np.concatenate(evecs).reshape(-1, 2 * k + 1, d)  # [state, m, component]
     weights = np.sum(np.abs(blocks) ** 2, axis=2)  # [state, m]

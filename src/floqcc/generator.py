@@ -655,7 +655,6 @@ def _residual(
     return float(np.linalg.norm(res) / np.linalg.norm(blocks))
 
 
-
 # what the centre and block factors of a route may hold: the whole real
 # system on ``lu``, the ``gmres`` preconditioner
 DENSE_BYTES_LIMIT = 2_500_000_000

@@ -183,7 +183,7 @@ def bare_qubit_secular_steady(
         omega_L=omega_L,
     )
     q = build_quasienergy_operator(h, omega_L, 16)
-    fs = solve_floquet(q)
+    fs = solve_floquet(q, np.array([1.0, -1.0]))  # Q = sigma_z
     s = SIGMA_X / math.sqrt(2.0 * omega0)
     amp = decompose_operator(s, fs)
     channels = [

@@ -65,7 +65,7 @@ def lasercool_spec(delta: float, n_fock: int = 6) -> SupersystemSpec:
 def build_pipeline_liouvillian(spec: SupersystemSpec, k_ext: int):
     """bath -> model -> floquet -> generator chain for tests."""
     h = build_supersystem_fourier(spec)
-    fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, k_ext))
+    fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, k_ext), parity(spec))
     ops = build_coupling_operators(spec)
     channels = [BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h)]
     jumps = [decompose_operator(ops.s_hot, fs)]

@@ -147,7 +147,7 @@ def test_criterion_1_equilibrium_fixed_points():
 def test_criterion_2_quasienergies_vs_propagator():
     spec = fig2_spec(0.75, n_fock=8)
     h = build_supersystem_fourier(spec)
-    fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 12))
+    fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 12), parity(spec))
     _, states = propagate(
         h, np.eye(h.dim, dtype=complex), (0.0, spec.period), kind="schrodinger",
         rtol=1e-12, atol=1e-14, t_eval=np.array([spec.period]), conservation_tol=None,
@@ -168,7 +168,7 @@ def test_criterion_2_quasienergies_vs_propagator():
 def test_criterion_3_generator_reconstruction():
     spec = fig2_spec(0.75, n_fock=4)
     h = build_supersystem_fourier(spec)
-    fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+    fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
     ops = build_coupling_operators(spec)
     channels = [
         BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h),

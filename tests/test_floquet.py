@@ -20,6 +20,7 @@ from floqcc.model import (
     SupersystemSpec,
     build_coupling_operators,
     build_supersystem_fourier,
+    parity,
 )
 from floqcc.generator import BathChannel
 from floqcc.oracles import one_period_propagator, propagate
@@ -85,8 +86,9 @@ class TestFolding:
         assert fold_to_zone(-0.45, w) == pytest.approx(0.45)  # lower edge maps up
 
     def test_shift_invariance_of_folded_set(self):
-        h = build_supersystem_fourier(fig2_spec(0.8, n_fock=4))
-        fs = solve_floquet(build_quasienergy_operator(h, 0.8, 8))
+        spec = fig2_spec(0.8, n_fock=4)
+        h = build_supersystem_fourier(spec)
+        fs = solve_floquet(build_quasienergy_operator(h, 0.8, 8), parity(spec))
         eps = fs.quasienergies
         refolded = np.sort(fold_to_zone(eps + 0.8, 0.8))
         np.testing.assert_allclose(refolded, np.sort(eps), atol=1e-12)
@@ -96,7 +98,7 @@ class TestSolveFloquet:
     def test_undriven_spectrum(self):
         spec = undriven_spec(n_fock=4)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
         expected = []
         for s in (+1, -1):
             for p in range(4):
@@ -108,7 +110,7 @@ class TestSolveFloquet:
     def test_propagator_oracle_driven(self):
         spec = fig2_spec(0.75, n_fock=6)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 10))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 10), parity(spec))
         u = one_period_propagator(h)
         period = spec.period
         eps_u = np.sort(fold_to_zone(-np.angle(np.linalg.eigvals(u)) / period, spec.omega_L))
@@ -118,7 +120,7 @@ class TestSolveFloquet:
     def test_orthonormality_completeness_parseval(self):
         spec = fig2_spec(0.75, n_fock=6)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 10))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 10), parity(spec))
         # the centred stack V_m; row r: mode r's extended vector, its
         # harmonics u_r^(m) in turn
         assert fs.modes.shape == (2 * fs.k_ext + 1, fs.dim, fs.dim)
@@ -131,15 +133,15 @@ class TestSolveFloquet:
     def test_k_ext_convergence(self):
         spec = fig2_spec(0.75, n_fock=6)
         h = build_supersystem_fourier(spec)
-        a = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 10))
-        b = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 12))
+        a = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 10), parity(spec))
+        b = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 12), parity(spec))
         assert np.max(np.abs(np.sort(a.quasienergies) - np.sort(b.quasienergies))) < 1e-8
 
     def test_mode_satisfies_floquet_equation(self):
         # (H(t) - i d/dt)|r(t)> = eps |r(t)> checked by finite differences
         spec = fig2_spec(0.75, n_fock=4)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
         t, dt = 1.234, 1e-6
         v = fs.state_matrix_at_time(t)
         dv = (fs.state_matrix_at_time(t + dt) - fs.state_matrix_at_time(t - dt)) / (2 * dt)
@@ -153,7 +155,7 @@ class TestSolveFloquet:
         spec = fig2_spec(0.75, n_fock=4)
         h = build_supersystem_fourier(spec)
         with pytest.raises(FloquetConvergenceError, match="edge weight") as err:
-            solve_floquet(build_quasienergy_operator(h, spec.omega_L, 2))
+            solve_floquet(build_quasienergy_operator(h, spec.omega_L, 2), parity(spec))
         assert err.value.k_ext == 2
         assert err.value.edge_weight > floquet.EDGE_WEIGHT_BOUND
 
@@ -162,19 +164,34 @@ class TestSolveFloquet:
         # ladder reaches beyond the zone, so one block each side certifies
         spec = undriven_spec(n_fock=8, omega_L=0.3, omega_cc=0.45)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 1))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 1), parity(spec))
         assert fs.edge_weight == 0.0 and fs.edge_residual == 0.0
         bare = [s * 0.5 + p * 0.45 for s in (1, -1) for p in range(8)]
         np.testing.assert_allclose(np.sort(fs.energies), np.sort(bare), atol=1e-12)
 
     def test_certificate_refuses_the_static_ladder_of_four(self):
         # criterion 9's strong static coupling reaches past a ladder of 4
-        h = build_supersystem_fourier(static_spec())
+        spec = static_spec()
+        h = build_supersystem_fourier(spec)
         with pytest.raises(FloquetConvergenceError, match="edge weight"):
-            solve_floquet(build_quasienergy_operator(h, 0.75, 4))
-        fs = solve_floquet(build_quasienergy_operator(h, 0.75, 8))
+            solve_floquet(build_quasienergy_operator(h, 0.75, 4), parity(spec))
+        fs = solve_floquet(build_quasienergy_operator(h, 0.75, 8), parity(spec))
         assert fs.edge_weight <= floquet.EDGE_WEIGHT_BOUND
         assert fs.edge_residual <= floquet.EDGE_RESIDUAL_BOUND * 0.75
+
+    def test_degenerate_copies_in_one_sector_keep_their_family(self):
+        # the mode decoupled (lambda0 = 0) at omega_cc = omega_L under the
+        # static coupling, whose Q carries (-1)^n: |q, n + 1> at m - 1 and
+        # |q, n> at m share their quasienergy and their sector, and only the
+        # cluster rotation (CLUSTER_TOL) keeps eigh from mixing them
+        spec = replace(fig2_spec(0.6, n_fock=6, coupling_form="static"), lambda0=0.0, omega_cc=0.6)
+        h = build_supersystem_fourier(spec)
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
+        assert fs.completeness <= floquet.COMPLETENESS_BOUND
+        # each mode on one Fock number, each Fock number holding both qubit states
+        fock = np.sum(np.abs(fs.modes.reshape(17, 2, 6, 12)) ** 2, axis=(0, 1))  # [n, r]
+        np.testing.assert_allclose(fock.max(axis=0), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.bincount(fock.argmax(axis=0)), [2] * 6)
 
     def test_edge_residual_matches_a_wider_ladder(self):
         # the residual the certificate reads off Q's own blocks is what a
@@ -203,7 +220,7 @@ class TestSolveFloquet:
         # zone modes by e^{-i s w t}, and the t = 0 state matrix not at all
         spec = fig2_spec(0.615, n_fock=6)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 4))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 4), parity(spec))
         shifts = np.rint((fs.energies - fs.quasienergies) / spec.omega_L)
         assert np.any(shifts != 0)
         assert np.all(np.diff(fs.quasienergies) >= 0)
@@ -223,8 +240,8 @@ class TestRelabellingInvariance:
     def pair(self):
         spec = fig2_spec(0.615, n_fock=12)
         h = build_supersystem_fourier(spec)
-        small = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 4))
-        large = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 16))
+        small = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 4), parity(spec))
+        large = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 16), parity(spec))
         return spec, small, large
 
     def test_zone_quasienergies(self, pair):
@@ -270,13 +287,15 @@ class TestRelabellingInvariance:
 
 def flux_loop_hamiltonian(omega_L=0.7):
     """d = 3 ring whose hoppings t, t, i t enclose a flux: no diagonal phase
-    change makes H_0, or its Sambe lift, real."""
+    change makes H_0, or its Sambe lift, real.  The ring admits no parity
+    but Q = 1, so the drive sits on the second harmonic, which Q = 1 keeps."""
     h0 = np.diag([0.0, 0.35, 0.8]).astype(complex)
     for i, j, t in ((0, 1, 0.1), (1, 2, 0.1), (2, 0, 0.1j)):
         h0[i, j] = t
         h0[j, i] = np.conj(t)
     drive = 0.05 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-    return PeriodicOperator(harmonics=np.stack([drive, h0, drive]), omega_L=omega_L)
+    zero = np.zeros((3, 3))
+    return PeriodicOperator(harmonics=np.stack([drive, zero, h0, zero, drive]), omega_L=omega_L)
 
 
 class TestRealGauge:
@@ -303,8 +322,8 @@ class TestRealGauge:
     def test_model_is_diagonalized_real(self, case, eigh_dtypes):
         spec = self.SPECS[case]()
         h = build_supersystem_fourier(spec)
-        solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
-        assert eigh_dtypes == [np.dtype(np.float64)]
+        solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
+        assert eigh_dtypes == [np.dtype(np.float64)] * 2  # one per sector
 
     # t = 0 projector agreement; the static case's Sambe spectrum has a 9e-7
     # gap, across which a 1e-16 relative perturbation of Q already moves the
@@ -322,9 +341,9 @@ class TestRealGauge:
             np.linalg.eigvalsh(real), np.linalg.eigvalsh(q.matrix), rtol=0, atol=1e-12 * w
         )
         np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0, atol=1e-15)
-        fs = solve_floquet(q)
+        fs = solve_floquet(q, parity(spec))
         monkeypatch.setattr(floquet, "_real_form", lambda a: (a, None))
-        ref = solve_floquet(q)
+        ref = solve_floquet(q, parity(spec))
         np.testing.assert_allclose(fs.quasienergies, ref.quasienergies, rtol=0, atol=1e-12 * w)
         v, v_ref = fs.state_matrix_at_time(0.0), ref.state_matrix_at_time(0.0)
         for r in range(fs.dim):
@@ -339,8 +358,8 @@ class TestRealGauge:
         q = build_quasienergy_operator(h, h.omega_L, 10)
         matrix, phase = floquet._real_form(q.matrix)
         assert phase is None and matrix is q.matrix
-        fs = solve_floquet(q)
-        assert eigh_dtypes == [np.dtype(np.complex128)]
+        fs = solve_floquet(q, np.ones(3))
+        assert eigh_dtypes == [np.dtype(np.complex128)] * 2
         period = 2.0 * math.pi / h.omega_L
         u = one_period_propagator(h)
         eps_u = np.sort(fold_to_zone(-np.angle(np.linalg.eigvals(u)) / period, h.omega_L))
@@ -365,7 +384,7 @@ class TestDecomposeOperator:
     def test_identity_decomposition(self, monkeypatch):
         spec = fig2_spec(0.75, n_fock=4)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
         monkeypatch.setattr(floquet, "AMPLITUDE_FLOOR", 1e-9)
         amp = decompose_operator(np.eye(h.dim, dtype=complex), fs)
         n_window = 2 * fs.k_ext
@@ -379,7 +398,7 @@ class TestDecomposeOperator:
     def test_hermitian_pairing(self):
         spec = fig2_spec(0.75, n_fock=4)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
         ops = build_coupling_operators(spec)
         amp = decompose_operator(ops.s_hot, fs)
         # partner[n, r, r'] = conj(amp[-n, r', r]): amp[-n] = amp[n]^dag
@@ -391,7 +410,7 @@ class TestDecomposeOperator:
     def test_interaction_picture_reconstruction(self):
         spec = fig2_spec(0.75, n_fock=4)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
         ops = build_coupling_operators(spec)
         v0 = fs.state_matrix_at_time(0.0)
         t = spec.period / 3.0
@@ -416,7 +435,7 @@ class TestDecomposeOperator:
         entry by entry."""
         spec = fig2_spec(0.75, n_fock=3)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
         s = build_coupling_operators(spec).s_hot
         n_default = np.count_nonzero(decompose_operator(s, fs))
         monkeypatch.setattr(floquet, "AMPLITUDE_FLOOR", floor)

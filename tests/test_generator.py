@@ -245,7 +245,7 @@ class TestLiouvillianStructure:
         # and _channel_kernels
         spec = fig2_spec(0.75, n_fock=3, coupling_form=form)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
         ops = build_coupling_operators(spec)
         channels = [
             BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h),
@@ -286,7 +286,7 @@ class TestLiouvillianStructure:
     def test_channel_kernels_match_direct_sum(self):
         spec = fig2_spec(0.75, n_fock=3)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
         ops = build_coupling_operators(spec)
         for ch in (
             BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h),
@@ -364,7 +364,7 @@ class TestReconstructionOracle:
     def test_generator_reconstruction(self):
         spec = fig2_spec(0.75, n_fock=4)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
         ops = build_coupling_operators(spec)
         channels = [
             BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h),
@@ -537,7 +537,7 @@ class TestParity:
         # at q = +-1 is even under it, the drive sigma_x odd
         spec = fig2_spec(0.75, n_fock=3)
         h = build_supersystem_fourier(spec)
-        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8))
+        fs = solve_floquet(build_quasienergy_operator(h, spec.omega_L, 8), parity(spec))
         ops = build_coupling_operators(spec)
         channels = [BathChannel("hot", ops.s_hot, spec.hot_bath, beta=spec.beta_h)]
         jumps = [decompose_operator(ops.s_hot, fs)]

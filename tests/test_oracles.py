@@ -17,7 +17,7 @@ from floqcc.oracles import (
     sideband_cooling_occupation,
 )
 
-from conftest import fig2_spec, solve_pipeline
+from conftest import FIG2, fig2_spec, solve_pipeline
 
 
 class TestSidebandCooling:
@@ -150,6 +150,19 @@ class TestBareQubitSecularOracle:
             1.0, 0.2, 0.75, self.J_COLD, self.J_HOT, beta_c=25.0, beta_h=2.2
         )
         assert qc + qh + w == pytest.approx(0.0, abs=1e-18)
+
+    def test_certified_across_the_drive_range(self):
+        # the oracle's ladder of 16 is refused like the pipeline's, on
+        # completeness too, and a refusal leaves the benchmark's oracle
+        # columns nan; it certifies on a grid through the two-photon crossing
+        # at every drive strength the README and the paper use, and beyond
+        grid = np.concatenate([np.linspace(0.2, 0.99, 80), [0.5]])
+        for g in (FIG2["g"], 0.2, 0.5):
+            for omega_L in grid:
+                flows = bare_qubit_secular_steady(
+                    1.0, g, omega_L, self.J_COLD, self.J_HOT, beta_c=25.0, beta_h=2.2
+                )
+                assert np.all(np.isfinite(flows)), (g, omega_L)
 
     def test_matches_full_pipeline_when_cold_decouples(self):
         # d_c -> 0: the collective mode decouples from the qubit and the
