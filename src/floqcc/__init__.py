@@ -44,8 +44,6 @@ from .model import (
 from .oracles import (
     SidebandParams,
     bare_qubit_secular_steady,
-    one_period_propagator,
-    propagate,
     sideband_cooling_occupation,
 )
 from .thermo import (

@@ -172,6 +172,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     }
     cfg = apply_overrides(cfg, {**overrides, "run.mode": args.command})
     cfg.validate()
+    # checked here, before any point is solved, and not in ``validate``,
+    # which every sweep point runs again
+    for key, path in (("output.csv", cfg.csv_path), ("output.json", cfg.json_path)):
+        folder = os.path.dirname(path) or "."
+        if path and not os.path.isdir(folder):
+            raise ConfigError(f"{key}: directory {folder!r} does not exist")
     return cfg
 
 

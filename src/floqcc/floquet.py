@@ -24,7 +24,6 @@ one.  A Q with no real gauge is diagonalized as it is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,12 +75,6 @@ class ExtendedOperator:
     k_ext: int
     dim_phys: int
     omega_L: float
-
-    def block(self, m_row: int, m_col: int) -> np.ndarray:
-        d = self.dim_phys
-        i = (m_row + self.k_ext) * d
-        j = (m_col + self.k_ext) * d
-        return self.matrix[i : i + d, j : j + d]
 
 
 def build_quasienergy_operator(
@@ -139,19 +132,19 @@ class FloquetSolution:
     u_r^(m) of the copy with eigenvalue ``energies[r]``, each mode
     normalized in the extended inner product, sum_m ||u_r^(m)||^2 = 1.
     ``quasienergies`` are the energies folded into (-w/2, w/2]
-    (``solve_floquet`` orders the modes by them), and the zone modes
-    e^{-i s_r w t} |r(t)> that go with them are the columns
-    ``state_matrix_at_time`` returns.  ``edge_weight``, ``edge_residual``
-    and ``completeness`` are the ladder certificate (nan when not computed).
+    (``solve_floquet`` orders the modes by them); the zone modes that go
+    with them are the copies times e^{-i s_r w t}, s_r the ladder steps
+    energy r is folded by.  ``edge_weight``, ``edge_residual`` and
+    ``completeness`` are the ladder certificate.
     """
 
     energies: np.ndarray
     modes: np.ndarray = field(repr=False)
     k_ext: int
     omega_L: float
-    edge_weight: float = math.nan
-    edge_residual: float = math.nan
-    completeness: float = math.nan
+    edge_weight: float
+    edge_residual: float
+    completeness: float
 
     @property
     def dim(self) -> int:
@@ -166,16 +159,6 @@ class FloquetSolution:
         energies, the frequency of jump amplitude [n[i], r, r']."""
         eps = self.energies
         return eps[:, None] - eps + n[:, None, None] * self.omega_L
-
-    def state_matrix_at_time(self, t: float) -> np.ndarray:
-        """Columns are the zone modes |r(t)> for r = 0..d-1: each copy's
-        mode times e^{-i s_r w t}, s_r the ladder steps its energy is
-        folded by."""
-        w = self.omega_L
-        ms = np.arange(-self.k_ext, self.k_ext + 1)
-        shifts = np.rint((self.energies - self.quasienergies) / w)
-        modes = np.tensordot(np.exp(1j * ms * w * t), self.modes, axes=1)
-        return modes * np.exp(-1j * shifts * w * t)
 
 
 def _real_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

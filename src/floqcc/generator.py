@@ -265,15 +265,12 @@ class CountingLiouvillian:
             out += lt[..., i * d : (i + 1) * d, :] @ s + s @ rt[..., i * d : (i + 1) * d]
         return out
 
-    def _superoperator(
-        self,
-        weights: dict[int, complex],
-        rows: Parts | None = None,
-        cols: Parts | None = None,
+    def component(
+        self, q: int, rows: Parts | None = None, cols: Parts | None = None
     ) -> np.ndarray:
-        """sum_q weights[q] L_q on vec(X) = X.reshape(-1), in Fortran order:
-        kron(A, I) + kron(I, B^T) + sum_nu [kron(G1, S^T) + kron(S, G2^T)],
-        every operator of ``stacks`` weighted over q alike.  ``rows`` and
+        """Superoperator matrix L_q on vec(X) = X.reshape(-1), in Fortran
+        order: kron(A, I) + kron(I, B^T) + sum_nu [kron(G1, S^T) +
+        kron(S, G2^T)], the operators of ``stacks`` at q.  ``rows`` and
         ``cols`` restrict it to the vec positions i d + j of their parts
         (I, J), i in I and j in J, ordered part by part, then by i, then by
         j; by default the whole space, one part.
@@ -286,8 +283,7 @@ class CountingLiouvillian:
         eye = np.eye(d)
         whole = [(np.arange(d), np.arange(d))]
         rows, cols = rows or whole, cols or whole
-        w = list(weights.values())
-        left, right = (np.tensordot(w, m, axes=1) for m in self.stacks(weights))
+        (left,), (right,) = self.stacks([q])
         # X_r^T and Y_r^T of the four kinds of term, the no-jump pair as S = I's
         xt, yt = [], []
         for i, s in enumerate([eye, *self.couplings.values()]):
@@ -311,24 +307,11 @@ class CountingLiouvillian:
             c0 += len(ic) * len(jc)
         return out
 
-    def component(
-        self, q: int, rows: Parts | None = None, cols: Parts | None = None
-    ) -> np.ndarray:
-        """Superoperator matrix L_q on the vectorized density space, in
-        Fortran order; restricted to the parts ``rows`` and ``cols`` of
-        the space (``_superoperator``), by default the whole."""
-        return self._superoperator({q: 1.0}, rows, cols)
-
     def apply_component(self, q: int, rho: np.ndarray) -> np.ndarray:
         """L_q acting on a density matrix, or on each matrix of a stack
         (shape (..., d, d)), without building superoperators."""
         (left,), (right,) = self.stacks([q])
         return self.sandwich(left @ rho, rho @ right)
-
-    def matrix_at_time(self, t: float) -> np.ndarray:
-        """Dense superoperator L(t) = sum_q exp(i q w t) L_q, in Fortran order."""
-        qs = range(-self.support, self.support + 1)
-        return self._superoperator({q: np.exp(1j * q * self.omega_L * t) for q in qs})
 
 
 def build_liouvillian(
@@ -475,7 +458,7 @@ class Coordinates:
         )
 
     def parts(self, n: int) -> Parts:
-        """The sector of harmonic n as parts (I, J) (``_superoperator``):
+        """The sector of harmonic n as parts (I, J) (``component``):
         the positions i d + j with i and j in the classes of q that make
         q_i q_j = (-1)^n."""
         s = n % 2

@@ -206,8 +206,7 @@ def build_coupling_operators(spec: SupersystemSpec) -> CouplingOperators:
 
 def cc_hamiltonian(spec: SupersystemSpec) -> np.ndarray:
     """omega_cc a^dag a on the full space (for mode-energy bookkeeping)."""
-    a = destroy(spec.n_fock)
-    return spec.omega_cc * fock_op(a.conj().T @ a)
+    return spec.omega_cc * number_operator(spec.n_fock)
 
 
 def number_operator(n_fock: int) -> np.ndarray:

@@ -277,6 +277,24 @@ class TestEmission:
         row_single = render_csv([single], "sweep")
         assert row_full == row_single
 
+    def test_output_in_a_missing_directory_exit_2_before_solving(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # refused when the config is read, so a long sweep loses no rows
+        def solve(cfg):
+            raise AssertionError("solved a point")
+
+        monkeypatch.setattr("floqcc.cli.run_point", solve)
+        monkeypatch.setattr("floqcc.cli.run_sweep", solve)
+        missing = tmp_path / "missing"
+        for command in ("steady", "sweep"):
+            for key in ("output.csv", "output.json"):
+                assert main([command, f"--{key}", str(missing / "x")] + FAST_POINT) == 2
+                err = capsys.readouterr().err
+                assert f"config error: {key}: directory {str(missing)!r} does not exist" in err
+        assert not missing.exists()
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestProcessPool:
     CFG = replace(

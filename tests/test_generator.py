@@ -37,7 +37,6 @@ from floqcc.model import (
     number_operator,
     parity,
 )
-from floqcc.oracles import propagate
 
 from conftest import (
     LASERCOOL,
@@ -48,6 +47,7 @@ from conftest import (
     null_space_state,
     solve_pipeline,
 )
+from reference import liouvillian_at_time, propagate, zone_modes
 
 
 def spre(x):
@@ -119,7 +119,7 @@ class TestLiouvillianStructure:
         tr = np.zeros(d * d)
         tr[:: d + 1] = 1.0
         for t in rng.uniform(0.0, spec.period, size=10):
-            assert np.max(np.abs(tr @ liouv.matrix_at_time(t))) < 1e-10
+            assert np.max(np.abs(tr @ liouvillian_at_time(liouv, t))) < 1e-10
 
     def test_hermiticity_preservation(self, rng):
         spec = fig2_spec(0.8, n_fock=4)
@@ -128,7 +128,7 @@ class TestLiouvillianStructure:
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         x = x + x.conj().T
         for t in (0.0, 0.7, 2.9):
-            lt = liouv.matrix_at_time(t)
+            lt = liouvillian_at_time(liouv, t)
             out = (lt @ x.reshape(-1)).reshape(d, d)
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
@@ -305,7 +305,10 @@ class TestLiouvillianStructure:
         modes = x_rng.normal(size=(d, 2 * k + 1, d)) + 1j * x_rng.normal(size=(d, 2 * k + 1, d))
         # as the stack V_m [m, component, r]
         modes = modes.transpose(1, 2, 0)
-        fs = FloquetSolution(np.sort(x_rng.uniform(-0.3, 0.3, d)), modes, k, 0.75)
+        # random modes carry no ladder certificate
+        fs = FloquetSolution(
+            np.sort(x_rng.uniform(-0.3, 0.3, d)), modes, k, 0.75, math.nan, math.nan, math.nan
+        )
         shape = (4 * k + 1, d, d)
         amp = x_rng.normal(size=shape) + 1j * x_rng.normal(size=shape)
         amp[x_rng.random(shape) < 0.3] = 0.0
@@ -380,7 +383,7 @@ class TestReconstructionOracle:
         period = spec.period
         ngrid = 510
         tgrid = np.linspace(0.0, period, ngrid + 1)
-        v0 = fs.state_matrix_at_time(0.0)
+        v0 = zone_modes(fs, 0.0)
         _, us = propagate(
             h, np.eye(d, dtype=complex), (0.0, period), kind="schrodinger",
             rtol=1e-12, atol=1e-14, t_eval=tgrid, conservation_tol=None,
@@ -416,7 +419,7 @@ class TestReconstructionOracle:
 
         worst = 0.0
         for jt in (0, 102, 170, 255, 340, 408):
-            diff = np.max(np.abs(liouv.matrix_at_time(tgrid[jt]) - direct(jt)))
+            diff = np.max(np.abs(liouvillian_at_time(liouv, tgrid[jt]) - direct(jt)))
             worst = max(worst, float(diff))
         assert worst < 1e-10
 
@@ -981,7 +984,8 @@ class TestSteadyState:
         rho_init = x @ x.conj().T
         rho_init /= np.trace(rho_init)
         _, phis = propagate(
-            liouv.matrix_at_time, np.eye(d * d, dtype=complex), (0.0, spec.period),
+            lambda t: liouvillian_at_time(liouv, t), np.eye(d * d, dtype=complex),
+            (0.0, spec.period),
             kind="liouville", rtol=1e-11, atol=1e-13, t_eval=np.array([spec.period]),
             conservation_tol=None,
         )

@@ -9,15 +9,13 @@ from floqcc.generator import heat_current
 from floqcc.model import SIGMA_X, SIGMA_Z, PeriodicOperator
 from floqcc.oracles import (
     CoolingError,
-    PropagationError,
     SidebandParams,
     bare_qubit_secular_steady,
-    one_period_propagator,
-    propagate,
     sideband_cooling_occupation,
 )
 
 from conftest import FIG2, fig2_spec, solve_pipeline
+from reference import PropagationError, liouvillian_at_time, one_period_propagator, propagate
 
 
 class TestSidebandCooling:
@@ -104,8 +102,8 @@ class TestPropagate:
         r0 /= np.trace(r0)
         ts = np.linspace(0.0, 2 * spec.period, 5)
         _, states = propagate(
-            liouv.matrix_at_time, r0.reshape(-1), (0.0, ts[-1]), kind="liouville",
-            t_eval=ts, conservation_tol=1e-10,
+            lambda t: liouvillian_at_time(liouv, t), r0.reshape(-1), (0.0, ts[-1]),
+            kind="liouville", t_eval=ts, conservation_tol=1e-10,
         )
         traces = [np.trace(s.reshape(d, d)) for s in states]
         assert max(abs(tr - 1.0) for tr in traces) < 1e-10

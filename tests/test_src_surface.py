@@ -1,0 +1,58 @@
+"""The package holds only what the program runs: every function and method
+defined in ``floqcc`` is used somewhere else in it.  Reference engines
+that only the tests call live in ``tests/reference.py``."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import floqcc
+
+
+def _references(node: ast.AST) -> Counter:
+    """Uses under ``node``: a bare or imported name as ("name", id), an
+    attribute as ("attr", name)."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found["name", n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found["attr", n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            found.update(("name", alias.name) for alias in n.names)
+    return found
+
+
+def _definitions(tree: ast.Module):
+    """(label, key, node) for each module-level function and each method of
+    a class body, but dunders and properties."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, ("name", node.name), node
+        elif isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if not isinstance(f, ast.FunctionDef):
+                    continue
+                dunder = f.name.startswith("__") and f.name.endswith("__")
+                prop = any(
+                    isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+                    for d in f.decorator_list
+                )
+                if not (dunder or prop):
+                    yield f"{node.name}.{f.name}", ("attr", f.name), f
+
+
+def test_every_definition_is_used_elsewhere_in_the_package():
+    trees = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(Path(floqcc.__file__).parent.glob("*.py"))
+    }
+    # the package's re-exports are its public surface, not a use
+    used = sum((_references(t) for name, t in trees.items() if name != "__init__"), Counter())
+    unused = [
+        label if "." in label else f"{module}.{label}"
+        for module, tree in trees.items()
+        for label, key, node in _definitions(tree)
+        if used[key] - _references(node)[key] <= 0
+    ]
+    assert not unused, f"not used inside the package: {unused}"
