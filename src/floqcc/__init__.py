@@ -13,7 +13,6 @@ from .bath import (
     mapping_integrals_numeric,
 )
 from .floquet import (
-    DegeneracyError,
     ExtendedOperator,
     FloquetSolution,
     build_quasienergy_operator,

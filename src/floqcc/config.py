@@ -211,10 +211,9 @@ def _coerce(key: str, fname: str, raw: str):
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse flat key=value text into a RunConfig (strict: unknown keys and
-    duplicate assignments are errors)."""
-    cfg = base or RunConfig()
-    seen: set[str] = set()
-    updates = {}
+    duplicate assignments are errors, by line); ``apply_overrides`` then
+    coerces the values."""
+    pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -223,14 +222,12 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        fname = _FIELD_OF.get(key)
-        if fname is None:
+        if key not in _FIELD_OF:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        updates[fname] = _coerce(key, fname, raw)
-    return replace(cfg, **updates)
+        pairs[key] = raw
+    return apply_overrides(base or RunConfig(), pairs)
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:

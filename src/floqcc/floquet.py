@@ -31,10 +31,6 @@ import numpy as np
 from .model import PARITY_TOL, PeriodicOperator
 
 
-class DegeneracyError(RuntimeError):
-    """Representative selection failed to identify d distinct Floquet states."""
-
-
 # ladder certificate of the kept representatives: largest weight in the two
 # edge blocks, largest residual just outside the ladder (times omega_L), and
 # largest entry of V(0) V(0)^dag - 1
@@ -249,13 +245,13 @@ def solve_floquet(q: ExtendedOperator, parity: np.ndarray) -> FloquetSolution:
     a definite parity.
 
     Copies of the same physical Floquet state differ by a ladder shift
-    (eps + s w pairs with harmonics displaced by s blocks).  Candidates are
-    taken in order of their weight centre sum_m m ||u^(m)||^2, nearest 0
-    first; one whose t = 0 physical vector has squared overlap above 0.5
-    with an already accepted state is a shifted duplicate and is discarded
-    (t = 0 vectors of distinct Floquet states are orthogonal).  The kept
-    copies are neither folded nor shifted: each keeps its eigenvalue and its
-    blocks, and they are ordered by their folded quasienergy.
+    (eps + s w pairs with harmonics displaced by s blocks), so away from the
+    ladder edges their weight centres sum_m m ||u^(m)||^2 are c + s for
+    integer s, and each family has one copy with |c| <= 1/2.  The d copies
+    with the smallest |c| are kept, ties by eigenvalue; the completeness
+    bound below refuses any kept set that is not one copy per family.  The
+    kept copies are neither folded nor shifted: each keeps its eigenvalue
+    and its blocks, and they are ordered by their folded quasienergy.
 
     The ladder is certified from this one solution.  Every kept copy must
     carry at most ``EDGE_WEIGHT_BOUND`` of its weight in the two edge blocks
@@ -295,30 +291,9 @@ def solve_floquet(q: ExtendedOperator, parity: np.ndarray) -> FloquetSolution:
     blocks = np.concatenate(evecs).reshape(-1, 2 * k + 1, d)  # [state, m, component]
     weights = np.sum(np.abs(blocks) ** 2, axis=2)  # [state, m]
     centre = weights @ np.arange(-k, k + 1)
-    t0 = blocks.sum(axis=1)  # physical vector at t = 0 (unnormalized)
-
-    chosen: list[int] = []
-    basis = np.empty((d, d), dtype=t0.dtype)
-    # nearest the ladder centre first, ties by eigenvalue
-    for idx in np.lexsort((evals, np.abs(centre))):
-        v = t0[idx]
-        nv = np.linalg.norm(v)
-        if nv < 1e-8:
-            continue
-        v = v / nv
-        if chosen and np.max(np.abs(basis[: len(chosen)] @ v.conj())) ** 2 > 0.5:
-            continue
-        basis[len(chosen)] = v
-        chosen.append(idx)
-        if len(chosen) == d:
-            break
-    if len(chosen) != d:
-        raise DegeneracyError(
-            f"selected {len(chosen)} of {d} Floquet representatives; "
-            "increase k_ext or inspect near-degenerate clusters"
-        )
-
-    chosen = np.array(chosen)[np.argsort(_zone(evals[chosen], w))]
+    # the d copies nearest the ladder centre, ties by eigenvalue
+    chosen = np.lexsort((evals, np.abs(centre)))[:d]
+    chosen = chosen[np.argsort(_zone(evals[chosen], w))]
     modes = blocks[chosen]
     edge_weight = float(np.max(np.sum(np.abs(modes[:, [0, -1]]) ** 2, axis=(1, 2))))
     edge_residual = float(np.max(_edge_residual(q, modes)))

@@ -44,9 +44,9 @@ is one call ``_solve_bordered(liouv, k_rho, k_in)``, differing only in
 k_in: the sweep solves the exact centre |n| <= k_in first (the bordered
 rho_0 alone when k_in = -1), then each outer harmonic n by the LU of
 L_0 - i n w, after subtracting the couplings L_{n-m} rho_m from the
-harmonics |m| < n already solved.  ``lu`` takes k_in = k_rho, so the sweep
-is the solve; ``gmres`` iterates under it, with k_in = 1 on a
-single-reservoir generator and -1 on two; the positivity probe solves
+harmonics |m| < n already solved.  ``steady_state`` picks k_in, by the one
+rule its docstring states; at k_in = k_rho the sweep is the solve, below
+it GMRES iterates under the sweep, and the positivity probe solves
 k_rho + 2 around its base route's k_in.  Each ``steady_state`` call runs
 one route, and a route that fails fails the call.  GMRES applies the block
 system matrix-free and in time: the stacks of L are sampled once per
@@ -682,10 +682,11 @@ def _forward_sweep(
     prefix of the coordinates, are solved by the real LU of the bordered
     k_in system on its sectors, which ``_real_factor`` builds here; for
     k_in = -1, rho_0 gets the complex LU of the bordered L_0, applied to the
-    Hermitian rho_0; ``_bordered_factor`` judges either centre.  Each
-    outer harmonic n = k_in + 1..k_rho then solves the complex d^2 x d^2
-    LU of its diagonal block L_0 - i n w on rho_n from its coordinates
-    minus sum_{|m| < n} L_{n-m} rho_m, from the harmonics already solved,
+    Hermitian rho_0; ``_bordered_factor`` judges either centre, and
+    ``steady_state`` picks k_in.  Each outer harmonic n = k_in + 1..k_rho
+    then solves the complex d^2 x d^2 LU of its diagonal block L_0 - i n w
+    on rho_n from its coordinates minus sum_{|m| < n} L_{n-m} rho_m, from
+    the harmonics already solved,
     with rho_{-m} = rho_m^dag, and keeps the solution's coordinates: every
     block takes and returns sector vectors through the map.  Only L_q with
     q = 1..2 n - 1 enter.  Their ``stacks`` are taken once, before the
@@ -764,21 +765,16 @@ def _solve_bordered(
     The unknowns are the real coordinates of the harmonics n >= 0 on their
     parity sectors, (2 k_rho + 1) d^2 / 2 of them when Q has as many +1 as
     -1, with the trace border on coordinate 0.  k_in names the exact centre
-    |n| <= k_in: k_rho on the ``lu`` route, 1 on ``gmres`` for a single
-    reservoir, -1 (none) for two; the positivity probe passes its base
-    route's k_in.  ``_memory_guard`` runs first, before anything is
-    allocated.  With k_in = k_rho the preconditioned right-hand side is the
-    solution.
+    |n| <= k_in, -1 for none, as ``steady_state`` picks it; the positivity
+    probe passes its base route's k_in.  ``_memory_guard`` runs first,
+    before anything is allocated.  With k_in = k_rho the preconditioned
+    right-hand side is the solution.
     Otherwise one full-memory GMRES cycle runs on the matrix-free system
     action (``_block_action``, sampled in time before the block factors are
     taken), from the preconditioned right-hand side: the sweep leaves out
     only the couplings from harmonics |m| >= n into harmonic n, which are
-    weak.  A single-reservoir generator needs the centre |n| <= 1: its
-    undamped mode is cooled only by drive sidebands, which couple rho_0
-    through rho_{+-1} alone, so with rho_0 alone exact GMRES stalls near
-    residual 3e-3 (or the centre is singular), and with |n| <= 1 it
-    converges in a few iterations.  A stall names ``lu`` as the direct
-    route only where its guard would let it run.  Every route's relative
+    weak.  A stall names ``lu`` as the direct route only where its guard
+    would let it run.  Every route's relative
     residual of the original system must be at most ``RESIDUAL_TOL``.
     Returns (real coordinates, that residual, GMRES iterations).
     """
@@ -909,15 +905,19 @@ def steady_state(
 
     Every route is one ``_solve_bordered(liouv, k_rho, k_in)``, and the
     routes differ only in k_in, the exact centre |n| <= k_in, decided here
-    once.  ``method`` is "lu" (k_in = k_rho: the real LU of the whole
-    bordered system is the preconditioner, exact, so no iteration),
-    "gmres" (the same solve under a forward sweep over |n| with one block
-    factor per outer harmonic, ``_forward_sweep``, iterated on the system's
-    action in time, the count in ``SteadyStateInfo.iterations``), or "auto"
-    (lu up to DENSE_SIZE_LIMIT complex unknowns, (2 k_rho + 1) d^2, gmres
-    above).  On a single-reservoir generator gmres takes k_in = 1: the
-    harmonics |n| <= 1 by the real LU lu would take at k_rho = 1, block
-    factors for n >= 2 only; on two reservoirs k_in = -1, no centre.  One
+    once, by the one route rule: k_in = k_rho on lu, and on gmres 1 for one
+    reservoir and -1 (no centre) for two.  ``method`` is "lu" (the real LU
+    of the whole bordered system is the preconditioner, exact, so no
+    iteration), "gmres" (the same solve under a forward sweep over |n| with
+    one block factor per outer harmonic, ``_forward_sweep``, iterated on the
+    system's action in time, the count in ``SteadyStateInfo.iterations``),
+    or "auto" (lu up to DENSE_SIZE_LIMIT complex unknowns, (2 k_rho + 1)
+    d^2, gmres above).  A single-reservoir generator needs the centre
+    |n| <= 1: its undamped mode is cooled only by drive sidebands, which
+    couple rho_0 through rho_{+-1} alone, so with rho_0 alone exact GMRES
+    stalls near residual 3e-3 (or the centre is singular), and with
+    |n| <= 1, the real LU lu would take at k_rho = 1 and block factors for
+    n >= 2 only, it converges in a few iterations.  One
     memory guard (``_memory_guard``) counts the route's factors before
     anything is allocated: 2.5 GB on lu, 1.5 GB on gmres.  Each call runs
     only the route picked: a gmres solve that stalls or meets its memory
@@ -947,8 +947,6 @@ def steady_state(
     elif method not in ("lu", "gmres"):
         raise ValueError(f"unknown steady-state method {method!r}")
 
-    # one reservoir: its slow modes couple rho_0 only through rho_{+-1}, so
-    # gmres takes the harmonics |n| <= 1 as an exact centre
     k_in = k_rho if method == "lu" else min(1, k_rho) if len(liouv.couplings) == 1 else -1
     coords, residual, iterations = _solve_bordered(liouv, k_rho, k_in)
 

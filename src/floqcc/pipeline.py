@@ -30,7 +30,6 @@ import numpy as np
 from .bath import MappingError, Ohmic, StructuredPeak, bose_occupation, map_collective_coordinate
 from .config import ConfigError, RunConfig
 from .floquet import (
-    DegeneracyError,
     FloquetConvergenceError,
     FloquetSolution,
     build_quasienergy_operator,
@@ -193,14 +192,14 @@ def _floquet_stage(cfg: RunConfig, spec: SupersystemSpec, k_ext: int = 0) -> Flo
                  "edge_residual": exc.edge_residual, "completeness": exc.completeness}
             )
             k_ext += 2
-        except (DegeneracyError, ValueError, np.linalg.LinAlgError) as exc:
+        except (ValueError, np.linalg.LinAlgError) as exc:
             raise PointFailure("floquet", str(exc)) from exc
     else:
         raise PointFailure("floquet", str(refused))
     return FloquetStage(h, fs, trail)
 
 
-def _generator_stage(cfg: RunConfig, spec: SupersystemSpec, floq: FloquetStage):
+def _generator_stage(spec: SupersystemSpec, floq: FloquetStage):
     """Counting-field generator: one channel per reservoir, each with the
     Floquet jump amplitudes of its coupling operator.  A ``ValueError`` or
     ``LinAlgError`` on the way (say, an occupation that diverges because
@@ -252,9 +251,8 @@ def run_point(cfg: RunConfig) -> PointResult:
     array ``decompose_operator`` returns.  With solver.convergence = "full"
     the n_fock + 4, k_ext + 2 and k_rho + 2 refinements must each move the
     period-averaged flows by less than GATE_TOL relative.  k_rho + 2 re-solves
-    the base generator, k_ext + 2 makes its own Floquet solve at the
-    certified k_ext + 2 and rebuilds the generator from it, and n_fock + 4
-    runs every stage from the certified k_ext.
+    the base generator; n_fock + 4 and k_ext + 2 each run every stage again,
+    from the certified k_ext and from the certified k_ext + 2.
 
     While it runs, numpy's own OpenBLAS is held at one thread when it is a
     library apart from scipy's, and the caller's thread count is restored
@@ -282,7 +280,7 @@ def _run_point(cfg: RunConfig) -> PointResult:
     def chain(n_fock: int, k_ext: int = 0):
         spec = _build_spec(cfg, lambda0, omega_cc, residual, n_fock)
         floq = _floquet_stage(cfg, spec, k_ext)
-        liouv = _generator_stage(cfg, spec, floq)
+        liouv = _generator_stage(spec, floq)
         return spec, floq, liouv, _steady_stage(cfg, liouv, k_rho)
 
     try:
@@ -310,19 +308,11 @@ def _run_point(cfg: RunConfig) -> PointResult:
 
     gates: dict[str, float] = {}
     if cfg.convergence == "full":
-
-        def refine_n_fock() -> SteadyStage:
-            return chain(n_fock + 4, floq.fs.k_ext)[-1]
-
-        def refine_k_ext() -> SteadyStage:
-            floq_r = _floquet_stage(cfg, spec, floq.fs.k_ext + 2)
-            return _steady_stage(cfg, _generator_stage(cfg, spec, floq_r), k_rho)
-
         base = steady.flows
         scale = max(np.max(np.abs(base[np.isfinite(base)])), 1e-300)
         refinements = {
-            "n_fock+4": refine_n_fock,
-            "k_ext+2": refine_k_ext,
+            "n_fock+4": lambda: chain(n_fock + 4, floq.fs.k_ext)[-1],
+            "k_ext+2": lambda: chain(n_fock, floq.fs.k_ext + 2)[-1],
             "k_rho+2": lambda: _steady_stage(cfg, liouv, info.k_rho + 2),
         }
         for tag, refine in refinements.items():

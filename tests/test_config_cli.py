@@ -465,9 +465,9 @@ class TestFailedRows:
         # every route, and the sweep goes on to the next point
         real = pipeline._generator_stage
 
-        def poisoned(cfg, spec, floq):
-            liouv = real(cfg, spec, floq)
-            if cfg.omegaL == 0.75:
+        def poisoned(spec, floq):
+            liouv = real(spec, floq)
+            if spec.omega_L == 0.75:
                 liouv.left[liouv.support, liouv.dim, 0] = math.nan  # hot G1_0
             return liouv
 

@@ -23,7 +23,7 @@ from floqcc.model import (
     parity,
 )
 from floqcc.generator import BathChannel
-from conftest import fig2_spec
+from conftest import LASERCOOL, fig2_spec, lasercool_spec
 from reference import one_period_propagator, propagate, sambe_block, zone_modes
 
 
@@ -46,6 +46,10 @@ def static_spec(gamma=5e-4, n_fock=8):
         hot_bath=Ohmic(d_h=5e-3, omega_ref=1.0), residual_bath=cc.residual,
         coupling_form="static",
     )
+
+
+def _ladder(spec, k_ext):
+    return build_supersystem_fourier(spec), spec.omega_L, k_ext, parity(spec)
 
 
 class TestExtendedOperator:
@@ -191,6 +195,44 @@ class TestSolveFloquet:
         fock = np.sum(np.abs(fs.modes.reshape(17, 2, 6, 12)) ** 2, axis=(0, 1))  # [n, r]
         np.testing.assert_allclose(fock.max(axis=0), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(np.bincount(fock.argmax(axis=0)), [2] * 6)
+
+    # (periodic operator, omega_L, k_ext, parity) of four ladders the program solves
+    LADDERS = {
+        "fig2": lambda: _ladder(fig2_spec(0.75, n_fock=6), 4),
+        "static g 0.2": lambda: _ladder(static_spec(), 8),
+        "lasercool": lambda: _ladder(lasercool_spec(-LASERCOOL["omega_cc"], n_fock=6), 4),
+        # the secular oracle's bare qubit, Q = sigma_z
+        "bare qubit g 0.5": lambda: (
+            PeriodicOperator(
+                harmonics=np.stack([0.25 * SIGMA_X, 0.5 * SIGMA_Z, 0.25 * SIGMA_X]), omega_L=0.75
+            ),
+            0.75, 16, np.array([1.0, -1.0]),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", LADDERS)
+    def test_keeps_the_copies_nearest_the_ladder_centre(self, case):
+        # against one complex eigh of the whole Sambe matrix: the kept modes
+        # are its d eigenvectors of smallest |weight centre|, each within 1/2
+        h, omega_L, k, par = self.LADDERS[case]()
+        q = build_quasienergy_operator(h, omega_L, k)
+        fs = solve_floquet(q, par)
+        d, ladder = fs.dim, np.arange(-k, k + 1)
+        kept = ladder @ np.sum(np.abs(fs.modes) ** 2, axis=1)
+        flat = fs.modes.transpose(2, 0, 1).reshape(d, -1)
+        assert np.max(np.abs(flat @ q.matrix.T - fs.energies[:, None] * flat)) < 1e-12
+        assert np.max(np.abs(kept)) <= 0.5 + 1e-9
+        evals, evecs = np.linalg.eigh(q.matrix)
+        centre = ladder @ np.sum(np.abs(evecs.reshape(2 * k + 1, d, -1)) ** 2, axis=1)
+        nearest = np.argsort(np.abs(centre))
+        assert np.abs(centre[nearest[d]]) > np.max(np.abs(kept))
+        order = np.argsort(fs.energies)
+        np.testing.assert_allclose(
+            fs.energies[order], np.sort(evals[nearest[:d]]), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            kept[order], centre[nearest[:d]][np.argsort(evals[nearest[:d]])], rtol=0, atol=1e-9
+        )
 
     def test_edge_residual_matches_a_wider_ladder(self):
         # the residual the certificate reads off Q's own blocks is what a

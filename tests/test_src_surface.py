@@ -1,8 +1,10 @@
 """The package holds only what the program runs: every function and method
-defined in ``floqcc`` is used somewhere else in it.  Reference engines
-that only the tests call live in ``tests/reference.py``."""
+defined in ``floqcc`` is used somewhere else in it, and every exception
+class it defines is raised by it.  Reference engines that only the tests
+call live in ``tests/reference.py``."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -42,11 +44,15 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{f.name}", ("attr", f.name), f
 
 
-def test_every_definition_is_used_elsewhere_in_the_package():
-    trees = {
+def _trees() -> dict[str, ast.Module]:
+    return {
         p.stem: ast.parse(p.read_text(encoding="utf-8"))
         for p in sorted(Path(floqcc.__file__).parent.glob("*.py"))
     }
+
+
+def test_every_definition_is_used_elsewhere_in_the_package():
+    trees = _trees()
     # the package's re-exports are its public surface, not a use
     used = sum((_references(t) for name, t in trees.items() if name != "__init__"), Counter())
     unused = [
@@ -56,3 +62,31 @@ def test_every_definition_is_used_elsewhere_in_the_package():
         if used[key] - _references(node)[key] <= 0
     ]
     assert not unused, f"not used inside the package: {unused}"
+
+
+def _raised(node: ast.AST) -> set[str]:
+    """Names of what the ``raise`` statements under ``node`` construct:
+    ``raise E(...)`` or ``raise E``, E a bare or dotted name."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                found.add(exc.attr)
+    return found
+
+
+def test_every_exception_class_is_raised_in_the_package():
+    trees = _trees()
+    raised = set().union(*(_raised(t) for t in trees.values()))
+    unraised = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and issubclass(getattr(importlib.import_module(f"floqcc.{module}"), node.name), BaseException)
+        and node.name not in raised
+    ]
+    assert not unraised, f"exception classes no raise constructs: {unraised}"
