@@ -178,6 +178,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         folder = os.path.dirname(path) or "."
         if path and not os.path.isdir(folder):
             raise ConfigError(f"{key}: directory {folder!r} does not exist")
+        if path and os.path.isdir(path):
+            raise ConfigError(f"{key}: {path!r} is a directory, not a file")
+    if cfg.csv_path and cfg.json_path and (
+        os.path.realpath(cfg.csv_path) == os.path.realpath(cfg.json_path)
+    ):
+        raise ConfigError(
+            f"output.csv and output.json name the same file {cfg.json_path!r}; "
+            "the JSON would overwrite the CSV"
+        )
     return cfg
 
 

@@ -50,7 +50,12 @@ it GMRES iterates under the sweep, and the positivity probe solves
 k_rho + 2 around its base route's k_in.  Each ``steady_state`` call runs
 one route, and a route that fails fails the call.  GMRES applies the block
 system matrix-free and in time: the stacks of L are sampled once per
-solve, and each action is an FFT pair around their sandwich.
+solve, and each action is an FFT pair around their sandwich.  The cycle is
+the module's own (``_gmres``, scipy's arithmetic without ``scipy.sparse``):
+left-preconditioned by the sweep M, one full-memory cycle of at most 180
+steps started from M b, stopping at a preconditioned residual of
+1e-13 |M b|, and returning at once when the start already meets
+|b - A x| < 1e-13 |b|.
 
 The generator keeps rho Hermitian, rho_{-n} = rho_n^dag, and the model's
 half-period parity, Q L_q(Q X Q) Q = (-1)^q L_q(X) for the +-1 diagonal Q
@@ -756,6 +761,79 @@ def _forward_sweep(
     return precond
 
 
+def _gmres(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    precond: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    x0: np.ndarray,
+    restart: int,
+) -> tuple[np.ndarray, int, int]:
+    """One left-preconditioned, full-memory GMRES cycle (Saad & Schultz,
+    SIAM J. Sci. Stat. Comput. 7, 856 (1986)) on the real system A x = b,
+    A applied by ``matvec`` and the preconditioner M by ``precond``,
+    started from x0 = M b.
+
+    A start with |b - A x0| < 1e-13 |b| is returned after no step.
+    Otherwise the cycle takes at most ``restart`` steps and stops once the
+    preconditioned residual is at most 1e-13 |M b| (|x0|, so b is not swept
+    again) or the Krylov space closes (h1 <= eps h0).  The arithmetic is
+    that of scipy's ``gmres`` cycle (1.17): modified Gram-Schmidt, LAPACK
+    ``lartg`` Givens rotations and the same back substitution, so steps and
+    solution match it bit for bit; the true residual b - A x is left to
+    the caller, which judges it on every route.  Returns (x, steps, code),
+    code 0 when the tolerance is met and 1 when it is not.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    r = b - matvec(x0)
+    if np.linalg.norm(r) < 1e-13 * np.linalg.norm(b):
+        return x0, 0, 0
+    ptol = 1e-13 * np.linalg.norm(x0)
+    eps = np.finfo(float).eps
+    lartg = get_lapack_funcs("lartg", dtype=float)
+    v = np.empty((restart + 1, len(b)))  # the Krylov basis
+    h = np.zeros((restart, restart))  # the rotated Hessenberg matrix, by column
+    givens = np.zeros((restart, 2))
+    g = np.zeros(restart + 1)  # the rotated right-hand side
+
+    v[0] = precond(r)
+    g[0] = np.linalg.norm(v[0])
+    v[0] *= 1 / g[0]
+    for col in range(restart):
+        w = precond(matvec(v[col]))
+        h0 = np.linalg.norm(w)
+        for k in range(col + 1):  # modified Gram-Schmidt
+            h[col, k] = np.dot(v[k], w)
+            w -= h[col, k] * v[k]
+        h1 = np.linalg.norm(w)
+        closed = h1 <= eps * h0
+        if closed:
+            h1 = 0.0
+        else:
+            v[col + 1] = w * (1 / h1)
+        for k in range(col):
+            c, s = givens[k]
+            n0, n1 = h[col, k], h[col, k + 1]
+            h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+        c, s, h[col, col] = lartg(h[col, col], h1)
+        givens[col] = c, s
+        g[col], g[col + 1] = c * g[col], -s * g[col]
+        if abs(g[col + 1]) <= ptol or closed:
+            break
+    code = 0 if abs(g[col + 1]) <= ptol else 1
+
+    if h[col, col] == 0:
+        g[col] = 0.0
+    y = g[: col + 1]
+    for k in range(col, 0, -1):
+        if y[k] != 0:
+            y[k] /= h[k, k]
+            y[:k] -= y[k] * h[k, :k]
+    if y[0] != 0:
+        y[0] /= h[0, 0]
+    return x0 + y @ v[: col + 1], col + 1, code
+
+
 def _solve_bordered(
     liouv: CountingLiouvillian, k_rho: int, k_in: int
 ) -> tuple[np.ndarray, float, int]:
@@ -769,17 +847,18 @@ def _solve_bordered(
     probe passes its base route's k_in.  ``_memory_guard`` runs first,
     before anything is allocated.  With k_in = k_rho the preconditioned
     right-hand side is the solution.
-    Otherwise one full-memory GMRES cycle runs on the matrix-free system
-    action (``_block_action``, sampled in time before the block factors are
-    taken), from the preconditioned right-hand side: the sweep leaves out
-    only the couplings from harmonics |m| >= n into harmonic n, which are
-    weak.  A stall names ``lu`` as the direct route only where its guard
-    would let it run.  Every route's relative
-    residual of the original system must be at most ``RESIDUAL_TOL``.
+    Otherwise ``_gmres`` runs one left-preconditioned, full-memory cycle of
+    at most 180 steps on the matrix-free system action (``_block_action``,
+    sampled in time before the block factors are taken), from the
+    preconditioned right-hand side M b: it stops at a preconditioned
+    residual of 1e-13 |M b|, and returns M b itself when that already meets
+    |b - A x| < 1e-13 |b|.  The sweep leaves out only the couplings from
+    harmonics |m| >= n into harmonic n, which are weak.  A stall names
+    ``lu`` as the direct route only where its guard would let it run.
+    Every route's relative residual of the original system, computed here
+    once, must be at most ``RESIDUAL_TOL``.
     Returns (real coordinates, that residual, GMRES iterations).
     """
-    from scipy.sparse.linalg import LinearOperator, gmres
-
     cm = liouv.coords
     size = cm.size(k_rho)
 
@@ -803,19 +882,8 @@ def _solve_bordered(
         out[0] = x[cm.trace].sum()
         return out
 
-    iterations = 0
-
-    def count(_: float) -> None:
-        nonlocal iterations
-        iterations += 1
-
-    op = LinearOperator((size, size), matvec=matvec, dtype=float)
-    pre = LinearOperator((size, size), matvec=precond, dtype=float)
     # one full-memory cycle; restarting loses superlinear convergence here
-    vec, code = gmres(
-        op, rhs, x0=x0, M=pre, rtol=1e-13, atol=0.0, maxiter=1, restart=min(180, size),
-        callback=count, callback_type="pr_norm",
-    )
+    vec, iterations, code = _gmres(matvec, precond, rhs, x0, min(180, size))
     residual = _residual(act, k_rho, cm.expand(vec, k_rho))
     if not residual <= RESIDUAL_TOL:
         # generators with very slow modes (e.g. an undamped mode cooled only

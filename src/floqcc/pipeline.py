@@ -380,7 +380,9 @@ def worker_count() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ConfigError(f"FLOQCC_WORKERS must be an integer, got {raw!r}") from exc
-    return max(1, n)
+    if n < 1:
+        raise ConfigError(f"FLOQCC_WORKERS must be a positive integer, got {raw!r}")
+    return n
 
 
 @cache

@@ -295,6 +295,40 @@ class TestEmission:
         assert not missing.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_that_is_a_directory_exit_2_before_solving(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def solve(cfg):
+            raise AssertionError("solved a point")
+
+        monkeypatch.setattr("floqcc.cli.run_point", solve)
+        monkeypatch.setattr("floqcc.cli.run_sweep", solve)
+        for command in ("steady", "sweep"):
+            for key in ("output.csv", "output.json"):
+                assert main([command, f"--{key}", str(tmp_path)] + FAST_POINT) == 2
+                err = capsys.readouterr().err
+                assert f"config error: {key}: {str(tmp_path)!r} is a directory, not a file" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_and_json_on_one_file_exit_2_before_solving(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the JSON, written second, would silently replace the CSV
+        def solve(cfg):
+            raise AssertionError("solved a point")
+
+        monkeypatch.setattr("floqcc.cli.run_point", solve)
+        monkeypatch.setattr("floqcc.cli.run_sweep", solve)
+        out = tmp_path / "out.txt"
+        # the same file by two spellings
+        other = tmp_path / "." / "out.txt"
+        for command in ("steady", "sweep"):
+            args = [command, "--output.csv", str(out), "--output.json", str(other)]
+            assert main(args + FAST_POINT) == 2
+            err = capsys.readouterr().err
+            assert "config error: output.csv and output.json name the same file" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestProcessPool:
     CFG = replace(
@@ -323,6 +357,17 @@ class TestProcessPool:
         monkeypatch.setenv("FLOQCC_WORKERS", "x")
         assert main(["sweep", "--sweep.steps", "3"] + FAST_POINT) == 2
         assert "FLOQCC_WORKERS must be an integer, got 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_worker_count_below_one_exit_2(self, raw, monkeypatch, capsys):
+        # refused, not run serially without a word
+        def solve(cfg):
+            raise AssertionError("solved a point")
+
+        monkeypatch.setattr(pipeline, "run_point", solve)
+        monkeypatch.setenv("FLOQCC_WORKERS", raw)
+        assert main(["sweep", "--sweep.steps", "3"] + FAST_POINT) == 2
+        assert f"FLOQCC_WORKERS must be a positive integer, got {raw!r}" in capsys.readouterr().err
 
 
 class TestSweepGrid:

@@ -633,14 +633,14 @@ class TestSteadyState:
         # whose residual is far above 1e-10; the call fails with that one
         # cause, and no direct factor is taken after it.  The message names
         # lu as the direct route only where lu's guard would let it run
-        def no_step(op, b, x0, **kwargs):
-            return x0, 1
+        def no_step(matvec, precond, b, x0, restart):
+            return x0, 0, 1
 
         def no_direct(*args, **kwargs):
             raise AssertionError("a failed gmres solve must not be re-solved by lu")
 
         _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=4), k_ext=10)
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_step)
+        monkeypatch.setattr(generator, "_gmres", no_step)
         monkeypatch.setattr(generator, "_real_factor", no_direct)
         stalled = r"^preconditioned GMRES stalled \(code 1, residual \S+\); "
         direct = r"solver\.method=lu is the direct route$"
@@ -669,7 +669,7 @@ class TestSteadyState:
             raise AssertionError("the lu route must not iterate")
 
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=4), k_ext=10, k_rho=2)
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_gmres)
+        monkeypatch.setattr(generator, "_gmres", no_gmres)
         rho, info = steady_state(liouv, k_rho=2, method="lu")
         factor = generator._real_factor(liouv, 2)
         rhs = np.zeros(liouv.coords.size(2))
@@ -786,15 +786,15 @@ class TestSteadyState:
     def test_gmres_runs_in_real_basis(self, monkeypatch):
         # GMRES iterates on the real coordinates of the harmonics on their
         # parity sectors, half the complex size
-        real_gmres = scipy.sparse.linalg.gmres
+        real_gmres = generator._gmres
         calls = []
 
-        def spy(a, b, *args, **kwargs):
+        def spy(matvec, precond, b, *args):
             calls.append((b.dtype, b.shape))
-            return real_gmres(a, b, *args, **kwargs)
+            return real_gmres(matvec, precond, b, *args)
 
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=3), k_ext=8)
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", spy)
+        monkeypatch.setattr(generator, "_gmres", spy)
         k_rho = 3
         _, info = steady_state(liouv, k_rho=k_rho, method="gmres")
         assert info.method == "gmres"
@@ -1052,6 +1052,69 @@ class TestOneVerdict:
         n_gmres = self.n_mean(steady_state(weak, k_rho=2, method="gmres")[0])
         n_lu = self.n_mean(steady_state(weak, k_rho=2, method="lu")[0])
         assert n_gmres == pytest.approx(n_lu, rel=1e-10)
+
+
+def cycle_call(liouv, k_rho, k_in):
+    """The arguments (matvec, precond, b, x0, restart) that
+    ``_solve_bordered`` hands its GMRES cycle."""
+    real, calls = generator._gmres, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generator, "_gmres", spy)
+        generator._solve_bordered(liouv, k_rho, k_in)
+    return calls[0]
+
+
+def scipy_cycle(matvec, precond, b, x0, restart):
+    """The same cycle by ``scipy.sparse.linalg.gmres``, the oracle:
+    (x, steps, code)."""
+    n = len(b)
+    op, pre = (
+        scipy.sparse.linalg.LinearOperator((n, n), matvec=f, dtype=float) for f in (matvec, precond)
+    )
+    steps = []
+    x, code = scipy.sparse.linalg.gmres(
+        op, b, x0=x0, M=pre, rtol=1e-13, atol=0.0, maxiter=1, restart=restart,
+        callback=steps.append, callback_type="pr_norm",
+    )
+    return x, len(steps), code
+
+
+class TestGmresCycle:
+    """``generator._gmres`` is scipy's full-memory, left-preconditioned
+    cycle, step for step, on the systems the steady solve hands it."""
+
+    @pytest.fixture(scope="class")
+    def fig2(self):
+        # Fig-2 omega_L 0.75 at k_rho 3, two reservoirs: no exact centre
+        liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=3), k_ext=8)[2]
+        return cycle_call(liouv, 3, -1)
+
+    def test_matches_scipy(self, fig2):
+        x, steps, code = generator._gmres(*fig2)
+        x_ref, steps_ref, code_ref = scipy_cycle(*fig2)
+        assert (steps, code) == (steps_ref, code_ref)
+        assert steps > 0 and code == 0
+        np.testing.assert_array_equal(x, x_ref)
+
+    def test_start_that_meets_the_tolerance_takes_no_step(self):
+        # the weak-coupling laser-cooling point of TestOneVerdict: the sweep
+        # around its exact centre |n| <= 1 already solves it
+        liouv = build_pipeline_liouvillian(WEAK_LASERCOOL, k_ext=4)[2]
+        args = cycle_call(liouv, 2, 1)
+        x, steps, code = generator._gmres(*args)
+        x_ref, steps_ref, code_ref = scipy_cycle(*args)
+        assert (steps, code) == (steps_ref, code_ref) == (0, 0)
+        np.testing.assert_array_equal(x, args[3])
+        np.testing.assert_array_equal(x_ref, args[3])
+
+    def test_cycle_that_misses_its_tolerance_returns_code_1(self, fig2):
+        _, steps, code = generator._gmres(*fig2[:4], 2)
+        assert (steps, code) == scipy_cycle(*fig2[:4], 2)[1:] == (2, 1)
 
 
 class TestHeatCurrents:

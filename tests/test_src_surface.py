@@ -1,7 +1,9 @@
 """The package holds only what the program runs: every function and method
 defined in ``floqcc`` is used somewhere else in it, and every exception
 class it defines is raised by it.  Reference engines that only the tests
-call live in ``tests/reference.py``."""
+call live in ``tests/reference.py``.  No module imports ``scipy.sparse``,
+whose import alone adds some 3.6 MB to the peak memory of a solving
+process."""
 
 import ast
 import importlib
@@ -90,3 +92,28 @@ def test_every_exception_class_is_raised_in_the_package():
         and node.name not in raised
     ]
     assert not unraised, f"exception classes no raise constructs: {unraised}"
+
+
+def _sparse_imports(tree: ast.Module) -> list[int]:
+    """Lines of the statements anywhere under ``tree``, function bodies
+    included, that import ``scipy.sparse`` or a module below it:
+    ``import scipy.sparse...``, ``from scipy.sparse... import`` or
+    ``from scipy import sparse``."""
+    lines = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names = [alias.name for alias in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.level == 0:
+            names = [n.module] + [f"{n.module}.{alias.name}" for alias in n.names]
+        else:
+            continue
+        if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+            lines.append(n.lineno)
+    return lines
+
+
+def test_no_module_imports_scipy_sparse():
+    found = [
+        f"{module}.py:{line}" for module, tree in _trees().items() for line in _sparse_imports(tree)
+    ]
+    assert not found, f"scipy.sparse imported at {found}"
