@@ -161,10 +161,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     path = getattr(args, "config", None)
     if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            cfg = parse_config_text(fh.read())
+        # a missing file, a directory, or a file that is unreadable or not
+        # UTF-8 text
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeError) as exc:
+            raise ConfigError(f"config file {path!r} cannot be read: {exc}") from exc
+        cfg = parse_config_text(text)
     overrides = {
         key: val
         for key, val in vars(args).items()

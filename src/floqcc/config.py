@@ -209,7 +209,7 @@ def _coerce(key: str, fname: str, raw: str):
     return txt
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config_text(text: str) -> RunConfig:
     """Parse flat key=value text into a RunConfig (strict: unknown keys and
     duplicate assignments are errors, by line); ``apply_overrides`` then
     coerces the values."""
@@ -227,7 +227,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         pairs[key] = raw
-    return apply_overrides(base or RunConfig(), pairs)
+    return apply_overrides(RunConfig(), pairs)
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:

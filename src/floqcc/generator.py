@@ -45,8 +45,9 @@ k_in: the sweep solves the exact centre |n| <= k_in first (the bordered
 rho_0 alone when k_in = -1), then each outer harmonic n by the LU of
 L_0 - i n w, after subtracting the couplings L_{n-m} rho_m from the
 harmonics |m| < n already solved.  ``steady_state`` picks k_in, by the one
-rule its docstring states; at k_in = k_rho the sweep is the solve, below
-it GMRES iterates under the sweep, and the positivity probe solves
+rule its docstring states, and every route runs GMRES under the sweep:
+at k_in = k_rho the sweep is the exact LU, so the one step it takes is an
+iterative-refinement step by that factor.  The positivity probe solves
 k_rho + 2 around its base route's k_in.  Each ``steady_state`` call runs
 one route, and a route that fails fails the call.  GMRES applies the block
 system matrix-free and in time: the stacks of L are sampled once per
@@ -54,8 +55,7 @@ solve, and each action is an FFT pair around their sandwich.  The cycle is
 the module's own (``_gmres``, scipy's arithmetic without ``scipy.sparse``):
 left-preconditioned by the sweep M, one full-memory cycle of at most 180
 steps started from M b, stopping at a preconditioned residual of
-1e-13 |M b|, and returning at once when the start already meets
-|b - A x| < 1e-13 |b|.
+1e-13 |M b|.
 
 The generator keeps rho Hermitian, rho_{-n} = rho_n^dag, and the model's
 half-period parity, Q L_q(Q X Q) Q = (-1)^q L_q(X) for the +-1 diagonal Q
@@ -408,7 +408,7 @@ class SteadyStateInfo:
     size: int  # complex unknowns of the block system, (2 k_rho + 1) d^2
     unknowns: int  # real unknowns of the solve, on the parity sectors
     residual: float
-    iterations: int  # GMRES iterations; 0 on lu
+    iterations: int  # GMRES iterations, at least 1; 1 on lu
     trace_defect: float
     min_eigenvalue: float
 
@@ -773,21 +773,22 @@ def _gmres(
     A applied by ``matvec`` and the preconditioner M by ``precond``,
     started from x0 = M b.
 
-    A start with |b - A x0| < 1e-13 |b| is returned after no step.
-    Otherwise the cycle takes at most ``restart`` steps and stops once the
-    preconditioned residual is at most 1e-13 |M b| (|x0|, so b is not swept
-    again) or the Krylov space closes (h1 <= eps h0).  The arithmetic is
+    The cycle takes at least one step and at most ``restart``, and stops
+    once the preconditioned residual is at most 1e-13 |M b| (|x0|, so b is
+    not swept again) or the Krylov space closes (h1 <= eps h0).  Unlike
+    scipy, it does not return a start that already meets |b - A x0| <
+    1e-13 |b|: the first step refines it, and a start whose preconditioned
+    residual is exactly 0 takes a null step.  Otherwise the arithmetic is
     that of scipy's ``gmres`` cycle (1.17): modified Gram-Schmidt, LAPACK
     ``lartg`` Givens rotations and the same back substitution, so steps and
     solution match it bit for bit; the true residual b - A x is left to
     the caller, which judges it on every route.  Returns (x, steps, code),
-    code 0 when the tolerance is met and 1 when it is not.
+    code 0 when the tolerance is met and 1 when the cycle ran out of steps
+    (or of Krylov space) above it.
     """
     from scipy.linalg import get_lapack_funcs
 
     r = b - matvec(x0)
-    if np.linalg.norm(r) < 1e-13 * np.linalg.norm(b):
-        return x0, 0, 0
     ptol = 1e-13 * np.linalg.norm(x0)
     eps = np.finfo(float).eps
     lartg = get_lapack_funcs("lartg", dtype=float)
@@ -798,7 +799,8 @@ def _gmres(
 
     v[0] = precond(r)
     g[0] = np.linalg.norm(v[0])
-    v[0] *= 1 / g[0]
+    if g[0] != 0:
+        v[0] *= 1 / g[0]
     for col in range(restart):
         w = precond(matvec(v[col]))
         h0 = np.linalg.norm(w)
@@ -845,18 +847,19 @@ def _solve_bordered(
     -1, with the trace border on coordinate 0.  k_in names the exact centre
     |n| <= k_in, -1 for none, as ``steady_state`` picks it; the positivity
     probe passes its base route's k_in.  ``_memory_guard`` runs first,
-    before anything is allocated.  With k_in = k_rho the preconditioned
-    right-hand side is the solution.
-    Otherwise ``_gmres`` runs one left-preconditioned, full-memory cycle of
-    at most 180 steps on the matrix-free system action (``_block_action``,
-    sampled in time before the block factors are taken), from the
-    preconditioned right-hand side M b: it stops at a preconditioned
-    residual of 1e-13 |M b|, and returns M b itself when that already meets
-    |b - A x| < 1e-13 |b|.  The sweep leaves out only the couplings from
-    harmonics |m| >= n into harmonic n, which are weak.  A stall names
-    ``lu`` as the direct route only where its guard would let it run.
+    before anything is allocated.  ``_gmres`` then runs one
+    left-preconditioned, full-memory cycle of at most 180 steps on the
+    matrix-free system action (``_block_action``, sampled in time before
+    the block factors are taken), from the preconditioned right-hand side
+    M b, stopping at a preconditioned residual of 1e-13 |M b|.  The sweep
+    leaves out only the couplings from harmonics |m| >= n into harmonic n,
+    which are weak; with k_in = k_rho it leaves out nothing, M is the exact
+    LU, and its one step is an iterative-refinement step by that factor.
     Every route's relative residual of the original system, computed here
-    once, must be at most ``RESIDUAL_TOL``.
+    once, must be at most ``RESIDUAL_TOL``; a failure names the GMRES
+    iterations, whether the cycle met its own tolerance, and, below
+    k_in = k_rho, ``lu`` as the direct route only where its guard would let
+    it run.
     Returns (real coordinates, that residual, GMRES iterations).
     """
     cm = liouv.coords
@@ -871,11 +874,6 @@ def _solve_bordered(
     rhs = np.zeros(size)
     rhs[0] = 1.0
     x0 = precond(rhs)
-    if k_in == k_rho:
-        residual = _residual(act, k_rho, cm.expand(x0, k_rho))
-        if not residual <= RESIDUAL_TOL:  # written so that nan fails it, here and below
-            raise SteadyStateError(f"direct solve residual {residual:.2e} above {RESIDUAL_TOL:.0e}")
-        return x0, residual, 0
 
     def matvec(x: np.ndarray) -> np.ndarray:
         out = cm.restrict(act(cm.expand(x, k_rho)), k_rho)
@@ -885,20 +883,24 @@ def _solve_bordered(
     # one full-memory cycle; restarting loses superlinear convergence here
     vec, iterations, code = _gmres(matvec, precond, rhs, x0, min(180, size))
     residual = _residual(act, k_rho, cm.expand(vec, k_rho))
-    if not residual <= RESIDUAL_TOL:
-        # generators with very slow modes (e.g. an undamped mode cooled only
-        # through drive sidebands) defeat the sweep unless the harmonics that
-        # couple them are exact
-        need, limit = _route_bytes(liouv, k_rho, k_rho)
-        direct = (
-            "solver.method=lu is the direct route"
-            if need <= limit
-            else f"solver.method=lu would need {need / 1e9:.1f} GB, above its "
-            f"{limit / 1e9:.1f} GB limit"
+    if not residual <= RESIDUAL_TOL:  # written so that nan fails it
+        cycle = "met its tolerance" if code == 0 else "ran out of steps"
+        message = (
+            f"steady solve residual {residual:.2e} above {RESIDUAL_TOL:.0e} after "
+            f"{iterations} GMRES iterations (the cycle {cycle})"
         )
-        raise SteadyStateError(
-            f"preconditioned GMRES stalled (code {code}, residual {residual:.2e}); {direct}"
-        )
+        if k_in < k_rho:
+            # generators with very slow modes (e.g. an undamped mode cooled
+            # only through drive sidebands) defeat the sweep unless the
+            # harmonics that couple them are exact
+            need, limit = _route_bytes(liouv, k_rho, k_rho)
+            message += (
+                "; solver.method=lu is the direct route"
+                if need <= limit
+                else f"; solver.method=lu would need {need / 1e9:.1f} GB, above its "
+                f"{limit / 1e9:.1f} GB limit"
+            )
+        raise SteadyStateError(message)
     return vec, residual, iterations
 
 
@@ -975,21 +977,22 @@ def steady_state(
     routes differ only in k_in, the exact centre |n| <= k_in, decided here
     once, by the one route rule: k_in = k_rho on lu, and on gmres 1 for one
     reservoir and -1 (no centre) for two.  ``method`` is "lu" (the real LU
-    of the whole bordered system is the preconditioner, exact, so no
-    iteration), "gmres" (the same solve under a forward sweep over |n| with
-    one block factor per outer harmonic, ``_forward_sweep``, iterated on the
-    system's action in time, the count in ``SteadyStateInfo.iterations``),
-    or "auto" (lu up to DENSE_SIZE_LIMIT complex unknowns, (2 k_rho + 1)
-    d^2, gmres above).  A single-reservoir generator needs the centre
-    |n| <= 1: its undamped mode is cooled only by drive sidebands, which
-    couple rho_0 through rho_{+-1} alone, so with rho_0 alone exact GMRES
-    stalls near residual 3e-3 (or the centre is singular), and with
-    |n| <= 1, the real LU lu would take at k_rho = 1 and block factors for
-    n >= 2 only, it converges in a few iterations.  One
-    memory guard (``_memory_guard``) counts the route's factors before
-    anything is allocated: 2.5 GB on lu, 1.5 GB on gmres.  Each call runs
-    only the route picked: a gmres solve that stalls or meets its memory
-    guard fails with that one cause; any other ``method`` is a ValueError.
+    of the whole bordered system is the preconditioner, exact, so GMRES
+    takes one step, a refinement by that factor), "gmres" (a forward sweep
+    over |n| with one block factor per outer harmonic, ``_forward_sweep``,
+    is the preconditioner), or "auto" (lu up to DENSE_SIZE_LIMIT complex
+    unknowns, (2 k_rho + 1) d^2, gmres above); every route iterates on the
+    system's action in time, the count in ``SteadyStateInfo.iterations``.
+    A single-reservoir generator needs the centre |n| <= 1: its undamped
+    mode is cooled only by drive sidebands, which couple rho_0 through
+    rho_{+-1} alone, so with rho_0 alone exact GMRES stalls near residual
+    3e-3 (or the centre is singular), and with |n| <= 1, the real LU lu
+    would take at k_rho = 1 and block factors for n >= 2 only, it converges
+    in a few iterations.  One memory guard (``_memory_guard``) counts the
+    route's factors before anything is allocated: 2.5 GB on lu, 1.5 GB on
+    gmres.  Each call runs only the route picked: a solve whose residual
+    fails or that meets its memory guard fails with that one cause; any
+    other ``method`` is a ValueError.
     A bordered LU (the real centre, or the complex L_0 when k_in = -1)
     whose condition estimate is below N eps means more than one steady
     state (``_bordered_factor``).

@@ -640,43 +640,68 @@ class TestSteadyState:
             raise AssertionError("a failed gmres solve must not be re-solved by lu")
 
         _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=4), k_ext=10)
-        monkeypatch.setattr(generator, "_gmres", no_step)
-        monkeypatch.setattr(generator, "_real_factor", no_direct)
-        stalled = r"^preconditioned GMRES stalled \(code 1, residual \S+\); "
-        direct = r"solver\.method=lu is the direct route$"
-        with pytest.raises(SteadyStateError, match=stalled + direct):
-            steady_state(liouv, method="gmres")
-        # d = 8: at k_rho = 280 lu would factor a real 17952^2 system, 2.6 GB
+        with monkeypatch.context() as mp:
+            mp.setattr(generator, "_gmres", no_step)
+            mp.setattr(generator, "_real_factor", no_direct)
+            stalled = (
+                r"^steady solve residual \S+ above 1e-10 after 0 GMRES iterations "
+                r"\(the cycle ran out of steps\); "
+            )
+            direct = r"solver\.method=lu is the direct route$"
+            with pytest.raises(SteadyStateError, match=stalled + direct):
+                steady_state(liouv, method="gmres")
+            # d = 8: at k_rho = 280 lu would factor a real 17952^2 system, 2.6 GB
+            with pytest.raises(
+                SteadyStateError,
+                match=stalled + r"solver\.method=lu would need 2\.6 GB, above its 2\.5 GB limit$",
+            ):
+                steady_state(liouv, k_rho=280, method="gmres")
+        # a cycle that meets its own tolerance (code 0) and still fails the
+        # judge is not called a stall
+        monkeypatch.setattr(generator, "_residual", lambda *args: 2e-10)
         with pytest.raises(
             SteadyStateError,
-            match=stalled + r"solver\.method=lu would need 2\.6 GB, above its 2\.5 GB limit$",
-        ):
-            steady_state(liouv, k_rho=280, method="gmres")
+            match=r"^steady solve residual 2\.00e-10 above 1e-10 after [1-9]\d* GMRES iterations "
+            r"\(the cycle met its tolerance\); solver\.method=lu is the direct route$",
+        ) as exc:
+            steady_state(liouv, method="gmres")
+        assert "stall" not in str(exc.value)
 
     def test_lu_residual_is_judged(self, monkeypatch):
         # the lu route judges its residual against the one bound of every
-        # route, RESIDUAL_TOL, in _solve_bordered
+        # route, RESIDUAL_TOL, in _solve_bordered, with the one message of
+        # every route; it names no direct route, being one
         _, _, liouv = build_pipeline_liouvillian(fig2_spec(0.75, n_fock=4), k_ext=10)
         assert steady_state(liouv, k_rho=2, method="lu")[1].residual <= generator.RESIDUAL_TOL
         monkeypatch.setattr(generator, "_residual", lambda *args: 2e-10)
-        with pytest.raises(SteadyStateError, match=r"^direct solve residual 2\.00e-10 above 1e-10$"):
+        with pytest.raises(
+            SteadyStateError,
+            match=r"^steady solve residual 2\.00e-10 above 1e-10 after 1 GMRES iterations "
+            r"\(the cycle met its tolerance\)$",
+        ):
             steady_state(liouv, k_rho=2, method="lu")
 
     def test_lu_solves_without_gmres(self, monkeypatch):
         # lu is the bordered solve whose preconditioner is the dense factor
-        # itself: one solve of the unit right-hand side, no iteration
-        def no_gmres(*args, **kwargs):
-            raise AssertionError("the lu route must not iterate")
+        # itself: the GMRES cycle runs once and takes one step, an
+        # iterative-refinement step by that factor, and the state stays on
+        # the direct solve of the unit right-hand side
+        real, steps = generator._gmres, []
+
+        def spy(*args):
+            out = real(*args)
+            steps.append(out[1])
+            return out
 
         _, _, liouv, _, _ = solve_pipeline(fig2_spec(0.75, n_fock=4), k_ext=10, k_rho=2)
-        monkeypatch.setattr(generator, "_gmres", no_gmres)
+        monkeypatch.setattr(generator, "_gmres", spy)
         rho, info = steady_state(liouv, k_rho=2, method="lu")
         factor = generator._real_factor(liouv, 2)
         rhs = np.zeros(liouv.coords.size(2))
         rhs[0] = 1.0  # the trace border, on the real coordinate 0
         expected, _ = generator._periodic_state(liouv, scipy.linalg.lu_solve(factor, rhs), 2)
-        assert info.method == "lu"
-        np.testing.assert_array_equal(rho.harmonics, expected.harmonics)
+        assert (info.method, info.iterations, steps) == ("lu", 1, [1])
+        np.testing.assert_allclose(rho.harmonics, expected.harmonics, rtol=0, atol=1e-12)
 
     def test_gmres_factors_nonnegative_harmonics_only(self, monkeypatch):
         real_lu_factor = scipy.linalg.lu_factor
@@ -1042,15 +1067,15 @@ class TestOneVerdict:
         # k_rho = 6: 1300 unknowns, the first size above the limit
         assert (info.method, info.size) == ("gmres", 1300)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="GMRES stops on the preconditioned residual: n_mean 0.0625343468710914 "
-        "(gmres) against 0.0625343479082611 (lu), 1.66e-8 relative, after 0 "
-        "iterations at residual 2.0e-14; 3.5e-9 at g = d_c = 1e-7",
-    )
-    def test_gmres_n_mean_matches_lu(self, weak):
-        n_gmres = self.n_mean(steady_state(weak, k_rho=2, method="gmres")[0])
-        n_lu = self.n_mean(steady_state(weak, k_rho=2, method="lu")[0])
+    @pytest.mark.parametrize("coupling", [1e-6, 1e-7])
+    def test_gmres_n_mean_matches_lu(self, coupling):
+        # g = d_c = coupling: the |n| <= 1 centre plus the n = 2 block sweep
+        # leaves a start whose true residual already meets 1e-13 |b|, but
+        # GMRES still steps from it
+        spec = replace(WEAK_LASERCOOL, g=coupling, lambda0=coupling)
+        liouv = build_pipeline_liouvillian(spec, k_ext=4)[2]
+        n_gmres = self.n_mean(steady_state(liouv, k_rho=2, method="gmres")[0])
+        n_lu = self.n_mean(steady_state(liouv, k_rho=2, method="lu")[0])
         assert n_gmres == pytest.approx(n_lu, rel=1e-10)
 
 
@@ -1103,14 +1128,27 @@ class TestGmresCycle:
 
     def test_start_that_meets_the_tolerance_takes_no_step(self):
         # the weak-coupling laser-cooling point of TestOneVerdict: the sweep
-        # around its exact centre |n| <= 1 already solves it
+        # around its exact centre |n| <= 1 already meets scipy's start test,
+        # |b - A x0| < 1e-13 |b|, so scipy returns x0 after no step; the
+        # cycle has no start test and takes one step, onto the lu solve
         liouv = build_pipeline_liouvillian(WEAK_LASERCOOL, k_ext=4)[2]
         args = cycle_call(liouv, 2, 1)
         x, steps, code = generator._gmres(*args)
         x_ref, steps_ref, code_ref = scipy_cycle(*args)
-        assert (steps, code) == (steps_ref, code_ref) == (0, 0)
-        np.testing.assert_array_equal(x, args[3])
+        assert (steps_ref, code_ref) == (0, 0)
         np.testing.assert_array_equal(x_ref, args[3])
+        assert (steps, code) == (1, 0)
+        x_lu = cycle_call(liouv, 2, 2)[3]
+        assert np.abs(x - x_lu).max() <= 1e-10 * np.abs(x_lu).max()
+        assert np.abs(x - x_lu).max() < np.abs(args[3] - x_lu).max()
+
+    def test_exact_start_takes_a_null_step(self):
+        # a start that solves the system exactly has a preconditioned
+        # residual of exactly 0: the cycle takes one null step and returns it
+        b = np.arange(1.0, 6.0)
+        x, steps, code = generator._gmres(lambda x: 2.0 * x, lambda r: r / 2.0, b, b / 2.0, 5)
+        assert (steps, code) == (1, 0)
+        np.testing.assert_array_equal(x, b / 2.0)
 
     def test_cycle_that_misses_its_tolerance_returns_code_1(self, fig2):
         _, steps, code = generator._gmres(*fig2[:4], 2)

@@ -1,9 +1,11 @@
 """The package holds only what the program runs: every function and method
 defined in ``floqcc`` is used somewhere else in it, and every exception
 class it defines is raised by it.  Reference engines that only the tests
-call live in ``tests/reference.py``.  No module imports ``scipy.sparse``,
-whose import alone adds some 3.6 MB to the peak memory of a solving
-process."""
+call live in ``tests/reference.py``.  Every default of a parameter is
+overridden by some call, in the package, its tests or its benchmarks; one
+that none overrides is a parameter nothing needs.  No module imports
+``scipy.sparse``, whose import alone adds some 3.6 MB to the peak memory
+of a solving process."""
 
 import ast
 import importlib
@@ -117,3 +119,76 @@ def test_no_module_imports_scipy_sparse():
         f"{module}.py:{line}" for module, tree in _trees().items() for line in _sparse_imports(tree)
     ]
     assert not found, f"scipy.sparse imported at {found}"
+
+
+def _signatures(tree: ast.Module):
+    """(label, callee name, defaulted parameters) of every function and
+    method, nested ones included; a class's ``__init__`` is called by the
+    class name.  Each defaulted parameter is (name, the position of the
+    call's argument that binds it, or None for a keyword-only one): a
+    method's positions start after the ``self`` or ``cls`` the call does
+    not pass, but a static method's do not."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef):
+                    methods[f] = node.name
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        owner = methods.get(f)
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list)
+        offset = 1 if owner and not static else 0
+        positional = f.args.posonlyargs + f.args.args
+        first = len(positional) - len(f.args.defaults)
+        defaulted = [(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
+        defaulted += [
+            (a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None
+        ]
+        if not defaulted:
+            continue
+        label = f"{owner}.{f.name}" if owner else f.name
+        callee = owner if owner and f.name == "__init__" else f.name
+        yield label, callee, defaulted
+
+
+def _calls_by_name(roots: list[Path]) -> dict[str, list[ast.Call]]:
+    """Every call under the ``roots``, by the name it calls: a bare name or
+    the last attribute of a dotted one."""
+    calls: dict[str, list[ast.Call]] = {}
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(n, ast.Call):
+                    continue
+                if isinstance(n.func, ast.Name):
+                    calls.setdefault(n.func.id, []).append(n)
+                elif isinstance(n.func, ast.Attribute):
+                    calls.setdefault(n.func.attr, []).append(n)
+    return calls
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name`` at ``position``: by
+    keyword or by position, and always when it unpacks ``*args`` or
+    ``**kwargs``."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_default_is_overridden_somewhere():
+    # a default no call overrides is a parameter the program does not need
+    root = Path(__file__).resolve().parent.parent
+    calls = _calls_by_name([root / "src", root / "tests", root / "benchmarks"])
+    unpassed = [
+        f"{module}.{label}({name})"
+        for module, tree in _trees().items()
+        for label, callee, defaulted in _signatures(tree)
+        for name, position in defaulted
+        if not any(_passes(call, name, position) for call in calls.get(callee, []))
+    ]
+    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
