@@ -249,10 +249,10 @@ def run_point(cfg: RunConfig) -> PointResult:
     every Floquet stage certifies its own ladder (``_floquet_stage``), and
     the generator reads each reservoir's jump amplitudes as the one dense
     array ``decompose_operator`` returns.  With solver.convergence = "full"
-    the n_fock + 4, k_ext + 2 and k_rho + 2 refinements must each move the
+    the n_fock + 4 and k_rho + 2 refinements must each move the
     period-averaged flows by less than GATE_TOL relative.  k_rho + 2 re-solves
-    the base generator; n_fock + 4 and k_ext + 2 each run every stage again,
-    from the certified k_ext and from the certified k_ext + 2.
+    the base generator; n_fock + 4 runs every stage again, from the certified
+    k_ext.  k_ext is judged in every mode by the ladder's certificate alone.
 
     While it runs, numpy's own OpenBLAS is held at one thread when it is a
     library apart from scipy's, and the caller's thread count is restored
@@ -312,7 +312,6 @@ def _run_point(cfg: RunConfig) -> PointResult:
         scale = max(np.max(np.abs(base[np.isfinite(base)])), 1e-300)
         refinements = {
             "n_fock+4": lambda: chain(n_fock + 4, floq.fs.k_ext)[-1],
-            "k_ext+2": lambda: chain(n_fock, floq.fs.k_ext + 2)[-1],
             "k_rho+2": lambda: _steady_stage(cfg, liouv, info.k_rho + 2),
         }
         for tag, refine in refinements.items():
@@ -348,10 +347,6 @@ def _run_point(cfg: RunConfig) -> PointResult:
 
     converged = cfg.convergence != "off" and not any(g > GATE_TOL for g in gates.values())
     return PointResult(cfg, omega_cc, report, diag, converged, extras=extras)
-
-
-def sweep_values(start: float, stop: float, steps: int) -> np.ndarray:
-    return np.linspace(start, stop, steps)
 
 
 def _point_config(cfg: RunConfig, variable: str, value: float) -> RunConfig:
@@ -491,9 +486,9 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     cfg.validate()
     outer = [cfg]
     if MODES[cfg.mode].axes == 2:
-        values2 = sweep_values(cfg.sweep2_start, cfg.sweep2_stop, cfg.sweep2_steps)
+        values2 = np.linspace(cfg.sweep2_start, cfg.sweep2_stop, cfg.sweep2_steps)
         outer = [_point_config(cfg, cfg.sweep2_variable, v) for v in values2]
-    values = sweep_values(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
+    values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
     configs = [_point_config(base, cfg.sweep_variable, v) for base in outer for v in values]
     for point_cfg in configs:
         point_cfg.validate()

@@ -31,7 +31,7 @@ from floqcc.model import (
     number_operator,
     parity,
 )
-from floqcc.pipeline import run_point, run_sweep, sweep_values
+from floqcc.pipeline import run_point, run_sweep
 from floqcc.thermo import Regime
 
 from conftest import FIG2, fig2_spec, solve_pipeline
@@ -348,7 +348,7 @@ def test_criterion_5_thermodynamic_laws(fig2_sweep):
 
 def test_criterion_6_engine_and_refrigerator_regions(fig2_sweep):
     points = fig2_sweep.points
-    values = sweep_values(0.60, 0.95, 36)
+    values = np.linspace(0.60, 0.95, 36)
     regimes = [
         p.report.regime if (p.ok and p.report is not None) else None for p in points
     ]
@@ -428,7 +428,7 @@ def test_criterion_6_engine_and_refrigerator_regions(fig2_sweep):
 def _fig4_rows(fig4_grid):
     n_inner = 23
     rows = {}
-    for j, dc in enumerate(sweep_values(0.001, 0.005, 5)):
+    for j, dc in enumerate(np.linspace(0.001, 0.005, 5)):
         rows[float(dc)] = fig4_grid.points[j * n_inner : (j + 1) * n_inner]
     return rows
 

@@ -33,7 +33,7 @@ from floqcc.config import (
 from floqcc.model import fock_truncation_check
 from floqcc.modes import MODES
 from floqcc.oracles import SidebandParams, bare_qubit_secular_steady, sideband_cooling_occupation
-from floqcc.pipeline import run_point, run_sweep, sweep_values
+from floqcc.pipeline import run_point, run_sweep
 
 FAST_POINT = [
     "--solver.n_fock", "6",
@@ -271,7 +271,7 @@ class TestEmission:
             sweep_steps=3, n_fock=6, convergence="off",
         )
         full = run_sweep(cfg)
-        values = sweep_values(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
+        values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
         single = run_point(replace(cfg, omegaL=float(values[1])))
         row_full = render_csv([full.points[1]], "sweep")
         row_single = render_csv([single], "sweep")
@@ -421,8 +421,8 @@ class TestSweepGrid:
             trunc_threshold=0.1, convergence="off",
         )
         result = run_sweep(cfg)
-        outer = sweep_values(cfg.sweep2_start, cfg.sweep2_stop, cfg.sweep2_steps)
-        inner = sweep_values(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
+        outer = np.linspace(cfg.sweep2_start, cfg.sweep2_stop, cfg.sweep2_steps)
+        inner = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
         assert [(p.config.d_c, p.config.omegaL) for p in result.points] == [
             (float(d_c), float(omega_l)) for d_c in outer for omega_l in inner
         ]
@@ -740,21 +740,64 @@ class TestRefinementGates:
         cfg = replace(RunConfig(), mode="steady", omegaL=0.8, n_fock=6, convergence="full")
         point = run_point(cfg)
         assert point.ok and point.converged
-        # base, n_fock+4 and the k_ext+2 gate's own solve; k_rho+2 re-solves
-        # the base generator
-        assert calls == {"solve_floquet": 3, "build_liouvillian": 3}
+        # base and n_fock+4; k_rho+2 re-solves the base generator, and the
+        # ladder's certificate alone judges k_ext
+        assert calls == {"solve_floquet": 2, "build_liouvillian": 2}
 
         d = point.diagnostics
+        assert set(d.gates) == {"n_fock+4", "k_rho+2"}
         base = np.array([point.report.qbar_c, point.report.qbar_h])
         refinements = {
-            "k_rho+2": dict(k_ext=d.k_ext, k_rho=d.k_rho + 2),
-            "k_ext+2": dict(k_ext=d.k_ext + 2),
+            "n_fock+4": dict(k_ext=d.k_ext, n_fock=d.n_fock + 4),
+            "k_rho+2": dict(k_ext=d.k_ext, n_fock=d.n_fock, k_rho=d.k_rho + 2),
         }
         for tag, fields in refinements.items():
-            ref = run_point(replace(cfg, convergence="off", n_fock=d.n_fock, **fields))
+            ref = run_point(replace(cfg, convergence="off", **fields))
             flows = np.array([ref.report.qbar_c, ref.report.qbar_h])
             rel = np.max(np.abs(flows - base)) / np.max(np.abs(base))
             assert d.gates[tag] == pytest.approx(rel, rel=1e-12, abs=1e-15), tag
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # the ladder climbs from 4 through 6 to 8
+            dict(mode="steady", omegaL=0.5, n_fock=4),
+            # the lasercool_curve point at delta -0.7 omega_cc: one reservoir
+            dict(mode="lasercool", omegaL=1.0 - 0.7 * 5e-3, g=2e-4, d_c=1.13e-4,
+                 omega_res=5e-3, beta_h=1e4, beta_c=1e4, resonance_lock=False, n_fock=12),
+        ],
+        ids=["climbed", "lasercool"],
+    )
+    def test_certificate_bounds_the_k_ext_refinement(self, fields):
+        # the certified ladder's flows move by less than 1e-9 of max |flow| at
+        # k_ext + 2 (measured: 5.1e-13 and 1.1e-12), so no gate re-judges k_ext
+        cfg = replace(RunConfig(), convergence="off", **fields)
+        point = run_point(cfg)
+        assert point.ok, point.error
+        d = point.diagnostics
+        wider = run_point(replace(cfg, k_ext=d.k_ext + 2, n_fock=d.n_fock))
+        assert wider.ok and wider.diagnostics.k_ext == d.k_ext + 2
+        base = np.array([point.report.qbar_c, point.report.qbar_h])
+        flows = np.array([wider.report.qbar_c, wider.report.qbar_h])
+        assert np.isfinite(base).sum() == (2 if fields["mode"] == "steady" else 1)
+        assert np.nanmax(np.abs(flows - base)) < 1e-9 * np.nanmax(np.abs(base))
+
+    def test_failed_refinement_is_a_failed_row(self, monkeypatch):
+        # only the k_rho+2 refinement passes steady_state an integer k_rho
+        real = pipeline.steady_state
+
+        def failing(liouv, k_rho, method):
+            if k_rho is not None:
+                raise generator.SteadyStateError("refused on purpose")
+            return real(liouv, k_rho=k_rho, method=method)
+
+        monkeypatch.setattr(pipeline, "steady_state", failing)
+        cfg = replace(RunConfig(), mode="steady", omegaL=0.8, n_fock=6, convergence="full")
+        point = run_point(cfg)
+        assert point.error.startswith("gate k_rho+2: [generator]"), point.error
+        assert point.report is None
+        row = dict(zip(CSV_COLUMNS, render_csv([point], "steady").splitlines()[1].split(",")))
+        assert row["regime"] == "error"
 
     def test_rho_tail_reaches_json(self, tmp_path):
         js = tmp_path / "out.json"

@@ -3,12 +3,14 @@ defined in ``floqcc`` is used somewhere else in it, and every exception
 class it defines is raised by it.  Reference engines that only the tests
 call live in ``tests/reference.py``.  Every default of a parameter is
 overridden by some call, in the package, its tests or its benchmarks; one
-that none overrides is a parameter nothing needs.  No module imports
+that none overrides is a parameter nothing needs.  Every module-level
+UPPER_CASE constant is read by some code in the package.  No module imports
 ``scipy.sparse``, whose import alone adds some 3.6 MB to the peak memory
 of a solving process."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -66,6 +68,46 @@ def test_every_definition_is_used_elsewhere_in_the_package():
         if used[key] - _references(node)[key] <= 0
     ]
     assert not unused, f"not used inside the package: {unused}"
+
+
+def _constants(tree: ast.Module):
+    """Names that the module's top-level assignments bind in UPPER_CASE,
+    with or without a leading underscore."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id):
+                    yield n.id
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names read under ``node``: a bare name or an attribute, loaded."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            found.add(n.attr)
+    return found
+
+
+def test_every_constant_is_read_in_the_package():
+    # a constant nothing reads is left over from code that was deleted
+    trees = _trees()
+    read = set().union(*(_reads(t) for t in trees.values()))
+    unread = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _constants(tree)
+        if name not in read
+    ]
+    assert not unread, f"constants no code in the package reads: {unread}"
 
 
 def _raised(node: ast.AST) -> set[str]:
